@@ -9,9 +9,17 @@ Subcommands:
     analyze   rewards.jsonl             -> report.json
     corrupt   qa.jsonl                  -> qa.corrupted.jsonl
 
-Exit codes: 0 success, 2 missing input, 3 schema/validation error (with the
-offending line in the message). Identical inputs, seed, and parameters give
-byte-identical artifacts at any thread count.
+Each stage takes flags only for the engine parameters it reads (see
+STAGE_FIELDS); reward's weights and rollout count come from --weights and
+--k. detect, graph, qagen and reward take --print-config to dump the full
+parameter set. The timeline is fixed at 2 fps (ingest.SAMPLE_PERIOD).
+
+Work runs serially in input order. --threads is still accepted so that
+existing scripts keep working, but it changes nothing.
+
+Exit codes: 0 success, 2 missing input or bad command line, 3
+schema/validation error (with the offending line in the message). Identical
+inputs, seed, and parameters give byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -20,27 +28,45 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import analytics, events, gaze, graph as graph_mod, ingest, qa, reward as reward_mod
 from .config import EngineConfig, add_config_arguments, config_from_args
 from .errors import ContractError, EngineError, ParseError, ValidationError
 
-THREADS_ENV = "GRASP_ENGINE_THREADS"
-
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
 EXIT_SCHEMA = 3
+
+# The engine parameters each stage reads; every EngineConfig field belongs to
+# exactly one stage. WEIGHT_FIELDS (--weights) and rollouts_per_query (--k)
+# complete the reward stage.
+STAGE_FIELDS = {
+    "detect": (
+        "linear_max_gap", "carry_max_gap", "linear_conf_slope", "carry_conf_base",
+        "carry_conf_decay", "block_temporal_gap", "block_face_displacement",
+        "convergence_alpha", "convergence_measured_only",
+        "sudden_velocity", "sudden_cluster_gap", "sudden_min_duration", "sudden_max_duration",
+        "ja_convergence", "ja_min_duration", "ja_set_overlap", "ja_peripheral_mult",
+        "follow_distance", "follow_lag_min", "follow_lag_max",
+        "capture_velocity", "capture_min_persons", "capture_window",
+        "mutual_margin", "mutual_min_duration",
+    ),
+    "graph": ("gaze_conf_min", "gesture_conf_min", "pair_max_distance", "max_graph_events"),
+    "qagen": ("qa_medium_min_events", "qa_hard_min_events"),
+    "reward": ("advantage_clip", "advantage_mode"),
+}
+WEIGHT_FIELDS = ("weight_acc", "weight_fmt", "weight_str", "weight_gnd")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _effective_config(args)
+    config = config_from_args(args)
+    if getattr(args, "weights", None) is not None:
+        config = dataclasses.replace(config, **dict(zip(WEIGHT_FIELDS, args.weights)))
     if getattr(args, "print_config", False):
         print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
         return EXIT_OK
@@ -64,80 +90,56 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_seed: bool = False) -> None:
+    def stage(name: str, summary: str, handler) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--input", required=True, help="primary input JSONL file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default: ${THREADS_ENV} or 1)")
-        if needs_seed:
-            p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--print-config", action="store_true",
-                       help="print the effective parameter set and exit")
-        p.add_argument("--weights", type=str, default=None, metavar="ACC,FMT,STR,GND",
-                       help="reward weight override")
-        p.add_argument("--k", type=int, default=None, help="rollouts per query")
-        add_config_arguments(p)
+                       help="accepted for compatibility; work runs serially")
+        if name in STAGE_FIELDS:
+            p.add_argument("--print-config", action="store_true",
+                           help="print the effective parameter set and exit")
+            add_config_arguments(p, STAGE_FIELDS[name])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("detect", help="observations to gaze events")
-    common(p)
+    p = stage("detect", "observations to gaze events", _cmd_detect)
     p.add_argument("--dump-features", action="store_true",
                    help="also write per-frame features.jsonl")
-    p.set_defaults(handler=_cmd_detect)
 
-    p = sub.add_parser("graph", help="events + gestures to unified graphs")
-    common(p)
+    p = stage("graph", "events + gestures to unified graphs", _cmd_graph)
     p.add_argument("--gestures", required=True, help="gestures.jsonl")
     p.add_argument("--videos", default=None, help="videos.jsonl manifest from detect")
-    p.set_defaults(handler=_cmd_graph)
 
-    p = sub.add_parser("qagen", help="graphs to QA items")
-    common(p, needs_seed=True)
+    p = stage("qagen", "graphs to QA items", _cmd_qagen)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=25, help="max items per graph")
-    p.set_defaults(handler=_cmd_qagen)
 
-    p = sub.add_parser("reward", help="QA + reasoning traces to rewards")
-    common(p)
+    p = stage("reward", "QA + reasoning traces to rewards", _cmd_reward)
     p.add_argument("--traces", required=True, help="traces.jsonl")
     p.add_argument("--graphs", required=True, help="graph.jsonl for participant lookup")
-    p.set_defaults(handler=_cmd_reward)
+    p.add_argument("--weights", type=_weights, default=None, metavar="ACC,FMT,STR,GND",
+                   help="reward weights")
+    p.add_argument("--k", type=int, default=None, dest="rollouts_per_query",
+                   metavar="K", help="rollouts per query")
 
-    p = sub.add_parser("analyze", help="rewards to a summary report")
-    common(p)
+    p = stage("analyze", "rewards to a summary report", _cmd_analyze)
     p.add_argument("--tsv", action="store_true", help="also write per-rollout report.tsv")
-    p.set_defaults(handler=_cmd_analyze)
 
-    p = sub.add_parser("corrupt", help="QA to participant-ID corrupted QA")
-    common(p, needs_seed=True)
-    p.set_defaults(handler=_cmd_corrupt)
+    p = stage("corrupt", "QA to participant-ID corrupted QA", _cmd_corrupt)
+    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
-def _effective_config(args: argparse.Namespace) -> EngineConfig:
-    config = config_from_args(args)
-    overrides = {}
-    if getattr(args, "weights", None):
-        parts = args.weights.split(",")
-        if len(parts) != 4:
-            raise SystemExit("--weights needs four comma-separated values: acc,fmt,str,gnd")
-        overrides.update(zip(
-            ("weight_acc", "weight_fmt", "weight_str", "weight_gnd"),
-            (float(p) for p in parts),
-        ))
-    if getattr(args, "k", None) is not None:
-        overrides["rollouts_per_query"] = args.k
-    return dataclasses.replace(config, **overrides) if overrides else config
-
-
-def _thread_count(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def _weights(text: str) -> tuple[float, ...]:
+    try:
+        values = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != 4 or not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(
+            f"needs four finite comma-separated numbers acc,fmt,str,gnd, got {text!r}")
+    return values
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -146,42 +148,20 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _parallel_map(fn, items, threads: int):
-    """Order-preserving map so parallelism never changes output bytes."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _read_jsonl(path: str | Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if raw.strip():
-                try:
-                    yield line_no, json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
-
-
 # ---------------------------------------------------------------------------
 # detect
 
 
 def _cmd_detect(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
-    by_video = ingest.group_by_video(ingest.load_observations(args.input))
-
-    def process(entry):
-        video_id, frames = entry
-        tracks = [gaze.interpolate_track(t, config) for t in gaze.build_tracks(frames, config)]
+    results = []
+    for video_id, frames in ingest.group_by_video(ingest.load_observations(args.input)).items():
+        tracks = [gaze.interpolate_track(t, config) for t in gaze.build_tracks(frames)]
         features = gaze.compute_features(tracks, config)
         detected = events.detect_all(tracks, features, config)
-        duration = frames[-1].t + config.sample_period
+        duration = frames[-1].t + ingest.SAMPLE_PERIOD
         person_ids = sorted({p.person_id for f in frames for p in f.persons})
-        return video_id, duration, person_ids, detected, features
-
-    results = _parallel_map(process, list(by_video.items()), _thread_count(args))
+        results.append((video_id, duration, person_ids, detected, features))
 
     with open(out / "events.jsonl", "w", encoding="utf-8") as fh:
         for video_id, _, _, detected, _ in results:
@@ -225,7 +205,7 @@ def _cmd_graph(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
 
     gaze_by_video: dict[str, list[events.SocialEvent]] = {}
-    for line_no, record in _read_jsonl(args.input):
+    for line_no, record in ingest.read_jsonl(args.input):
         video_id = record.get("video_id")
         if not isinstance(video_id, str):
             raise ValidationError("event record missing video_id", line_no)
@@ -240,24 +220,21 @@ def _cmd_graph(args: argparse.Namespace, config: EngineConfig) -> int:
 
     durations: dict[str, float] = {}
     if args.videos:
-        for line_no, record in _read_jsonl(args.videos):
+        for line_no, record in ingest.read_jsonl(args.videos):
             try:
                 durations[str(record["video_id"])] = float(record["duration"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"bad video manifest record: {exc}", line_no) from exc
 
-    video_ids = list(dict.fromkeys(list(gaze_by_video) + list(gestures_by_video)))
-
-    def process(video_id):
+    graphs = []
+    for video_id in dict.fromkeys(list(gaze_by_video) + list(gestures_by_video)):
         gaze_events = gaze_by_video.get(video_id, [])
         video_gestures = gestures_by_video.get(video_id, [])
         duration = durations.get(video_id)
         if duration is None:
             ends = [e.end_time for e in gaze_events] + [g.end_time for g in video_gestures]
-            duration = math.ceil(max(ends, default=0.0) / config.sample_period) * config.sample_period
-        return graph_mod.build_graph(video_id, duration, gaze_events, video_gestures, config)
-
-    graphs = _parallel_map(process, video_ids, _thread_count(args))
+            duration = math.ceil(max(ends, default=0.0) / ingest.SAMPLE_PERIOD) * ingest.SAMPLE_PERIOD
+        graphs.append(graph_mod.build_graph(video_id, duration, gaze_events, video_gestures, config))
     with open(out / "graph.jsonl", "w", encoding="utf-8") as fh:
         for g in graphs:
             fh.write(graph_mod.serialize_graph(g) + "\n")
@@ -270,12 +247,8 @@ def _cmd_graph(args: argparse.Namespace, config: EngineConfig) -> int:
 
 def _cmd_qagen(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
-    graphs = graph_mod.load_graphs(args.input)
-
-    def process(g):
-        return qa.generate_qa(g, budget=args.budget, seed=args.seed, config=config)
-
-    batches = _parallel_map(process, graphs, _thread_count(args))
+    batches = [qa.generate_qa(g, budget=args.budget, seed=args.seed, config=config)
+               for g in graph_mod.load_graphs(args.input)]
     with open(out / "qa.jsonl", "w", encoding="utf-8") as fh:
         for batch in batches:
             for item in batch:
@@ -297,7 +270,7 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
     )
 
     groups = []
-    for line_no, record in _read_jsonl(args.traces):
+    for line_no, record in ingest.read_jsonl(args.traces):
         try:
             group = reward_mod.RolloutGroup(
                 query_id=str(record["query_id"]),
@@ -316,8 +289,8 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
             raise ValidationError(f"unknown qa_id {group.qa_id!r}", line_no)
         groups.append((line_no, group))
 
-    def process(entry):
-        line_no, group = entry
+    results = []
+    for line_no, group in groups:
         item = items[group.qa_id]
         g = graphs.get(item.video_id)
         if g is None:
@@ -355,14 +328,12 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
                 "think_tokens": tokens,
                 "well_formed": not flagged,
             })
-        return {
+        results.append({
             "query_id": group.query_id,
             "qa_id": group.qa_id,
             "model": group.model,
             "per_rollout": per_rollout,
-        }
-
-    results = _parallel_map(process, groups, _thread_count(args))
+        })
     with open(out / "rewards.jsonl", "w", encoding="utf-8") as fh:
         for record in results:
             fh.write(ingest.dumps_canonical(record) + "\n")
@@ -377,7 +348,7 @@ def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
     per_model: dict[str, dict[str, list]] = {}
     rows = []
-    for line_no, record in _read_jsonl(args.input):
+    for line_no, record in ingest.read_jsonl(args.input):
         try:
             model = str(record.get("model", "default"))
             rollouts = record["per_rollout"]
@@ -469,17 +440,13 @@ def _cross_model(models: dict) -> dict:
 
 def _cmd_corrupt(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
-    items = qa.load_qa_items(args.input)
-
-    def process(item):
+    records = []
+    for item in qa.load_qa_items(args.input):
         ids = sorted(analytics.item_person_ids(item))
         remap = analytics.seeded_remap(ids, f"{args.seed}:{item.qa_id}")
-        corrupted = analytics.corrupt_ids(item, remap)
-        record = qa.qa_item_record(corrupted)
+        record = qa.qa_item_record(analytics.corrupt_ids(item, remap))
         record["id_remap"] = {str(k): v for k, v in sorted(remap.mapping.items())}
-        return record
-
-    records = _parallel_map(process, items, _thread_count(args))
+        records.append(record)
     with open(out / "qa.corrupted.jsonl", "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(ingest.dumps_canonical(record) + "\n")

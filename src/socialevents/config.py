@@ -2,21 +2,19 @@
 
 All tunables live in one frozen dataclass so a run can be reproduced from a
 single dumped parameter set. Defaults are the published operating points of
-the detection, graph-construction, and reward stages.
+the detection, graph-construction, and reward stages. The 0.5 s sampling
+grid is not a tunable; it is ``ingest.SAMPLE_PERIOD``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    # timeline
-    sample_period: float = 0.5
-
     # gaze gap repair
     linear_max_gap: int = 3
     carry_max_gap: int = 10
@@ -73,21 +71,20 @@ class EngineConfig:
 
 DEFAULT_CONFIG = EngineConfig()
 
-# Fields that get their own CLI flag (all of them; flag name is the field
-# name with underscores swapped for dashes).
-_FLAGGABLE = [f for f in fields(EngineConfig)]
 
-
-def add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach one override flag per config field to an argparse parser."""
+def add_config_arguments(parser: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
+    """Attach one override flag per named config field to an argparse parser;
+    the flag name is the field name with underscores swapped for dashes."""
+    defaults = {f.name: f.default for f in fields(EngineConfig)}
     group = parser.add_argument_group("engine parameters")
-    for f in _FLAGGABLE:
-        flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool" or isinstance(f.default, bool):
+    for name in names:
+        flag = "--" + name.replace("_", "-")
+        default = defaults[name]
+        if isinstance(default, bool):
             group.add_argument(flag, type=_parse_bool, default=None, metavar="BOOL")
-        elif isinstance(f.default, int):
+        elif isinstance(default, int):
             group.add_argument(flag, type=int, default=None, metavar="N")
-        elif isinstance(f.default, float):
+        elif isinstance(default, float):
             group.add_argument(flag, type=float, default=None, metavar="X")
         else:
             group.add_argument(flag, type=str, default=None)
@@ -96,7 +93,7 @@ def add_config_arguments(parser: argparse.ArgumentParser) -> None:
 def config_from_args(args: argparse.Namespace) -> EngineConfig:
     """Build a config from parsed args, keeping defaults for absent flags."""
     overrides = {}
-    for f in _FLAGGABLE:
+    for f in fields(EngineConfig):
         value = getattr(args, f.name, None)
         if value is not None:
             overrides[f.name] = value

@@ -21,7 +21,7 @@ from typing import Iterable
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import ValidationError
 from .gaze import PROV_MEASURED, FrameFeatures, GazeSample, GazeTrack
-from .ingest import dumps_canonical
+from .ingest import SAMPLE_PERIOD, dumps_canonical
 
 SOURCE_GAZE = "gaze"
 SOURCE_GESTURE = "gesture"
@@ -96,7 +96,7 @@ def detect_sudden_shifts(
         duration = cluster.end_t - cluster.start_t
         if not config.sudden_min_duration <= duration <= config.sudden_max_duration:
             continue
-        support = _samples_in(track, cluster.start_t - config.sample_period, cluster.end_t)
+        support = _samples_in(track, cluster.start_t - SAMPLE_PERIOD, cluster.end_t)
         members = set(cluster.member_times)
         peak = max(f.velocities[track.person_id] for f in features if f.t in members)
         events.append(_event(
@@ -126,7 +126,7 @@ def detect_joint_attention(
     for entry in eligible:
         if run:
             prev_t, prev_set, _ = run[-1]
-            adjacent = entry[0] - prev_t == config.sample_period
+            adjacent = entry[0] - prev_t == SAMPLE_PERIOD
             if not (adjacent and _jaccard(prev_set, entry[1]) >= config.ja_set_overlap):
                 events.extend(_finish_ja(run, by_id, config))
                 run = []
@@ -235,7 +235,7 @@ def detect_attention_capture(
     # Slide the window over every grid start that could contain a flag.
     candidates = []  # (window_start, participants, span)
     width = config.capture_window
-    step = config.sample_period
+    step = SAMPLE_PERIOD
     first_flag = min(t for t, _ in flags)
     last_flag = max(t for t, _ in flags)
     w = first_flag - math.ceil(width / step - 1e-9) * step
@@ -270,7 +270,7 @@ def detect_attention_capture(
         peak = 0.0
         for t, pid in flags:
             if pid in persons and win_lo <= t <= win_hi:
-                for at in (t - config.sample_period, t):
+                for at in (t - SAMPLE_PERIOD, t):
                     sample = by_id[pid].sample_at(at)
                     if sample is not None and sample not in support:
                         support.append(sample)
@@ -298,7 +298,7 @@ def detect_mutual_gaze(
                 sb = b_by_t.get(sa.t)
                 if sb is not None and _mutual_hit(sa, sb, config.mutual_margin):
                     hits.append(sa.t)
-            for cluster in cluster_intervals(hits, config.sample_period):
+            for cluster in cluster_intervals(hits, SAMPLE_PERIOD):
                 if cluster.end_t - cluster.start_t < config.mutual_min_duration:
                     continue
                 support = []
@@ -427,6 +427,6 @@ def _lag_grid(config: EngineConfig) -> list[float]:
     lags = []
     lag = config.follow_lag_min
     while lag <= config.follow_lag_max + 1e-9:
-        lags.append(round(lag / config.sample_period) * config.sample_period)
-        lag += config.sample_period
+        lags.append(round(lag / SAMPLE_PERIOD) * SAMPLE_PERIOD)
+        lag += SAMPLE_PERIOD
     return lags

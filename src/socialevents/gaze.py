@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import DataError
 from .identity import match_faces_to_persons
-from .ingest import Box, FrameObservation
+from .ingest import SAMPLE_PERIOD, Box, FrameObservation
 
 PROV_MEASURED = "measured"
 PROV_INTERPOLATED = "interpolated"
@@ -75,9 +75,7 @@ def _missing(t: float) -> GazeSample:
     return GazeSample(t, None, None, None, False, 0.0, PROV_MISSING)
 
 
-def build_tracks(
-    frames: list[FrameObservation], config: EngineConfig = DEFAULT_CONFIG
-) -> list[GazeTrack]:
+def build_tracks(frames: list[FrameObservation]) -> list[GazeTrack]:
     """One grid-complete track per person ID observed in a single video.
 
     Samples are measured where the person has an associated face with a gaze
@@ -87,7 +85,6 @@ def build_tracks(
     if not frames:
         return []
     video_id = frames[0].video_id
-    step = config.sample_period
 
     span: dict[int, tuple[float, float]] = {}
     observed: dict[int, dict[float, GazeSample]] = {}
@@ -120,9 +117,9 @@ def build_tracks(
         lo, hi = span[person_id]
         by_t = observed.get(person_id, {})
         samples = []
-        steps = round((hi - lo) / step)
+        steps = round((hi - lo) / SAMPLE_PERIOD)
         for k in range(steps + 1):
-            t = lo + k * step
+            t = lo + k * SAMPLE_PERIOD
             samples.append(by_t.get(t) or _missing(t))
         tracks.append(GazeTrack(video_id, person_id, tuple(samples)))
     return tracks
@@ -162,10 +159,10 @@ def interpolate_track(track: GazeTrack, config: EngineConfig = DEFAULT_CONFIG) -
     return GazeTrack(track.video_id, track.person_id, tuple(samples))
 
 
-def gaze_velocity(track: GazeTrack, t: float, config: EngineConfig = DEFAULT_CONFIG) -> float | None:
+def gaze_velocity(track: GazeTrack, t: float) -> float | None:
     """Speed of the face-centered gaze direction between t-step and t."""
     cur = track.sample_at(t)
-    prev = track.sample_at(t - config.sample_period)
+    prev = track.sample_at(t - SAMPLE_PERIOD)
     if cur is None or prev is None:
         return None
     if cur.gaze_point is None or cur.face_center is None:
@@ -174,7 +171,7 @@ def gaze_velocity(track: GazeTrack, t: float, config: EngineConfig = DEFAULT_CON
         return None
     dx = (cur.gaze_point[0] - cur.face_center[0]) - (prev.gaze_point[0] - prev.face_center[0])
     dy = (cur.gaze_point[1] - cur.face_center[1]) - (prev.gaze_point[1] - prev.face_center[1])
-    return math.hypot(dx, dy) / config.sample_period
+    return math.hypot(dx, dy) / SAMPLE_PERIOD
 
 
 def convergence_score(
@@ -205,14 +202,14 @@ def convergence_score(
     return score, (cx, cy), tuple(sorted(pid for pid, _ in points))
 
 
-def grid_times(tracks: list[GazeTrack], config: EngineConfig = DEFAULT_CONFIG) -> list[float]:
+def grid_times(tracks: list[GazeTrack]) -> list[float]:
     """All grid steps between the earliest and latest sample of any track."""
     if not any(track.samples for track in tracks):
         return []
     lo = min(track.samples[0].t for track in tracks if track.samples)
     hi = max(track.samples[-1].t for track in tracks if track.samples)
-    steps = round((hi - lo) / config.sample_period)
-    return [lo + k * config.sample_period for k in range(steps + 1)]
+    steps = round((hi - lo) / SAMPLE_PERIOD)
+    return [lo + k * SAMPLE_PERIOD for k in range(steps + 1)]
 
 
 def compute_features(
@@ -220,10 +217,10 @@ def compute_features(
 ) -> list[FrameFeatures]:
     """Per-frame velocities and convergence for a video's interpolated tracks."""
     features = []
-    for t in grid_times(tracks, config):
+    for t in grid_times(tracks):
         velocities = {}
         for track in tracks:
-            v = gaze_velocity(track, t, config)
+            v = gaze_velocity(track, t)
             if v is not None:
                 velocities[track.person_id] = v
         conv = convergence_score(tracks, t, config)

@@ -9,14 +9,13 @@ linked pairs, then event-type diversity, then raw confidence.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import ValidationError
 from .events import SOURCE_GESTURE, SocialEvent, event_record, event_sort_key, parse_event
-from .ingest import GestureAnnotation, dumps_canonical, snap_to_grid
+from .ingest import SAMPLE_PERIOD, GestureAnnotation, dumps_canonical, read_jsonl, snap_to_grid
 
 _EPS = 1e-9
 
@@ -75,7 +74,7 @@ def snap_timestamps(event: SocialEvent, duration: float) -> SocialEvent | None:
     start = snap_to_grid(event.start_time)
     end = snap_to_grid(event.end_time)
     if end <= start:
-        end = start + 0.5
+        end = start + SAMPLE_PERIOD
     if start < -_EPS or end > duration + _EPS:
         return None
     return replace(event, start_time=start, end_time=end)
@@ -242,14 +241,4 @@ def parse_graph(record: dict, line: int | None = None) -> SocialGraph:
 
 
 def load_graphs(path) -> list[SocialGraph]:
-    graphs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"invalid JSON: {exc.msg}", line_no) from exc
-            graphs.append(parse_graph(record, line_no))
-    return graphs
+    return [parse_graph(record, line_no) for line_no, record in read_jsonl(path)]

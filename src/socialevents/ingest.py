@@ -12,8 +12,9 @@ gestures.jsonl
      "target_type": "person"|"object", "target_person_id": int | null,
      "start_time": float, "end_time": float, "confidence": float}
 
-Unknown fields are ignored for forward compatibility. Serializing a parsed
-record reproduces the canonical bytes.
+Every JSONL file of the pipeline is read through ``read_jsonl``. Unknown
+fields are ignored for forward compatibility. Serializing a parsed record
+reproduces the canonical bytes.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .config import DEFAULT_CONFIG
 from .errors import OrderingError, ParseError, ValidationError
 
-SAMPLE_PERIOD = DEFAULT_CONFIG.sample_period
+# The timeline is fixed at 2 fps; every stage reads the grid from here.
+SAMPLE_PERIOD = 0.5
 GESTURE_TYPES = ("pointing", "showing", "giving", "reaching")
 
 _GRID_TOL = 1e-9
@@ -123,6 +124,21 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each non-blank line of a JSONL file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                record = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
+            if not isinstance(record, dict):
+                raise ParseError("record must be a JSON object", line_no)
+            yield line_no, record
+
+
 # ---------------------------------------------------------------------------
 # frame observations
 
@@ -201,25 +217,16 @@ def serialize_frame(frame: FrameObservation) -> str:
 def load_observations(path: str | Path) -> Iterator[FrameObservation]:
     """Stream frames from a JSONL file, enforcing per-video time ordering."""
     last_t: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
-            if not isinstance(record, dict):
-                raise ParseError("record must be a JSON object", line_no)
-            frame = parse_frame(record, line_no)
-            prev = last_t.get(frame.video_id)
-            if prev is not None and frame.t <= prev:
-                raise OrderingError(
-                    f"t={frame.t} not after t={prev} for video {frame.video_id!r}",
-                    line_no,
-                )
-            last_t[frame.video_id] = frame.t
-            yield frame
+    for line_no, record in read_jsonl(path):
+        frame = parse_frame(record, line_no)
+        prev = last_t.get(frame.video_id)
+        if prev is not None and frame.t <= prev:
+            raise OrderingError(
+                f"t={frame.t} not after t={prev} for video {frame.video_id!r}",
+                line_no,
+            )
+        last_t[frame.video_id] = frame.t
+        yield frame
 
 
 def group_by_video(frames: Iterable[FrameObservation]) -> dict[str, list[FrameObservation]]:
@@ -290,20 +297,11 @@ def load_gestures(path: str | Path) -> tuple[list[GestureAnnotation], list[Gestu
     """Read gesture records; invalid records become rejections, not failures."""
     accepted: list[GestureAnnotation] = []
     rejected: list[GestureRejection] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
-            if not isinstance(record, dict):
-                raise ParseError("record must be a JSON object", line_no)
-            try:
-                accepted.append(parse_gesture(record, line_no))
-            except ValidationError as exc:
-                rejected.append(GestureRejection(line_no, str(exc)))
+    for line_no, record in read_jsonl(path):
+        try:
+            accepted.append(parse_gesture(record, line_no))
+        except ValidationError as exc:
+            rejected.append(GestureRejection(line_no, str(exc)))
     return accepted, rejected
 
 

@@ -12,7 +12,6 @@ ones, and the J categories additionally require linked gaze-gesture pairs.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 import re
@@ -22,7 +21,7 @@ from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import ValidationError
 from .events import SOURCE_GESTURE, SocialEvent
 from .graph import SocialGraph
-from .ingest import GESTURE_TYPES, dumps_canonical, snap_to_grid
+from .ingest import GESTURE_TYPES, dumps_canonical, read_jsonl, snap_to_grid
 from .mentions import extract_person_ids
 
 BLACKLIST = (
@@ -717,14 +716,4 @@ def parse_qa_item(record: dict, line: int | None = None) -> QAItem:
 
 
 def load_qa_items(path) -> list[QAItem]:
-    items = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"invalid JSON: {exc.msg}", line_no) from exc
-            items.append(parse_qa_item(record, line_no))
-    return items
+    return [parse_qa_item(record, line_no) for line_no, record in read_jsonl(path)]

@@ -1,7 +1,15 @@
+import argparse
+import dataclasses
 import json
 
+import pytest
+
+from socialevents import cli
 from socialevents.cli import main
+from socialevents.config import EngineConfig
+from socialevents.events import serialize_event
 from socialevents.qa import load_qa_items
+from helpers import event
 from synth import make_gestures, make_video, write_gestures, write_observations
 
 
@@ -64,6 +72,8 @@ class TestDetect:
         config = json.loads(capsys.readouterr().out)
         assert config["sudden_velocity"] == 0.8
         assert config["gaze_conf_min"] == 0.9
+        # the full parameter set, not only the flags detect takes
+        assert set(config) == {f.name for f in dataclasses.fields(EngineConfig)}
 
 
 class TestPipeline:
@@ -227,3 +237,122 @@ def test_analyze_malformed_rewards_exit_3(tmp_path):
     bad = tmp_path / "rewards.jsonl"
     bad.write_text('{"query_id": "q", "per_rollout": [{"r_acc": 1}]}\n')
     assert run("analyze", "--input", str(bad), "--out", str(tmp_path / "o")) == 3
+
+
+def test_weights_flag_rejects_bad_values(capsys):
+    base = ("reward", "--input", "x", "--traces", "y", "--graphs", "z", "--out", "o")
+    for flag, value in (("--weights", "x,1,1,1"), ("--weights", "1,2"),
+                        ("--weights", "1,1,1,1,1"), ("--weights", "1,1,1,nan"),
+                        ("--weights", "inf,1,1,1"), ("--k", "abc")):
+        with pytest.raises(SystemExit) as exc:
+            run(*base, flag, value)
+        assert exc.value.code == 2, (flag, value)
+        assert f"argument {flag}" in capsys.readouterr().err
+
+
+def _stage_parsers():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestFlagSurface:
+    WEIGHTS = ("weight_acc", "weight_fmt", "weight_str", "weight_gnd")
+
+    def test_every_config_field_settable_from_exactly_one_stage(self):
+        dests = {name: {a.dest for a in p._actions} for name, p in _stage_parsers().items()}
+        for f in dataclasses.fields(EngineConfig):
+            stages = [name for name, d in dests.items()
+                      if f.name in d or (f.name in self.WEIGHTS and "weights" in d)]
+            assert len(stages) == 1, (f.name, stages)
+
+    def test_flag_count(self):
+        flags = [o for p in _stage_parsers().values() for a in p._actions
+                 for o in a.option_strings if o.startswith("--") and o != "--help"]
+        assert len(flags) <= 66
+
+    @pytest.mark.parametrize("argv", [
+        ("detect", "--sample-period", "1.0"),
+        ("detect", "--gaze-conf-min", "0.5"),
+        ("reward", "--traces", "t", "--graphs", "g", "--weight-acc", "2"),
+        ("reward", "--traces", "t", "--graphs", "g", "--rollouts-per-query", "3"),
+        ("analyze", "--sudden-velocity", "1"),
+        ("analyze", "--print-config"),
+        ("corrupt", "--weights", "1,1,1,1"),
+    ], ids=lambda argv: argv[0] + [a for a in argv if a.startswith("--")][-1])
+    def test_flags_of_other_stages_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv[0], "--input", "x", "--out", "y", *argv[1:])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_graph_without_videos_rounds_duration_up_to_grid(tmp_path):
+    events_path = tmp_path / "events.jsonl"
+    events_path.write_text(
+        serialize_event(event(0, start=1.0, end=3.2), "a") + "\n"
+        + serialize_event(event(1, start=0.5, end=2.0), "a") + "\n"
+    )
+    gestures_path = tmp_path / "gestures.jsonl"
+    gestures_path.write_text("".join(json.dumps({
+        "video_id": video, "gesture_type": "pointing", "initiator_id": 0,
+        "target_type": "object", "target_person_id": None,
+        "start_time": 0.0, "end_time": end, "confidence": 0.9,
+    }) + "\n" for video, end in (("a", 2.7), ("b", 4.0), ("c", 4.1))))
+    out = tmp_path / "out"
+    assert run("graph", "--input", str(events_path), "--gestures", str(gestures_path),
+               "--out", str(out)) == 0
+    durations = {g["video_id"]: g["duration"] for g in read_lines(out / "graph.jsonl")}
+    assert durations == {"a": 3.5, "b": 4.0, "c": 4.5}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """One valid file of every JSONL input the stages read."""
+    tmp_path = tmp_path_factory.mktemp("inputs")
+    obs, gestures = make_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert run("detect", "--input", str(obs), "--out", str(out)) == 0
+    assert run("graph", "--input", str(out / "events.jsonl"), "--gestures", str(gestures),
+               "--videos", str(out / "videos.jsonl"), "--out", str(out)) == 0
+    assert run("qagen", "--input", str(out / "graph.jsonl"), "--out", str(out)) == 0
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text("".join(json.dumps({
+        "query_id": f"q{i}", "qa_id": item.qa_id,
+        "rollouts": ["<think></think><answer>A</answer>"] * 8,
+    }) + "\n" for i, item in enumerate(load_qa_items(out / "qa.jsonl")[:3])))
+    assert run("reward", "--input", str(out / "qa.jsonl"), "--traces", str(traces),
+               "--graphs", str(out / "graph.jsonl"), "--out", str(out)) == 0
+    return {
+        "observations": obs, "gestures": gestures, "events": out / "events.jsonl",
+        "videos": out / "videos.jsonl", "graph": out / "graph.jsonl",
+        "qa": out / "qa.jsonl", "traces": traces, "rewards": out / "rewards.jsonl",
+    }
+
+
+GRAPH_ARGS = ("graph", "--input", "{events}", "--gestures", "{gestures}", "--videos", "{videos}")
+REWARD_ARGS = ("reward", "--input", "{qa}", "--traces", "{traces}", "--graphs", "{graph}")
+
+
+@pytest.mark.parametrize("bad_line", ["[1, 2]", "{bad"], ids=["array", "invalid"])
+@pytest.mark.parametrize("broken, command", [
+    pytest.param("observations", ("detect", "--input", "{observations}"),
+                 id="detect-observations"),
+    pytest.param("events", GRAPH_ARGS, id="graph-events"),
+    pytest.param("gestures", GRAPH_ARGS, id="graph-gestures"),
+    pytest.param("videos", GRAPH_ARGS, id="graph-videos"),
+    pytest.param("graph", ("qagen", "--input", "{graph}"), id="qagen-graph"),
+    pytest.param("graph", REWARD_ARGS, id="reward-graph"),
+    pytest.param("qa", REWARD_ARGS, id="reward-qa"),
+    pytest.param("traces", REWARD_ARGS, id="reward-traces"),
+    pytest.param("qa", ("corrupt", "--input", "{qa}"), id="corrupt-qa"),
+    pytest.param("rewards", ("analyze", "--input", "{rewards}"), id="analyze-rewards"),
+])
+def test_bad_jsonl_line_exit_3(valid_inputs, tmp_path, capsys, broken, command, bad_line):
+    first = valid_inputs[broken].read_text().splitlines()[0]
+    paths = dict(valid_inputs)
+    paths[broken] = tmp_path / f"{broken}.jsonl"
+    paths[broken].write_text(f"{first}\n\n{bad_line}\n")
+    argv = [arg.format(**paths) for arg in command]
+    assert run(*argv, "--out", str(tmp_path / "out")) == 3
+    assert "line 3" in capsys.readouterr().err

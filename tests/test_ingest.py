@@ -10,6 +10,7 @@ from socialevents.ingest import (
     load_observations,
     parse_frame,
     parse_gesture,
+    read_jsonl,
     serialize_frame,
     serialize_gesture,
 )
@@ -209,3 +210,13 @@ def test_box_helpers():
     assert box.expand(0.1).as_list() == pytest.approx([0.1, 0.3, 0.7, 0.9])
     assert box.contains((0.2, 0.8))
     assert not box.contains((0.61, 0.5))
+
+
+def test_read_jsonl_skips_blank_lines_and_names_bad_ones(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n\n  \n{"b": 2}\n')
+    assert list(read_jsonl(path)) == [(1, {"a": 1}), (4, {"b": 2})]
+    for bad in ("[1, 2]", "{bad", '"text"', "3"):
+        path.write_text('{"a": 1}\n' + bad + "\n")
+        with pytest.raises(ParseError, match="line 2"):
+            list(read_jsonl(path))
