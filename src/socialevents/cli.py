@@ -33,7 +33,7 @@ import sys
 from pathlib import Path
 
 from . import analytics, events, gaze, graph as graph_mod, ingest, qa, reward as reward_mod
-from .config import EngineConfig, add_config_arguments, config_from_args
+from .config import DETECTOR_FIELDS, EngineConfig, add_config_arguments, config_from_args
 from .errors import ContractError, EngineError, ParseError, ValidationError
 
 EXIT_OK = 0
@@ -47,12 +47,7 @@ STAGE_FIELDS = {
     "detect": (
         "linear_max_gap", "carry_max_gap", "linear_conf_slope", "carry_conf_base",
         "carry_conf_decay", "block_temporal_gap", "block_face_displacement",
-        "convergence_alpha", "convergence_measured_only",
-        "sudden_velocity", "sudden_cluster_gap", "sudden_min_duration", "sudden_max_duration",
-        "ja_convergence", "ja_min_duration", "ja_set_overlap", "ja_peripheral_mult",
-        "follow_distance", "follow_lag_min", "follow_lag_max",
-        "capture_velocity", "capture_min_persons", "capture_window",
-        "mutual_margin", "mutual_min_duration",
+        "convergence_alpha", "convergence_measured_only", *DETECTOR_FIELDS,
     ),
     "graph": ("gaze_conf_min", "gesture_conf_min", "pair_max_distance", "max_graph_events"),
     "qagen": ("qa_medium_min_events", "qa_hard_min_events"),
@@ -64,13 +59,13 @@ WEIGHT_FIELDS = ("weight_acc", "weight_fmt", "weight_str", "weight_gnd")
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = config_from_args(args)
-    if getattr(args, "weights", None) is not None:
-        config = dataclasses.replace(config, **dict(zip(WEIGHT_FIELDS, args.weights)))
-    if getattr(args, "print_config", False):
-        print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
-        return EXIT_OK
     try:
+        config = config_from_args(args)
+        if getattr(args, "weights", None) is not None:
+            config = dataclasses.replace(config, **dict(zip(WEIGHT_FIELDS, args.weights)))
+        if getattr(args, "print_config", False):
+            print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
+            return EXIT_OK
         return args.handler(args, config)
     except FileNotFoundError as exc:
         print(f"error: missing input: {exc.filename or exc}", file=sys.stderr)

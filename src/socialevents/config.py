@@ -10,7 +10,19 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 from dataclasses import dataclass, fields
+
+from .errors import ContractError
+
+# The gaze event detector fields; each must be finite.
+DETECTOR_FIELDS = (
+    "sudden_velocity", "sudden_cluster_gap", "sudden_min_duration", "sudden_max_duration",
+    "ja_convergence", "ja_min_duration", "ja_set_overlap", "ja_peripheral_mult",
+    "follow_distance", "follow_lag_min", "follow_lag_max",
+    "capture_velocity", "capture_min_persons", "capture_window",
+    "mutual_margin", "mutual_min_duration",
+)
 
 
 @dataclass(frozen=True)
@@ -65,6 +77,23 @@ class EngineConfig:
     advantage_clip: float = 5.0
     advantage_mode: str = "zscore"  # "zscore" or "mean_center"
 
+    def __post_init__(self) -> None:
+        for name in DETECTOR_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                _reject(name, getattr(self, name), "must be finite")
+        rules = (
+            ("capture_min_persons", self.capture_min_persons >= 1, "must be >= 1"),
+            ("capture_window", self.capture_window > 0, "must be > 0"),
+            ("sudden_cluster_gap", self.sudden_cluster_gap > 0, "must be > 0"),
+            ("follow_lag_min", self.follow_lag_min > 0, "must be > 0"),
+            ("follow_lag_max", self.follow_lag_max >= self.follow_lag_min,
+             f"must be >= follow_lag_min ({self.follow_lag_min!r})"),
+            ("mutual_margin", self.mutual_margin >= 0, "must be >= 0"),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                _reject(name, getattr(self, name), rule)
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -98,6 +127,10 @@ def config_from_args(args: argparse.Namespace) -> EngineConfig:
         if value is not None:
             overrides[f.name] = value
     return dataclasses.replace(DEFAULT_CONFIG, **overrides)
+
+
+def _reject(name: str, value, rule: str) -> None:
+    raise ContractError(f"config field {name} = {value!r} {rule}")
 
 
 def _parse_bool(text: str) -> bool:

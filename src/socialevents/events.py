@@ -10,11 +10,21 @@ Five detectors, each a pure function of its inputs:
     attention_capture   >= 3 persons above velocity 0.4 inside one window
     mutual_gaze         bidirectional measured-gaze hits on face boxes with a
                         2% margin, >= 1.0 s
+
+Cost per video, for F frames and P persons. Each is linear in F, so doubling
+a video's length roughly doubles its detection time:
+
+    sudden_gaze_shift   O(F) per person, O(F x P) over all persons
+    joint_attention     O(F x P)
+    gaze_following      O(F x P^2 x lags): every (leader, follower) pair
+    attention_capture   O(F x P) (windows hold a fixed number of frames)
+    mutual_gaze         O(F x P^2): every pair
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -87,21 +97,28 @@ def detect_sudden_shifts(
     features: list[FrameFeatures],
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> list[SocialEvent]:
-    flagged = [
-        f.t for f in features
-        if track.person_id in f.velocities and f.velocities[track.person_id] > config.sudden_velocity
-    ]
+    pid = track.person_id
+    flagged: list[float] = []
+    flagged_v: list[float] = []  # velocity of each flagged time, in the same order
+    for f in features:
+        v = f.velocities.get(pid)
+        if v is not None and v > config.sudden_velocity:
+            flagged.append(f.t)
+            flagged_v.append(v)
+    times = [s.t for s in track.samples]  # ascending, so bisect finds a time span
     events = []
+    first = 0
     for cluster in cluster_intervals(flagged, config.sudden_cluster_gap):
+        members = slice(first, first + len(cluster.member_times))
+        first = members.stop
         duration = cluster.end_t - cluster.start_t
         if not config.sudden_min_duration <= duration <= config.sudden_max_duration:
             continue
-        support = _samples_in(track, cluster.start_t - SAMPLE_PERIOD, cluster.end_t)
-        members = set(cluster.member_times)
-        peak = max(f.velocities[track.person_id] for f in features if f.t in members)
+        lo = bisect_left(times, cluster.start_t - SAMPLE_PERIOD)
+        hi = bisect_right(times, cluster.end_t)
         events.append(_event(
-            "sudden_gaze_shift", {track.person_id}, cluster.start_t, cluster.end_t,
-            support, attributes={"peak_velocity": peak},
+            "sudden_gaze_shift", {pid}, cluster.start_t, cluster.end_t,
+            list(track.samples[lo:hi]), attributes={"peak_velocity": max(flagged_v[members])},
         ))
     return events
 
@@ -224,63 +241,71 @@ def detect_attention_capture(
     features: list[FrameFeatures],
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> list[SocialEvent]:
-    flags: list[tuple[float, int]] = []
+    flags: list[tuple[float, int, float]] = []  # (t, person, velocity)
     for f in features:
         for pid, v in f.velocities.items():
             if v > config.capture_velocity:
-                flags.append((f.t, pid))
+                flags.append((f.t, pid, v))
     if not flags:
         return []
+    # A stable sort keeps feature order among equal times, which fixes the
+    # order of the support samples and so the confidence bytes.
+    flags.sort(key=lambda flag: flag[0])
+    flag_times = [t for t, _, _ in flags]
 
-    # Slide the window over every grid start that could contain a flag.
+    # Slide the window over every grid start that could contain a flag; both
+    # window edges only move forward, so two pointers find each window's flags.
     candidates = []  # (window_start, participants, span)
     width = config.capture_window
     step = SAMPLE_PERIOD
-    first_flag = min(t for t, _ in flags)
-    last_flag = max(t for t, _ in flags)
-    w = first_flag - math.ceil(width / step - 1e-9) * step
+    last_flag = flag_times[-1]
+    w = flag_times[0] - math.ceil(width / step - 1e-9) * step
+    lo = hi = 0
     while w <= last_flag:
-        in_window = [(t, pid) for t, pid in flags if w <= t <= w + width]
-        persons = frozenset(pid for _, pid in in_window)
+        while lo < len(flags) and flag_times[lo] < w:
+            lo += 1
+        while hi < len(flags) and flag_times[hi] <= w + width:
+            hi += 1
+        persons = frozenset(pid for _, pid, _ in flags[lo:hi])
         if len(persons) >= config.capture_min_persons:
-            times = [t for t, _ in in_window]
-            candidates.append((w, persons, min(times), max(times)))
+            candidates.append((w, persons, flag_times[lo], flag_times[hi - 1]))
         w += step
 
     # Merge candidates whose windows intersect and participant sets match.
+    # Windows arrive in increasing order, so once a set starts a new group its
+    # older groups can never intersect again: only the latest group per set
+    # can take a candidate.
     merged: list[list] = []  # [persons, span_lo, span_hi, win_lo, win_hi]
-    for w, persons, lo, hi in candidates:
-        target = None
-        for group in merged:
-            if group[0] == persons and w <= group[4] and w + width >= group[3]:
-                target = group
-                break
-        if target is None:
-            merged.append([persons, lo, hi, w, w + width])
+    latest: dict[frozenset[int], list] = {}
+    for w, persons, span_lo, span_hi in candidates:
+        group = latest.get(persons)
+        if group is None or not (w <= group[4] and w + width >= group[3]):
+            group = [persons, span_lo, span_hi, w, w + width]
+            merged.append(group)
+            latest[persons] = group
         else:
-            target[1] = min(target[1], lo)
-            target[2] = max(target[2], hi)
-            target[3] = min(target[3], w)
-            target[4] = max(target[4], w + width)
+            group[1] = min(group[1], span_lo)
+            group[2] = max(group[2], span_hi)
+            group[3] = min(group[3], w)
+            group[4] = max(group[4], w + width)
 
     by_id = {track.person_id: track for track in tracks}
     events = []
-    for persons, lo, hi, win_lo, win_hi in merged:
-        support = []
+    for persons, span_lo, span_hi, win_lo, win_hi in merged:
+        support: list[GazeSample] = []
+        seen: set[GazeSample] = set()  # equal samples count once, as in a list test
         peak = 0.0
-        for t, pid in flags:
-            if pid in persons and win_lo <= t <= win_hi:
-                for at in (t - SAMPLE_PERIOD, t):
-                    sample = by_id[pid].sample_at(at)
-                    if sample is not None and sample not in support:
-                        support.append(sample)
-        for f in features:
-            if win_lo <= f.t <= win_hi:
-                for pid, v in f.velocities.items():
-                    if pid in persons and v > config.capture_velocity:
-                        peak = max(peak, v)
+        for t, pid, v in flags[bisect_left(flag_times, win_lo):bisect_right(flag_times, win_hi)]:
+            if pid not in persons:
+                continue
+            peak = max(peak, v)
+            for at in (t - SAMPLE_PERIOD, t):
+                sample = by_id[pid].sample_at(at)
+                if sample is not None and sample not in seen:
+                    seen.add(sample)
+                    support.append(sample)
         events.append(_event(
-            "attention_capture", persons, lo, hi, support,
+            "attention_capture", persons, span_lo, span_hi, support,
             attributes={"peak_velocity": peak},
         ))
     return events
@@ -289,38 +314,44 @@ def detect_attention_capture(
 def detect_mutual_gaze(
     tracks: list[GazeTrack], config: EngineConfig = DEFAULT_CONFIG
 ) -> list[SocialEvent]:
+    # Only measured samples with a gaze point and a face box can hit.
+    hittable = {
+        track.person_id: {
+            s.t: s for s in track.samples
+            if s.provenance == PROV_MEASURED and s.gaze_point is not None
+            and s.face_box is not None
+        }
+        for track in tracks
+    }
+    m = config.mutual_margin
     events = []
     for i, a in enumerate(tracks):
+        a_by_t = hittable[a.person_id]
         for b in tracks[i + 1:]:
-            b_by_t = {s.t: s for s in b.samples}
+            b_by_t = hittable[b.person_id]
             hits = []
-            for sa in a.samples:
-                sb = b_by_t.get(sa.t)
-                if sb is not None and _mutual_hit(sa, sb, config.mutual_margin):
-                    hits.append(sa.t)
+            for t, sa in a_by_t.items():
+                sb = b_by_t.get(t)
+                if sb is None:
+                    continue
+                # each gaze point inside the other's face box grown by the margin
+                (ax, ay), (bx, by) = sa.gaze_point, sb.gaze_point
+                fa, fb = sa.face_box, sb.face_box
+                if fb.x1 - m <= ax <= fb.x2 + m and fb.y1 - m <= ay <= fb.y2 + m and \
+                        fa.x1 - m <= bx <= fa.x2 + m and fa.y1 - m <= by <= fa.y2 + m:
+                    hits.append(t)
             for cluster in cluster_intervals(hits, SAMPLE_PERIOD):
                 if cluster.end_t - cluster.start_t < config.mutual_min_duration:
                     continue
                 support = []
                 for t in cluster.member_times:
-                    support.append(a.sample_at(t))
+                    support.append(a_by_t[t])
                     support.append(b_by_t[t])
                 events.append(_event(
                     "mutual_gaze", {a.person_id, b.person_id},
                     cluster.start_t, cluster.end_t, support,
                 ))
     return events
-
-
-def _mutual_hit(sa: GazeSample, sb: GazeSample, margin: float) -> bool:
-    if sa.provenance != PROV_MEASURED or sb.provenance != PROV_MEASURED:
-        return False
-    if sa.gaze_point is None or sb.gaze_point is None:
-        return False
-    if sa.face_box is None or sb.face_box is None:
-        return False
-    return sb.face_box.expand(margin).contains(sa.gaze_point) and \
-        sa.face_box.expand(margin).contains(sb.gaze_point)
 
 
 def detect_all(
@@ -410,10 +441,6 @@ def _event(
         attributes=attributes or {},
     )
     return replace(event, confidence=score_event_confidence(event, [s for s in support if s]))
-
-
-def _samples_in(track: GazeTrack, lo: float, hi: float) -> list[GazeSample]:
-    return [s for s in track.samples if lo <= s.t <= hi]
 
 
 def _jaccard(a: frozenset[int], b: frozenset[int]) -> float:

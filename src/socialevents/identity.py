@@ -50,9 +50,8 @@ def match_faces_to_persons(frame: FrameObservation) -> Association:
     if n == 0 or m == 0:
         return Association(frame.t, (), tuple(range(m)))
 
-    weights = [
-        [box_overlap(head_region(p.box), f.box) for f in frame.faces] for p in persons
-    ]
+    heads = [head_region(p.box) for p in persons]
+    weights = [[box_overlap(head, f.box) for f in frame.faces] for head in heads]
     chosen = _assign_conflict_free(weights)
     if chosen is None:
         if m <= _DP_MAX_FACES:

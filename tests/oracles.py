@@ -9,10 +9,8 @@ import math
 import statistics
 from itertools import permutations
 
-from socialevents.config import DEFAULT_CONFIG
+from socialevents.config import DEFAULT_CONFIG, EngineConfig
 from socialevents.gaze import PROV_MEASURED
-
-CFG = DEFAULT_CONFIG
 
 
 def best_assignment_total(weights: list[list[float]]) -> float:
@@ -57,13 +55,13 @@ def _velocity(track, t) -> float | None:
     return math.hypot(dx, dy) / 0.5
 
 
-def oracle_sudden(tracks) -> list[tuple]:
+def oracle_sudden(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[tuple]:
     events = []
     for tr in tracks:
         flagged = [t for t in _grid([tr])
-                   if (v := _velocity(tr, t)) is not None and v > CFG.sudden_velocity]
-        for a, b in _maximal_runs(flagged, CFG.sudden_cluster_gap):
-            if CFG.sudden_min_duration <= b - a <= CFG.sudden_max_duration:
+                   if (v := _velocity(tr, t)) is not None and v > config.sudden_velocity]
+        for a, b in _maximal_runs(flagged, config.sudden_cluster_gap):
+            if config.sudden_min_duration <= b - a <= config.sudden_max_duration:
                 events.append(("sudden_gaze_shift", (tr.person_id,), a, b))
     return sorted(events)
 
@@ -86,9 +84,9 @@ def _maximal_runs(flagged: list[float], max_gap: float) -> list[tuple[float, flo
     return sorted(set(out))
 
 
-def oracle_mutual(tracks) -> list[tuple]:
+def oracle_mutual(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[tuple]:
     events = []
-    margin = CFG.mutual_margin
+    margin = config.mutual_margin
     for i, ta in enumerate(tracks):
         for tb in tracks[i + 1:]:
             hits = []
@@ -106,16 +104,18 @@ def oracle_mutual(tracks) -> list[tuple]:
                 if eb.contains(sa.gaze_point) and ea.contains(sb.gaze_point):
                     hits.append(t)
             for a, b in _maximal_runs(hits, 0.5):
-                if b - a >= CFG.mutual_min_duration:
+                if b - a >= config.mutual_min_duration:
                     events.append((
                         "mutual_gaze", tuple(sorted((ta.person_id, tb.person_id))), a, b
                     ))
     return sorted(events)
 
 
-def oracle_follow(tracks) -> list[tuple]:
+def oracle_follow(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[tuple]:
     events = []
-    lags = [1.0, 1.5, 2.0]
+    # every grid lag from the minimum to the maximum, both on the 0.5 s grid
+    lags = [0.5 * k for k in range(round(config.follow_lag_min / 0.5),
+                                   round(config.follow_lag_max / 0.5) + 1)]
     for follower in tracks:
         for t in _grid([follower]):
             cur = follower.sample_at(t)
@@ -132,7 +132,7 @@ def oracle_follow(tracks) -> list[tuple]:
                         continue
                     d = math.hypot(cur.gaze_point[0] - past.gaze_point[0],
                                    cur.gaze_point[1] - past.gaze_point[1])
-                    if d < CFG.follow_distance:
+                    if d < config.follow_distance:
                         events.append((
                             "gaze_following",
                             tuple(sorted((leader.person_id, follower.person_id))),
@@ -142,16 +142,16 @@ def oracle_follow(tracks) -> list[tuple]:
     return sorted(events)
 
 
-def oracle_capture(tracks) -> list[tuple]:
+def oracle_capture(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[tuple]:
     flags = []
     for tr in tracks:
         for t in _grid([tr]):
             v = _velocity(tr, t)
-            if v is not None and v > CFG.capture_velocity:
+            if v is not None and v > config.capture_velocity:
                 flags.append((t, tr.person_id))
     if not flags:
         return []
-    width = CFG.capture_window
+    width = config.capture_window
     lo = min(t for t, _ in flags) - math.ceil(width / 0.5 - 1e-9) * 0.5
     hi = max(t for t, _ in flags)
     candidates = []
@@ -159,7 +159,7 @@ def oracle_capture(tracks) -> list[tuple]:
     while w <= hi:
         inside = [(t, p) for t, p in flags if w <= t <= w + width]
         persons = frozenset(p for _, p in inside)
-        if len(persons) >= CFG.capture_min_persons:
+        if len(persons) >= config.capture_min_persons:
             times = [t for t, _ in inside]
             candidates.append({
                 "persons": persons, "lo": min(times), "hi": max(times),
@@ -191,7 +191,7 @@ def oracle_capture(tracks) -> list[tuple]:
     )
 
 
-def oracle_joint_attention(tracks) -> list[tuple]:
+def oracle_joint_attention(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[tuple]:
     eligible: dict[float, frozenset[int]] = {}
     for t in _grid(tracks):
         pts = []
@@ -205,14 +205,15 @@ def oracle_joint_attention(tracks) -> list[tuple]:
         cx = sum(p[1][0] for p in pts) / len(pts)
         cy = sum(p[1][1] for p in pts) / len(pts)
         dists = {pid: math.hypot(g[0] - cx, g[1] - cy) for pid, g in pts}
-        score = math.exp(-CFG.convergence_alpha * statistics.median(dists.values()))
-        if score < CFG.ja_convergence:
+        score = math.exp(-config.convergence_alpha * statistics.median(dists.values()))
+        if score < config.ja_convergence:
             continue
-        cutoff = CFG.ja_peripheral_mult * statistics.median(dists.values())
+        cutoff = config.ja_peripheral_mult * statistics.median(dists.values())
         retained = frozenset(pid for pid, d in dists.items() if d <= cutoff)
         if len(retained) >= 2:
             eligible[t] = retained
 
+    overlap = config.ja_set_overlap
     times = sorted(eligible)
     events = []
     for a in times:
@@ -223,15 +224,15 @@ def oracle_joint_attention(tracks) -> list[tuple]:
             expected = [a + 0.5 * k for k in range(round((b - a) / 0.5) + 1)]
             if chain != expected:
                 continue
-            if any(_jac(eligible[u], eligible[v]) < CFG.ja_set_overlap
+            if any(_jac(eligible[u], eligible[v]) < overlap
                    for u, v in zip(chain, chain[1:])):
                 continue
             # maximality on both sides
-            if a - 0.5 in eligible and _jac(eligible[a - 0.5], eligible[a]) >= CFG.ja_set_overlap:
+            if a - 0.5 in eligible and _jac(eligible[a - 0.5], eligible[a]) >= overlap:
                 continue
-            if b + 0.5 in eligible and _jac(eligible[b], eligible[b + 0.5]) >= CFG.ja_set_overlap:
+            if b + 0.5 in eligible and _jac(eligible[b], eligible[b + 0.5]) >= overlap:
                 continue
-            if b - a < CFG.ja_min_duration:
+            if b - a < config.ja_min_duration:
                 continue
             participants: set[int] = set()
             for t in chain:
@@ -245,13 +246,13 @@ def _jac(a, b) -> float:
     return len(a & b) / len(union) if union else 1.0
 
 
-def oracle_all(tracks) -> list[tuple]:
+def oracle_all(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[tuple]:
     events = []
-    events.extend(oracle_sudden(tracks))
-    events.extend(oracle_joint_attention(tracks))
-    events.extend(oracle_follow(tracks))
-    events.extend(oracle_capture(tracks))
-    events.extend(oracle_mutual(tracks))
+    events.extend(oracle_sudden(tracks, config))
+    events.extend(oracle_joint_attention(tracks, config))
+    events.extend(oracle_follow(tracks, config))
+    events.extend(oracle_capture(tracks, config))
+    events.extend(oracle_mutual(tracks, config))
     return sorted(events)
 
 

@@ -250,6 +250,34 @@ def test_weights_flag_rejects_bad_values(capsys):
         assert f"argument {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, flags", [
+    ("capture_min_persons", ("--capture-min-persons", "0")),
+    ("capture_window", ("--capture-window", "-1")),
+    ("sudden_cluster_gap", ("--sudden-cluster-gap", "0")),
+    ("follow_lag_min", ("--follow-lag-min", "0")),
+    ("follow_lag_max", ("--follow-lag-min", "2.5", "--follow-lag-max", "1.0")),
+    ("mutual_margin", ("--mutual-margin", "-0.01")),
+    ("sudden_velocity", ("--sudden-velocity", "nan")),
+    ("mutual_min_duration", ("--mutual-min-duration", "inf")),
+    ("capture_window", ("--capture-window", "0", "--print-config")),
+], ids=lambda v: v if isinstance(v, str) else "-".join(v))
+def test_bad_detector_config_exit_3(field, flags, tmp_path, capsys):
+    obs = tmp_path / "obs.jsonl"
+    write_observations(make_video(5), obs)
+    out = tmp_path / "out"
+    assert run("detect", "--input", str(obs), "--out", str(out), *flags) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: config field {field} = ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
+def test_boundary_detector_config_accepted():
+    config = EngineConfig(capture_min_persons=1, follow_lag_min=1.5, follow_lag_max=1.5,
+                          mutual_margin=0.0)
+    assert config.capture_min_persons == 1
+
+
 def _stage_parsers():
     parser = cli._build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

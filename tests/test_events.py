@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from socialevents.config import DEFAULT_CONFIG
 from socialevents.errors import ValidationError
 from socialevents.events import (
     cluster_intervals,
@@ -269,6 +272,36 @@ class TestDetectorOracleEquivalence:
             tracks = [interpolate_track(t) for t in build_tracks(frames)]
             detected = detect_all(tracks, features_of(tracks))
             assert detector_view(detected) == oracle_all(tracks), f"seed {seed}"
+
+
+# Detectors off their defaults, on long videos (300-400 frames, 5-6 persons,
+# scripted mutual gaze) where capture merges span many windows and velocity
+# runs grow long.
+SWEEP_SEEDS = (12, 24, 34, 44)
+SWEEP = [
+    *(("capture_window", v, "attention_capture") for v in (0.5, 1.0, 2.0)),
+    *(("capture_min_persons", v, "attention_capture") for v in (1, 2, 3, 4)),
+    *(("sudden_cluster_gap", v, "sudden_gaze_shift") for v in (0.5, 0.6, 1.5)),
+    *(("mutual_margin", v, "mutual_gaze") for v in (0.0, 0.02, 0.1)),
+]
+
+
+@pytest.fixture(scope="module")
+def sweep_videos():
+    return [make_video(seed, min_persons=3, min_frames=300, max_frames=400)
+            for seed in SWEEP_SEEDS]
+
+
+@pytest.mark.parametrize("name, value, event_type", SWEEP)
+def test_long_videos_match_oracle_off_defaults(sweep_videos, name, value, event_type):
+    config = dataclasses.replace(DEFAULT_CONFIG, **{name: value})
+    seen = 0
+    for seed, frames in zip(SWEEP_SEEDS, sweep_videos):
+        tracks = [interpolate_track(t, config) for t in build_tracks(frames)]
+        detected = detect_all(tracks, compute_features(tracks, config), config)
+        assert detector_view(detected) == oracle_all(tracks, config), f"seed {seed}"
+        seen += sum(1 for e in detected if e.event_type == event_type)
+    assert seen, f"no {event_type} events, so {name} was not exercised"
 
 
 class TestEventProperties:
