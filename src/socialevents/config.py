@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ContractError
+from .ingest import SAMPLE_PERIOD
 
 # The gaze event detector fields; each must be finite.
 DETECTOR_FIELDS = (
@@ -81,13 +82,21 @@ class EngineConfig:
         for name in DETECTOR_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 _reject(name, getattr(self, name), "must be finite")
+        # Following compares samples a whole number of grid steps apart.
+        on_grid = f"must be a multiple of the {SAMPLE_PERIOD} s sample period"
         rules = (
             ("capture_min_persons", self.capture_min_persons >= 1, "must be >= 1"),
             ("capture_window", self.capture_window > 0, "must be > 0"),
             ("sudden_cluster_gap", self.sudden_cluster_gap > 0, "must be > 0"),
+            ("sudden_max_duration", self.sudden_max_duration >= self.sudden_min_duration,
+             f"must be >= sudden_min_duration ({self.sudden_min_duration!r})"),
+            ("ja_convergence", 0 < self.ja_convergence <= 1, "must be in (0, 1]"),
+            ("ja_set_overlap", 0 <= self.ja_set_overlap <= 1, "must be in [0, 1]"),
             ("follow_lag_min", self.follow_lag_min > 0, "must be > 0"),
+            ("follow_lag_min", (self.follow_lag_min / SAMPLE_PERIOD).is_integer(), on_grid),
             ("follow_lag_max", self.follow_lag_max >= self.follow_lag_min,
              f"must be >= follow_lag_min ({self.follow_lag_min!r})"),
+            ("follow_lag_max", (self.follow_lag_max / SAMPLE_PERIOD).is_integer(), on_grid),
             ("mutual_margin", self.mutual_margin >= 0, "must be >= 0"),
         )
         for name, ok, rule in rules:

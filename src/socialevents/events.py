@@ -451,9 +451,7 @@ def _jaccard(a: frozenset[int], b: frozenset[int]) -> float:
 
 
 def _lag_grid(config: EngineConfig) -> list[float]:
-    lags = []
-    lag = config.follow_lag_min
-    while lag <= config.follow_lag_max + 1e-9:
-        lags.append(round(lag / SAMPLE_PERIOD) * SAMPLE_PERIOD)
-        lag += SAMPLE_PERIOD
-    return lags
+    # EngineConfig keeps both lags on the grid, so the quotients are whole.
+    first = int(config.follow_lag_min / SAMPLE_PERIOD)
+    last = int(config.follow_lag_max / SAMPLE_PERIOD)
+    return [k * SAMPLE_PERIOD for k in range(first, last + 1)]

@@ -6,6 +6,23 @@ pairings are forbidden; faces left over are reported as unmatched. Among
 equal-total optima the lexicographically smallest (person_id, face_index)
 pairing is returned, which makes the assignment deterministic and independent
 of input face order.
+
+Cost per frame, for n persons and m faces:
+
+- Every frame first builds the n x m overlap matrix and tries the
+  conflict-free fast path, O(n*m): when no person and no face has two
+  positive-overlap candidates, the positive edges are the answer.
+- A contested frame is split into the connected components of its
+  positive-overlap bipartite graph by a union-find over persons and faces,
+  O(n*m). The optimum is additive across components, and the lexicographic
+  reconstruction only ever picks positive-overlap faces, which lie in the
+  row's own component, so solving each component alone gives the same pairs
+  as solving the whole matrix.
+- A component with r persons and k <= 12 faces is solved by the exact
+  bitmask DP in O(r * 2^k * k).
+- A component with more than 12 faces falls back to scipy's assignment
+  solver plus one re-solve per candidate pair to fix the lexicographic
+  tie-break; only this path imports numpy and scipy.
 """
 
 from __future__ import annotations
@@ -15,8 +32,8 @@ from dataclasses import dataclass
 from .ingest import Box, FrameObservation
 
 _TOL = 1e-12
-# Exact bitmask DP handles up to this many faces; larger frames fall back to
-# a scipy-based solve.
+# Exact bitmask DP handles components of up to this many faces; larger
+# components fall back to a scipy-based solve.
 _DP_MAX_FACES = 12
 
 
@@ -54,10 +71,7 @@ def match_faces_to_persons(frame: FrameObservation) -> Association:
     weights = [[box_overlap(head, f.box) for f in frame.faces] for head in heads]
     chosen = _assign_conflict_free(weights)
     if chosen is None:
-        if m <= _DP_MAX_FACES:
-            chosen = _assign_dp(weights)
-        else:
-            chosen = _assign_scipy(weights)
+        chosen = _assign_components(weights)
 
     pairs = tuple(
         (persons[i].person_id, j, weights[i][j]) for i, j in sorted(chosen)
@@ -87,6 +101,40 @@ def _assign_conflict_free(weights: list[list[float]]) -> list[tuple[int, int]] |
                 return None  # face contested by two persons
             edges.append((i, hit))
     return edges
+
+
+def _assign_components(weights: list[list[float]]) -> list[tuple[int, int]]:
+    """Solve each connected component of the positive-overlap graph on its
+    own sub-matrix; rows and columns keep their order, so each component's
+    lexicographically smallest optimum maps back unchanged."""
+    n, m = len(weights), len(weights[0])
+    parent = list(range(n + m))  # rows 0..n-1, then columns n..n+m-1
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, row in enumerate(weights):
+        for j, w in enumerate(row):
+            if w > 0.0:
+                parent[find(i)] = find(n + j)
+
+    components: dict[int, tuple[list[int], list[int]]] = {}
+    for i in range(n):
+        components.setdefault(find(i), ([], []))[0].append(i)
+    for j in range(m):
+        components.setdefault(find(n + j), ([], []))[1].append(j)
+
+    chosen: list[tuple[int, int]] = []
+    for rows, cols in components.values():
+        if not rows or not cols:
+            continue  # a person or face with no positive overlap
+        sub = [[weights[i][j] for j in cols] for i in rows]
+        solve = _assign_dp if len(cols) <= _DP_MAX_FACES else _assign_scipy
+        chosen.extend((rows[a], cols[b]) for a, b in solve(sub))
+    return chosen
 
 
 def _assign_dp(weights: list[list[float]]) -> list[tuple[int, int]]:

@@ -260,6 +260,14 @@ def test_weights_flag_rejects_bad_values(capsys):
     ("sudden_velocity", ("--sudden-velocity", "nan")),
     ("mutual_min_duration", ("--mutual-min-duration", "inf")),
     ("capture_window", ("--capture-window", "0", "--print-config")),
+    ("follow_lag_min", ("--follow-lag-min", "1.2")),
+    ("follow_lag_min", ("--follow-lag-min", "1.3", "--follow-lag-max", "1.4")),
+    ("follow_lag_max", ("--follow-lag-max", "2.2")),
+    ("sudden_max_duration", ("--sudden-min-duration", "2", "--sudden-max-duration", "1")),
+    ("ja_convergence", ("--ja-convergence", "0")),
+    ("ja_convergence", ("--ja-convergence", "1.01")),
+    ("ja_set_overlap", ("--ja-set-overlap", "-0.1")),
+    ("ja_set_overlap", ("--ja-set-overlap", "1.5")),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
 def test_bad_detector_config_exit_3(field, flags, tmp_path, capsys):
     obs = tmp_path / "obs.jsonl"
@@ -276,6 +284,14 @@ def test_boundary_detector_config_accepted():
     config = EngineConfig(capture_min_persons=1, follow_lag_min=1.5, follow_lag_max=1.5,
                           mutual_margin=0.0)
     assert config.capture_min_persons == 1
+    for overrides in (
+        {"follow_lag_min": 0.5, "follow_lag_max": 3.0},
+        {"sudden_min_duration": 1.0, "sudden_max_duration": 1.0},
+        {"ja_convergence": 1.0, "ja_set_overlap": 0.0},
+        {"ja_convergence": 1e-9, "ja_set_overlap": 1.0},
+    ):
+        config = EngineConfig(**overrides)
+        assert all(getattr(config, k) == v for k, v in overrides.items())
 
 
 def _stage_parsers():

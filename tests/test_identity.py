@@ -1,8 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
+from socialevents import identity
 from socialevents.identity import (
+    _assign_components,
+    _assign_conflict_free,
     _assign_dp,
     _assign_scipy,
     box_overlap,
@@ -153,6 +157,7 @@ class TestMatchingProperties:
             expected = _brute_lex_smallest(weights)
             assert _assign_dp(weights) == expected
             assert _assign_scipy(weights) == expected
+            assert sorted(_assign_components(weights)) == expected
 
 
 def _brute_lex_smallest(weights):
@@ -212,3 +217,91 @@ def _best_total_small_rows(weights):
 
     search(0, frozenset(), 0.0)
     return best[0]
+
+
+def contested_frame(rng, max_persons, min_faces, max_faces, t=0.0):
+    """A crowded frame: faces drawn inside random persons' head regions, with
+    a share of exact duplicate person and face boxes to force IoU ties."""
+    persons = []
+    for pid in rng.sample(range(40), rng.randint(2, max_persons)):
+        if persons and rng.random() < 0.15:
+            box = rng.choice(persons).box
+        else:
+            x1 = rng.uniform(0.0, 0.9)
+            y1 = rng.uniform(0.0, 0.3)
+            box = Box(x1, y1, x1 + rng.uniform(0.04, 0.1), y1 + rng.uniform(0.3, 0.6))
+        persons.append(PersonBox(pid, box))
+    faces = []
+    for _ in range(rng.randint(min_faces, max_faces)):
+        if faces and rng.random() < 0.25:
+            faces.append(rng.choice(faces))
+            continue
+        head = head_region(rng.choice(persons).box)
+        w = rng.uniform(0.02, 0.06)
+        h = rng.uniform(0.03, 0.08)
+        x1 = rng.uniform(head.x1 - w / 2, head.x2 - w / 2)
+        y1 = rng.uniform(head.y1 - h / 2, head.y2 - h / 2)
+        faces.append(face(Box(x1, y1, x1 + w, y1 + h)))
+    return frame(persons, faces, t)
+
+
+def _weights(fr):
+    return [
+        [box_overlap(head_region(p.box), f.box) for f in fr.faces]
+        for p in sorted(fr.persons, key=lambda p: p.person_id)
+    ]
+
+
+# sha256 of the associations of 300 seeded contested frames: the pairs, their
+# overlaps and the unmatched faces are pinned, whichever solver produces them.
+ASSOCIATION_DIGEST = "f891355b2cede25dcfd32a6c2d4de109532a1129db052fc46d79dd64a9da9800"
+
+
+def test_contested_association_bytes_match_digest():
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    contested = 0
+    t = 0
+    while contested < 300:
+        fr = contested_frame(rng, 14, 8, 14, t * 0.5)
+        t += 1
+        if _assign_conflict_free(_weights(fr)) is not None:
+            continue
+        contested += 1
+        assoc = match_faces_to_persons(fr)
+        digest.update(repr((assoc.pairs, assoc.unmatched_faces)).encode() + b"\n")
+    assert digest.hexdigest() == ASSOCIATION_DIGEST
+
+
+def test_matching_equals_whole_matrix_dp():
+    # the DP over the full weight matrix is the reference for every frame
+    # the DP can take, contested or not
+    rng = random.Random(77)
+    for _ in range(150):
+        fr = contested_frame(rng, 8, 1, 11)
+        assoc = match_faces_to_persons(fr)
+        persons = sorted(p.person_id for p in fr.persons)
+        expected = [(persons[i], j) for i, j in _assign_dp(_weights(fr))]
+        assert [(pid, j) for pid, j, _ in assoc.pairs] == expected
+
+
+def test_large_component_uses_scipy_fallback(monkeypatch):
+    # one wide head region over 13 faces, two of which a second person
+    # contests: a single component above the DP face limit
+    wide = PersonBox(0, Box(0.0, 0.0, 1.0, 0.4))
+    narrow = PersonBox(1, Box(0.02, 0.0, 0.16, 0.4))
+    faces = [face(Box(0.01 + 0.075 * k, 0.02, 0.07 + 0.075 * k, 0.12)) for k in range(13)]
+    calls = []
+
+    def spy(weights):
+        calls.append((len(weights), len(weights[0])))
+        return _assign_scipy(weights)
+
+    monkeypatch.setattr(identity, "_assign_scipy", spy)
+    fr = frame([wide, narrow], faces)
+    assoc = match_faces_to_persons(fr)
+    assert calls == [(2, 13)]
+    weights = _weights(fr)
+    assert sum(w for _, _, w in assoc.pairs) == pytest.approx(
+        _best_total_small_rows(weights), abs=1e-9)
+    assert [(i, j) for i, j, _ in assoc.pairs] == _brute_lex_smallest(weights)
