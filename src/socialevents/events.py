@@ -16,7 +16,8 @@ a video's length roughly doubles its detection time:
 
     sudden_gaze_shift   O(F) per person, O(F x P) over all persons
     joint_attention     O(F x P)
-    gaze_following      O(F x P^2 x lags): every (leader, follower) pair
+    gaze_following      O(F x P^2 x lags): every (leader, follower) pair;
+                        lags stop at the video's span
     attention_capture   O(F x P) (windows hold a fixed number of frames)
     mutual_gaze         O(F x P^2): every pair
 """
@@ -199,7 +200,7 @@ def _finish_ja(
 def detect_gaze_following(
     tracks: list[GazeTrack], config: EngineConfig = DEFAULT_CONFIG
 ) -> list[SocialEvent]:
-    lags = _lag_grid(config)
+    lags = _lag_grid(config, tracks)
     measured = {
         tr.person_id: {
             s.t: s for s in tr.samples
@@ -450,8 +451,11 @@ def _jaccard(a: frozenset[int], b: frozenset[int]) -> float:
     return len(a & b) / len(union)
 
 
-def _lag_grid(config: EngineConfig) -> list[float]:
-    # EngineConfig keeps both lags on the grid, so the quotients are whole.
+def _lag_grid(config: EngineConfig, tracks: list[GazeTrack]) -> list[float]:
+    # EngineConfig keeps both lags on the grid, so the quotients are whole. A
+    # lag longer than the tracks' time span never reaches a leader sample.
+    ends = [s.t for tr in tracks for s in tr.samples[:1] + tr.samples[-1:]]
+    span = max(ends) - min(ends) if ends else 0.0
     first = int(config.follow_lag_min / SAMPLE_PERIOD)
-    last = int(config.follow_lag_max / SAMPLE_PERIOD)
+    last = min(int(config.follow_lag_max / SAMPLE_PERIOD), round(span / SAMPLE_PERIOD))
     return [k * SAMPLE_PERIOD for k in range(first, last + 1)]

@@ -18,11 +18,14 @@ Cost per frame, for n persons and m faces:
   reconstruction only ever picks positive-overlap faces, which lie in the
   row's own component, so solving each component alone gives the same pairs
   as solving the whole matrix.
-- A component with r persons and k <= 12 faces is solved by the exact
-  bitmask DP in O(r * 2^k * k).
-- A component with more than 12 faces falls back to scipy's assignment
-  solver plus one re-solve per candidate pair to fix the lexicographic
-  tie-break; only this path imports numpy and scipy.
+- Each component, whatever its size, goes to one exact solver: the
+  Hungarian method gives the optimal total in O(r^2 * (r + k)) for r
+  persons and k faces, and the lexicographic reconstruction re-solves once
+  per positive-overlap pair it tries, O((e + 1) * r^2 * (r + k)) for e
+  positive edges. Dense random components (x86-64, Python 3.11) take
+  ~0.04 ms at 2 x 3, ~9 ms at 14 x 14 and ~190 ms at 30 x 30; every
+  contested frame of the crowd benchmark splits into components of at
+  most 2 persons x 3 faces.
 """
 
 from __future__ import annotations
@@ -32,9 +35,6 @@ from dataclasses import dataclass
 from .ingest import Box, FrameObservation
 
 _TOL = 1e-12
-# Exact bitmask DP handles components of up to this many faces; larger
-# components fall back to a scipy-based solve.
-_DP_MAX_FACES = 12
 
 
 @dataclass(frozen=True)
@@ -132,86 +132,72 @@ def _assign_components(weights: list[list[float]]) -> list[tuple[int, int]]:
         if not rows or not cols:
             continue  # a person or face with no positive overlap
         sub = [[weights[i][j] for j in cols] for i in rows]
-        solve = _assign_dp if len(cols) <= _DP_MAX_FACES else _assign_scipy
-        chosen.extend((rows[a], cols[b]) for a, b in solve(sub))
+        chosen.extend((rows[a], cols[b]) for a, b in _assign_lexicographic(sub))
     return chosen
 
 
-def _assign_dp(weights: list[list[float]]) -> list[tuple[int, int]]:
-    """Exact assignment via DP over face bitmasks, reconstructed so that the
-    (row, col) pair sequence is lexicographically smallest among optima."""
+def _assign_lexicographic(weights: list[list[float]]) -> list[tuple[int, int]]:
+    """Maximum-total assignment whose (row, col) pair sequence is the
+    lexicographically smallest among optima: rows go in order, and each takes
+    its smallest positive-overlap column that still leaves an optimum for the
+    rows after it, or stays unmatched if none does."""
     n = len(weights)
-    m = len(weights[0])
-    full = (1 << m) - 1
-
-    # best[i][mask]: max total matching rows i.. using only faces in mask
-    best = [[0.0] * (full + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        row = weights[i]
-        nxt = best[i + 1]
-        cur = best[i]
-        for mask in range(full + 1):
-            value = nxt[mask]
-            rest = mask
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                j = bit.bit_length() - 1
-                w = row[j]
-                if w > 0.0:
-                    cand = w + nxt[mask ^ bit]
-                    if cand > value:
-                        value = cand
-            cur[mask] = value
-
+    cols = list(range(len(weights[0])))
+    target = _max_total(weights, range(n), cols)
     chosen: list[tuple[int, int]] = []
-    mask = full
     for i in range(n):
-        target = best[i][mask]
-        for j in range(m):
-            bit = 1 << j
-            if mask & bit and weights[i][j] > 0.0:
-                if abs(weights[i][j] + best[i + 1][mask ^ bit] - target) <= _TOL:
+        for j in cols:
+            if weights[i][j] > 0.0:
+                rest_cols = [c for c in cols if c != j]
+                rest = _max_total(weights, range(i + 1, n), rest_cols)
+                if abs(weights[i][j] + rest - target) <= _TOL:
                     chosen.append((i, j))
-                    mask ^= bit
+                    cols, target = rest_cols, rest
                     break
     return chosen
 
 
-def _assign_scipy(weights: list[list[float]]) -> list[tuple[int, int]]:
-    """Fallback for wide frames: scipy optimum plus greedy lexicographic fix."""
-    import numpy as np
-    from scipy.optimize import linear_sum_assignment
-
-    arr = np.asarray(weights, dtype=float)
-
-    def max_total(rows: list[int], cols: list[int]) -> float:
-        if not rows or not cols:
-            return 0.0
-        sub = arr[np.ix_(rows, cols)]
-        # Pad with zero-weight dummy columns so rows may stay unmatched.
-        padded = np.hstack([sub, np.zeros((len(rows), len(rows)))])
-        ri, ci = linear_sum_assignment(padded, maximize=True)
-        return float(padded[ri, ci].sum())
-
-    rows = list(range(arr.shape[0]))
-    cols = list(range(arr.shape[1]))
-    chosen: list[tuple[int, int]] = []
-    target = max_total(rows, cols)
-    for i in list(rows):
-        matched = False
-        for j in cols:
-            w = float(arr[i, j])
-            if w <= 0.0:
-                continue
-            rest = max_total([r for r in rows if r != i], [c for c in cols if c != j])
-            if abs(w + rest - target) <= 1e-9:
-                chosen.append((i, j))
-                rows.remove(i)
-                cols.remove(j)
-                target = rest
-                matched = True
-                break
-        if not matched:
-            rows.remove(i)
-    return chosen
+def _max_total(weights: list[list[float]], rows: range, cols: list[int]) -> float:
+    """Largest total weight of a matching of `rows` to `cols` in which any row
+    may stay unmatched: the Hungarian method (Kuhn 1955) on costs -w, with one
+    zero-cost dummy column per row, in O(r^2 * (r + k)) for r rows, k columns."""
+    n, k = len(rows), len(cols)
+    m = k + n
+    cost = [[-weights[r][c] for c in cols] + [0.0] * n for r in rows]
+    inf = float("inf")
+    u = [0.0] * (n + 1)  # potentials of rows 1..n
+    v = [0.0] * (m + 1)  # potentials of columns 1..m
+    owner = [0] * (m + 1)  # row on each column, 0 if none; column 0 roots a search
+    way = [0] * (m + 1)
+    for i in range(1, n + 1):  # add row i along a shortest augmenting path
+        owner[0], j0 = i, 0
+        minv = [inf] * (m + 1)
+        used = [False] * (m + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0, delta, j1 = owner[j0], inf, 0
+            row, ui0 = cost[i0 - 1], u[i0]
+            for j in range(1, m + 1):
+                if not used[j]:
+                    reduced = row[j - 1] - ui0 - v[j]
+                    if reduced < minv[j]:
+                        minv[j], way[j] = reduced, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
+    # Add from the last row up, in the order a row-by-row recursion adds.
+    col_of = {owner[j]: cols[j - 1] for j in range(1, k + 1) if owner[j]}
+    total = 0.0
+    for a in range(n, 0, -1):
+        if a in col_of:
+            total = weights[rows[a - 1]][col_of[a]] + total
+    return total

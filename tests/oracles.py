@@ -32,6 +32,48 @@ def best_assignment_total(weights: list[list[float]]) -> float:
     return best
 
 
+def assign_dp(weights: list[list[float]]) -> list[tuple[int, int]]:
+    """Exact assignment via DP over face bitmasks, reconstructed so that the
+    (row, col) pair sequence is lexicographically smallest among optima.
+    O(n * 2^m * m): the reference for the face-assignment solver."""
+    n = len(weights)
+    m = len(weights[0])
+    full = (1 << m) - 1
+
+    # best[i][mask]: max total matching rows i.. using only faces in mask
+    best = [[0.0] * (full + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        row = weights[i]
+        nxt = best[i + 1]
+        cur = best[i]
+        for mask in range(full + 1):
+            value = nxt[mask]
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                j = bit.bit_length() - 1
+                w = row[j]
+                if w > 0.0:
+                    cand = w + nxt[mask ^ bit]
+                    if cand > value:
+                        value = cand
+            cur[mask] = value
+
+    chosen: list[tuple[int, int]] = []
+    mask = full
+    for i in range(n):
+        target = best[i][mask]
+        for j in range(m):
+            bit = 1 << j
+            if mask & bit and weights[i][j] > 0.0:
+                if abs(weights[i][j] + best[i + 1][mask ^ bit] - target) <= 1e-12:
+                    chosen.append((i, j))
+                    mask ^= bit
+                    break
+    return chosen
+
+
 # ---------------------------------------------------------------------------
 # detector oracles; events are (type, participants tuple, start, end)
 

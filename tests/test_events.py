@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 
@@ -169,6 +170,12 @@ class TestGazeFollowing:
         assert ev.attributes["lag"] == 1.0
         assert ev.start_time == 2.0
 
+    def test_lag_spanning_the_whole_track(self):
+        tracks = self.make_pair((0.70, 0.30), (0.71, 0.30), 0.0, 4.0)
+        config = dataclasses.replace(DEFAULT_CONFIG, follow_lag_max=1e17)
+        (ev,) = detect_gaze_following(tracks, config)
+        assert ev.attributes["lag"] == 4.0
+
 
 class TestAttentionCapture:
     def capture_tracks(self, n=3, jump=0.3):
@@ -302,6 +309,19 @@ def test_long_videos_match_oracle_off_defaults(sweep_videos, name, value, event_
         assert detector_view(detected) == oracle_all(tracks, config), f"seed {seed}"
         seen += sum(1 for e in detected if e.event_type == event_type)
     assert seen, f"no {event_type} events, so {name} was not exercised"
+
+
+def test_follow_lag_max_beyond_the_video_costs_no_more_than_its_span():
+    # a lag longer than the tracks' time span never reaches a leader sample
+    frames = make_video(5, min_persons=6, min_frames=100, max_frames=120)
+    tracks = [interpolate_track(t) for t in build_tracks(frames)]
+    span = frames[-1].t - frames[0].t
+    at_span = detect_gaze_following(tracks, dataclasses.replace(DEFAULT_CONFIG, follow_lag_max=span))
+    assert any(e.attributes["lag"] > DEFAULT_CONFIG.follow_lag_max for e in at_span)
+    start = time.perf_counter()
+    huge = detect_gaze_following(tracks, dataclasses.replace(DEFAULT_CONFIG, follow_lag_max=1e17))
+    assert time.perf_counter() - start < 1.0
+    assert huge == at_span
 
 
 class TestEventProperties:

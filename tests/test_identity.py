@@ -1,20 +1,24 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from socialevents import identity
+import socialevents
 from socialevents.identity import (
     _assign_components,
     _assign_conflict_free,
-    _assign_dp,
-    _assign_scipy,
+    _assign_lexicographic,
     box_overlap,
     head_region,
     match_faces_to_persons,
 )
 from socialevents.ingest import Box, FaceMeasurement, FrameObservation, PersonBox
-from oracles import best_assignment_total
+from oracles import assign_dp, best_assignment_total
+from synth import make_video, write_observations
 
 
 def face(box, conf=0.9):
@@ -61,7 +65,7 @@ class TestMatching:
 
     def test_cross_overlap_assignment_maximizes_total(self):
         # weights {(p0,f0)=0.6, (p0,f1)=0.1, (p1,f0)=0.2, (p1,f1)=0.5}
-        chosen = _assign_dp([[0.6, 0.1], [0.2, 0.5]])
+        chosen = _assign_lexicographic([[0.6, 0.1], [0.2, 0.5]])
         assert chosen == [(0, 0), (1, 1)]  # 1.1 beats 0.3
 
     def test_zero_overlap_face_unmatched(self):
@@ -79,7 +83,7 @@ class TestMatching:
 
     def test_lexicographic_tie_break(self):
         # two identical persons and faces: all weights equal, smallest pairs win
-        chosen = _assign_dp([[0.5, 0.5], [0.5, 0.5]])
+        chosen = _assign_lexicographic([[0.5, 0.5], [0.5, 0.5]])
         assert chosen == [(0, 0), (1, 1)]
 
 
@@ -135,14 +139,20 @@ class TestMatchingProperties:
             geo2 = {p: shuffled.faces[j].box for p, j, _ in assoc2.pairs}
             assert geo1 == geo2
 
-    def test_scipy_path_agrees_with_dp(self):
+    def test_solver_agrees_with_dp_oracle(self):
+        # half the matrices draw from a few values whose sums tie, some only
+        # up to rounding (0.1 + 0.2 != 0.3), to exercise the tolerance
         rng = random.Random(5)
-        for _ in range(50):
-            n, m = rng.randint(1, 5), rng.randint(1, 8)
-            weights = [
-                [rng.choice([0.0, rng.random()]) for _ in range(m)] for _ in range(n)
-            ]
-            assert _assign_scipy(weights) == _assign_dp(weights)
+        ties = [0.0, 0.1, 0.125, 0.25, 0.5, 0.1 + 0.2, 0.3]
+        for k in range(500):
+            n, m = rng.randint(1, 8), rng.randint(1, 12)
+            if k % 2:
+                weights = [[rng.choice(ties) for _ in range(m)] for _ in range(n)]
+            else:
+                weights = [
+                    [rng.choice([0.0, rng.random()]) for _ in range(m)] for _ in range(n)
+                ]
+            assert _assign_lexicographic(weights) == assign_dp(weights)
 
     def test_lexicographic_smallest_among_optima(self):
         # tie-heavy discrete weights force many equal-total optima; the
@@ -155,8 +165,8 @@ class TestMatchingProperties:
                 for _ in range(n)
             ]
             expected = _brute_lex_smallest(weights)
-            assert _assign_dp(weights) == expected
-            assert _assign_scipy(weights) == expected
+            assert assign_dp(weights) == expected
+            assert _assign_lexicographic(weights) == expected
             assert sorted(_assign_components(weights)) == expected
 
 
@@ -184,11 +194,11 @@ def _brute_lex_smallest(weights):
     return min(optimal)
 
 
-def test_wide_frame_uses_scipy_fallback():
+def test_wide_frame_matches_brute_force():
     rng = random.Random(11)
     persons = [PersonBox(i, Box(i / 6 + 0.01, 0.0, (i + 1) / 6 - 0.01, 1.0)) for i in range(6)]
     faces = []
-    for _ in range(18):  # above the DP face limit
+    for _ in range(18):
         x1 = rng.uniform(0, 0.9)
         y1 = rng.uniform(0, 0.45)
         faces.append(face(Box(x1, y1, min(1.0, x1 + 0.08), min(1.0, y1 + 0.08))))
@@ -197,8 +207,8 @@ def test_wide_frame_uses_scipy_fallback():
         [box_overlap(head_region(p.box), f.box) for f in faces] for p in persons
     ]
     total = sum(p[2] for p in assoc.pairs)
-    # brute force is infeasible at 18 faces; verify against the DP on the
-    # 6x18 instance transposed into per-person candidate subsets
+    # a permutation search is infeasible at 18 faces; search each person's
+    # positive-overlap candidates instead
     assert total == pytest.approx(_best_total_small_rows(weights), abs=1e-9)
 
 
@@ -281,27 +291,47 @@ def test_matching_equals_whole_matrix_dp():
         fr = contested_frame(rng, 8, 1, 11)
         assoc = match_faces_to_persons(fr)
         persons = sorted(p.person_id for p in fr.persons)
-        expected = [(persons[i], j) for i, j in _assign_dp(_weights(fr))]
+        expected = [(persons[i], j) for i, j in assign_dp(_weights(fr))]
         assert [(pid, j) for pid, j, _ in assoc.pairs] == expected
 
 
-def test_large_component_uses_scipy_fallback(monkeypatch):
-    # one wide head region over 13 faces, two of which a second person
-    # contests: a single component above the DP face limit
+def _large_component_frame():
+    """One wide head region over 13 faces, two of which a second person
+    contests: a single contested 2 x 13 component."""
     wide = PersonBox(0, Box(0.0, 0.0, 1.0, 0.4))
     narrow = PersonBox(1, Box(0.02, 0.0, 0.16, 0.4))
     faces = [face(Box(0.01 + 0.075 * k, 0.02, 0.07 + 0.075 * k, 0.12)) for k in range(13)]
-    calls = []
+    return FrameObservation("wide", 0.0, (wide, narrow), tuple(faces))
 
-    def spy(weights):
-        calls.append((len(weights), len(weights[0])))
-        return _assign_scipy(weights)
 
-    monkeypatch.setattr(identity, "_assign_scipy", spy)
-    fr = frame([wide, narrow], faces)
+def test_large_component_matches_brute_force():
+    fr = _large_component_frame()
     assoc = match_faces_to_persons(fr)
-    assert calls == [(2, 13)]
     weights = _weights(fr)
+    assert _assign_conflict_free(weights) is None
     assert sum(w for _, _, w in assoc.pairs) == pytest.approx(
         _best_total_small_rows(weights), abs=1e-9)
     assert [(i, j) for i, j, _ in assoc.pairs] == _brute_lex_smallest(weights)
+
+
+def test_association_and_detect_import_no_numpy_or_scipy(tmp_path):
+    # a fresh interpreter, so that no other test's imports are counted
+    obs = tmp_path / "obs.jsonl"
+    write_observations(make_video(3, min_frames=24, max_frames=40) + [_large_component_frame()], obs)
+    script = (
+        "import sys\n"
+        "from socialevents import cli\n"
+        "from socialevents.identity import match_faces_to_persons\n"
+        "from socialevents.ingest import load_observations\n"
+        "wide = [f for f in load_observations(sys.argv[1]) if f.video_id == 'wide']\n"
+        "assert len(wide[0].faces) == 13 and len(match_faces_to_persons(wide[0]).pairs) == 2\n"
+        "code = cli.main(['detect', '--input', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    src = str(Path(socialevents.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(obs), str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
