@@ -263,3 +263,54 @@ def write_gestures(gestures, path):
     with open(path, "w", encoding="utf-8") as fh:
         for gesture in gestures:
             fh.write(serialize_gesture(gesture) + "\n")
+
+
+_WORDS = ("the", "person", "looks", "left", "then", "right", "toward", "object",
+          "answer", "because", "both", "gaze", "same", "time", "points", "hand")
+
+
+def _rollout(rng: Random, item) -> str:
+    """One reasoning trace for a QA item.
+
+    One trace in five mentions no person (it predicts no one) and one in ten
+    breaks the template. MCQ answers come as the correct letter, as the
+    correct option's text (the alias path) or as a random letter."""
+    words = [rng.choice(_WORDS) for _ in range(rng.randint(3, 30))]
+    if rng.random() < 0.2:
+        mentions = []
+    else:
+        mentions = [f"Person {pid}" if rng.random() < 0.5 else f"P{pid}"
+                    for pid in rng.sample(range(6), rng.randint(1, 3))]
+    tag = "gaze" if rng.random() < 0.6 else "gesture"
+    cut = rng.randint(0, len(words))
+    block = f"<{tag}>{' and '.join(mentions) or 'someone'} {rng.choice(_WORDS)}</{tag}>"
+    think = " ".join(words[:cut] + [block] + words[cut:])
+    pick = rng.random()
+    if item.format == "mcq":
+        answer = item.answer if pick < 0.35 else item.answer_text if pick < 0.7 \
+            else rng.choice("ABCD")
+    else:
+        answer = item.answer_text if pick < 0.5 else rng.choice(_WORDS)
+    if rng.random() < 0.1:
+        broken = rng.randrange(3)
+        if broken == 0:
+            return f"{think} so the answer is {answer}"
+        if broken == 1:
+            return f"<think>{think}<answer>{answer}</answer>"
+        return f"<think>{think}</think>"
+    return f"<think>{think}</think><answer>{answer}</answer>"
+
+
+def make_traces(seed: int, items, groups: int, k: int = 8,
+                models: tuple[str, ...] = ("model-a", "model-b", "model-c")) -> list[dict]:
+    """traces.jsonl records: groups of k rollouts over random QA items, with
+    the models assigned round-robin."""
+    rng = Random(seed)
+    records = []
+    for g in range(groups):
+        item = items[rng.randrange(len(items))]
+        records.append({
+            "query_id": f"q{g:03d}", "qa_id": item.qa_id, "model": models[g % len(models)],
+            "rollouts": [_rollout(rng, item) for _ in range(k)],
+        })
+    return records

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,16 +7,17 @@ from socialevents.analytics import (
     IdRemap,
     corrupt_ids,
     grounding_precision,
-    grounding_stats,
     id_echo_answer,
     item_person_ids,
-    length_stats,
     novel_participants,
     pearson,
+    reasoning_length,
     seeded_remap,
 )
+from socialevents.cli import main
 from socialevents.errors import ContractError
 from socialevents.qa import QAItem
+from socialevents.reward import parse_trace
 
 
 def item_fixture(**overrides):
@@ -175,58 +177,138 @@ class TestPearson:
             assert pearson(xs, [0.5 * y + 2 for y in ys]) == pytest.approx(r)
 
 
-class TestLengthStats:
-    def test_think_token_count(self):
-        stats = length_stats({"m": ["<think>a b c</think><answer>A</answer>"]})
-        assert stats["m"].mean == 3.0
-        assert stats["m"].malformed == 0
-
-    def test_malformed_counts_raw_and_flags(self):
-        stats = length_stats({"m": ["no tags at all here"]})
-        assert stats["m"].mean == 5.0
-        assert stats["m"].malformed == 1
-
-    def test_empty_input(self):
-        assert length_stats({}) == {}
-        assert length_stats({"m": []}) == {}
-
-    def test_median(self):
-        raws = [
-            "<think>a</think><answer>A</answer>",
-            "<think>a b</think><answer>A</answer>",
-            "<think>a b c d</think><answer>A</answer>",
-        ]
-        assert length_stats({"m": raws})["m"].median == 2.0
-
-
 def test_novel_participants():
     assert novel_participants({0, 2, 5}, "Person 0 looks at Person 1") == 2
     assert novel_participants(set(), "Person 0") == 0
 
 
+def analyze(tmp_path, records) -> dict:
+    """report.json of the analyze stage over hand-written rewards.jsonl records."""
+    path = tmp_path / "rewards.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["analyze", "--input", str(path), "--out", str(tmp_path / "out")]) == 0
+    return json.loads((tmp_path / "out" / "report.json").read_text())
+
+
+def rollout(raw="<think>a</think><answer>A</answer>", **fields) -> dict:
+    """One per_rollout entry; think_tokens and well_formed come from raw as
+    the reward stage derives them."""
+    tokens, flagged = reasoning_length(parse_trace(raw))
+    entry = {"r_acc": 0, "total": 0.0, "n_pred": 0, "n_correct": 0,
+             "grounding_precision": None, "novel_participants": 0,
+             "think_tokens": tokens, "well_formed": not flagged}
+    entry.update(fields)
+    return entry
+
+
+def group(model, *rollouts) -> dict:
+    return {"query_id": "q", "qa_id": "v:T1:0", "model": model, "per_rollout": list(rollouts)}
+
+
+class TestLengthStats:
+    """analyze's reasoning-length fields: think-block tokens, raw tokens for a
+    malformed trace, the median, and the malformed count."""
+
+    def test_think_token_count(self, tmp_path):
+        report = analyze(tmp_path, [group("m", rollout("<think>a b c</think><answer>A</answer>"))])
+        assert report["models"]["m"]["mean_reasoning_length"] == 3.0
+        assert report["models"]["m"]["malformed_traces"] == 0
+
+    def test_malformed_counts_raw_and_flags(self, tmp_path):
+        report = analyze(tmp_path, [group("m", rollout("no tags at all here"))])
+        assert report["models"]["m"]["mean_reasoning_length"] == 5.0
+        assert report["models"]["m"]["malformed_traces"] == 1
+
+    def test_empty_input(self, tmp_path):
+        assert analyze(tmp_path, []) == {
+            "models": {},
+            "cross_model": {"accuracy_vs_grounding_precision": None,
+                            "accuracy_vs_reasoning_length": None},
+        }
+        # a group with no rollouts counts as a query; every mean is null
+        stats = analyze(tmp_path, [group("m")])["models"]["m"]
+        assert (stats["queries"], stats["rollouts"], stats["malformed_traces"]) == (1, 0, 0)
+        assert stats["accuracy"] is None and stats["median_reasoning_length"] is None
+
+    def test_median(self, tmp_path):
+        report = analyze(tmp_path, [group("m", *(rollout(f"<think>{words}</think><answer>A</answer>")
+                                                  for words in ("a", "a b", "a b c d")))])
+        assert report["models"]["m"]["median_reasoning_length"] == 2.0
+        assert report["models"]["m"]["mean_reasoning_length"] == pytest.approx(7 / 3)
+
+
 class TestGroundingStats:
-    def test_aggregates(self):
-        rollouts = [
-            ({0, 2}, {0, 2}, True, "who is Person 0 looking at?"),
-            ({0, 1, 2, 3}, {0, 2}, False, "who is Person 0 looking at?"),
-            (set(), {0, 2}, False, "who is Person 0 looking at?"),
-        ]
-        stats = grounding_stats(rollouts)
-        assert stats.rollouts == 3
-        assert stats.accuracy == pytest.approx(1 / 3)
-        assert stats.precision_macro == pytest.approx((1.0 + 0.5) / 2)  # empty pred excluded
-        assert stats.precision_micro == pytest.approx(4 / 6)
-        # novel: {2} then {1, 2, 3} then {} relative to the question text
-        assert stats.mean_novel_participants == pytest.approx(4 / 3)
+    """analyze's per-model grounding fields over hand-written rollouts."""
 
-    def test_all_empty_preds(self):
-        stats = grounding_stats([(set(), {0}, True, "Person 0?")])
-        assert stats.precision_macro is None
-        assert stats.precision_micro is None
+    def test_aggregates(self, tmp_path):
+        # pred {0, 2}, {0, 1, 2, 3} and {} against gt {0, 2}; the question
+        # mentions Person 0 only
+        report = analyze(tmp_path, [group(
+            "m",
+            rollout(r_acc=1, n_pred=2, n_correct=2, grounding_precision=1.0,
+                    novel_participants=1),
+            rollout(n_pred=4, n_correct=2, grounding_precision=0.5, novel_participants=3),
+            rollout(),
+        )])
+        stats = report["models"]["m"]
+        assert (stats["queries"], stats["rollouts"]) == (1, 3)
+        assert stats["accuracy"] == pytest.approx(1 / 3)
+        # the rollout that predicts no one is left out of the macro mean
+        assert stats["grounding_precision_macro"] == pytest.approx((1.0 + 0.5) / 2)
+        # pooled n_correct / n_pred
+        assert stats["grounding_precision_micro"] == pytest.approx(4 / 6)
+        assert stats["mean_novel_participants"] == pytest.approx(4 / 3)
 
-    def test_no_rollouts_contract(self):
-        with pytest.raises(ContractError):
-            grounding_stats([])
+    def test_all_empty_preds(self, tmp_path):
+        stats = analyze(tmp_path, [group("m", rollout(r_acc=1))])["models"]["m"]
+        assert stats["accuracy"] == 1.0
+        assert stats["grounding_precision_macro"] is None
+        assert stats["grounding_precision_micro"] is None
+
+
+class TestCrossModel:
+    """report.json's cross_model Pearson correlations across the per-model
+    accuracy, macro precision and mean reasoning length."""
+
+    @staticmethod
+    def models(*rows):
+        """One group per (model, [(r_acc, precision, raw), ...])."""
+        return [group(model, *(rollout(raw, r_acc=acc, n_pred=1, n_correct=int(p == 1.0),
+                                       grounding_precision=p) for acc, p, raw in rs))
+                for model, rs in rows]
+
+    def test_single_model_is_null(self, tmp_path):
+        report = analyze(tmp_path, self.models(
+            ("m", [(1, 1.0, "<think>a</think>"), (0, 0.5, "<think>a b</think>")])))
+        assert report["cross_model"] == {"accuracy_vs_grounding_precision": None,
+                                         "accuracy_vs_reasoning_length": None}
+
+    def test_constant_series_is_null(self, tmp_path):
+        # every model has macro precision 0.5; lengths and accuracies vary
+        report = analyze(tmp_path, self.models(
+            ("a", [(1, 0.5, "<think>a</think>")]),
+            ("b", [(0, 0.5, "<think>a b c</think>")]),
+            ("c", [(1, 0.5, "<think>a b c d e f</think>")]),
+        ))
+        cross = report["cross_model"]
+        assert cross["accuracy_vs_grounding_precision"] is None
+        assert cross["accuracy_vs_reasoning_length"] == pearson([1.0, 0.0, 1.0], [1.0, 3.0, 6.0])
+
+    def test_three_models_match_pearson(self, tmp_path):
+        report = analyze(tmp_path, self.models(
+            ("a", [(1, 1.0, "<think>a</think>"), (0, 0.5, "<think>a b c</think>")]),
+            ("b", [(0, 0.5, "<think>a b</think>"), (0, 0.25, "<think>a</think>")]),
+            ("c", [(1, 1.0, "<think>a b c d</think>"), (1, 0.5, "<think>a b</think>")]),
+        ))
+        models = report["models"]
+        accs = [models[m]["accuracy"] for m in "abc"]
+        assert accs == [0.5, 0.0, 1.0]
+        cross = report["cross_model"]
+        assert cross["accuracy_vs_grounding_precision"] == \
+            pearson(accs, [models[m]["grounding_precision_macro"] for m in "abc"])
+        assert cross["accuracy_vs_reasoning_length"] == \
+            pearson(accs, [models[m]["mean_reasoning_length"] for m in "abc"])
+        assert cross["accuracy_vs_grounding_precision"] is not None
 
 
 def test_item_person_ids_covers_all_text():

@@ -1,4 +1,6 @@
-"""Byte goldens for detect: the sha256 of events.jsonl and features.jsonl.
+"""Byte goldens: the sha256 of every artifact the pipeline writes.
+
+Detect: events.jsonl and features.jsonl.
 
 The oracle tests compare only (type, participants, start, end). These digests
 also pin every confidence, peak velocity, lag, distance and feature value, so
@@ -6,14 +8,23 @@ a rewrite of a detector or of track building that changes any output byte
 fails here. The 1200-frame video builds multi-window capture merges and long
 velocity runs that the short videos never reach. The expected digests were
 computed with the detectors as they stood before their linear-time rewrite.
+
+The rest of the pipeline (graph, qagen, reward, analyze, corrupt) runs on one
+six-person video with gestures and seeded traces: three models, about one
+malformed trace in ten, rollouts that predict no one, and MCQ answers given
+as the option text. Its digests were computed before analyze became the
+only per-model aggregation.
 """
+
+import json
 
 import hashlib
 
 import pytest
 
 from socialevents.cli import main
-from synth import make_video, write_observations
+from socialevents.qa import load_qa_items
+from synth import make_gestures, make_traces, make_video, write_gestures, write_observations
 
 GOLDEN = {
     "seed3": (
@@ -52,3 +63,42 @@ def test_detect_bytes_match_golden(name, tmp_path):
     assert main(["detect", "--input", str(obs), "--out", str(out), "--dump-features"]) == 0
     assert (_digest(out / "events.jsonl"), _digest(out / "features.jsonl")) == \
         (events_sha, features_sha)
+
+
+PIPELINE_GOLDEN = {
+    "graph.jsonl":
+        "c9dead64d25f6562b9ee03a2448092ec29e06552050837877084078989c6065d",
+    "qa.jsonl":
+        "7733a5d8fa7e9ecaf349cf4ac3362d47bb66d91a85f53735e9ec4f2ebf6aa033",
+    "rewards.jsonl":
+        "cbc6d9942a3cbeb65892fc7f6e43cdb59736ff9e42ac0f3e66eaf7fc5e6d058a",
+    "report.json":
+        "d780d02f0fef026216cbe78ab84cadad17874fe583a9ba1c45aca61e37884b60",
+    "report.tsv":
+        "29e9954396a0db66b1d16c224992de79300967e6c5657be27dd9a39f4b7eec10",
+    "qa.corrupted.jsonl":
+        "0a38111e5c389bd4dcc02b855d10d651edd9d7b706c9ed0becc49916352fba08",
+}
+
+
+def test_pipeline_bytes_match_golden(tmp_path):
+    frames = make_video(11, min_persons=6, max_persons=6, min_frames=240, max_frames=240)
+    obs, gestures, traces = (tmp_path / name for name in
+                             ("observations.jsonl", "gestures.jsonl", "traces.jsonl"))
+    write_observations(frames, obs)
+    write_gestures(make_gestures(12, frames[0].video_id, list(range(6)),
+                                 frames[-1].t + 0.5, count=8), gestures)
+    out = tmp_path / "out"
+    o = str(out)
+    assert main(["detect", "--input", str(obs), "--out", o]) == 0
+    assert main(["graph", "--input", f"{o}/events.jsonl", "--gestures", str(gestures),
+                 "--videos", f"{o}/videos.jsonl", "--out", o]) == 0
+    assert main(["qagen", "--input", f"{o}/graph.jsonl", "--out", o,
+                 "--seed", "5", "--budget", "80"]) == 0
+    records = make_traces(11, load_qa_items(out / "qa.jsonl"), groups=24)
+    traces.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["reward", "--input", f"{o}/qa.jsonl", "--traces", str(traces),
+                 "--graphs", f"{o}/graph.jsonl", "--out", o]) == 0
+    assert main(["analyze", "--input", f"{o}/rewards.jsonl", "--out", o, "--tsv"]) == 0
+    assert main(["corrupt", "--input", f"{o}/qa.jsonl", "--out", o, "--seed", "11"]) == 0
+    assert {name: _digest(out / name) for name in PIPELINE_GOLDEN} == PIPELINE_GOLDEN
