@@ -6,14 +6,10 @@ rewards with group-normalized advantages.
 """
 
 from .analytics import (
-    GroundingStats,
     IdRemap,
-    LengthStats,
     corrupt_ids,
     grounding_precision,
-    grounding_stats,
     id_echo_answer,
-    length_stats,
     novel_participants,
     pearson,
     seeded_remap,
@@ -37,7 +33,6 @@ from .reward import (
     ReasoningTrace,
     RewardBreakdown,
     RewardWeights,
-    RolloutGroup,
     ScoredRollout,
     extract_participants,
     group_advantages,
@@ -57,15 +52,12 @@ __all__ = [
     "FrameObservation",
     "GazeTrack",
     "GestureAnnotation",
-    "GroundingStats",
     "IdRemap",
-    "LengthStats",
     "PersonBox",
     "QAItem",
     "ReasoningTrace",
     "RewardBreakdown",
     "RewardWeights",
-    "RolloutGroup",
     "ScoredRollout",
     "SocialEvent",
     "SocialGraph",
@@ -82,11 +74,9 @@ __all__ = [
     "generate_qa",
     "group_advantages",
     "grounding_precision",
-    "grounding_stats",
     "head_region",
     "id_echo_answer",
     "interpolate_track",
-    "length_stats",
     "load_gestures",
     "load_observations",
     "make_mcq_options",

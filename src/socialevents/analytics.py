@@ -1,8 +1,10 @@
 """Diagnostics over scored traces and QA corpora.
 
-Covers grounding precision, participant-ID corruption for shortcut probing,
-Pearson correlation, reasoning-length statistics, and a reference "ID echo"
-answerer that picks options purely by repeating question IDs.
+Covers the per-rollout diagnostics the reward stage records (grounding
+precision, novel participants, reasoning length), participant-ID corruption
+for shortcut probing, Pearson correlation, and a reference "ID echo"
+answerer that picks options purely by repeating question IDs. The per-model
+aggregation over scored rollouts is the analyze stage in cli.py.
 """
 
 from __future__ import annotations
@@ -11,13 +13,12 @@ import dataclasses
 import hashlib
 import math
 import random
-import statistics
 from dataclasses import dataclass
 
 from .errors import ContractError
 from .mentions import extract_person_ids, person_id_counts, replace_person_ids
 from .qa import LETTERS, QAItem
-from .reward import ReasoningTrace, parse_trace
+from .reward import ReasoningTrace
 
 
 @dataclass(frozen=True)
@@ -37,25 +38,6 @@ class IdRemap:
 
     def is_identity(self) -> bool:
         return all(k == v for k, v in self.mapping.items())
-
-
-@dataclass(frozen=True)
-class LengthStats:
-    count: int
-    mean: float
-    median: float
-    malformed: int
-
-
-@dataclass(frozen=True)
-class GroundingStats:
-    """Per-model grounding aggregates over scored rollouts."""
-
-    rollouts: int
-    accuracy: float
-    precision_macro: float | None  # mean over rollouts with a defined precision
-    precision_micro: float | None  # pooled correct mentions / pooled mentions
-    mean_novel_participants: float
 
 
 def grounding_precision(pred: set[int], gt: set[int]) -> float | None:
@@ -144,54 +126,6 @@ def reasoning_length(trace: ReasoningTrace) -> tuple[int, bool]:
     if trace.well_formed and trace.think_block is not None:
         return len(trace.think_block.split()), False
     return len(trace.raw.split()), True
-
-
-def length_stats(traces_by_model: dict[str, list[str]]) -> dict[str, LengthStats]:
-    report = {}
-    for model, raws in sorted(traces_by_model.items()):
-        if not raws:
-            continue
-        lengths = []
-        malformed = 0
-        for raw in raws:
-            n, flagged = reasoning_length(parse_trace(raw))
-            lengths.append(n)
-            malformed += int(flagged)
-        report[model] = LengthStats(
-            count=len(lengths),
-            mean=math.fsum(lengths) / len(lengths),
-            median=float(statistics.median(lengths)),
-            malformed=malformed,
-        )
-    return report
-
-
-def grounding_stats(rollouts) -> GroundingStats:
-    """Aggregate (pred, gt, correct, question) tuples for one model."""
-    rollouts = list(rollouts)
-    if not rollouts:
-        raise ContractError("no rollouts to aggregate")
-    precisions = []
-    pooled_pred = 0
-    pooled_hits = 0
-    novel_total = 0
-    correct_total = 0
-    for pred, gt, correct, question in rollouts:
-        p = grounding_precision(pred, gt)
-        if p is not None:
-            precisions.append(p)
-        pooled_pred += len(pred)
-        pooled_hits += len(set(pred) & set(gt))
-        novel_total += novel_participants(pred, question)
-        correct_total += int(correct)
-    n = len(rollouts)
-    return GroundingStats(
-        rollouts=n,
-        accuracy=correct_total / n,
-        precision_macro=math.fsum(precisions) / len(precisions) if precisions else None,
-        precision_micro=pooled_hits / pooled_pred if pooled_pred else None,
-        mean_novel_participants=novel_total / n,
-    )
 
 
 def id_echo_answer(item: QAItem) -> str | None:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import statistics
@@ -63,6 +64,8 @@ def main(argv: list[str] | None = None) -> int:
         config = config_from_args(args)
         if getattr(args, "weights", None) is not None:
             config = dataclasses.replace(config, **dict(zip(WEIGHT_FIELDS, args.weights)))
+        if getattr(args, "budget", 0) < 0:
+            raise ContractError(f"--budget = {args.budget!r} must be >= 0")
         if getattr(args, "print_config", False):
             print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
             return EXIT_OK
@@ -143,6 +146,14 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
+def _write_lines(path: Path, lines) -> None:
+    """Write one artifact, one line per item. Stages compute their results
+    before they call this, so a stage that fails writes no file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
 # ---------------------------------------------------------------------------
 # detect
 
@@ -158,20 +169,17 @@ def _cmd_detect(args: argparse.Namespace, config: EngineConfig) -> int:
         person_ids = sorted({p.person_id for f in frames for p in f.persons})
         results.append((video_id, duration, person_ids, detected, features))
 
-    with open(out / "events.jsonl", "w", encoding="utf-8") as fh:
-        for video_id, _, _, detected, _ in results:
-            for event in detected:
-                fh.write(events.serialize_event(event, video_id) + "\n")
-    with open(out / "videos.jsonl", "w", encoding="utf-8") as fh:
-        for video_id, duration, person_ids, _, _ in results:
-            fh.write(ingest.dumps_canonical(
-                {"video_id": video_id, "duration": duration, "person_ids": person_ids}
-            ) + "\n")
+    _write_lines(out / "events.jsonl", (
+        events.serialize_event(event, video_id)
+        for video_id, _, _, detected, _ in results for event in detected))
+    _write_lines(out / "videos.jsonl", (
+        ingest.dumps_canonical({"video_id": video_id, "duration": duration,
+                                "person_ids": person_ids})
+        for video_id, duration, person_ids, _, _ in results))
     if args.dump_features:
-        with open(out / "features.jsonl", "w", encoding="utf-8") as fh:
-            for video_id, _, _, _, features in results:
-                for f in features:
-                    fh.write(ingest.dumps_canonical(_feature_record(video_id, f)) + "\n")
+        _write_lines(out / "features.jsonl", (
+            ingest.dumps_canonical(_feature_record(video_id, f))
+            for video_id, _, _, _, features in results for f in features))
     return EXIT_OK
 
 
@@ -230,9 +238,7 @@ def _cmd_graph(args: argparse.Namespace, config: EngineConfig) -> int:
             ends = [e.end_time for e in gaze_events] + [g.end_time for g in video_gestures]
             duration = math.ceil(max(ends, default=0.0) / ingest.SAMPLE_PERIOD) * ingest.SAMPLE_PERIOD
         graphs.append(graph_mod.build_graph(video_id, duration, gaze_events, video_gestures, config))
-    with open(out / "graph.jsonl", "w", encoding="utf-8") as fh:
-        for g in graphs:
-            fh.write(graph_mod.serialize_graph(g) + "\n")
+    _write_lines(out / "graph.jsonl", (graph_mod.serialize_graph(g) for g in graphs))
     return EXIT_OK
 
 
@@ -244,10 +250,8 @@ def _cmd_qagen(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
     batches = [qa.generate_qa(g, budget=args.budget, seed=args.seed, config=config)
                for g in graph_mod.load_graphs(args.input)]
-    with open(out / "qa.jsonl", "w", encoding="utf-8") as fh:
-        for batch in batches:
-            for item in batch:
-                fh.write(qa.serialize_qa_item(item) + "\n")
+    _write_lines(out / "qa.jsonl", (qa.serialize_qa_item(item)
+                                    for batch in batches for item in batch))
     return EXIT_OK
 
 
@@ -267,26 +271,24 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
     groups = []
     for line_no, record in ingest.read_jsonl(args.traces):
         try:
-            group = reward_mod.RolloutGroup(
-                query_id=str(record["query_id"]),
-                qa_id=str(record["qa_id"]),
-                rollouts=tuple(str(r) for r in record["rollouts"]),
-                model=str(record.get("model", "default")),
-            )
+            query_id = str(record["query_id"])
+            qa_id = str(record["qa_id"])
+            rollouts = tuple(str(r) for r in record["rollouts"])
+            model = str(record.get("model", "default"))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad trace record: {exc}", line_no) from exc
-        if len(group.rollouts) != config.rollouts_per_query:
+        if len(rollouts) != config.rollouts_per_query:
             raise ValidationError(
-                f"expected {config.rollouts_per_query} rollouts, got {len(group.rollouts)}",
+                f"expected {config.rollouts_per_query} rollouts, got {len(rollouts)}",
                 line_no,
             )
-        if group.qa_id not in items:
-            raise ValidationError(f"unknown qa_id {group.qa_id!r}", line_no)
-        groups.append((line_no, group))
+        if qa_id not in items:
+            raise ValidationError(f"unknown qa_id {qa_id!r}", line_no)
+        groups.append((line_no, query_id, qa_id, rollouts, model))
 
     results = []
-    for line_no, group in groups:
-        item = items[group.qa_id]
+    for line_no, query_id, qa_id, rollouts, model in groups:
+        item = items[qa_id]
         g = graphs.get(item.video_id)
         if g is None:
             raise ValidationError(f"no graph for video {item.video_id!r}", line_no)
@@ -299,7 +301,7 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
             gt.update(event.participants)
         aliases = (item.answer_text,) if item.format == "mcq" else ()
         scored = reward_mod.score_group(
-            group.rollouts, item.answer, gt,
+            rollouts, item.answer, gt,
             weights=weights, answer_aliases=aliases,
             expected_k=config.rollouts_per_query,
             clip=config.advantage_clip, mode=config.advantage_mode,
@@ -324,14 +326,12 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
                 "well_formed": not flagged,
             })
         results.append({
-            "query_id": group.query_id,
-            "qa_id": group.qa_id,
-            "model": group.model,
+            "query_id": query_id,
+            "qa_id": qa_id,
+            "model": model,
             "per_rollout": per_rollout,
         })
-    with open(out / "rewards.jsonl", "w", encoding="utf-8") as fh:
-        for record in results:
-            fh.write(ingest.dumps_canonical(record) + "\n")
+    _write_lines(out / "rewards.jsonl", (ingest.dumps_canonical(r) for r in results))
     return EXIT_OK
 
 
@@ -383,23 +383,20 @@ def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
         }
 
     report = {"models": models, "cross_model": _cross_model(models)}
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_lines(out / "report.json", [json.dumps(report, indent=2, sort_keys=True)])
 
     if args.tsv:
         columns = ("query_id", "qa_id", "model", "rollout", "r_acc", "r_fmt", "r_str",
                    "r_gnd", "total", "advantage", "grounding_precision",
                    "novel_participants", "think_tokens", "well_formed")
-        with open(out / "report.tsv", "w", encoding="utf-8") as fh:
-            fh.write("\t".join(columns) + "\n")
-            for query_id, qa_id, model, i, r in rows:
-                fh.write("\t".join(str(v) for v in (
-                    query_id, qa_id, model, i, r.get("r_acc"), r.get("r_fmt"),
-                    r.get("r_str"), r.get("r_gnd"), r.get("total"), r.get("advantage"),
-                    r.get("grounding_precision"), r.get("novel_participants"),
-                    r.get("think_tokens"), r.get("well_formed"),
-                )) + "\n")
+        _write_lines(out / "report.tsv", itertools.chain(["\t".join(columns)], (
+            "\t".join(str(v) for v in (
+                query_id, qa_id, model, i, r.get("r_acc"), r.get("r_fmt"),
+                r.get("r_str"), r.get("r_gnd"), r.get("total"), r.get("advantage"),
+                r.get("grounding_precision"), r.get("novel_participants"),
+                r.get("think_tokens"), r.get("well_formed"),
+            ))
+            for query_id, qa_id, model, i, r in rows)))
     return EXIT_OK
 
 
@@ -442,9 +439,7 @@ def _cmd_corrupt(args: argparse.Namespace, config: EngineConfig) -> int:
         record = qa.qa_item_record(analytics.corrupt_ids(item, remap))
         record["id_remap"] = {str(k): v for k, v in sorted(remap.mapping.items())}
         records.append(record)
-    with open(out / "qa.corrupted.jsonl", "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(ingest.dumps_canonical(record) + "\n")
+    _write_lines(out / "qa.corrupted.jsonl", (ingest.dumps_canonical(r) for r in records))
     return EXIT_OK
 
 

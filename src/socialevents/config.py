@@ -98,6 +98,18 @@ class EngineConfig:
              f"must be >= follow_lag_min ({self.follow_lag_min!r})"),
             ("follow_lag_max", (self.follow_lag_max / SAMPLE_PERIOD).is_integer(), on_grid),
             ("mutual_margin", self.mutual_margin >= 0, "must be >= 0"),
+            ("gaze_conf_min", 0 <= self.gaze_conf_min <= 1, "must be in [0, 1]"),
+            ("gesture_conf_min", 0 <= self.gesture_conf_min <= 1, "must be in [0, 1]"),
+            ("pair_max_distance", 0 <= self.pair_max_distance < math.inf,
+             "must be finite and >= 0"),
+            ("max_graph_events", self.max_graph_events >= 1, "must be >= 1"),
+            ("qa_medium_min_events", self.qa_medium_min_events >= 0, "must be >= 0"),
+            ("qa_hard_min_events", self.qa_hard_min_events >= self.qa_medium_min_events,
+             f"must be >= qa_medium_min_events ({self.qa_medium_min_events!r})"),
+            ("rollouts_per_query", self.rollouts_per_query >= 2, "must be >= 2"),
+            ("advantage_clip", 0 < self.advantage_clip < math.inf, "must be finite and > 0"),
+            ("advantage_mode", self.advantage_mode in ("zscore", "mean_center"),
+             "must be 'zscore' or 'mean_center'"),
         )
         for name, ok, rule in rules:
             if not ok:

@@ -52,11 +52,7 @@ class GazeTrack:
     def sample_at(self, t: float) -> GazeSample | None:
         if not self.samples:
             return None
-        first = self.samples[0].t
-        if len(self.samples) == 1:
-            return self.samples[0] if first == t else None
-        step = self.samples[1].t - first
-        idx = round((t - first) / step)
+        idx = round((t - self.samples[0].t) / SAMPLE_PERIOD)
         if 0 <= idx < len(self.samples) and self.samples[idx].t == t:
             return self.samples[idx]
         return None

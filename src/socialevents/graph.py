@@ -80,10 +80,6 @@ def snap_timestamps(event: SocialEvent, duration: float) -> SocialEvent | None:
     return replace(event, start_time=start, end_time=end)
 
 
-def _windows_overlap(a: SocialEvent, b: SocialEvent) -> bool:
-    return min(a.end_time, b.end_time) - max(a.start_time, b.start_time) > _EPS
-
-
 def deduplicate(events: list[SocialEvent]) -> list[SocialEvent]:
     """Collapse same-type, same-participant events with overlapping windows,
     keeping the highest-confidence one per overlap component."""

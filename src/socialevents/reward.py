@@ -57,14 +57,6 @@ class RewardBreakdown:
 
 
 @dataclass(frozen=True)
-class RolloutGroup:
-    query_id: str
-    qa_id: str
-    rollouts: tuple[str, ...]
-    model: str = "default"
-
-
-@dataclass(frozen=True)
 class ScoredRollout:
     trace: ReasoningTrace
     breakdown: RewardBreakdown

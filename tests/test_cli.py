@@ -289,6 +289,12 @@ def test_boundary_detector_config_accepted():
         {"sudden_min_duration": 1.0, "sudden_max_duration": 1.0},
         {"ja_convergence": 1.0, "ja_set_overlap": 0.0},
         {"ja_convergence": 1e-9, "ja_set_overlap": 1.0},
+        {"gaze_conf_min": 0.0, "gesture_conf_min": 1.0},
+        {"gaze_conf_min": 1.0, "gesture_conf_min": 0.0},
+        {"pair_max_distance": 0.0, "max_graph_events": 1},
+        {"qa_medium_min_events": 0, "qa_hard_min_events": 0},
+        {"qa_medium_min_events": 7, "qa_hard_min_events": 7},
+        {"rollouts_per_query": 2, "advantage_clip": 1e-9, "advantage_mode": "mean_center"},
     ):
         config = EngineConfig(**overrides)
         assert all(getattr(config, k) == v for k, v in overrides.items())
@@ -400,3 +406,47 @@ def test_bad_jsonl_line_exit_3(valid_inputs, tmp_path, capsys, broken, command, 
     argv = [arg.format(**paths) for arg in command]
     assert run(*argv, "--out", str(tmp_path / "out")) == 3
     assert "line 3" in capsys.readouterr().err
+
+
+QAGEN_ARGS = ("qagen", "--input", "{graph}")
+
+
+@pytest.mark.parametrize("field, stage, flags", [
+    ("max_graph_events", GRAPH_ARGS, ("--max-graph-events", "-1")),
+    ("max_graph_events", GRAPH_ARGS, ("--max-graph-events", "0")),
+    ("gaze_conf_min", GRAPH_ARGS, ("--gaze-conf-min", "2")),
+    ("gaze_conf_min", GRAPH_ARGS, ("--gaze-conf-min", "-0.1")),
+    ("gesture_conf_min", GRAPH_ARGS, ("--gesture-conf-min", "1.5")),
+    ("gesture_conf_min", GRAPH_ARGS, ("--gesture-conf-min", "nan")),
+    ("pair_max_distance", GRAPH_ARGS, ("--pair-max-distance", "nan")),
+    ("pair_max_distance", GRAPH_ARGS, ("--pair-max-distance", "inf")),
+    ("pair_max_distance", GRAPH_ARGS, ("--pair-max-distance", "-1")),
+    ("qa_medium_min_events", QAGEN_ARGS, ("--qa-medium-min-events", "-1")),
+    ("qa_hard_min_events", QAGEN_ARGS,
+     ("--qa-medium-min-events", "20", "--qa-hard-min-events", "1")),
+    ("--budget", QAGEN_ARGS, ("--budget", "-1")),
+    ("advantage_clip", REWARD_ARGS, ("--advantage-clip", "-1")),
+    ("advantage_clip", REWARD_ARGS, ("--advantage-clip", "0")),
+    ("advantage_clip", REWARD_ARGS, ("--advantage-clip", "nan")),
+    ("advantage_clip", REWARD_ARGS, ("--advantage-clip", "inf")),
+    ("rollouts_per_query", REWARD_ARGS, ("--k", "1")),
+    ("advantage_mode", REWARD_ARGS, ("--advantage-mode", "minmax")),
+], ids=lambda v: v if isinstance(v, str) else v[0] if "{" in v[-1] else "-".join(v))
+def test_bad_stage_config_exit_3(valid_inputs, tmp_path, capsys, field, stage, flags):
+    """Each graph, qagen and reward value out of range exits 3 before the
+    stage reads any input, with one line naming the field."""
+    out = tmp_path / "out"
+    argv = [arg.format(**valid_inputs) for arg in stage]
+    assert run(*argv, *flags, "--out", str(out)) == 3
+    captured = capsys.readouterr()
+    prefix = field if field.startswith("--") else f"config field {field}"
+    assert captured.err.startswith(f"error: {prefix} = ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
+def test_qagen_budget_zero_accepted(valid_inputs, tmp_path):
+    out = tmp_path / "out"
+    assert run("qagen", "--input", str(valid_inputs["graph"]), "--out", str(out),
+               "--budget", "0") == 0
+    assert (out / "qa.jsonl").read_text() == ""
