@@ -273,8 +273,8 @@ class TestCrossModel:
     @staticmethod
     def models(*rows):
         """One group per (model, [(r_acc, precision, raw), ...])."""
-        return [group(model, *(rollout(raw, r_acc=acc, n_pred=1, n_correct=int(p == 1.0),
-                                       grounding_precision=p) for acc, p, raw in rs))
+        return [group(model, *(rollout(raw, r_acc=acc, grounding_precision=p)
+                               for acc, p, raw in rs))
                 for model, rs in rows]
 
     def test_single_model_is_null(self, tmp_path):
