@@ -17,9 +17,11 @@ parameter set. The timeline is fixed at 2 fps (ingest.SAMPLE_PERIOD).
 Work runs serially in input order. --threads is still accepted so that
 existing scripts keep working, but it changes nothing.
 
-Exit codes: 0 success, 2 missing input or bad command line, 3
-schema/validation error (with the offending line in the message). Identical
-inputs, seed, and parameters give byte-identical artifacts.
+Exit codes: 0 success; 2 missing or unreadable input, an output directory
+that cannot be made, or a bad command line; 3 schema/validation error,
+including an input byte that is not UTF-8. The message names the path, the
+line or the config field. Identical inputs, seed, and parameters give
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -72,6 +74,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args, config)
     except FileNotFoundError as exc:
         print(f"error: missing input: {exc.filename or exc}", file=sys.stderr)
+        return EXIT_MISSING_INPUT
+    except OSError as exc:  # e.g. --input names a directory, --out lies under a file
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except (ParseError, ValidationError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -273,10 +279,17 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
         try:
             query_id = str(record["query_id"])
             qa_id = str(record["qa_id"])
-            rollouts = tuple(str(r) for r in record["rollouts"])
-            model = str(record.get("model", "default"))
-        except (KeyError, TypeError) as exc:
+            rollouts = record["rollouts"]
+        except KeyError as exc:
             raise ValidationError(f"bad trace record: {exc}", line_no) from exc
+        if not (isinstance(rollouts, list) and all(isinstance(r, str) for r in rollouts)):
+            raise ValidationError("bad trace record: rollouts must be a list of strings",
+                                  line_no)
+        rollouts = tuple(rollouts)
+        model = record.get("model", "default")
+        if not isinstance(model, str):
+            raise ValidationError(f"bad trace record: model must be a string, got {model!r}",
+                                  line_no)
         if len(rollouts) != config.rollouts_per_query:
             raise ValidationError(
                 f"expected {config.rollouts_per_query} rollouts, got {len(rollouts)}",

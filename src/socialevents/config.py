@@ -84,7 +84,17 @@ class EngineConfig:
                 _reject(name, getattr(self, name), "must be finite")
         # Following compares samples a whole number of grid steps apart.
         on_grid = f"must be a multiple of the {SAMPLE_PERIOD} s sample period"
+        finite_nonneg = "must be finite and >= 0"
         rules = (
+            ("linear_max_gap", self.linear_max_gap >= 0, "must be >= 0"),
+            ("carry_max_gap", self.carry_max_gap >= 0, "must be >= 0"),
+            ("linear_conf_slope", 0 <= self.linear_conf_slope < math.inf, finite_nonneg),
+            ("carry_conf_base", 0 <= self.carry_conf_base <= 1, "must be in [0, 1]"),
+            ("carry_conf_decay", 0 <= self.carry_conf_decay < math.inf, finite_nonneg),
+            ("block_temporal_gap", 0 <= self.block_temporal_gap < math.inf, finite_nonneg),
+            ("block_face_displacement", 0 <= self.block_face_displacement < math.inf,
+             finite_nonneg),
+            ("convergence_alpha", 0 <= self.convergence_alpha < math.inf, finite_nonneg),
             ("capture_min_persons", self.capture_min_persons >= 1, "must be >= 1"),
             ("capture_window", self.capture_window > 0, "must be > 0"),
             ("sudden_cluster_gap", self.sudden_cluster_gap > 0, "must be > 0"),
@@ -100,8 +110,7 @@ class EngineConfig:
             ("mutual_margin", self.mutual_margin >= 0, "must be >= 0"),
             ("gaze_conf_min", 0 <= self.gaze_conf_min <= 1, "must be in [0, 1]"),
             ("gesture_conf_min", 0 <= self.gesture_conf_min <= 1, "must be in [0, 1]"),
-            ("pair_max_distance", 0 <= self.pair_max_distance < math.inf,
-             "must be finite and >= 0"),
+            ("pair_max_distance", 0 <= self.pair_max_distance < math.inf, finite_nonneg),
             ("max_graph_events", self.max_graph_events >= 1, "must be >= 1"),
             ("qa_medium_min_events", self.qa_medium_min_events >= 0, "must be >= 0"),
             ("qa_hard_min_events", self.qa_hard_min_events >= self.qa_medium_min_events,

@@ -16,8 +16,10 @@ a video's length roughly doubles its detection time:
 
     sudden_gaze_shift   O(F) per person, O(F x P) over all persons
     joint_attention     O(F x P)
-    gaze_following      O(F x P^2 x lags): every (leader, follower) pair;
-                        lags stop at the video's span
+    gaze_following      O(F x P x lags) lookups plus one distance per
+                        measured leader: each follower sample visits only
+                        the leaders measured at t - lag; lags stop at the
+                        video's span
     attention_capture   O(F x P) (windows hold a fixed number of frames)
     mutual_gaze         O(F x P^2): every pair
 """
@@ -201,39 +203,37 @@ def detect_gaze_following(
     tracks: list[GazeTrack], config: EngineConfig = DEFAULT_CONFIG
 ) -> list[SocialEvent]:
     lags = _lag_grid(config, tracks)
-    measured = {
-        tr.person_id: {
-            s.t: s for s in tr.samples
-            if s.provenance == PROV_MEASURED and s.gaze_point is not None
-        }
-        for tr in tracks
-    }
+    distance = config.follow_distance
+    # time -> {leader id: sample} for every measured gaze point; one dict per
+    # time and no container per sample keeps the garbage collector's work low
+    measured_at: dict[float, dict[int, GazeSample]] = {}
+    for tr in tracks:
+        for s in tr.samples:
+            if s.provenance == PROV_MEASURED and s.gaze_point is not None:
+                measured_at.setdefault(s.t, {})[tr.person_id] = s
     events = []
     for follower in tracks:
+        follower_id = follower.person_id
         for cur in follower.samples:
             if cur.gaze_point is None:
                 continue
-            for leader in tracks:
-                if leader.person_id == follower.person_id:
-                    continue
-                history = measured[leader.person_id]
-                for lag in lags:
-                    past = history.get(cur.t - lag)
-                    if past is None:
+            cx, cy = cur.gaze_point
+            done: tuple[int, ...] = ()  # leaders that qualified at an earlier lag
+            for lag in lags:
+                for leader_id, past in measured_at.get(cur.t - lag, {}).items():
+                    if leader_id == follower_id or leader_id in done:
                         continue
-                    d = math.hypot(
-                        cur.gaze_point[0] - past.gaze_point[0],
-                        cur.gaze_point[1] - past.gaze_point[1],
-                    )
-                    if d < config.follow_distance:
+                    px, py = past.gaze_point
+                    d = math.hypot(cx - px, cy - py)
+                    if d < distance:
+                        done += (leader_id,)
                         events.append(_event(
                             "gaze_following",
-                            {leader.person_id, follower.person_id},
+                            {leader_id, follower_id},
                             cur.t - lag, cur.t, [past, cur],
-                            roles={"leader": leader.person_id, "follower": follower.person_id},
+                            roles={"leader": leader_id, "follower": follower_id},
                             attributes={"lag": lag, "distance": d},
                         ))
-                        break  # earliest qualifying lag wins for this (leader, follower, t)
     return events
 
 

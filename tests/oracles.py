@@ -11,6 +11,7 @@ from itertools import permutations
 
 from socialevents.config import DEFAULT_CONFIG, EngineConfig
 from socialevents.gaze import PROV_MEASURED
+from socialevents.ingest import Box
 
 
 def best_assignment_total(weights: list[list[float]]) -> float:
@@ -126,6 +127,17 @@ def _maximal_runs(flagged: list[float], max_gap: float) -> list[tuple[float, flo
     return sorted(set(out))
 
 
+def expand(box: Box, margin: float) -> Box:
+    """The box grown by `margin` on every side."""
+    return Box(box.x1 - margin, box.y1 - margin, box.x2 + margin, box.y2 + margin)
+
+
+def contains(box: Box, point: tuple[float, float]) -> bool:
+    """Whether the point lies in the box, edges included."""
+    x, y = point
+    return box.x1 <= x <= box.x2 and box.y1 <= y <= box.y2
+
+
 def oracle_mutual(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[tuple]:
     events = []
     margin = config.mutual_margin
@@ -142,8 +154,8 @@ def oracle_mutual(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[tuple]:
                     continue
                 if sa.face_box is None or sb.face_box is None:
                     continue
-                ea, eb = sa.face_box.expand(margin), sb.face_box.expand(margin)
-                if eb.contains(sa.gaze_point) and ea.contains(sb.gaze_point):
+                ea, eb = expand(sa.face_box, margin), expand(sb.face_box, margin)
+                if contains(eb, sa.gaze_point) and contains(ea, sb.gaze_point):
                     hits.append(t)
             for a, b in _maximal_runs(hits, 0.5):
                 if b - a >= config.mutual_min_duration:
@@ -153,8 +165,11 @@ def oracle_mutual(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[tuple]:
     return sorted(events)
 
 
-def oracle_follow(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[tuple]:
-    events = []
+def follow_hits(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[tuple]:
+    """Every (leader, follower, t, lag) at which the follower's gaze at t lies
+    within follow_distance of the leader's measured gaze at t - lag; the hits
+    of one (leader, follower, t) come in increasing lag order."""
+    hits = []
     # every grid lag from the minimum to the maximum, both on the 0.5 s grid
     lags = [0.5 * k for k in range(round(config.follow_lag_min / 0.5),
                                    round(config.follow_lag_max / 0.5) + 1)]
@@ -175,13 +190,18 @@ def oracle_follow(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[tuple]:
                     d = math.hypot(cur.gaze_point[0] - past.gaze_point[0],
                                    cur.gaze_point[1] - past.gaze_point[1])
                     if d < config.follow_distance:
-                        events.append((
-                            "gaze_following",
-                            tuple(sorted((leader.person_id, follower.person_id))),
-                            t - lag, t,
-                        ))
-                        break
-    return sorted(events)
+                        hits.append((leader.person_id, follower.person_id, t, lag))
+    return hits
+
+
+def oracle_follow(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[tuple]:
+    earliest: dict[tuple, float] = {}  # the earliest qualifying lag wins
+    for leader, follower, t, lag in follow_hits(tracks, config):
+        earliest.setdefault((leader, follower, t), lag)
+    return sorted(
+        ("gaze_following", tuple(sorted((leader, follower))), t - lag, t)
+        for (leader, follower, t), lag in earliest.items()
+    )
 
 
 def oracle_capture(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[tuple]:

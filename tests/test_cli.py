@@ -268,6 +268,20 @@ def test_weights_flag_rejects_bad_values(capsys):
     ("ja_convergence", ("--ja-convergence", "1.01")),
     ("ja_set_overlap", ("--ja-set-overlap", "-0.1")),
     ("ja_set_overlap", ("--ja-set-overlap", "1.5")),
+    ("linear_max_gap", ("--linear-max-gap", "-1")),
+    ("carry_max_gap", ("--carry-max-gap", "-1")),
+    ("linear_conf_slope", ("--linear-conf-slope", "-0.1")),
+    ("linear_conf_slope", ("--linear-conf-slope", "nan")),
+    ("carry_conf_base", ("--carry-conf-base", "1.5")),
+    ("carry_conf_base", ("--carry-conf-base", "-0.5")),
+    ("carry_conf_decay", ("--carry-conf-decay", "-1")),
+    ("carry_conf_decay", ("--carry-conf-decay", "inf")),
+    ("block_temporal_gap", ("--block-temporal-gap", "-1")),
+    ("block_temporal_gap", ("--block-temporal-gap", "nan")),
+    ("block_face_displacement", ("--block-face-displacement", "-0.1")),
+    ("block_face_displacement", ("--block-face-displacement", "inf")),
+    ("convergence_alpha", ("--convergence-alpha", "-1")),
+    ("convergence_alpha", ("--convergence-alpha", "nan")),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
 def test_bad_detector_config_exit_3(field, flags, tmp_path, capsys):
     obs = tmp_path / "obs.jsonl"
@@ -295,6 +309,9 @@ def test_boundary_detector_config_accepted():
         {"qa_medium_min_events": 0, "qa_hard_min_events": 0},
         {"qa_medium_min_events": 7, "qa_hard_min_events": 7},
         {"rollouts_per_query": 2, "advantage_clip": 1e-9, "advantage_mode": "mean_center"},
+        {"linear_max_gap": 0, "carry_max_gap": 0, "carry_conf_base": 0.0},
+        {"linear_conf_slope": 0.0, "carry_conf_decay": 0.0, "carry_conf_base": 1.0},
+        {"block_temporal_gap": 0.0, "block_face_displacement": 0.0, "convergence_alpha": 0.0},
     ):
         config = EngineConfig(**overrides)
         assert all(getattr(config, k) == v for k, v in overrides.items())
@@ -450,3 +467,56 @@ def test_qagen_budget_zero_accepted(valid_inputs, tmp_path):
     assert run("qagen", "--input", str(valid_inputs["graph"]), "--out", str(out),
                "--budget", "0") == 0
     assert (out / "qa.jsonl").read_text() == ""
+
+
+@pytest.mark.parametrize("trace, message", [
+    ({"rollouts": "ABCDEFGH"}, "rollouts must be a list of strings"),
+    ({"rollouts": {"a": "A"}}, "rollouts must be a list of strings"),
+    ({"rollouts": None}, "rollouts must be a list of strings"),
+    ({"rollouts": ["A"] * 7 + [1]}, "rollouts must be a list of strings"),
+    ({"model": None}, "model must be a string, got None"),
+    ({"model": 3}, "model must be a string, got 3"),
+], ids=["rollouts-str", "rollouts-object", "rollouts-null", "rollouts-int-item",
+        "model-null", "model-int"])
+def test_mistyped_trace_record_exit_3(valid_inputs, tmp_path, capsys, trace, message):
+    good = json.loads(valid_inputs["traces"].read_text().splitlines()[0])
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(json.dumps(good) + "\n" + json.dumps({**good, **trace}) + "\n")
+    paths = {**valid_inputs, "traces": traces}
+    out = tmp_path / "out"
+    assert run(*(arg.format(**paths) for arg in REWARD_ARGS), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: line 2: bad trace record: {message}\n"
+    assert not (out / "rewards.jsonl").exists()
+
+
+def test_input_directory_exit_2(tmp_path, capsys):
+    assert run("detect", "--input", str(tmp_path), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path}: ") and err.count("\n") == 1
+
+
+def test_out_under_a_file_exit_2(valid_inputs, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "out"):
+        assert run("detect", "--input", str(valid_inputs["observations"]),
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_non_utf8_byte_names_its_line(valid_inputs, tmp_path, capsys, newline):
+    """Text mode decodes 8 KiB at a time, so the bad line must lie past the
+    first chunk for the reported line to be checked at all."""
+    lines = valid_inputs["observations"].read_bytes().splitlines()
+    bad_at = next(i for i in range(len(lines)) if sum(map(len, lines[:i])) > 3 * 8192)
+    lines[bad_at] = lines[bad_at].replace(b'"persons"', b'"pers\xffons"', 1)
+    obs = tmp_path / "obs.jsonl"
+    obs.write_bytes(newline.encode().join(lines) + newline.encode())
+    out = tmp_path / "out"
+    assert run("detect", "--input", str(obs), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {bad_at + 1}: not UTF-8: ") and err.count("\n") == 1
+    assert not (out / "events.jsonl").exists()

@@ -1,5 +1,6 @@
 import dataclasses
 import time
+from collections import Counter
 
 import pytest
 
@@ -24,7 +25,7 @@ from socialevents.gaze import (
 )
 from socialevents.ingest import Box
 from helpers import event, grid_track, sample
-from oracles import detector_view, oracle_all
+from oracles import contains, detector_view, expand, follow_hits, oracle_all
 from synth import make_video
 
 
@@ -252,6 +253,13 @@ class TestMutualGaze:
         assert detect_mutual_gaze(tracks) == []
 
 
+def test_oracle_box_helpers():
+    box = Box(0.2, 0.4, 0.6, 0.8)
+    assert expand(box, 0.1) == pytest.approx((0.1, 0.3, 0.7, 0.9))
+    assert contains(box, (0.2, 0.8))
+    assert not contains(box, (0.61, 0.5))
+
+
 class TestEventConfidence:
     def test_all_measured_full_confidence(self):
         ev = event(0)
@@ -282,14 +290,18 @@ class TestDetectorOracleEquivalence:
 
 
 # Detectors off their defaults, on long videos (300-400 frames, 5-6 persons,
-# scripted mutual gaze) where capture merges span many windows and velocity
-# runs grow long.
+# scripted mutual gaze) where capture merges span many windows, velocity
+# runs grow long and, with two or more lags, a leader can qualify at several
+# lags of one follower sample.
 SWEEP_SEEDS = (12, 24, 34, 44)
 SWEEP = [
-    *(("capture_window", v, "attention_capture") for v in (0.5, 1.0, 2.0)),
-    *(("capture_min_persons", v, "attention_capture") for v in (1, 2, 3, 4)),
-    *(("sudden_cluster_gap", v, "sudden_gaze_shift") for v in (0.5, 0.6, 1.5)),
-    *(("mutual_margin", v, "mutual_gaze") for v in (0.0, 0.02, 0.1)),
+    *(({"capture_window": v}, "attention_capture") for v in (0.5, 1.0, 2.0)),
+    *(({"capture_min_persons": v}, "attention_capture") for v in (1, 2, 3, 4)),
+    *(({"sudden_cluster_gap": v}, "sudden_gaze_shift") for v in (0.5, 0.6, 1.5)),
+    *(({"mutual_margin": v}, "mutual_gaze") for v in (0.0, 0.02, 0.1)),
+    *(({"follow_lag_min": lo, "follow_lag_max": hi}, "gaze_following")
+      for lo, hi in ((0.5, 0.5), (0.5, 3.0), (1.5, 2.0))),
+    *(({"follow_distance": v}, "gaze_following") for v in (0.01, 0.1)),
 ]
 
 
@@ -299,16 +311,26 @@ def sweep_videos():
             for seed in SWEEP_SEEDS]
 
 
-@pytest.mark.parametrize("name, value, event_type", SWEEP)
-def test_long_videos_match_oracle_off_defaults(sweep_videos, name, value, event_type):
-    config = dataclasses.replace(DEFAULT_CONFIG, **{name: value})
-    seen = 0
+@pytest.mark.parametrize("overrides, event_type", [
+    pytest.param(overrides, event_type, id="-".join(
+        [f"{k}-{v}" for k, v in overrides.items()] + [event_type]))
+    for overrides, event_type in SWEEP
+])
+def test_long_videos_match_oracle_off_defaults(sweep_videos, overrides, event_type):
+    config = dataclasses.replace(DEFAULT_CONFIG, **overrides)
+    seen = multi_lag = 0
     for seed, frames in zip(SWEEP_SEEDS, sweep_videos):
         tracks = [interpolate_track(t, config) for t in build_tracks(frames)]
         detected = detect_all(tracks, compute_features(tracks, config), config)
         assert detector_view(detected) == oracle_all(tracks, config), f"seed {seed}"
         seen += sum(1 for e in detected if e.event_type == event_type)
-    assert seen, f"no {event_type} events, so {name} was not exercised"
+        if event_type == "gaze_following":
+            keys = Counter((leader, follower, t)
+                           for leader, follower, t, _ in follow_hits(tracks, config))
+            multi_lag += sum(1 for n in keys.values() if n > 1)
+    assert seen, f"no {event_type} events, so {overrides} was not exercised"
+    if event_type == "gaze_following" and config.follow_lag_max > config.follow_lag_min:
+        assert multi_lag, f"no leader qualifies at two lags under {overrides}"
 
 
 def test_follow_lag_max_beyond_the_video_costs_no_more_than_its_span():

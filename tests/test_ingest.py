@@ -6,6 +6,9 @@ import pytest
 from socialevents.errors import OrderingError, ParseError, ValidationError
 from socialevents.ingest import (
     Box,
+    FaceMeasurement,
+    PersonBox,
+    _box,
     load_gestures,
     load_observations,
     parse_frame,
@@ -207,9 +210,57 @@ class TestRandomizedValidation:
 def test_box_helpers():
     box = Box(0.2, 0.4, 0.6, 0.8)
     assert box.center == pytest.approx((0.4, 0.6))
-    assert box.expand(0.1).as_list() == pytest.approx([0.1, 0.3, 0.7, 0.9])
-    assert box.contains((0.2, 0.8))
-    assert not box.contains((0.61, 0.5))
+    assert (box.width, box.height) == pytest.approx((0.4, 0.4))
+    assert box.area == pytest.approx(0.16)
+    assert box.as_list() == [0.2, 0.4, 0.6, 0.8]
+
+
+def test_records_are_immutable_hashable_tuples():
+    box = Box(0.2, 0.4, 0.6, 0.8)
+    # A Box is its coordinates: it equals, and hashes like, the plain tuple.
+    assert box == (0.2, 0.4, 0.6, 0.8)
+    assert hash(box) == hash((0.2, 0.4, 0.6, 0.8))
+    assert len({box, Box(0.2, 0.4, 0.6, 0.8)}) == 1
+    face = FaceMeasurement(box, 0.9, (0.5, 0.5), True)
+    person = PersonBox(3, box)
+    assert hash(face) == hash(FaceMeasurement(Box(0.2, 0.4, 0.6, 0.8), 0.9, (0.5, 0.5), True))
+    assert hash(person) == hash(PersonBox(3, Box(0.2, 0.4, 0.6, 0.8)))
+    for record, attr in ((box, "x1"), (face, "det_confidence"), (person, "person_id")):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, 0.0)
+
+
+def test_box_fast_and_slow_paths_agree():
+    fast = _box([0.1, 0.2, 0.3, 0.4], "box", 1)
+    assert fast == Box(0.1, 0.2, 0.3, 0.4)
+    # ints take the checked path and come out as the same float Box
+    slow = _box([0, 0.2, 1, 0.4], "box", 1)
+    assert slow == _box([0.0, 0.2, 1.0, 0.4], "box", 1) == Box(0.0, 0.2, 1.0, 0.4)
+    assert all(type(v) is float for v in slow)
+    assert _box([0.0, 0.0, 1.0, 1.0], "box", 1) == Box(0.0, 0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("value, message", [
+    ([True, 0.2, 0.3, 0.4], "faces[2].box[0] out of range [0,1]: True"),
+    ([0.1, 0.2, 0.3, False], "faces[2].box[3] out of range [0,1]: False"),
+    ([0.1, float("nan"), 0.3, 0.4], "faces[2].box[1] out of range [0,1]: nan"),
+    ([0.1, 0.2, float("inf"), 0.4], "faces[2].box[2] out of range [0,1]: inf"),
+    ([-0.1, 0.2, 0.3, 0.4], "faces[2].box[0] out of range [0,1]: -0.1"),
+    ([0.1, 0.2, 1.5, 0.4], "faces[2].box[2] out of range [0,1]: 1.5"),
+    ([0.1, 0.2, 0.3, 2], "faces[2].box[3] out of range [0,1]: 2"),
+    ([0.1, 0.2, "0.3", 0.4], "faces[2].box[2] out of range [0,1]: '0.3'"),
+    ([0.3, 0.2, 0.3, 0.4], "faces[2].box is degenerate: [0.3, 0.2, 0.3, 0.4]"),
+    ([0.1, 0.4, 0.3, 0.2], "faces[2].box is degenerate: [0.1, 0.4, 0.3, 0.2]"),
+    ([0.1, 0.2, 0.3], "faces[2].box must be [x1, y1, x2, y2]"),
+    ([0.1, 0.2, 0.3, 0.4, 0.5], "faces[2].box must be [x1, y1, x2, y2]"),
+    ((0.1, 0.2, 0.3, 0.4), "faces[2].box must be [x1, y1, x2, y2]"),
+    ("0.1,0.2,0.3,0.4", "faces[2].box must be [x1, y1, x2, y2]"),
+    (None, "faces[2].box must be [x1, y1, x2, y2]"),
+])
+def test_bad_box_error_text(value, message):
+    with pytest.raises(ValidationError) as exc:
+        _box(value, "faces[2].box", 9)
+    assert str(exc.value) == f"line 9: {message}"
 
 
 def test_read_jsonl_skips_blank_lines_and_names_bad_ones(tmp_path):
