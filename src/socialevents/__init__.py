@@ -32,7 +32,6 @@ from .qa import QAItem, generate_qa, make_mcq_options, validate_qa
 from .reward import (
     ReasoningTrace,
     RewardBreakdown,
-    RewardWeights,
     ScoredRollout,
     extract_participants,
     group_advantages,
@@ -57,7 +56,6 @@ __all__ = [
     "QAItem",
     "ReasoningTrace",
     "RewardBreakdown",
-    "RewardWeights",
     "ScoredRollout",
     "SocialEvent",
     "SocialGraph",

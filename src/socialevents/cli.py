@@ -265,20 +265,26 @@ def _cmd_qagen(args: argparse.Namespace, config: EngineConfig) -> int:
 # reward
 
 
+def _group_keys(record: dict, kind: str, line_no: int) -> tuple[str, str, str]:
+    """A trace or rewards record's query_id, qa_id and model ("default" when
+    absent), each of which must be a string."""
+    keys = (record["query_id"], record["qa_id"], record.get("model", "default"))
+    for name, value in zip(("query_id", "qa_id", "model"), keys):
+        if not isinstance(value, str):
+            raise ValidationError(
+                f"bad {kind} record: {name} must be a string, got {value!r}", line_no)
+    return keys
+
+
 def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
     items = {item.qa_id: item for item in qa.load_qa_items(args.input)}
     graphs = {g.video_id: g for g in graph_mod.load_graphs(args.graphs)}
-    weights = reward_mod.RewardWeights(
-        acc=config.weight_acc, fmt=config.weight_fmt,
-        structure=config.weight_str, grounding=config.weight_gnd,
-    )
 
     groups = []
     for line_no, record in ingest.read_jsonl(args.traces):
         try:
-            query_id = str(record["query_id"])
-            qa_id = str(record["qa_id"])
+            query_id, qa_id, model = _group_keys(record, "trace", line_no)
             rollouts = record["rollouts"]
         except KeyError as exc:
             raise ValidationError(f"bad trace record: {exc}", line_no) from exc
@@ -286,10 +292,6 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
             raise ValidationError("bad trace record: rollouts must be a list of strings",
                                   line_no)
         rollouts = tuple(rollouts)
-        model = record.get("model", "default")
-        if not isinstance(model, str):
-            raise ValidationError(f"bad trace record: model must be a string, got {model!r}",
-                                  line_no)
         if len(rollouts) != config.rollouts_per_query:
             raise ValidationError(
                 f"expected {config.rollouts_per_query} rollouts, got {len(rollouts)}",
@@ -312,13 +314,10 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
                 raise ValidationError(
                     f"qa {item.qa_id} cites unknown event {eid}", line_no)
             gt.update(event.participants)
+        if not gt:
+            raise ValidationError(f"qa {qa_id} cites no events with participants", line_no)
         aliases = (item.answer_text,) if item.format == "mcq" else ()
-        scored = reward_mod.score_group(
-            rollouts, item.answer, gt,
-            weights=weights, answer_aliases=aliases,
-            expected_k=config.rollouts_per_query,
-            clip=config.advantage_clip, mode=config.advantage_mode,
-        )
+        scored = reward_mod.score_group(rollouts, item.answer, gt, aliases, config)
         per_rollout = []
         for s in scored:
             pred = s.breakdown.pred_participants
@@ -352,30 +351,37 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
 # analyze
 
 
+# The per-rollout fields report.tsv writes after query_id, qa_id, model and
+# the rollout index.
+TSV_FIELDS = ("r_acc", "r_fmt", "r_str", "r_gnd", "total", "advantage",
+              "grounding_precision", "novel_participants", "think_tokens", "well_formed")
+
+
 def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
     per_model: dict[str, dict[str, list]] = {}
     rows = []
     for line_no, record in ingest.read_jsonl(args.input):
         try:
-            model = str(record.get("model", "default"))
+            query_id, qa_id, model = _group_keys(record, "rewards", line_no)
             rollouts = record["per_rollout"]
             bucket = per_model.setdefault(model, {
                 "acc": [], "precision": [], "n_pred": [], "n_correct": [],
                 "novel": [], "length": [], "malformed": [], "total": [], "queries": [],
             })
-            bucket["queries"].append(record.get("query_id"))
+            bucket["queries"].append(query_id)
             for i, r in enumerate(rollouts):
                 bucket["acc"].append(float(r["r_acc"]))
-                if r.get("grounding_precision") is not None:
+                if r["grounding_precision"] is not None:
                     bucket["precision"].append(float(r["grounding_precision"]))
-                bucket["n_pred"].append(int(r.get("n_pred", 0)))
-                bucket["n_correct"].append(int(r.get("n_correct", 0)))
-                bucket["novel"].append(float(r.get("novel_participants", 0)))
-                bucket["length"].append(float(r.get("think_tokens", 0)))
-                bucket["malformed"].append(0 if r.get("well_formed", True) else 1)
+                bucket["n_pred"].append(int(r["n_pred"]))
+                bucket["n_correct"].append(int(r["n_correct"]))
+                bucket["novel"].append(float(r["novel_participants"]))
+                bucket["length"].append(float(r["think_tokens"]))
+                bucket["malformed"].append(0 if r["well_formed"] else 1)
                 bucket["total"].append(float(r["total"]))
-                rows.append((record.get("query_id"), record.get("qa_id"), model, i, r))
+                if args.tsv:
+                    rows.append((query_id, qa_id, model, i, *(r[f] for f in TSV_FIELDS)))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ValidationError(f"bad rewards record: {exc}", line_no) from exc
 
@@ -399,17 +405,9 @@ def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
     _write_lines(out / "report.json", [json.dumps(report, indent=2, sort_keys=True)])
 
     if args.tsv:
-        columns = ("query_id", "qa_id", "model", "rollout", "r_acc", "r_fmt", "r_str",
-                   "r_gnd", "total", "advantage", "grounding_precision",
-                   "novel_participants", "think_tokens", "well_formed")
-        _write_lines(out / "report.tsv", itertools.chain(["\t".join(columns)], (
-            "\t".join(str(v) for v in (
-                query_id, qa_id, model, i, r.get("r_acc"), r.get("r_fmt"),
-                r.get("r_str"), r.get("r_gnd"), r.get("total"), r.get("advantage"),
-                r.get("grounding_precision"), r.get("novel_participants"),
-                r.get("think_tokens"), r.get("well_formed"),
-            ))
-            for query_id, qa_id, model, i, r in rows)))
+        columns = ("query_id", "qa_id", "model", "rollout", *TSV_FIELDS)
+        _write_lines(out / "report.tsv", itertools.chain(
+            ["\t".join(columns)], ("\t".join(str(v) for v in row) for row in rows)))
     return EXIT_OK
 
 

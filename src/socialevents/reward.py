@@ -1,13 +1,21 @@
-"""Dual-tag reasoning-trace parsing and the four-part grounded reward.
+r"""Dual-tag reasoning-trace parsing and the four-part grounded reward.
 
-Traces follow the template
+A trace is well formed when it matches the template grammar
 
-    <think> ... <gaze>...</gaze> <gesture>...</gesture> ... </think><answer>a</answer>
+    template := ws <think> text (block text)* </think> ws <answer> text </answer> ws
+    block    := <gaze> text </gaze> | <gesture> text </gesture>
 
-with any number of gaze/gesture blocks inside think. The reward combines
-answer accuracy, format validity, tag usage, and a precision-recall grounding
-term over mentioned person IDs; trajectory advantages are normalized within
-their rollout group and clipped.
+where ws is whitespace (regex ``\s``, the characters ``str.isspace`` accepts)
+and text is any run of characters that holds none of the eight tags. The
+grammar is one compiled regex. Its text rule is written in unrolled form,
+``[^<]*(?:<(?!tag)[^<]*)*``, so that each character can be matched only one
+way; a failing match therefore backtracks in linear time, without the
+atomic groups or possessive quantifiers that Python 3.10 lacks.
+
+The reward combines answer accuracy, format validity, tag usage, and a
+precision-recall grounding term over mentioned person IDs; trajectory
+advantages are normalized within their rollout group and clipped. Every
+weight and advantage setting is read from ``EngineConfig``.
 """
 
 from __future__ import annotations
@@ -16,11 +24,15 @@ import math
 import re
 from dataclasses import dataclass
 
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import ContractError
 from .mentions import extract_person_ids
 
-_TAG_RE = re.compile(r"</?(think|gaze|gesture|answer)>")
+# Text holding no template tag.
+_TEXT = r"[^<]*(?:<(?!/?(?:think|gaze|gesture|answer)>)[^<]*)*"
+_TEMPLATE_RE = re.compile(
+    rf"\s*<think>{_TEXT}(?:<gaze>{_TEXT}</gaze>{_TEXT}|<gesture>{_TEXT}</gesture>{_TEXT})*"
+    rf"</think>\s*<answer>{_TEXT}</answer>\s*")
 _THINK_RE = re.compile(r"<think>(.*?)</think>", re.DOTALL)
 _ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", re.DOTALL)
 _GAZE_RE = re.compile(r"<gaze>(.*?)</gaze>", re.DOTALL)
@@ -38,21 +50,12 @@ class ReasoningTrace:
 
 
 @dataclass(frozen=True)
-class RewardWeights:
-    acc: float = DEFAULT_CONFIG.weight_acc
-    fmt: float = DEFAULT_CONFIG.weight_fmt
-    structure: float = DEFAULT_CONFIG.weight_str
-    grounding: float = DEFAULT_CONFIG.weight_gnd
-
-
-@dataclass(frozen=True)
 class RewardBreakdown:
     r_acc: int
     r_fmt: int
     r_str: int
     r_gnd: float
     total: float
-    weights: RewardWeights
     pred_participants: frozenset[int]
 
 
@@ -65,7 +68,7 @@ class ScoredRollout:
 
 def parse_trace(raw: str) -> ReasoningTrace:
     """Extract template blocks; malformedness is reported, never raised."""
-    well_formed = _check_template(raw)
+    well_formed = _TEMPLATE_RE.fullmatch(raw) is not None
     think = _THINK_RE.search(raw)
     think_block = think.group(1) if think else None
     answer = _ANSWER_RE.search(raw)
@@ -74,57 +77,6 @@ def parse_trace(raw: str) -> ReasoningTrace:
     gaze_blocks = tuple(_GAZE_RE.findall(scope))
     gesture_blocks = tuple(_GESTURE_RE.findall(scope))
     return ReasoningTrace(raw, think_block, gaze_blocks, gesture_blocks, answer_block, well_formed)
-
-
-def _check_template(raw: str) -> bool:
-    """One think block, then one answer block, sub-tags nested inside think,
-    nothing but whitespace outside."""
-    tags = list(_TAG_RE.finditer(raw))
-    state = "start"
-    cursor = 0
-    for match in tags:
-        outside = raw[cursor:match.start()]
-        token = match.group(0)
-        if state == "start":
-            if token != "<think>" or outside.strip():
-                return False
-            state = "think"
-        elif state == "think":
-            if token == "<gaze>":
-                state = "gaze"
-            elif token == "<gesture>":
-                state = "gesture"
-            elif token == "</think>":
-                state = "between"
-            else:
-                return False
-        elif state == "gaze":
-            if token != "</gaze>":
-                return False
-            state = "think"
-        elif state == "gesture":
-            if token != "</gesture>":
-                return False
-            state = "think"
-        elif state == "between":
-            if token != "<answer>" or outside.strip():
-                return False
-            state = "answer"
-        elif state == "answer":
-            if token != "</answer>":
-                return False
-            state = "done"
-        else:  # done: no tags allowed past the answer
-            return False
-        cursor = match.end()
-    return state == "done" and not raw[cursor:].strip()
-
-
-def serialize_trace(trace: ReasoningTrace) -> str:
-    """Canonical template text for a parsed trace."""
-    think = trace.think_block or ""
-    answer = trace.answer_block or ""
-    return f"<think>{think}</think><answer>{answer}</answer>"
 
 
 def extract_participants(trace: ReasoningTrace) -> frozenset[int]:
@@ -143,14 +95,14 @@ def reward_components(
     trace: ReasoningTrace,
     correct_answer: str,
     gt_participants: frozenset[int] | set[int],
-    weights: RewardWeights = RewardWeights(),
     answer_aliases: tuple[str, ...] = (),
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> RewardBreakdown:
     """Score one trajectory against the item's answer and participant set.
 
     The grounding term is (1 + recall) * precision over mentioned person IDs,
     with precision defined as 0 for an empty prediction set. The total is the
-    exact weighted sum of the four components.
+    exact weighted sum of the four components, weighted by config.
     """
     if not gt_participants:
         raise ContractError("gt_participants must be non-empty")
@@ -169,37 +121,34 @@ def reward_components(
     r_gnd = (1.0 + recall) * precision
 
     total = math.fsum([
-        weights.acc * r_acc,
-        weights.fmt * r_fmt,
-        weights.structure * r_str,
-        weights.grounding * r_gnd,
+        config.weight_acc * r_acc,
+        config.weight_fmt * r_fmt,
+        config.weight_str * r_str,
+        config.weight_gnd * r_gnd,
     ])
-    return RewardBreakdown(r_acc, r_fmt, r_str, r_gnd, total, weights, pred)
+    return RewardBreakdown(r_acc, r_fmt, r_str, r_gnd, total, pred)
 
 
 def score_group(
     rollouts,
     correct_answer: str,
     gt_participants,
-    weights: RewardWeights = RewardWeights(),
     answer_aliases: tuple[str, ...] = (),
-    expected_k: int | None = DEFAULT_CONFIG.rollouts_per_query,
-    clip: float = DEFAULT_CONFIG.advantage_clip,
-    mode: str = DEFAULT_CONFIG.advantage_mode,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> list[ScoredRollout]:
     """Score one rollout group end to end: parse, component rewards, and
-    group-normalized advantages. Enforces the group size when expected_k is
-    given."""
+    group-normalized advantages. The group must hold
+    config.rollouts_per_query rollouts."""
     rollouts = list(rollouts)
-    if expected_k is not None and len(rollouts) != expected_k:
-        raise ContractError(f"expected {expected_k} rollouts, got {len(rollouts)}")
+    if len(rollouts) != config.rollouts_per_query:
+        raise ContractError(f"expected {config.rollouts_per_query} rollouts, got {len(rollouts)}")
     traces = [parse_trace(raw) for raw in rollouts]
     breakdowns = [
-        reward_components(trace, correct_answer, gt_participants,
-                          weights=weights, answer_aliases=answer_aliases)
+        reward_components(trace, correct_answer, gt_participants, answer_aliases, config)
         for trace in traces
     ]
-    advantages = group_advantages([b.total for b in breakdowns], clip=clip, mode=mode)
+    advantages = group_advantages([b.total for b in breakdowns],
+                                  config.advantage_clip, config.advantage_mode)
     return [
         ScoredRollout(trace, breakdown, advantage)
         for trace, breakdown, advantage in zip(traces, breakdowns, advantages)

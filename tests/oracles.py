@@ -1,11 +1,12 @@
-"""Independent brute-force oracles for the detectors, the assignment, and QA
-answers. These enumerate candidates literally and re-derive intermediate
+"""Independent brute-force oracles for the detectors, the assignment, the
+trace template and QA answers. These enumerate candidates literally and re-derive intermediate
 quantities from the tracks themselves rather than reusing detector internals.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import statistics
 from itertools import permutations
 
@@ -390,3 +391,51 @@ def recover_answer(category: str, events: list) -> str:
         (common,) = gaze.participants & gesture.participants
         return f"Person {common}"
     raise AssertionError(f"unknown category {category}")
+
+
+_TAG_RE = re.compile(r"</?(think|gaze|gesture|answer)>")
+
+
+def check_template(raw: str) -> bool:
+    """The trace template as a state machine over the tags: one think block,
+    then one answer block, sub-tags nested inside think, nothing but
+    whitespace outside."""
+    tags = list(_TAG_RE.finditer(raw))
+    state = "start"
+    cursor = 0
+    for match in tags:
+        outside = raw[cursor:match.start()]
+        token = match.group(0)
+        if state == "start":
+            if token != "<think>" or outside.strip():
+                return False
+            state = "think"
+        elif state == "think":
+            if token == "<gaze>":
+                state = "gaze"
+            elif token == "<gesture>":
+                state = "gesture"
+            elif token == "</think>":
+                state = "between"
+            else:
+                return False
+        elif state == "gaze":
+            if token != "</gaze>":
+                return False
+            state = "think"
+        elif state == "gesture":
+            if token != "</gesture>":
+                return False
+            state = "think"
+        elif state == "between":
+            if token != "<answer>" or outside.strip():
+                return False
+            state = "answer"
+        elif state == "answer":
+            if token != "</answer>":
+                return False
+            state = "done"
+        else:  # done: no tags allowed past the answer
+            return False
+        cursor = match.end()
+    return state == "done" and not raw[cursor:].strip()

@@ -311,6 +311,53 @@ class TestCrossModel:
         assert cross["accuracy_vs_grounding_precision"] is not None
 
 
+class TestAnalyzeRejects:
+    """analyze reads every field it reports by key: a record that lacks one,
+    or whose keys are not strings, exits 3 naming the line and the field."""
+
+    TSV_ONLY = {"r_fmt": 1, "r_str": 0, "r_gnd": 0.0, "advantage": 0.0}
+
+    def run(self, tmp_path, bad, *flags) -> int:
+        good = group("m", rollout(**self.TSV_ONLY))
+        path = tmp_path / "rewards.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        return main(["analyze", "--input", str(path), "--out", str(tmp_path / "out"), *flags])
+
+    @pytest.mark.parametrize("field", [
+        "r_acc", "total", "n_pred", "n_correct", "grounding_precision",
+        "novel_participants", "think_tokens", "well_formed",
+    ])
+    def test_missing_rollout_field(self, tmp_path, capsys, field):
+        entry = rollout()
+        del entry[field]
+        assert self.run(tmp_path, group("m", entry)) == 3
+        assert capsys.readouterr().err == f"error: line 2: bad rewards record: '{field}'\n"
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("field", ["r_fmt", "r_str", "r_gnd", "advantage"])
+    def test_missing_tsv_field(self, tmp_path, capsys, field):
+        entry = rollout(**self.TSV_ONLY)
+        del entry[field]
+        assert self.run(tmp_path, group("m", entry)) == 0
+        assert self.run(tmp_path, group("m", entry), "--tsv") == 3
+        assert capsys.readouterr().err == f"error: line 2: bad rewards record: '{field}'\n"
+
+    @pytest.mark.parametrize("field", ["query_id", "qa_id", "per_rollout"])
+    def test_missing_record_field(self, tmp_path, capsys, field):
+        record = group("m", rollout())
+        del record[field]
+        assert self.run(tmp_path, record) == 3
+        assert capsys.readouterr().err == f"error: line 2: bad rewards record: '{field}'\n"
+
+    @pytest.mark.parametrize("field, value", [
+        ("model", None), ("model", 3), ("query_id", None), ("qa_id", ["v:T1:0"]),
+    ], ids=["model-null", "model-int", "query_id-null", "qa_id-list"])
+    def test_key_not_a_string(self, tmp_path, capsys, field, value):
+        assert self.run(tmp_path, {**group("m", rollout()), field: value}) == 3
+        assert capsys.readouterr().err == (
+            f"error: line 2: bad rewards record: {field} must be a string, got {value!r}\n")
+
+
 def test_item_person_ids_covers_all_text():
     item = item_fixture()
     assert item_person_ids(item) == {0, 1, 2, 3}

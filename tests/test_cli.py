@@ -476,8 +476,15 @@ def test_qagen_budget_zero_accepted(valid_inputs, tmp_path):
     ({"rollouts": ["A"] * 7 + [1]}, "rollouts must be a list of strings"),
     ({"model": None}, "model must be a string, got None"),
     ({"model": 3}, "model must be a string, got 3"),
+    ({"query_id": None}, "query_id must be a string, got None"),
+    ({"query_id": 3}, "query_id must be a string, got 3"),
+    ({"query_id": ["q1"]}, "query_id must be a string, got ['q1']"),
+    ({"qa_id": None}, "qa_id must be a string, got None"),
+    ({"qa_id": 3}, "qa_id must be a string, got 3"),
+    ({"qa_id": ["v:T1:0"]}, "qa_id must be a string, got ['v:T1:0']"),
 ], ids=["rollouts-str", "rollouts-object", "rollouts-null", "rollouts-int-item",
-        "model-null", "model-int"])
+        "model-null", "model-int", "query_id-null", "query_id-int", "query_id-list",
+        "qa_id-null", "qa_id-int", "qa_id-list"])
 def test_mistyped_trace_record_exit_3(valid_inputs, tmp_path, capsys, trace, message):
     good = json.loads(valid_inputs["traces"].read_text().splitlines()[0])
     traces = tmp_path / "traces.jsonl"
@@ -487,6 +494,35 @@ def test_mistyped_trace_record_exit_3(valid_inputs, tmp_path, capsys, trace, mes
     assert run(*(arg.format(**paths) for arg in REWARD_ARGS), "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert err == f"error: line 2: bad trace record: {message}\n"
+    assert not (out / "rewards.jsonl").exists()
+
+
+@pytest.mark.parametrize("emptied", ["source_event_ids", "participants"])
+def test_qa_citing_no_participants_names_its_line(valid_inputs, tmp_path, capsys, emptied):
+    """A QA item that cites no events, or only events without participants,
+    has no ground truth to score against: exit 3 naming the trace line and
+    the item."""
+    qa_records = read_lines(valid_inputs["qa"])
+    target = json.loads(valid_inputs["traces"].read_text().splitlines()[1])["qa_id"]
+    record = next(r for r in qa_records if r["qa_id"] == target)
+    paths = dict(valid_inputs)
+    if emptied == "source_event_ids":
+        record["source_event_ids"] = []
+        paths["qa"] = tmp_path / "qa.jsonl"
+        paths["qa"].write_text("".join(json.dumps(r) + "\n" for r in qa_records))
+    else:
+        graphs = read_lines(valid_inputs["graph"])
+        for g in graphs:
+            for e in g["events"]:
+                if g["video_id"] == record["video_id"] and \
+                        e["event_id"] in record["source_event_ids"]:
+                    e["participants"] = []
+        paths["graph"] = tmp_path / "graph.jsonl"
+        paths["graph"].write_text("".join(json.dumps(g) + "\n" for g in graphs))
+    out = tmp_path / "out"
+    assert run(*(arg.format(**paths) for arg in REWARD_ARGS), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: line 2: qa {target} cites no events with participants\n"
     assert not (out / "rewards.jsonl").exists()
 
 

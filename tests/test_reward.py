@@ -1,17 +1,20 @@
 import math
 import random
+import re
+import time
 
 import pytest
 
+from oracles import check_template
+from socialevents.config import EngineConfig
 from socialevents.errors import ContractError
 from socialevents.reward import (
-    RewardWeights,
+    _TEMPLATE_RE,
     extract_participants,
     group_advantages,
     normalize_answer,
     parse_trace,
     reward_components,
-    serialize_trace,
 )
 
 GOOD = "<think><gaze>Person 0 looks at Person 2</gaze><gesture>none</gesture></think><answer>B</answer>"
@@ -65,23 +68,6 @@ class TestParseTrace:
 
     def test_duplicate_think_rejected(self):
         assert not parse_trace("<think>a</think><think>b</think><answer>C</answer>").well_formed
-
-    def test_parse_serialize_parse_fixed_point(self):
-        cases = [
-            GOOD,
-            "<think></think><answer>C</answer>",
-            "<think>free<gesture>P1 gives to P0</gesture></think><answer>option text</answer>",
-            "  " + GOOD + "  ",
-        ]
-        for raw in cases:
-            first = parse_trace(raw)
-            assert first.well_formed
-            second = parse_trace(serialize_trace(first))
-            assert second.well_formed
-            assert (second.think_block, second.gaze_blocks, second.gesture_blocks,
-                    second.answer_block) == (
-                first.think_block, first.gaze_blocks, first.gesture_blocks,
-                first.answer_block)
 
 
 class TestExtractParticipants:
@@ -167,15 +153,15 @@ class TestRewardComponents:
         for _ in range(200):
             pred = set(rng.sample(range(8), rng.randint(0, 5)))
             gt = set(rng.sample(range(8), rng.randint(1, 5)))
-            weights = RewardWeights(
-                acc=rng.random(), fmt=rng.random(),
-                structure=rng.random(), grounding=rng.random(),
+            config = EngineConfig(
+                weight_acc=rng.random(), weight_fmt=rng.random(),
+                weight_str=rng.random(), weight_gnd=rng.random(),
             )
             trace = trace_for(pred, answer=rng.choice("AB"))
-            b = reward_components(trace, "A", gt, weights=weights)
+            b = reward_components(trace, "A", gt, config=config)
             expected = math.fsum([
-                weights.acc * b.r_acc, weights.fmt * b.r_fmt,
-                weights.structure * b.r_str, weights.grounding * b.r_gnd,
+                config.weight_acc * b.r_acc, config.weight_fmt * b.r_fmt,
+                config.weight_str * b.r_str, config.weight_gnd * b.r_gnd,
             ])
             assert b.total == expected
 
@@ -232,28 +218,93 @@ def test_normalize_answer():
     assert normalize_answer("  The Answer ") == "the answer"
 
 
+# Pieces of random tag soup: every tag, mentions, plain and odd whitespace,
+# and near-tags that are not tags.
+PIECES = [
+    "<think>", "</think>", "<answer>", "</answer>", "<gaze>", "</gaze>",
+    "<gesture>", "</gesture>", "Person 1 ", "P2 ", "text ", "\n", "  ",
+    "<think>", "</answer>", "<unknown>", "B", "<", ">", "</", "<think", "gaze>",
+    "<Think>", "< answer>", "\u00a0", "\u2028", "\u200b",
+]
+
+
+def tag_soup(rng) -> str:
+    return "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 20)))
+
+
+def near_valid(rng) -> str:
+    """A template-shaped trace, then up to two random insertions or
+    deletions, so that both outcomes stay frequent."""
+    def text():
+        return "".join(rng.choice(["", "Person 1 ", "a < b", "<unknown>", "P3", "\n", "x"])
+                       for _ in range(rng.randint(0, 3)))
+
+    def ws():
+        return rng.choice(["", " ", "\n", "\t ", "\u3000", "\u00a0"])
+
+    body = "".join(rng.choice([f"<gaze>{text()}</gaze>", f"<gesture>{text()}</gesture>", text()])
+                   for _ in range(rng.randint(0, 4)))
+    raw = f"{ws()}<think>{body}</think>{ws()}<answer>{text()}</answer>{ws()}"
+    for _ in range(rng.randint(0, 2)):
+        at = rng.randint(0, len(raw))
+        if rng.random() < 0.5:
+            raw = raw[:at] + rng.choice(PIECES) + raw[at:]
+        else:
+            raw = raw[:at] + raw[at + rng.randint(1, 8):]
+    return raw
+
+
 class TestParserFuzz:
     def test_random_tag_soup_never_raises(self):
         rng = random.Random(99)
-        pieces = [
-            "<think>", "</think>", "<answer>", "</answer>", "<gaze>", "</gaze>",
-            "<gesture>", "</gesture>", "Person 1 ", "P2 ", "text ", "\n", "  ",
-            "<think>", "</answer>", "<unknown>", "B",
-        ]
         for _ in range(500):
-            raw = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 20)))
+            raw = tag_soup(rng)
             trace = parse_trace(raw)
             assert isinstance(trace.well_formed, bool)
             extract_participants(trace)
-            if trace.well_formed:
-                # well-formed traces survive a serialize/parse round trip
-                again = parse_trace(serialize_trace(trace))
-                assert again.well_formed
-                assert again.gaze_blocks == trace.gaze_blocks
-                assert again.answer_block == trace.answer_block
+            assert trace.well_formed == check_template(raw), raw
 
     def test_empty_and_whitespace_inputs(self):
         for raw in ("", "   ", "\n\n"):
             trace = parse_trace(raw)
             assert not trace.well_formed
             assert trace.think_block is None and trace.answer_block is None
+
+
+class TestTemplateGrammar:
+    """The compiled template grammar against the state machine in
+    tests/oracles.py."""
+
+    def test_agrees_with_state_machine(self):
+        rng = random.Random(7)
+        outcomes = {True: 0, False: 0}
+        for n in range(100_000):
+            raw = tag_soup(rng) if n % 2 else near_valid(rng)
+            expected = check_template(raw)
+            assert (_TEMPLATE_RE.fullmatch(raw) is not None) == expected, raw
+            outcomes[expected] += 1
+        assert min(outcomes.values()) > 10_000, outcomes
+
+    def test_outside_whitespace_is_str_isspace(self):
+        every = "".join(map(chr, range(0x110000)))
+        spaces = [ch for ch in every if ch.isspace()]
+        assert re.findall(r"\s", every) == spaces
+        near_misses = ["\u200b", "\ufeff", "\u180e", "x", "<"]
+        for ch in spaces + near_misses:
+            for raw in (f"{ch}<think>a</think><answer>B</answer>",
+                        f"<think>a</think>{ch}<answer>B</answer>",
+                        f"<think>a</think><answer>B</answer>{ch}"):
+                assert parse_trace(raw).well_formed == check_template(raw) == ch.isspace(), \
+                    hex(ord(ch))
+
+    @pytest.mark.parametrize("raw", [
+        "<think>" + "a <b " * 25_000 + "</think><answer>A</answer>x",
+        "<think>" + "<gaze>a<b</gaze> <" * 7_000 + "<answer>A</answer>",
+        "<think>" + "<" * 100_000 + "</think><answer>A",
+        "<think></think><answer>" + "<gaze" * 25_000 + "</answer></answer>",
+    ], ids=["trailing-text", "unclosed-think", "bare-lt", "tag-in-answer"])
+    def test_failing_long_trace_is_linear(self, raw):
+        assert len(raw) >= 100_000 and raw.count("<") >= 25_000
+        start = time.perf_counter()
+        assert _TEMPLATE_RE.fullmatch(raw) is None
+        assert time.perf_counter() - start < 0.25
