@@ -31,13 +31,14 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import statistics
 import sys
 from pathlib import Path
 
 from . import analytics, events, gaze, graph as graph_mod, ingest, qa, reward as reward_mod
 from .config import DETECTOR_FIELDS, EngineConfig, add_config_arguments, config_from_args
-from .errors import ContractError, EngineError, ParseError, ValidationError
+from .errors import ContractError, EngineError, ValidationError
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
@@ -79,12 +80,9 @@ def main(argv: list[str] | None = None) -> int:
         where = f"{exc.filename}: " if exc.filename is not None else ""
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except (ParseError, ValidationError, ContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_SCHEMA
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -215,9 +213,7 @@ def _cmd_graph(args: argparse.Namespace, config: EngineConfig) -> int:
 
     gaze_by_video: dict[str, list[events.SocialEvent]] = {}
     for line_no, record in ingest.read_jsonl(args.input):
-        video_id = record.get("video_id")
-        if not isinstance(video_id, str):
-            raise ValidationError("event record missing video_id", line_no)
+        video_id = ingest.read_field(record, "video_id", str, "event", line_no)
         gaze_by_video.setdefault(video_id, []).append(events.parse_event(record, line_no))
 
     gestures, rejections = ingest.load_gestures(args.gestures)
@@ -230,10 +226,9 @@ def _cmd_graph(args: argparse.Namespace, config: EngineConfig) -> int:
     durations: dict[str, float] = {}
     if args.videos:
         for line_no, record in ingest.read_jsonl(args.videos):
-            try:
-                durations[str(record["video_id"])] = float(record["duration"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"bad video manifest record: {exc}", line_no) from exc
+            video_id = ingest.read_field(record, "video_id", str, "video manifest", line_no)
+            durations[video_id] = ingest.read_field(
+                record, "duration", float, "video manifest", line_no)
 
     graphs = []
     for video_id in dict.fromkeys(list(gaze_by_video) + list(gestures_by_video)):
@@ -265,15 +260,12 @@ def _cmd_qagen(args: argparse.Namespace, config: EngineConfig) -> int:
 # reward
 
 
-def _group_keys(record: dict, kind: str, line_no: int) -> tuple[str, str, str]:
+def _group_keys(record: dict, what: str, line_no: int) -> tuple[str, str, str]:
     """A trace or rewards record's query_id, qa_id and model ("default" when
-    absent), each of which must be a string."""
-    keys = (record["query_id"], record["qa_id"], record.get("model", "default"))
-    for name, value in zip(("query_id", "qa_id", "model"), keys):
-        if not isinstance(value, str):
-            raise ValidationError(
-                f"bad {kind} record: {name} must be a string, got {value!r}", line_no)
-    return keys
+    absent)."""
+    return (ingest.read_field(record, "query_id", str, what, line_no),
+            ingest.read_field(record, "qa_id", str, what, line_no),
+            ingest.read_field(record, "model", str, what, line_no, default="default"))
 
 
 def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
@@ -283,15 +275,8 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
 
     groups = []
     for line_no, record in ingest.read_jsonl(args.traces):
-        try:
-            query_id, qa_id, model = _group_keys(record, "trace", line_no)
-            rollouts = record["rollouts"]
-        except KeyError as exc:
-            raise ValidationError(f"bad trace record: {exc}", line_no) from exc
-        if not (isinstance(rollouts, list) and all(isinstance(r, str) for r in rollouts)):
-            raise ValidationError("bad trace record: rollouts must be a list of strings",
-                                  line_no)
-        rollouts = tuple(rollouts)
+        query_id, qa_id, model = _group_keys(record, "trace", line_no)
+        rollouts = tuple(ingest.read_field(record, "rollouts", [str], "trace", line_no))
         if len(rollouts) != config.rollouts_per_query:
             raise ValidationError(
                 f"expected {config.rollouts_per_query} rollouts, got {len(rollouts)}",
@@ -355,6 +340,7 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
 # the rollout index.
 TSV_FIELDS = ("r_acc", "r_fmt", "r_str", "r_gnd", "total", "advantage",
               "grounding_precision", "novel_participants", "think_tokens", "well_formed")
+_tsv_values = operator.itemgetter(*TSV_FIELDS)
 
 
 def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
@@ -362,28 +348,30 @@ def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
     per_model: dict[str, dict[str, list]] = {}
     rows = []
     for line_no, record in ingest.read_jsonl(args.input):
-        try:
-            query_id, qa_id, model = _group_keys(record, "rewards", line_no)
-            rollouts = record["per_rollout"]
-            bucket = per_model.setdefault(model, {
-                "acc": [], "precision": [], "n_pred": [], "n_correct": [],
-                "novel": [], "length": [], "malformed": [], "total": [], "queries": [],
-            })
-            bucket["queries"].append(query_id)
-            for i, r in enumerate(rollouts):
-                bucket["acc"].append(float(r["r_acc"]))
-                if r["grounding_precision"] is not None:
-                    bucket["precision"].append(float(r["grounding_precision"]))
-                bucket["n_pred"].append(int(r["n_pred"]))
-                bucket["n_correct"].append(int(r["n_correct"]))
-                bucket["novel"].append(float(r["novel_participants"]))
-                bucket["length"].append(float(r["think_tokens"]))
-                bucket["malformed"].append(0 if r["well_formed"] else 1)
-                bucket["total"].append(float(r["total"]))
-                if args.tsv:
-                    rows.append((query_id, qa_id, model, i, *(r[f] for f in TSV_FIELDS)))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ValidationError(f"bad rewards record: {exc}", line_no) from exc
+        query_id, qa_id, model = _group_keys(record, "rewards", line_no)
+        bucket = per_model.setdefault(model, {
+            "acc": [], "precision": [], "n_pred": [], "n_correct": [],
+            "novel": [], "length": [], "malformed": [], "total": [], "queries": [],
+        })
+        bucket["queries"].append(query_id)
+        for i, r in enumerate(ingest.read_field(record, "per_rollout", [dict], "rewards", line_no)):
+            bucket["acc"].append(ingest.read_field(r, "r_acc", float, "rewards", line_no))
+            # null: nothing predicted, left out of the mean; a missing key fails in read_field
+            if r.get("grounding_precision", 0) is not None:
+                bucket["precision"].append(
+                    ingest.read_field(r, "grounding_precision", float, "rewards", line_no))
+            bucket["n_pred"].append(ingest.read_field(r, "n_pred", int, "rewards", line_no))
+            bucket["n_correct"].append(ingest.read_field(r, "n_correct", int, "rewards", line_no))
+            bucket["novel"].append(
+                ingest.read_field(r, "novel_participants", int, "rewards", line_no))
+            bucket["length"].append(ingest.read_field(r, "think_tokens", int, "rewards", line_no))
+            well_formed = ingest.read_field(r, "well_formed", bool, "rewards", line_no)
+            bucket["malformed"].append(0 if well_formed else 1)
+            bucket["total"].append(ingest.read_field(r, "total", float, "rewards", line_no))
+            if args.tsv:  # check the fields only the TSV reads; rows keep values as read
+                for key in ("r_fmt", "r_str", "r_gnd", "advantage"):
+                    ingest.read_field(r, key, float, "rewards", line_no)
+                rows.append((query_id, qa_id, model, i, *_tsv_values(r)))
 
     models = {}
     for model, b in sorted(per_model.items()):
@@ -407,7 +395,7 @@ def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
     if args.tsv:
         columns = ("query_id", "qa_id", "model", "rollout", *TSV_FIELDS)
         _write_lines(out / "report.tsv", itertools.chain(
-            ["\t".join(columns)], ("\t".join(str(v) for v in row) for row in rows)))
+            ["\t".join(columns)], ("\t".join(map(str, row)) for row in rows)))
     return EXIT_OK
 
 

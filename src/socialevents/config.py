@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .errors import ContractError
 from .ingest import SAMPLE_PERIOD
 
-# The gaze event detector fields; each must be finite.
+# The gaze event detector fields.
 DETECTOR_FIELDS = (
     "sudden_velocity", "sudden_cluster_gap", "sudden_min_duration", "sudden_max_duration",
     "ja_convergence", "ja_min_duration", "ja_set_overlap", "ja_peripheral_mult",
@@ -79,22 +80,27 @@ class EngineConfig:
     advantage_mode: str = "zscore"  # "zscore" or "mean_center"
 
     def __post_init__(self) -> None:
-        for name in DETECTOR_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                _reject(name, getattr(self, name), "must be finite")
+        # An int is always finite; a float may be given for any numeric field.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                _reject(f.name, value, "must be finite")
         # Following compares samples a whole number of grid steps apart.
         on_grid = f"must be a multiple of the {SAMPLE_PERIOD} s sample period"
-        finite_nonneg = "must be finite and >= 0"
         rules = (
             ("linear_max_gap", self.linear_max_gap >= 0, "must be >= 0"),
             ("carry_max_gap", self.carry_max_gap >= 0, "must be >= 0"),
-            ("linear_conf_slope", 0 <= self.linear_conf_slope < math.inf, finite_nonneg),
+            ("linear_conf_slope", self.linear_conf_slope >= 0, "must be >= 0"),
+            # An interpolated sample's confidence is 1 - slope * gap. min() keeps
+            # a huge integer gap from overflowing the float product.
+            ("linear_conf_slope",
+             self.linear_conf_slope * min(self.linear_max_gap, sys.float_info.max) <= 1,
+             f"must be <= 1 / linear_max_gap ({self.linear_max_gap!r})"),
             ("carry_conf_base", 0 <= self.carry_conf_base <= 1, "must be in [0, 1]"),
-            ("carry_conf_decay", 0 <= self.carry_conf_decay < math.inf, finite_nonneg),
-            ("block_temporal_gap", 0 <= self.block_temporal_gap < math.inf, finite_nonneg),
-            ("block_face_displacement", 0 <= self.block_face_displacement < math.inf,
-             finite_nonneg),
-            ("convergence_alpha", 0 <= self.convergence_alpha < math.inf, finite_nonneg),
+            ("carry_conf_decay", self.carry_conf_decay >= 0, "must be >= 0"),
+            ("block_temporal_gap", self.block_temporal_gap >= 0, "must be >= 0"),
+            ("block_face_displacement", self.block_face_displacement >= 0, "must be >= 0"),
+            ("convergence_alpha", self.convergence_alpha >= 0, "must be >= 0"),
             ("capture_min_persons", self.capture_min_persons >= 1, "must be >= 1"),
             ("capture_window", self.capture_window > 0, "must be > 0"),
             ("sudden_cluster_gap", self.sudden_cluster_gap > 0, "must be > 0"),
@@ -110,13 +116,13 @@ class EngineConfig:
             ("mutual_margin", self.mutual_margin >= 0, "must be >= 0"),
             ("gaze_conf_min", 0 <= self.gaze_conf_min <= 1, "must be in [0, 1]"),
             ("gesture_conf_min", 0 <= self.gesture_conf_min <= 1, "must be in [0, 1]"),
-            ("pair_max_distance", 0 <= self.pair_max_distance < math.inf, finite_nonneg),
+            ("pair_max_distance", self.pair_max_distance >= 0, "must be >= 0"),
             ("max_graph_events", self.max_graph_events >= 1, "must be >= 1"),
             ("qa_medium_min_events", self.qa_medium_min_events >= 0, "must be >= 0"),
             ("qa_hard_min_events", self.qa_hard_min_events >= self.qa_medium_min_events,
              f"must be >= qa_medium_min_events ({self.qa_medium_min_events!r})"),
             ("rollouts_per_query", self.rollouts_per_query >= 2, "must be >= 2"),
-            ("advantage_clip", 0 < self.advantage_clip < math.inf, "must be finite and > 0"),
+            ("advantage_clip", self.advantage_clip > 0, "must be > 0"),
             ("advantage_mode", self.advantage_mode in ("zscore", "mean_center"),
              "must be 'zscore' or 'mean_center'"),
         )

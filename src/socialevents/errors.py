@@ -7,16 +7,6 @@ class EngineError(Exception):
     """Base class for all engine errors."""
 
 
-class ParseError(EngineError):
-    """A line could not be decoded as a record."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
 class ValidationError(EngineError):
     """A decoded record violates a field constraint."""
 
@@ -25,6 +15,10 @@ class ValidationError(EngineError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class ParseError(ValidationError):
+    """A line could not be decoded as a record."""
 
 
 class OrderingError(ValidationError):

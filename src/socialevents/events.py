@@ -34,7 +34,7 @@ from typing import Iterable
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import ValidationError
 from .gaze import PROV_MEASURED, FrameFeatures, GazeSample, GazeTrack
-from .ingest import SAMPLE_PERIOD, dumps_canonical
+from .ingest import SAMPLE_PERIOD, dumps_canonical, read_field, typed
 
 SOURCE_GAZE = "gaze"
 SOURCE_GESTURE = "gesture"
@@ -406,20 +406,18 @@ def event_record(event: SocialEvent, video_id: str | None = None) -> dict:
 
 
 def parse_event(record: dict, line: int | None = None) -> SocialEvent:
-    try:
-        return SocialEvent(
-            event_id=int(record["event_id"]),
-            source=str(record["source"]),
-            event_type=str(record["event_type"]),
-            participants=frozenset(int(p) for p in record["participants"]),
-            roles={str(k): int(v) for k, v in record.get("roles", {}).items()},
-            start_time=float(record["start_time"]),
-            end_time=float(record["end_time"]),
-            confidence=float(record["confidence"]),
-            attributes=dict(record.get("attributes", {})),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad event record: {exc}", line) from exc
+    roles = read_field(record, "roles", dict, "event", line, default={})
+    return SocialEvent(
+        event_id=read_field(record, "event_id", int, "event", line),
+        source=read_field(record, "source", str, "event", line),
+        event_type=read_field(record, "event_type", str, "event", line),
+        participants=frozenset(read_field(record, "participants", [int], "event", line)),
+        roles={k: typed(v, int, f"roles[{k!r}]", "event", line) for k, v in roles.items()},
+        start_time=read_field(record, "start_time", float, "event", line),
+        end_time=read_field(record, "end_time", float, "event", line),
+        confidence=read_field(record, "confidence", float, "event", line),
+        attributes=dict(read_field(record, "attributes", dict, "event", line, default={})),
+    )
 
 
 def _event(

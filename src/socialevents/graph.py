@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .errors import ValidationError
 from .events import SOURCE_GESTURE, SocialEvent, event_record, event_sort_key, parse_event
-from .ingest import SAMPLE_PERIOD, GestureAnnotation, dumps_canonical, read_jsonl, snap_to_grid
+from .ingest import (SAMPLE_PERIOD, GestureAnnotation, dumps_canonical, read_field, read_jsonl,
+                     snap_to_grid)
 
 _EPS = 1e-9
 
@@ -228,12 +228,10 @@ def serialize_graph(graph: SocialGraph) -> str:
 
 
 def parse_graph(record: dict, line: int | None = None) -> SocialGraph:
-    try:
-        events = [parse_event(e, line) for e in record["events"]]
-        pairs = [(int(g), int(ges), float(d)) for g, ges, d in record.get("joint_pairs", [])]
-        return SocialGraph(str(record["video_id"]), float(record["duration"]), events, pairs)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad graph record: {exc}", line) from exc
+    events = [parse_event(e, line) for e in read_field(record, "events", [dict], "graph", line)]
+    pairs = read_field(record, "joint_pairs", [(int, int, float)], "graph", line, default=[])
+    return SocialGraph(read_field(record, "video_id", str, "graph", line),
+                       read_field(record, "duration", float, "graph", line), events, pairs)
 
 
 def load_graphs(path) -> list[SocialGraph]:

@@ -12,9 +12,13 @@ gestures.jsonl
      "target_type": "person"|"object", "target_person_id": int | null,
      "start_time": float, "end_time": float, "confidence": float}
 
-Every JSONL file of the pipeline is read through ``read_jsonl``. Unknown
-fields are ignored for forward compatibility. Serializing a parsed record
-reproduces the canonical bytes.
+Every JSONL file of the pipeline is read through ``read_jsonl``, and every
+field of every record through ``read_field`` (a key) or ``typed`` (a value):
+a missing key or a value of the wrong JSON type is a ValidationError naming
+the line and the field. Only an observation's per-person and per-face fields
+are checked inline, on the parse hot path. Unknown fields are ignored for
+forward compatibility. Serializing a parsed record reproduces the canonical
+bytes.
 
 Parse cost per box: a box given as four in-range floats, which is what the
 JSON decoder yields for a valid one, takes one combined type and range test
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -38,6 +43,10 @@ SAMPLE_PERIOD = 0.5
 GESTURE_TYPES = ("pointing", "showing", "giving", "reaching")
 
 _GRID_TOL = 1e-9
+
+_MISSING = object()
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number",
+               bool: "a boolean", list: "a list", dict: "an object"}
 
 
 class Box(NamedTuple):
@@ -141,8 +150,8 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                     continue
                 try:
                     record = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
+                except (ValueError, RecursionError) as exc:  # also an over-long int, deep nesting
+                    raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line_no) from exc
                 if not isinstance(record, dict):
                     raise ParseError("record must be a JSON object", line_no)
                 yield line_no, record
@@ -171,11 +180,11 @@ def _undecodable_line(path: str | Path) -> int | None:
 
 def parse_frame(record: dict, line: int | None = None) -> FrameObservation:
     """Validate one decoded observation record."""
-    video_id = _require(record, "video_id", str, line)
+    video_id = read_field(record, "video_id", str, "observation", line)
     if not video_id:
         raise ValidationError("video_id must be non-empty", line)
 
-    t = _number(record, "t", line)
+    t = read_field(record, "t", float, "observation", line)
     if t < 0:
         raise ValidationError(f"t must be non-negative, got {t}", line)
     if not is_on_grid(t):
@@ -184,7 +193,7 @@ def parse_frame(record: dict, line: int | None = None) -> FrameObservation:
 
     persons = []
     seen_ids: set[int] = set()
-    for i, entry in enumerate(_require(record, "persons", list, line)):
+    for i, entry in enumerate(read_field(record, "persons", list, "observation", line)):
         if not isinstance(entry, dict):
             raise ValidationError(f"persons[{i}] must be an object", line)
         pid = entry.get("id")
@@ -196,7 +205,7 @@ def parse_frame(record: dict, line: int | None = None) -> FrameObservation:
         persons.append(PersonBox(pid, _box(entry.get("box"), f"persons[{i}].box", line)))
 
     faces = []
-    for i, entry in enumerate(_require(record, "faces", list, line)):
+    for i, entry in enumerate(read_field(record, "faces", list, "observation", line)):
         if not isinstance(entry, dict):
             raise ValidationError(f"faces[{i}] must be an object", line)
         box = _box(entry.get("box"), f"faces[{i}].box", line)
@@ -268,41 +277,42 @@ def group_by_video(frames: Iterable[FrameObservation]) -> dict[str, list[FrameOb
 
 
 def parse_gesture(record: dict, line: int | None = None) -> GestureAnnotation:
-    video_id = _require(record, "video_id", str, line)
+    video_id = read_field(record, "video_id", str, "gesture", line)
     if not video_id:
         raise ValidationError("video_id must be non-empty", line)
 
-    gesture_type = record.get("gesture_type")
+    gesture_type = read_field(record, "gesture_type", str, "gesture", line)
     if gesture_type not in GESTURE_TYPES:
         raise ValidationError(
             f"unknown gesture_type {gesture_type!r}; expected one of {GESTURE_TYPES}", line
         )
-    initiator = _int_field(record, "initiator_id", "initiator_id", line)
+    initiator = read_field(record, "initiator_id", int, "gesture", line)
     if initiator < 0:
         raise ValidationError("initiator_id must be non-negative", line)
 
-    target_type = record.get("target_type")
+    target_type = read_field(record, "target_type", str, "gesture", line)
     if target_type not in ("person", "object"):
         raise ValidationError(f"target_type must be 'person' or 'object', got {target_type!r}", line)
-    target_pid = record.get("target_person_id")
+    target_pid = None
     if target_type == "person":
-        if not isinstance(target_pid, int) or isinstance(target_pid, bool) or target_pid < 0:
-            raise ValidationError("target_person_id required for person targets", line)
-    elif target_pid is not None:
+        target_pid = read_field(record, "target_person_id", int, "gesture", line)
+        if target_pid < 0:
+            raise ValidationError("target_person_id must be non-negative", line)
+    elif record.get("target_person_id") is not None:
         raise ValidationError("target_person_id must be null for object targets", line)
 
-    start = _number(record, "start_time", line)
-    end = _number(record, "end_time", line)
+    start = read_field(record, "start_time", float, "gesture", line)
+    end = read_field(record, "end_time", float, "gesture", line)
     if start < 0:
         raise ValidationError("start_time must be non-negative", line)
     if end <= start:
         raise ValidationError(f"end_time {end} must exceed start_time {start}", line)
-    conf = _unit(record.get("confidence"), "confidence", line)
+    conf = read_field(record, "confidence", float, "gesture", line)
+    if not 0.0 <= conf <= 1.0:
+        raise ValidationError(f"confidence out of range [0,1]: {conf}", line)
 
     return GestureAnnotation(
-        video_id, gesture_type, initiator, target_type,
-        target_pid if target_type == "person" else None, start, end, conf,
-    )
+        video_id, gesture_type, initiator, target_type, target_pid, start, end, conf)
 
 
 def serialize_gesture(gesture: GestureAnnotation) -> str:
@@ -335,36 +345,46 @@ def load_gestures(path: str | Path) -> tuple[list[GestureAnnotation], list[Gestu
 # field helpers
 
 
-def _require(record: dict, key: str, kind, line):
-    value = record.get(key)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValidationError(f"{key} must be of type {kind.__name__}", line)
-    return value
+def read_field(record: dict, key: str, kind, what: str, line: int | None,
+               default=_MISSING):
+    """``record[key]`` checked by ``typed``. A missing key gives ``default``,
+    or, with no default, a ValidationError naming the key."""
+    value = record.get(key, _MISSING)
+    # typed's first test, inline: a field of the exact kind costs no call.
+    if type(value) is kind and (kind is not float or math.isfinite(value)):
+        return value
+    if value is not _MISSING:
+        return typed(value, kind, key, what, line)
+    if default is _MISSING:
+        raise ValidationError(f"bad {what} record: {key!r}", line)
+    return default
 
 
-def _number(record: dict, key: str, line) -> float:
-    value = record.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{key} must be a number", line)
-    if not math.isfinite(value):
-        raise ValidationError(f"{key} must be finite", line)
-    return float(value)
-
-
-def _int_field(record: dict, key: str, label: str, line) -> int:
-    value = record.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{label} must be an integer", line)
-    return value
-
-
-def _unit(value, label: str, line) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{label} must be a number", line)
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{label} out of range [0,1]: {value}", line)
-    return value
+def typed(value, kind, name: str, what: str, line: int | None):
+    """``value`` if its JSON type is ``kind``, else a ValidationError naming
+    ``name``. ``kind`` is str, int, float, bool, list or dict, ``[k]`` for a
+    list whose items are of kind ``k``, or a tuple of kinds for a list of
+    exactly that shape, returned as a tuple; items are named ``name[i]``. A
+    bool is neither an int nor a float; a float is any finite int or float,
+    returned as a float."""
+    if type(value) is kind:
+        if kind is not float or math.isfinite(value):
+            return value
+    elif kind is float:
+        if type(value) is int and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is list:
+        if type(kind) is list:
+            item = kind[0]
+            if item is not float and all(type(v) is item for v in value):
+                return value
+            return [typed(v, item, f"{name}[{i}]", what, line) for i, v in enumerate(value)]
+        if type(kind) is tuple and len(value) == len(kind):
+            return tuple(typed(v, k, f"{name}[{i}]", what, line)
+                         for i, (v, k) in enumerate(zip(value, kind)))
+    expected = (f"a list of {len(kind)} items" if type(kind) is tuple
+                else "a list" if type(kind) is list else _KIND_NAMES[kind])
+    raise ValidationError(f"bad {what} record: {name} must be {expected}, got {value!r}", line)
 
 
 def _box(value, label: str, line) -> Box:

@@ -18,10 +18,9 @@ import re
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .errors import ValidationError
 from .events import SOURCE_GESTURE, SocialEvent
 from .graph import SocialGraph
-from .ingest import GESTURE_TYPES, dumps_canonical, read_jsonl, snap_to_grid
+from .ingest import GESTURE_TYPES, dumps_canonical, read_field, read_jsonl, snap_to_grid, typed
 from .mentions import extract_person_ids
 
 BLACKLIST = (
@@ -105,7 +104,6 @@ def _item_rng(seed: int, video_id: str, category: str, source_ids) -> random.Ran
 def make_mcq_options(
     correct: str,
     graph: SocialGraph,
-    category: str,
     kind: str,
     rng: random.Random,
     window: tuple[float, float] | None = None,
@@ -298,8 +296,7 @@ def _build_item(
     )
 
     if fmt == "mcq":
-        built = make_mcq_options(
-            answer_text, graph, category, candidate["kind"], rng, window=time_range)
+        built = make_mcq_options(answer_text, graph, candidate["kind"], rng, window=time_range)
         if built is None:
             return None
         options, letter = built
@@ -696,23 +693,18 @@ def serialize_qa_item(item: QAItem) -> str:
 
 
 def parse_qa_item(record: dict, line: int | None = None) -> QAItem:
-    try:
-        options = record.get("options")
-        return QAItem(
-            qa_id=str(record["qa_id"]),
-            video_id=str(record["video_id"]),
-            category=str(record["category"]),
-            difficulty=str(record["difficulty"]),
-            format=str(record["format"]),
-            question=str(record["question"]),
-            options=tuple(str(o) for o in options) if options is not None else None,
-            answer=str(record["answer"]),
-            answer_text=str(record["answer_text"]),
-            source_event_ids=tuple(int(i) for i in record["source_event_ids"]),
-            time_range=(float(record["time_range"][0]), float(record["time_range"][1])),
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ValidationError(f"bad qa record: {exc}", line) from exc
+    texts = {key: read_field(record, key, str, "qa", line) for key in (
+        "qa_id", "video_id", "category", "difficulty", "format", "question",
+        "answer", "answer_text")}
+    options = record.get("options")
+    if options is not None:
+        options = tuple(typed(options, [str], "options", "qa", line))
+    return QAItem(
+        **texts,
+        options=options,
+        source_event_ids=tuple(read_field(record, "source_event_ids", [int], "qa", line)),
+        time_range=read_field(record, "time_range", (float, float), "qa", line),
+    )
 
 
 def load_qa_items(path) -> list[QAItem]:

@@ -7,6 +7,7 @@ import pytest
 from socialevents import cli
 from socialevents.cli import main
 from socialevents.config import EngineConfig
+from socialevents.errors import ContractError
 from socialevents.events import serialize_event
 from socialevents.qa import load_qa_items
 from helpers import event
@@ -272,6 +273,9 @@ def test_weights_flag_rejects_bad_values(capsys):
     ("carry_max_gap", ("--carry-max-gap", "-1")),
     ("linear_conf_slope", ("--linear-conf-slope", "-0.1")),
     ("linear_conf_slope", ("--linear-conf-slope", "nan")),
+    ("linear_conf_slope", ("--linear-conf-slope", "0.5")),
+    pytest.param("linear_conf_slope", ("--linear-max-gap", "1" + "0" * 400),
+                 id="--linear-max-gap-10**400"),
     ("carry_conf_base", ("--carry-conf-base", "1.5")),
     ("carry_conf_base", ("--carry-conf-base", "-0.5")),
     ("carry_conf_decay", ("--carry-conf-decay", "-1")),
@@ -311,10 +315,20 @@ def test_boundary_detector_config_accepted():
         {"rollouts_per_query": 2, "advantage_clip": 1e-9, "advantage_mode": "mean_center"},
         {"linear_max_gap": 0, "carry_max_gap": 0, "carry_conf_base": 0.0},
         {"linear_conf_slope": 0.0, "carry_conf_decay": 0.0, "carry_conf_base": 1.0},
+        {"linear_conf_slope": 0.25, "linear_max_gap": 4},
         {"block_temporal_gap": 0.0, "block_face_displacement": 0.0, "convergence_alpha": 0.0},
     ):
         config = EngineConfig(**overrides)
         assert all(getattr(config, k) == v for k, v in overrides.items())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("weight_acc", float("nan")), ("weight_gnd", float("inf")), ("linear_max_gap", float("inf")),
+])
+def test_non_finite_config_field_rejected(field, value):
+    """Every numeric field must be finite, also those no flag sets to a float."""
+    with pytest.raises(ContractError, match=f"^config field {field} = {value!r} must be finite$"):
+        EngineConfig(**{field: value})
 
 
 def _stage_parsers():
@@ -401,7 +415,9 @@ GRAPH_ARGS = ("graph", "--input", "{events}", "--gestures", "{gestures}", "--vid
 REWARD_ARGS = ("reward", "--input", "{qa}", "--traces", "{traces}", "--graphs", "{graph}")
 
 
-@pytest.mark.parametrize("bad_line", ["[1, 2]", "{bad"], ids=["array", "invalid"])
+@pytest.mark.parametrize("bad_line", [
+    "[1, 2]", "{bad", '{"a": 1' + "0" * 5000 + "}", "[" * 100_000 + "]" * 100_000,
+], ids=["array", "invalid", "long-integer", "deep"])
 @pytest.mark.parametrize("broken, command", [
     pytest.param("observations", ("detect", "--input", "{observations}"),
                  id="detect-observations"),
@@ -470,10 +486,10 @@ def test_qagen_budget_zero_accepted(valid_inputs, tmp_path):
 
 
 @pytest.mark.parametrize("trace, message", [
-    ({"rollouts": "ABCDEFGH"}, "rollouts must be a list of strings"),
-    ({"rollouts": {"a": "A"}}, "rollouts must be a list of strings"),
-    ({"rollouts": None}, "rollouts must be a list of strings"),
-    ({"rollouts": ["A"] * 7 + [1]}, "rollouts must be a list of strings"),
+    ({"rollouts": "ABCDEFGH"}, "rollouts must be a list, got 'ABCDEFGH'"),
+    ({"rollouts": {"a": "A"}}, "rollouts must be a list, got {'a': 'A'}"),
+    ({"rollouts": None}, "rollouts must be a list, got None"),
+    ({"rollouts": ["A"] * 7 + [1]}, "rollouts[7] must be a string, got 1"),
     ({"model": None}, "model must be a string, got None"),
     ({"model": 3}, "model must be a string, got 3"),
     ({"query_id": None}, "query_id must be a string, got None"),
@@ -495,6 +511,105 @@ def test_mistyped_trace_record_exit_3(valid_inputs, tmp_path, capsys, trace, mes
     err = capsys.readouterr().err
     assert err == f"error: line 2: bad trace record: {message}\n"
     assert not (out / "rewards.jsonl").exists()
+
+
+MISSING = object()
+NAN = float("nan")
+# Each input file, the stages that read it and the artifact each would write.
+READERS = {
+    "events": [(GRAPH_ARGS, "graph.jsonl")],
+    "videos": [(GRAPH_ARGS, "graph.jsonl")],
+    "graph": [(QAGEN_ARGS, "qa.jsonl"), (REWARD_ARGS, "rewards.jsonl")],
+    "qa": [(REWARD_ARGS, "rewards.jsonl"), (("corrupt", "--input", "{qa}"), "qa.corrupted.jsonl")],
+    "traces": [(REWARD_ARGS, "rewards.jsonl")],
+    "rewards": [(("analyze", "--input", "{rewards}", "--tsv"), "report.json")],
+}
+MISTYPED = [
+    ("events", ("video_id",), MISSING, "event record: 'video_id'"),
+    ("events", ("source",), None, "event record: source must be a string, got None"),
+    ("events", ("event_type",), 5, "event record: event_type must be a string, got 5"),
+    ("events", ("event_id",), True, "event record: event_id must be an integer, got True"),
+    ("events", ("participants",), [1.9, "2"],
+     "event record: participants[0] must be an integer, got 1.9"),
+    ("events", ("start_time",), "0.5",
+     "event record: start_time must be a finite number, got '0.5'"),
+    ("events", ("confidence",), NAN, "event record: confidence must be a finite number, got nan"),
+    ("events", ("end_time",), 10 ** 400,
+     f"event record: end_time must be a finite number, got {10 ** 400}"),
+    ("events", ("attributes",), [], "event record: attributes must be an object, got []"),
+    ("videos", ("video_id",), 7, "video manifest record: video_id must be a string, got 7"),
+    ("videos", ("duration",), None,
+     "video manifest record: duration must be a finite number, got None"),
+    ("videos", ("duration",), True,
+     "video manifest record: duration must be a finite number, got True"),
+    ("videos", ("duration",), NAN,
+     "video manifest record: duration must be a finite number, got nan"),
+    ("graph", ("video_id",), None, "graph record: video_id must be a string, got None"),
+    ("graph", ("duration",), NAN, "graph record: duration must be a finite number, got nan"),
+    ("graph", ("events",), {"a": 1}, "graph record: events must be a list, got {'a': 1}"),
+    ("graph", ("events", 0, "participants", 0), True,
+     "event record: participants[0] must be an integer, got True"),
+    ("graph", ("joint_pairs",), [[0, 1, True]],
+     "graph record: joint_pairs[0][2] must be a finite number, got True"),
+    ("graph", ("joint_pairs",), [[0, 1]],
+     "graph record: joint_pairs[0] must be a list of 3 items, got [0, 1]"),
+    ("qa", ("qa_id",), None, "qa record: qa_id must be a string, got None"),
+    ("qa", ("video_id",), 7, "qa record: video_id must be a string, got 7"),
+    ("qa", ("options",), "ABCD", "qa record: options must be a list, got 'ABCD'"),
+    ("qa", ("source_event_ids",), [True],
+     "qa record: source_event_ids[0] must be an integer, got True"),
+    ("qa", ("time_range",), [0.0, NAN], "qa record: time_range[1] must be a finite number, got nan"),
+    ("qa", ("time_range",), [0.0], "qa record: time_range must be a list of 2 items, got [0.0]"),
+    ("traces", ("rollouts",), MISSING, "trace record: 'rollouts'"),
+    ("traces", ("model",), True, "trace record: model must be a string, got True"),
+    ("rewards", ("per_rollout",), None, "rewards record: per_rollout must be a list, got None"),
+    ("rewards", ("per_rollout", 0), "x", "rewards record: per_rollout[0] must be an object, got 'x'"),
+    ("rewards", ("per_rollout", 0, "n_pred"), True,
+     "rewards record: n_pred must be an integer, got True"),
+    ("rewards", ("per_rollout", 0, "total"), NAN,
+     "rewards record: total must be a finite number, got nan"),
+    ("rewards", ("per_rollout", 0, "well_formed"), 1,
+     "rewards record: well_formed must be a boolean, got 1"),
+    ("rewards", ("per_rollout", 0, "grounding_precision"), "0.5",
+     "rewards record: grounding_precision must be a finite number, got '0.5'"),
+    ("rewards", ("per_rollout", 0, "advantage"), None,
+     "rewards record: advantage must be a finite number, got None"),
+]
+
+
+def _mistyped_id(broken, path, value, command):
+    shown = "missing" if value is MISSING else json.dumps(value, separators=(",", ":"))
+    shown = shown.replace('"', "'") if len(shown) < 20 else shown[:8] + "..."
+    return "-".join([command[0], broken, *map(str, path), shown])
+
+
+@pytest.mark.parametrize("broken, path, value, message, command, artifact", [
+    pytest.param(broken, path, value, message, command, artifact,
+                 id=_mistyped_id(broken, path, value, command))
+    for broken, path, value, message in MISTYPED for command, artifact in READERS[broken]
+])
+def test_mistyped_record_exit_3(valid_inputs, tmp_path, capsys, broken, path, value, message,
+                                command, artifact):
+    """A missing key, null, the wrong JSON type, a bool for a number or NaN
+    in any record exits 3 with one line naming the line and the field, and
+    writes no artifact."""
+    lines = valid_inputs[broken].read_text().splitlines()
+    record = json.loads(lines[1])
+    *parents, last = path
+    target = record
+    for key in parents:
+        target = target[key]
+    if value is MISSING:
+        del target[last]
+    else:
+        target[last] = value
+    lines[1] = json.dumps(record)
+    paths = {**valid_inputs, broken: tmp_path / f"{broken}.jsonl"}
+    paths[broken].write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run(*(arg.format(**paths) for arg in command), "--out", str(out)) == 3
+    assert capsys.readouterr().err == f"error: line 2: bad {message}\n"
+    assert not (out / artifact).exists()
 
 
 @pytest.mark.parametrize("emptied", ["source_event_ids", "participants"])

@@ -115,7 +115,7 @@ class TestMcqOptions:
         ]
         g = graph_of(events)
         rng = random.Random(0)
-        options, letter = make_mcq_options("Person 2", g, "T1", "person", rng)
+        options, letter = make_mcq_options("Person 2", g, "person", rng)
         assert set(options) == {"Person 0", "Person 1", "Person 2", "Person 3"}
         assert options["ABCD".index(letter)] == "Person 2"
 
@@ -123,27 +123,26 @@ class TestMcqOptions:
         events = [event(0, "pointing", parts=(0, 1), start=1.0, end=3.0,
                         roles={"initiator": 0, "target": 1})]
         g = graph_of(events)
-        options, letter = make_mcq_options("Pointing", g, "G2", "gesture_type",
-                                           random.Random(0))
+        options, letter = make_mcq_options("Pointing", g, "gesture_type", random.Random(0))
         assert set(options) == {"Pointing", "Showing", "Giving", "Reaching"}
         assert options["ABCD".index(letter)] == "Pointing"
 
     def test_single_person_graph_skips(self):
         events = [event(0, "sudden_gaze_shift", parts=(1,), start=1.0, end=2.0)]
         g = graph_of(events)
-        assert make_mcq_options("Person 1", g, "T1", "person", random.Random(0)) is None
+        assert make_mcq_options("Person 1", g, "person", random.Random(0)) is None
 
     def test_duration_distractors_positive(self):
         g = graph_of([event(0, start=1.0, end=1.5)])
-        options, _ = make_mcq_options("0.5 seconds", g, "T3", "duration", random.Random(1))
+        options, _ = make_mcq_options("0.5 seconds", g, "duration", random.Random(1))
         values = sorted(float(o.split()[0]) for o in options)
         assert all(v > 0 for v in values)
         assert len(set(options)) == 4
 
     def test_seeded_shuffle_deterministic(self):
         g = graph_of([event(0, "mutual_gaze", parts=(0, 1)), event(1, "mutual_gaze", parts=(2, 3), start=5.0, end=6.0)])
-        a = make_mcq_options("Person 2", g, "T1", "person", random.Random(7))
-        b = make_mcq_options("Person 2", g, "T1", "person", random.Random(7))
+        a = make_mcq_options("Person 2", g, "person", random.Random(7))
+        b = make_mcq_options("Person 2", g, "person", random.Random(7))
         assert a == b
 
 

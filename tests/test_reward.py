@@ -1,11 +1,14 @@
 import math
 import random
 import re
-import time
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from oracles import check_template
+from socialevents import reward
 from socialevents.config import EngineConfig
 from socialevents.errors import ContractError
 from socialevents.reward import (
@@ -304,7 +307,20 @@ class TestTemplateGrammar:
         "<think></think><answer>" + "<gaze" * 25_000 + "</answer></answer>",
     ], ids=["trailing-text", "unclosed-think", "bare-lt", "tag-in-answer"])
     def test_failing_long_trace_is_linear(self, raw):
+        """The match runs in a child process that times it, so a backtracking
+        grammar fails at the outer timeout instead of hanging the run."""
         assert len(raw) >= 100_000 and raw.count("<") >= 25_000
-        start = time.perf_counter()
-        assert _TEMPLATE_RE.fullmatch(raw) is None
-        assert time.perf_counter() - start < 0.25
+        child = (
+            "import sys, time\n"
+            f"sys.path.insert(0, {str(Path(reward.__file__).parents[1])!r})\n"
+            "from socialevents.reward import _TEMPLATE_RE\n"
+            "raw = sys.stdin.read()\n"
+            "start = time.perf_counter()\n"
+            "matched = _TEMPLATE_RE.fullmatch(raw) is not None\n"
+            "print(matched, time.perf_counter() - start)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", child], input=raw, capture_output=True,
+                              text=True, timeout=30, check=True)
+        matched, seconds = done.stdout.split()
+        assert matched == "False"
+        assert float(seconds) < 0.25
