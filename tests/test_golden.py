@@ -14,6 +14,11 @@ six-person video with gestures and seeded traces: three models, about one
 malformed trace in ten, rollouts that predict no one, and MCQ answers given
 as the option text. Its digests were computed before analyze became the
 only per-model aggregation.
+
+QA generation is pinned on its own across all sixteen categories: the
+full-taxonomy graph of test_qa plus eighty synthetic graphs, at twelve seeds
+and five budgets each. The digest was computed before the categories were
+declared in one table.
 """
 
 import json
@@ -22,9 +27,11 @@ import hashlib
 
 import pytest
 
+import test_qa
 from socialevents.cli import main
-from socialevents.qa import load_qa_items
-from synth import make_gestures, make_traces, make_video, write_gestures, write_observations
+from socialevents.qa import generate_qa, load_qa_items, serialize_qa_item
+from synth import (make_gestures, make_graph, make_traces, make_video, write_gestures,
+                   write_observations)
 
 GOLDEN = {
     "seed3": (
@@ -102,3 +109,18 @@ def test_pipeline_bytes_match_golden(tmp_path):
     assert main(["analyze", "--input", f"{o}/rewards.jsonl", "--out", o, "--tsv"]) == 0
     assert main(["corrupt", "--input", f"{o}/qa.jsonl", "--out", o, "--seed", "11"]) == 0
     assert {name: _digest(out / name) for name in PIPELINE_GOLDEN} == PIPELINE_GOLDEN
+
+
+QA_GOLDEN = (27204, "1326fc9263b22bbb0be2027403b5793a56e105b6c6cd10428cc54abbaafcbf1b")
+
+
+def test_qa_bytes_match_golden():
+    graphs = [test_qa.TestFullTaxonomyCoverage().rich_graph()] + [make_graph(s) for s in range(80)]
+    digest, count = hashlib.sha256(), 0
+    for g in graphs:
+        for seed in range(12):
+            for budget in (0, 1, 5, 25, 500):
+                for item in generate_qa(g, budget=budget, seed=seed):
+                    digest.update((serialize_qa_item(item) + "\n").encode("utf-8"))
+                    count += 1
+    assert (count, digest.hexdigest()) == QA_GOLDEN
