@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import ContractError
 from .mentions import extract_person_ids, person_id_counts, replace_person_ids
-from .qa import LETTERS, QAItem
+from .qa import LETTERS, QAItem, item_person_ids
 from .reward import ReasoningTrace
 
 
@@ -53,16 +53,6 @@ def grounding_precision(pred: set[int], gt: set[int]) -> float | None:
 def novel_participants(pred: set[int], question: str) -> int:
     """Predicted IDs that the question text never mentions."""
     return len(set(pred) - extract_person_ids(question))
-
-
-def item_person_ids(item: QAItem) -> set[int]:
-    texts = [item.question, item.answer_text]
-    if item.options:
-        texts.extend(item.options)
-    ids: set[int] = set()
-    for text in texts:
-        ids.update(extract_person_ids(text))
-    return ids
 
 
 def corrupt_ids(item: QAItem, remap: IdRemap) -> QAItem:

@@ -32,6 +32,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import statistics
 import sys
 from pathlib import Path
@@ -151,11 +152,19 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _write_lines(path: Path, lines) -> None:
-    """Write one artifact, one line per item. Stages compute their results
-    before they call this, so a stage that fails writes no file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    """Write one artifact, one line per item, to a temporary file in the same
+    directory that then replaces the artifact. A failure while writing leaves
+    any previous artifact as it was and removes the temporary file, so the
+    next stage never reads a truncated artifact."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +227,7 @@ def _cmd_graph(args: argparse.Namespace, config: EngineConfig) -> int:
 
     gestures, rejections = ingest.load_gestures(args.gestures)
     for rej in rejections:
-        print(f"warning: gesture rejected at line {rej.line}: {rej.reason}", file=sys.stderr)
+        print(f"warning: gesture rejected: {rej.reason}", file=sys.stderr)
     gestures_by_video: dict[str, list[ingest.GestureAnnotation]] = {}
     for gesture in gestures:
         gestures_by_video.setdefault(gesture.video_id, []).append(gesture)

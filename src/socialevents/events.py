@@ -34,7 +34,7 @@ from typing import Iterable
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import ValidationError
 from .gaze import PROV_MEASURED, FrameFeatures, GazeSample, GazeTrack
-from .ingest import SAMPLE_PERIOD, dumps_canonical, read_field, typed
+from .ingest import GESTURE_TYPES, SAMPLE_PERIOD, dumps_canonical, read_field, typed
 
 SOURCE_GAZE = "gaze"
 SOURCE_GESTURE = "gesture"
@@ -46,6 +46,7 @@ GAZE_EVENT_TYPES = (
     "attention_capture",
     "mutual_gaze",
 )
+_TYPES_BY_SOURCE = {SOURCE_GAZE: GAZE_EVENT_TYPES, SOURCE_GESTURE: GESTURE_TYPES}
 
 
 @dataclass(frozen=True)
@@ -406,8 +407,10 @@ def event_record(event: SocialEvent, video_id: str | None = None) -> dict:
 
 
 def parse_event(record: dict, line: int | None = None) -> SocialEvent:
+    """A checked event: typed fields, a type known for its source, at least
+    one participant, two for mutual gaze, and an initiator on a gesture."""
     roles = read_field(record, "roles", dict, "event", line, default={})
-    return SocialEvent(
+    event = SocialEvent(
         event_id=read_field(record, "event_id", int, "event", line),
         source=read_field(record, "source", str, "event", line),
         event_type=read_field(record, "event_type", str, "event", line),
@@ -418,6 +421,20 @@ def parse_event(record: dict, line: int | None = None) -> SocialEvent:
         confidence=read_field(record, "confidence", float, "event", line),
         attributes=dict(read_field(record, "attributes", dict, "event", line, default={})),
     )
+    types = _TYPES_BY_SOURCE.get(event.source)
+    if types is None:
+        fault = f"source must be {SOURCE_GAZE!r} or {SOURCE_GESTURE!r}, got {event.source!r}"
+    elif event.event_type not in types:
+        fault = f"event_type {event.event_type!r} is not a {event.source} event type"
+    elif not event.participants:
+        fault = "participants must not be empty"
+    elif event.event_type == "mutual_gaze" and len(event.participants) != 2:
+        fault = f"participants of mutual_gaze must be 2 persons, got {sorted(event.participants)}"
+    elif event.source == SOURCE_GESTURE and "initiator" not in event.roles:
+        fault = "roles['initiator'] is required on a gesture event"
+    else:
+        return event
+    raise ValidationError(f"bad event record: {fault}", line)
 
 
 def _event(

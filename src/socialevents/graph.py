@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .events import SOURCE_GESTURE, SocialEvent, event_record, event_sort_key, parse_event
+from .errors import ValidationError
+from .events import (SOURCE_GAZE, SOURCE_GESTURE, SocialEvent, event_record, event_sort_key,
+                     parse_event)
 from .ingest import (SAMPLE_PERIOD, GestureAnnotation, dumps_canonical, read_field, read_jsonl,
                      snap_to_grid)
 
@@ -228,8 +230,20 @@ def serialize_graph(graph: SocialGraph) -> str:
 
 
 def parse_graph(record: dict, line: int | None = None) -> SocialGraph:
+    """A checked graph: checked events with unique ids, and joint pairs that
+    each link a gaze event of the graph to one of its gesture events."""
     events = [parse_event(e, line) for e in read_field(record, "events", [dict], "graph", line)]
+    sources: dict[int, str] = {}
+    for e in events:
+        if e.event_id in sources:
+            raise ValidationError(f"bad graph record: events repeat event_id {e.event_id}", line)
+        sources[e.event_id] = e.source
     pairs = read_field(record, "joint_pairs", [(int, int, float)], "graph", line, default=[])
+    for i, (gaze_id, gesture_id, _) in enumerate(pairs):
+        if (sources.get(gaze_id), sources.get(gesture_id)) != (SOURCE_GAZE, SOURCE_GESTURE):
+            raise ValidationError(
+                f"bad graph record: joint_pairs[{i}] must link a gaze event id to a gesture "
+                f"event id of this graph, got [{gaze_id}, {gesture_id}]", line)
     return SocialGraph(read_field(record, "video_id", str, "graph", line),
                        read_field(record, "duration", float, "graph", line), events, pairs)
 

@@ -2,11 +2,13 @@
 and deterministic seeding.
 
 Sixteen categories cover gaze (T1-T6), gesture (G1-G6), and joint gaze-gesture
-reasoning (J1-J4). Question wording varies by a seeded per-item draw; the
+reasoning (J1-J4). ``CATEGORIES`` is the one place a category is declared: its
+difficulty, its distractor kind and the enumerator of its candidates, in
+generation order. Question wording varies by a seeded per-item draw; the
 answer string for a category is a fixed function of the cited events, so an
 oracle reading only those events can reconstruct every answer. Graphs with few
 events emit only the easy categories; richer graphs unlock medium and hard
-ones, and the J categories additionally require linked gaze-gesture pairs.
+ones, and the J categories enumerate linked gaze-gesture pairs only.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import hashlib
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, EngineConfig
@@ -28,13 +31,6 @@ BLACKLIST = (
     "seems", "probably", "emotion", "feeling",
 )
 _BLACKLIST_RE = re.compile(r"\b(" + "|".join(BLACKLIST) + r")\b", re.IGNORECASE)
-
-CATEGORY_DIFFICULTY = {
-    "T1": "easy", "T2": "easy", "T3": "medium", "T4": "medium", "T5": "hard", "T6": "hard",
-    "G1": "easy", "G2": "easy", "G3": "medium", "G4": "medium", "G5": "hard", "G6": "hard",
-    "J1": "medium", "J2": "medium", "J3": "hard", "J4": "hard",
-}
-CATEGORY_ORDER = tuple(CATEGORY_DIFFICULTY)
 
 GAZE_LABELS = {
     "mutual_gaze": "Making eye contact",
@@ -167,6 +163,17 @@ def _types_in_window(graph: SocialGraph, window: tuple[float, float] | None) -> 
 # validation
 
 
+def item_person_ids(item: QAItem) -> set[int]:
+    """Person IDs mentioned in the item's question, answer text and options."""
+    texts = [item.question, item.answer_text]
+    if item.options:
+        texts.extend(item.options)
+    ids: set[int] = set()
+    for text in texts:
+        ids.update(extract_person_ids(text))
+    return ids
+
+
 def validate_qa(item: QAItem, graph: SocialGraph) -> str | None:
     """Return a rejection reason, or None when the item is acceptable."""
     if item.category not in CATEGORY_DIFFICULTY:
@@ -215,14 +222,9 @@ def validate_qa(item: QAItem, graph: SocialGraph) -> str | None:
     if lo > min(e.start_time for e in sources) or hi < max(e.end_time for e in sources):
         return "time_range does not cover the source events"
 
-    known = set(graph.person_ids())
-    texts = [item.question, item.answer_text]
-    if item.options:
-        texts.extend(item.options)
-    for text in texts:
-        unknown = extract_person_ids(text) - known
-        if unknown:
-            return f"unknown person reference {sorted(unknown)}"
+    unknown = item_person_ids(item) - set(graph.person_ids())
+    if unknown:
+        return f"unknown person reference {sorted(unknown)}"
 
     gaze = [e for e in sources if e.source != SOURCE_GESTURE]
     gestures = [e for e in sources if e.source == SOURCE_GESTURE]
@@ -257,19 +259,16 @@ def generate_qa(
         allowed.add("hard")
 
     items: list[QAItem] = []
-    for category in CATEGORY_ORDER:
-        if CATEGORY_DIFFICULTY[category] not in allowed:
-            continue
-        if category.startswith("J") and not graph.joint_pairs:
+    for category, (difficulty, kind, candidates) in CATEGORIES.items():
+        if difficulty not in allowed:
             continue
         counter = 0
-        for candidate in _CANDIDATES[category](graph):
+        for sources, answer_text, phrasings in candidates(graph):
             if len(items) >= budget:
                 return items
-            item = _build_item(graph, category, candidate, counter, seed)
-            if item is None:
-                continue
-            if validate_qa(item, graph) is not None:
+            item = _build_item(graph, category, difficulty, kind, sources, answer_text,
+                               phrasings, counter, seed)
+            if item is None or validate_qa(item, graph) is not None:
                 continue
             items.append(item)
             counter += 1
@@ -277,33 +276,21 @@ def generate_qa(
 
 
 def _build_item(
-    graph: SocialGraph, category: str, candidate: dict, counter: int, seed: int
+    graph: SocialGraph, category: str, difficulty: str, kind: str,
+    sources: tuple[SocialEvent, ...], answer_text: str, phrasings: tuple[str, ...],
+    counter: int, seed: int,
 ) -> QAItem | None:
-    source_ids = candidate["source_ids"]
+    source_ids = tuple(e.event_id for e in sources)
+    time_range = (min(e.start_time for e in sources), max(e.end_time for e in sources))
     rng = _item_rng(seed, graph.video_id, category, source_ids)
-    question = candidate["phrasings"][rng.randrange(len(candidate["phrasings"]))]
-    answer_text = candidate["answer"]
-
-    difficulty = CATEGORY_DIFFICULTY[category]
-    fmt = "mcq"
+    question = phrasings[rng.randrange(len(phrasings))]
     if difficulty == "hard" and rng.random() < 0.5:
-        fmt = "open_ended"
-
-    sources = [graph.event_by_id(eid) for eid in source_ids]
-    time_range = (
-        min(e.start_time for e in sources),
-        max(e.end_time for e in sources),
-    )
-
-    if fmt == "mcq":
-        built = make_mcq_options(answer_text, graph, candidate["kind"], rng, window=time_range)
+        fmt, options, answer = "open_ended", None, answer_text
+    else:
+        built = make_mcq_options(answer_text, graph, kind, rng, window=time_range)
         if built is None:
             return None
-        options, letter = built
-        answer = letter
-    else:
-        options = None
-        answer = answer_text
+        fmt, (options, answer) = "mcq", built
     return QAItem(
         qa_id=f"{graph.video_id}:{category}:{counter}",
         video_id=graph.video_id,
@@ -314,13 +301,13 @@ def _build_item(
         options=options,
         answer=answer,
         answer_text=answer_text,
-        source_event_ids=tuple(source_ids),
+        source_event_ids=source_ids,
         time_range=time_range,
     )
 
 
-# Candidate enumerators. Each yields a dict with phrasings, the canonical
-# answer string, the distractor kind, and the cited event IDs.
+# Candidate enumerators. Each yields (cited events, canonical answer string,
+# phrasings); CATEGORIES names each one's difficulty and distractor kind.
 
 
 def _events_of(graph: SocialGraph, event_type: str) -> list[SocialEvent]:
@@ -344,47 +331,32 @@ def _cands_t1(graph):
     for e in _events_of(graph, "mutual_gaze"):
         asked, answer = min(e.participants), max(e.participants)
         mid = _ts(snap_to_grid((e.start_time + e.end_time) / 2.0))
-        yield {
-            "phrasings": (
-                f"At around {mid} seconds, who is Person {asked} looking at?",
-                f"Who is Person {asked} looking at around {mid} seconds?",
-            ),
-            "answer": f"Person {answer}",
-            "kind": "person",
-            "source_ids": (e.event_id,),
-        }
+        yield (e,), f"Person {answer}", (
+            f"At around {mid} seconds, who is Person {asked} looking at?",
+            f"Who is Person {asked} looking at around {mid} seconds?",
+        )
 
 
 def _cands_t2(graph):
     for e in _gaze_events(graph):
         who = _persons_phrase(e.participants)
         start = _ts(e.start_time)
-        yield {
-            "phrasings": (
-                f"What best describes the gaze behavior involving {who} around {start} seconds?",
-                f"Around {start} seconds, which description fits the gaze behavior of {who}?",
-            ),
-            "answer": GAZE_LABELS[e.event_type],
-            "kind": "gaze_label",
-            "source_ids": (e.event_id,),
-        }
+        yield (e,), GAZE_LABELS[e.event_type], (
+            f"What best describes the gaze behavior involving {who} around {start} seconds?",
+            f"Around {start} seconds, which description fits the gaze behavior of {who}?",
+        )
 
 
 def _cands_t3(graph):
     for e in _events_of(graph, "mutual_gaze"):
         a, b = sorted(e.participants)
         start = _ts(e.start_time)
-        yield {
-            "phrasings": (
-                f"How long do Person {a} and Person {b} maintain eye contact starting at "
-                f"{start} seconds?",
-                f"Starting at {start} seconds, for how long do Person {a} and Person {b} "
-                f"hold eye contact?",
-            ),
-            "answer": f"{e.duration:.1f} seconds",
-            "kind": "duration",
-            "source_ids": (e.event_id,),
-        }
+        yield (e,), f"{e.duration:.1f} seconds", (
+            f"How long do Person {a} and Person {b} maintain eye contact starting at "
+            f"{start} seconds?",
+            f"Starting at {start} seconds, for how long do Person {a} and Person {b} "
+            f"hold eye contact?",
+        )
 
 
 def _cands_t4(graph):
@@ -393,15 +365,10 @@ def _cands_t4(graph):
         if leader is None or follower is None:
             continue
         span = f"between {_ts(e.start_time)} and {_ts(e.end_time)} seconds"
-        yield {
-            "phrasings": (
-                f"Who follows Person {leader}'s gaze {span}?",
-                f"{span.capitalize()}, who looks where Person {leader} was looking?",
-            ),
-            "answer": f"Person {follower}",
-            "kind": "person",
-            "source_ids": (e.event_id,),
-        }
+        yield (e,), f"Person {follower}", (
+            f"Who follows Person {leader}'s gaze {span}?",
+            f"{span.capitalize()}, who looks where Person {leader} was looking?",
+        )
 
 
 def _cands_t5(graph):
@@ -410,29 +377,19 @@ def _cands_t5(graph):
         if leader is None:
             continue
         span = f"between {_ts(e.start_time)} and {_ts(e.end_time)} seconds"
-        yield {
-            "phrasings": (
-                f"In the gaze following event {span}, who looks at the target first?",
-                f"One person follows another's gaze {span}. Who looks first?",
-            ),
-            "answer": f"Person {leader}",
-            "kind": "person",
-            "source_ids": (e.event_id,),
-        }
+        yield (e,), f"Person {leader}", (
+            f"In the gaze following event {span}, who looks at the target first?",
+            f"One person follows another's gaze {span}. Who looks first?",
+        )
 
 
 def _cands_t6(graph):
     for e in _events_of(graph, "joint_attention"):
         span = f"between {_ts(e.start_time)} and {_ts(e.end_time)} seconds"
-        yield {
-            "phrasings": (
-                f"How many people look at the same spot {span}?",
-                f"{span.capitalize()}, how many people share attention on one spot?",
-            ),
-            "answer": _count_phrase(len(e.participants)),
-            "kind": "count",
-            "source_ids": (e.event_id,),
-        }
+        yield (e,), _count_phrase(len(e.participants)), (
+            f"How many people look at the same spot {span}?",
+            f"{span.capitalize()}, how many people share attention on one spot?",
+        )
 
 
 def _cands_g1(graph):
@@ -443,30 +400,20 @@ def _cands_g1(graph):
         verb = GESTURE_VERBS[e.event_type][0]
         init = e.roles["initiator"]
         span = f"between {_ts(e.start_time)} and {_ts(e.end_time)} seconds"
-        yield {
-            "phrasings": (
-                f"{span.capitalize()}, who is Person {init} {verb}?",
-                f"Who is Person {init} {verb} {span}?",
-            ),
-            "answer": f"Person {target}",
-            "kind": "person",
-            "source_ids": (e.event_id,),
-        }
+        yield (e,), f"Person {target}", (
+            f"{span.capitalize()}, who is Person {init} {verb}?",
+            f"Who is Person {init} {verb} {span}?",
+        )
 
 
 def _cands_g2(graph):
     for e in _gesture_events(graph):
         init = e.roles["initiator"]
         start = _ts(e.start_time)
-        yield {
-            "phrasings": (
-                f"What type of gesture does Person {init} perform at {start} seconds?",
-                f"At {start} seconds, which gesture does Person {init} make?",
-            ),
-            "answer": e.event_type.capitalize(),
-            "kind": "gesture_type",
-            "source_ids": (e.event_id,),
-        }
+        yield (e,), e.event_type.capitalize(), (
+            f"What type of gesture does Person {init} perform at {start} seconds?",
+            f"At {start} seconds, which gesture does Person {init} make?",
+        )
 
 
 def _cands_g3(graph):
@@ -481,17 +428,12 @@ def _cands_g3(graph):
             init = e1.roles["initiator"]
             lo = _ts(min(e1.start_time, e2.start_time))
             hi = _ts(max(e1.end_time, e2.end_time))
-            yield {
-                "phrasings": (
-                    f"Between {lo} and {hi} seconds, Person {init} performs two gestures. "
-                    f"Which happens first?",
-                    f"Person {init} makes two gestures between {lo} and {hi} seconds. "
-                    f"Which comes first?",
-                ),
-                "answer": first.event_type.capitalize(),
-                "kind": "gesture_type",
-                "source_ids": (e1.event_id, e2.event_id),
-            }
+            yield (e1, e2), first.event_type.capitalize(), (
+                f"Between {lo} and {hi} seconds, Person {init} performs two gestures. "
+                f"Which happens first?",
+                f"Person {init} makes two gestures between {lo} and {hi} seconds. "
+                f"Which comes first?",
+            )
 
 
 def _cands_g4(graph):
@@ -508,39 +450,27 @@ def _cands_g4(graph):
             a, b = e1.roles["initiator"], t1
             verb = GESTURE_VERBS[e1.event_type][2]
             start = _ts(e1.start_time)
-            yield {
-                "phrasings": (
-                    f"Person {a} {verb} Person {b} at {start} seconds. "
-                    f"Who does Person {b} direct a gesture at afterwards?",
-                    f"After Person {a}'s {e1.event_type} gesture at {start} seconds, "
-                    f"who does Person {b} gesture toward?",
-                ),
-                "answer": f"Person {t2}",
-                "kind": "person",
-                "source_ids": (e1.event_id, e2.event_id),
-            }
+            yield (e1, e2), f"Person {t2}", (
+                f"Person {a} {verb} Person {b} at {start} seconds. "
+                f"Who does Person {b} direct a gesture at afterwards?",
+                f"After Person {a}'s {e1.event_type} gesture at {start} seconds, "
+                f"who does Person {b} gesture toward?",
+            )
 
 
 def _cands_g5(graph):
     gestures = _gesture_events(graph)
     if len(gestures) < 2:
         return
-    counts: dict[str, int] = {}
-    for e in gestures:
-        counts[e.event_type] = counts.get(e.event_type, 0) + 1
+    counts = Counter(e.event_type for e in gestures)
     top = max(counts.values())
     modal = [t for t, c in counts.items() if c == top]
     if len(modal) != 1:
         return
-    yield {
-        "phrasings": (
-            "What is the most common gesture type performed throughout the video clip?",
-            "Which gesture type occurs most often in the clip?",
-        ),
-        "answer": modal[0].capitalize(),
-        "kind": "gesture_type",
-        "source_ids": tuple(e.event_id for e in gestures),
-    }
+    yield tuple(gestures), modal[0].capitalize(), (
+        "What is the most common gesture type performed throughout the video clip?",
+        "Which gesture type occurs most often in the clip?",
+    )
 
 
 def _cands_g6(graph):
@@ -557,17 +487,12 @@ def _cands_g6(graph):
             a, b = e1.roles["initiator"], t1
             verb = GESTURE_VERBS[e1.event_type][1]
             s1, e1t = _ts(e1.start_time), _ts(e1.end_time)
-            yield {
-                "phrasings": (
-                    f"Person {a} performs a {e1.event_type} gesture toward Person {b} "
-                    f"between {s1} and {e1t} seconds. Who does Person {b} {verb} next?",
-                    f"After receiving Person {a}'s {e1.event_type} gesture at {s1} seconds, "
-                    f"who does Person {b} {verb}?",
-                ),
-                "answer": f"Person {t2}",
-                "kind": "person",
-                "source_ids": (e1.event_id, e2.event_id),
-            }
+            yield (e1, e2), f"Person {t2}", (
+                f"Person {a} performs a {e1.event_type} gesture toward Person {b} "
+                f"between {s1} and {e1t} seconds. Who does Person {b} {verb} next?",
+                f"After receiving Person {a}'s {e1.event_type} gesture at {s1} seconds, "
+                f"who does Person {b} {verb}?",
+            )
 
 
 def _cands_j1(graph):
@@ -577,17 +502,12 @@ def _cands_j1(graph):
         init = ges.roles["initiator"]
         t = _ts(min(g.start_time, ges.start_time))
         answer = ORDER_GAZE_FIRST if g.start_time < ges.start_time else ORDER_GESTURE_FIRST
-        yield {
-            "phrasings": (
-                f"Around {t} seconds, which starts first: the gaze interaction or "
-                f"Person {init}'s {ges.event_type} gesture?",
-                f"Does the gaze interaction or Person {init}'s {ges.event_type} gesture "
-                f"start first, near {t} seconds?",
-            ),
-            "answer": answer,
-            "kind": "order",
-            "source_ids": (g.event_id, ges.event_id),
-        }
+        yield (g, ges), answer, (
+            f"Around {t} seconds, which starts first: the gaze interaction or "
+            f"Person {init}'s {ges.event_type} gesture?",
+            f"Does the gaze interaction or Person {init}'s {ges.event_type} gesture "
+            f"start first, near {t} seconds?",
+        )
 
 
 def _cands_j2(graph):
@@ -601,17 +521,12 @@ def _cands_j2(graph):
         if len(others) != 1:
             continue
         t = _ts(ges.start_time)
-        yield {
-            "phrasings": (
-                f"Just as Person {init} starts a {ges.event_type} gesture at {t} seconds, "
-                f"who are they making eye contact with?",
-                f"Who is making eye contact with Person {init} when their "
-                f"{ges.event_type} gesture starts at {t} seconds?",
-            ),
-            "answer": f"Person {others[0]}",
-            "kind": "person",
-            "source_ids": (g.event_id, ges.event_id),
-        }
+        yield (g, ges), f"Person {others[0]}", (
+            f"Just as Person {init} starts a {ges.event_type} gesture at {t} seconds, "
+            f"who are they making eye contact with?",
+            f"Who is making eye contact with Person {init} when their "
+            f"{ges.event_type} gesture starts at {t} seconds?",
+        )
 
 
 def _cands_j3(graph):
@@ -623,17 +538,12 @@ def _cands_j3(graph):
         a, b = sorted(g.participants)
         init = ges.roles["initiator"]
         t = _ts(ges.start_time)
-        yield {
-            "phrasings": (
-                f"Right before Person {init} starts a {ges.event_type} gesture at {t} "
-                f"seconds, which two people look at the same spot?",
-                f"Which two people share attention just before Person {init}'s "
-                f"{ges.event_type} gesture at {t} seconds?",
-            ),
-            "answer": f"Person {a} and Person {b}",
-            "kind": "person_pair",
-            "source_ids": (g.event_id, ges.event_id),
-        }
+        yield (g, ges), f"Person {a} and Person {b}", (
+            f"Right before Person {init} starts a {ges.event_type} gesture at {t} "
+            f"seconds, which two people look at the same spot?",
+            f"Which two people share attention just before Person {init}'s "
+            f"{ges.event_type} gesture at {t} seconds?",
+        )
 
 
 def _cands_j4(graph):
@@ -642,26 +552,35 @@ def _cands_j4(graph):
         if len(common) != 1:
             continue
         t = _ts(ges.start_time)
-        yield {
-            "phrasings": (
-                f"Around {t} seconds, who takes part in both the gesture and the gaze "
-                f"interaction?",
-                f"Who is involved in both the {ges.event_type} gesture and the gaze "
-                f"interaction around {t} seconds?",
-            ),
-            "answer": f"Person {next(iter(common))}",
-            "kind": "person",
-            "source_ids": (g.event_id, ges.event_id),
-        }
+        yield (g, ges), f"Person {next(iter(common))}", (
+            f"Around {t} seconds, who takes part in both the gesture and the gaze "
+            f"interaction?",
+            f"Who is involved in both the {ges.event_type} gesture and the gaze "
+            f"interaction around {t} seconds?",
+        )
 
 
-_CANDIDATES = {
-    "T1": _cands_t1, "T2": _cands_t2, "T3": _cands_t3,
-    "T4": _cands_t4, "T5": _cands_t5, "T6": _cands_t6,
-    "G1": _cands_g1, "G2": _cands_g2, "G3": _cands_g3,
-    "G4": _cands_g4, "G5": _cands_g5, "G6": _cands_g6,
-    "J1": _cands_j1, "J2": _cands_j2, "J3": _cands_j3, "J4": _cands_j4,
+# The taxonomy, in generation order: category -> (difficulty, distractor
+# kind for make_mcq_options, candidate enumerator).
+CATEGORIES = {
+    "T1": ("easy", "person", _cands_t1),
+    "T2": ("easy", "gaze_label", _cands_t2),
+    "T3": ("medium", "duration", _cands_t3),
+    "T4": ("medium", "person", _cands_t4),
+    "T5": ("hard", "person", _cands_t5),
+    "T6": ("hard", "count", _cands_t6),
+    "G1": ("easy", "person", _cands_g1),
+    "G2": ("easy", "gesture_type", _cands_g2),
+    "G3": ("medium", "gesture_type", _cands_g3),
+    "G4": ("medium", "person", _cands_g4),
+    "G5": ("hard", "gesture_type", _cands_g5),
+    "G6": ("hard", "person", _cands_g6),
+    "J1": ("medium", "order", _cands_j1),
+    "J2": ("medium", "person", _cands_j2),
+    "J3": ("hard", "person_pair", _cands_j3),
+    "J4": ("hard", "person", _cands_j4),
 }
+CATEGORY_DIFFICULTY = {category: spec[0] for category, spec in CATEGORIES.items()}
 
 
 # ---------------------------------------------------------------------------

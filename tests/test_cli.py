@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from socialevents import cli
+from socialevents import cli, qa
 from socialevents.cli import main
 from socialevents.config import EngineConfig
 from socialevents.errors import ContractError
@@ -614,9 +614,10 @@ def test_mistyped_record_exit_3(valid_inputs, tmp_path, capsys, broken, path, va
 
 @pytest.mark.parametrize("emptied", ["source_event_ids", "participants"])
 def test_qa_citing_no_participants_names_its_line(valid_inputs, tmp_path, capsys, emptied):
-    """A QA item that cites no events, or only events without participants,
-    has no ground truth to score against: exit 3 naming the trace line and
-    the item."""
+    """A QA item that cites no events has no ground truth to score against:
+    exit 3 naming the trace line and the item. A graph event without
+    participants cannot be loaded: exit 3 naming the graph line and the
+    field."""
     qa_records = read_lines(valid_inputs["qa"])
     target = json.loads(valid_inputs["traces"].read_text().splitlines()[1])["qa_id"]
     record = next(r for r in qa_records if r["qa_id"] == target)
@@ -637,7 +638,11 @@ def test_qa_citing_no_participants_names_its_line(valid_inputs, tmp_path, capsys
     out = tmp_path / "out"
     assert run(*(arg.format(**paths) for arg in REWARD_ARGS), "--out", str(out)) == 3
     err = capsys.readouterr().err
-    assert err == f"error: line 2: qa {target} cites no events with participants\n"
+    if emptied == "source_event_ids":
+        assert err == f"error: line 2: qa {target} cites no events with participants\n"
+    else:
+        line = next(i for i, g in enumerate(graphs, 1) if g["video_id"] == record["video_id"])
+        assert err == f"error: line {line}: bad event record: participants must not be empty\n"
     assert not (out / "rewards.jsonl").exists()
 
 
@@ -671,3 +676,89 @@ def test_non_utf8_byte_names_its_line(valid_inputs, tmp_path, capsys, newline):
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {bad_at + 1}: not UTF-8: ") and err.count("\n") == 1
     assert not (out / "events.jsonl").exists()
+
+
+def _graph_record(events, pairs=((0, 3, 0.0),)):
+    return {"video_id": "v", "duration": 10.0, "events": events,
+            "joint_pairs": [list(p) for p in pairs]}
+
+
+def _event_record(event_id, source, event_type, participants, roles=None):
+    return {"event_id": event_id, "source": source, "event_type": event_type,
+            "participants": participants, "roles": roles or {}, "start_time": 1.0,
+            "end_time": 2.0, "confidence": 0.95, "attributes": {}}
+
+
+# Four events, so qagen reaches the medium categories, J included.
+GRAPH_EVENTS = [
+    _event_record(0, "gaze", "mutual_gaze", [0, 1]),
+    _event_record(1, "gaze", "sudden_gaze_shift", [2]),
+    _event_record(2, "gaze", "joint_attention", [1, 2]),
+    _event_record(3, "gesture", "pointing", [0, 1], {"initiator": 0, "target": 1}),
+]
+
+
+def _with_event(index, **fields):
+    return [{**e, **fields} if i == index else e for i, e in enumerate(GRAPH_EVENTS)]
+
+
+@pytest.mark.parametrize("graph, message", [
+    pytest.param(_graph_record(_with_event(1, event_type="waving")),
+                 "event record: event_type 'waving' is not a gaze event type",
+                 id="unknown-gaze-type"),
+    pytest.param(_graph_record(_with_event(3, roles={})),
+                 "event record: roles['initiator'] is required on a gesture event",
+                 id="gesture-without-initiator"),
+    pytest.param(_graph_record(GRAPH_EVENTS, pairs=[(0, 3, 0.0), (0, 9, 0.0)]),
+                 "graph record: joint_pairs[1] must link a gaze event id to a gesture event id "
+                 "of this graph, got [0, 9]",
+                 id="pair-names-absent-id"),
+    pytest.param(_graph_record(_with_event(0, participants=[0, 1, 2])),
+                 "event record: participants of mutual_gaze must be 2 persons, got [0, 1, 2]",
+                 id="three-person-mutual-gaze"),
+    pytest.param(_graph_record(_with_event(0, participants=[])),
+                 "event record: participants must not be empty", id="no-participants"),
+    pytest.param(_graph_record(_with_event(2, event_id=1), pairs=()),
+                 "graph record: events repeat event_id 1", id="duplicate-ids"),
+])
+def test_graph_breaking_the_contract_exit_3(tmp_path, capsys, graph, message):
+    """Each of these graphs ended qagen in a traceback, or (duplicate ids) was
+    accepted although its items could cite either event."""
+    path = tmp_path / "graph.jsonl"
+    path.write_text(json.dumps(_graph_record(GRAPH_EVENTS)) + "\n" + json.dumps(graph) + "\n")
+    out = tmp_path / "out"
+    assert run("qagen", "--input", str(path), "--out", str(out)) == 3
+    assert capsys.readouterr().err == f"error: line 2: bad {message}\n"
+    assert not (out / "qa.jsonl").exists()
+
+
+def test_gesture_warning_names_its_line_once(valid_inputs, tmp_path, capsys):
+    lines = valid_inputs["gestures"].read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "gesture_type": "waving"})
+    paths = {**valid_inputs, "gestures": tmp_path / "gestures.jsonl"}
+    paths["gestures"].write_text("\n".join(lines) + "\n")
+    assert run(*(arg.format(**paths) for arg in GRAPH_ARGS), "--out", str(tmp_path / "out")) == 0
+    assert capsys.readouterr().err == (
+        "warning: gesture rejected: line 2: unknown gesture_type 'waving'; "
+        "expected one of ('pointing', 'showing', 'giving', 'reaching')\n")
+
+
+def test_failed_write_keeps_previous_artifact(valid_inputs, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    argv = ("qagen", "--input", str(valid_inputs["graph"]), "--out", str(out))
+    assert run(*argv) == 0
+    before = (out / "qa.jsonl").read_bytes()
+    serialize = qa.serialize_qa_item
+    written = []
+
+    def fail_after_first(item):
+        if written:
+            raise ContractError("serializer failed")
+        written.append(item)
+        return serialize(item)
+
+    monkeypatch.setattr(qa, "serialize_qa_item", fail_after_first)
+    assert run(*argv, "--seed", "1") == 3
+    assert written
+    assert (out / "qa.jsonl").read_bytes() == before
+    assert [p.name for p in out.iterdir()] == ["qa.jsonl"]
