@@ -40,6 +40,7 @@ from pathlib import Path
 from . import analytics, events, gaze, graph as graph_mod, ingest, qa, reward as reward_mod
 from .config import DETECTOR_FIELDS, EngineConfig, add_config_arguments, config_from_args
 from .errors import ContractError, EngineError, ValidationError
+from .mentions import extract_person_ids
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
@@ -221,9 +222,15 @@ def _cmd_graph(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
 
     gaze_by_video: dict[str, list[events.SocialEvent]] = {}
+    seen: set[tuple[str, int]] = set()
     for line_no, record in ingest.read_jsonl(args.input):
         video_id = ingest.read_field(record, "video_id", str, "event", line_no)
-        gaze_by_video.setdefault(video_id, []).append(events.parse_event(record, line_no))
+        event = events.parse_event(record, line_no)
+        if (video_id, event.event_id) in seen:
+            raise ValidationError(
+                f"bad event record: video {video_id!r} repeats event_id {event.event_id}", line_no)
+        seen.add((video_id, event.event_id))
+        gaze_by_video.setdefault(video_id, []).append(event)
 
     gestures, rejections = ingest.load_gestures(args.gestures)
     for rej in rejections:
@@ -311,7 +318,14 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
         if not gt:
             raise ValidationError(f"qa {qa_id} cites no events with participants", line_no)
         aliases = (item.answer_text,) if item.format == "mcq" else ()
-        scored = reward_mod.score_group(rollouts, item.answer, gt, aliases, config)
+        try:
+            asked = extract_person_ids(item.question)
+        except ValidationError as exc:
+            raise ValidationError(f"qa {qa_id} question: {exc}", line_no) from None
+        try:
+            scored = reward_mod.score_group(rollouts, item.answer, gt, aliases, config)
+        except ValidationError as exc:
+            raise ValidationError(str(exc), line_no) from None
         per_rollout = []
         for s in scored:
             pred = s.breakdown.pred_participants
@@ -327,7 +341,7 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
                 "n_pred": len(pred),
                 "n_correct": len(pred & gt),
                 "grounding_precision": analytics.grounding_precision(pred, gt),
-                "novel_participants": analytics.novel_participants(pred, item.question),
+                "novel_participants": len(pred - asked),
                 "think_tokens": tokens,
                 "well_formed": not flagged,
             })
@@ -441,8 +455,12 @@ def _cross_model(models: dict) -> dict:
 def _cmd_corrupt(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
     records = []
-    for item in qa.load_qa_items(args.input):
-        ids = sorted(analytics.item_person_ids(item))
+    for line_no, raw in ingest.read_jsonl(args.input):
+        item = qa.parse_qa_item(raw, line_no)
+        try:
+            ids = sorted(analytics.item_person_ids(item))
+        except ValidationError as exc:
+            raise ValidationError(f"qa {item.qa_id}: {exc}", line_no) from None
         remap = analytics.seeded_remap(ids, f"{args.seed}:{item.qa_id}")
         record = qa.qa_item_record(analytics.corrupt_ids(item, remap))
         record["id_remap"] = {str(k): v for k, v in sorted(remap.mapping.items())}

@@ -12,6 +12,10 @@ grammar is one compiled regex. Its text rule is written in unrolled form,
 way; a failing match therefore backtracks in linear time, without the
 atomic groups or possessive quantifiers that Python 3.10 lacks.
 
+Block extraction is linear in the trace's length, well formed or not: the
+grammar's capture groups give a well-formed trace's think and answer
+blocks, and ``str.find`` scans (``_blocks``) give every other block.
+
 The reward combines answer accuracy, format validity, tag usage, and a
 precision-recall grounding term over mentioned person IDs; trajectory
 advantages are normalized within their rollout group and clipped. Every
@@ -22,25 +26,23 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import DEFAULT_CONFIG, EngineConfig
-from .errors import ContractError
+from .errors import ContractError, ValidationError
 from .mentions import extract_person_ids
 
 # Text holding no template tag.
 _TEXT = r"[^<]*(?:<(?!/?(?:think|gaze|gesture|answer)>)[^<]*)*"
+# Group 1 is the think block, group 2 the answer block.
 _TEMPLATE_RE = re.compile(
-    rf"\s*<think>{_TEXT}(?:<gaze>{_TEXT}</gaze>{_TEXT}|<gesture>{_TEXT}</gesture>{_TEXT})*"
-    rf"</think>\s*<answer>{_TEXT}</answer>\s*")
-_THINK_RE = re.compile(r"<think>(.*?)</think>", re.DOTALL)
-_ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", re.DOTALL)
-_GAZE_RE = re.compile(r"<gaze>(.*?)</gaze>", re.DOTALL)
-_GESTURE_RE = re.compile(r"<gesture>(.*?)</gesture>", re.DOTALL)
+    rf"\s*<think>({_TEXT}(?:<gaze>{_TEXT}</gaze>{_TEXT}|<gesture>{_TEXT}</gesture>{_TEXT})*)"
+    rf"</think>\s*<answer>({_TEXT})</answer>\s*")
 
 
-@dataclass(frozen=True)
-class ReasoningTrace:
+# The result types are NamedTuples, immutable and hashable: one of each is
+# built per rollout, at about a third of a frozen dataclass's cost.
+class ReasoningTrace(NamedTuple):
     raw: str
     think_block: str | None
     gaze_blocks: tuple[str, ...]
@@ -49,8 +51,7 @@ class ReasoningTrace:
     well_formed: bool
 
 
-@dataclass(frozen=True)
-class RewardBreakdown:
+class RewardBreakdown(NamedTuple):
     r_acc: int
     r_fmt: int
     r_str: int
@@ -59,24 +60,43 @@ class RewardBreakdown:
     pred_participants: frozenset[int]
 
 
-@dataclass(frozen=True)
-class ScoredRollout:
+class ScoredRollout(NamedTuple):
     trace: ReasoningTrace
     breakdown: RewardBreakdown
     advantage: float
 
 
+def _blocks(text: str, tag: str):
+    """The text of each <tag>...</tag> block, left to right: an open tag pairs
+    with the first close tag after it, and the search resumes after that
+    close tag. These are the matches of re.findall(r"<tag>(.*?)</tag>", text,
+    re.DOTALL), found in linear time even when close tags are missing."""
+    open_tag, close_tag = f"<{tag}>", f"</{tag}>"
+    start = text.find(open_tag)
+    while start >= 0:
+        start += len(open_tag)
+        end = text.find(close_tag, start)
+        if end < 0:
+            return
+        yield text[start:end]
+        start = text.find(open_tag, end + len(close_tag))
+
+
 def parse_trace(raw: str) -> ReasoningTrace:
-    """Extract template blocks; malformedness is reported, never raised."""
-    well_formed = _TEMPLATE_RE.fullmatch(raw) is not None
-    think = _THINK_RE.search(raw)
-    think_block = think.group(1) if think else None
-    answer = _ANSWER_RE.search(raw)
-    answer_block = answer.group(1) if answer else None
+    """Extract template blocks; malformedness is reported, never raised.
+
+    The think and answer blocks are the first block of their tag in the raw
+    text; gaze and gesture blocks are searched within the think block, or
+    within the raw text when there is none."""
+    match = _TEMPLATE_RE.fullmatch(raw)
+    if match is not None:
+        think_block, answer_block = match.groups()
+    else:
+        think_block = next(_blocks(raw, "think"), None)
+        answer_block = next(_blocks(raw, "answer"), None)
     scope = think_block if think_block is not None else raw
-    gaze_blocks = tuple(_GAZE_RE.findall(scope))
-    gesture_blocks = tuple(_GESTURE_RE.findall(scope))
-    return ReasoningTrace(raw, think_block, gaze_blocks, gesture_blocks, answer_block, well_formed)
+    return ReasoningTrace(raw, think_block, tuple(_blocks(scope, "gaze")),
+                          tuple(_blocks(scope, "gesture")), answer_block, match is not None)
 
 
 def extract_participants(trace: ReasoningTrace) -> frozenset[int]:
@@ -104,17 +124,28 @@ def reward_components(
     with precision defined as 0 for an empty prediction set. The total is the
     exact weighted sum of the four components, weighted by config.
     """
+    return _score(trace, *_targets(correct_answer, gt_participants, answer_aliases), config)
+
+
+def _targets(
+    correct_answer: str, gt_participants, answer_aliases: tuple[str, ...],
+) -> tuple[set[str], frozenset[int]]:
+    """The normalized answers a trace may give and the participant set, built
+    once per rollout group."""
     if not gt_participants:
         raise ContractError("gt_participants must be non-empty")
+    accepted = {normalize_answer(a) for a in (correct_answer, *answer_aliases)}
+    return accepted, frozenset(gt_participants)
 
-    accepted = {normalize_answer(correct_answer)}
-    accepted.update(normalize_answer(a) for a in answer_aliases)
+
+def _score(
+    trace: ReasoningTrace, accepted: set[str], gt: frozenset[int], config: EngineConfig,
+) -> RewardBreakdown:
     r_acc = int(trace.answer_block is not None and normalize_answer(trace.answer_block) in accepted)
     r_fmt = int(trace.well_formed)
     r_str = int(bool(trace.gaze_blocks or trace.gesture_blocks))
 
     pred = extract_participants(trace)
-    gt = frozenset(gt_participants)
     hits = len(pred & gt)
     precision = hits / len(pred) if pred else 0.0
     recall = hits / len(gt)
@@ -138,15 +169,19 @@ def score_group(
 ) -> list[ScoredRollout]:
     """Score one rollout group end to end: parse, component rewards, and
     group-normalized advantages. The group must hold
-    config.rollouts_per_query rollouts."""
+    config.rollouts_per_query rollouts. A person id too long to convert is a
+    ValidationError naming the rollout's index."""
     rollouts = list(rollouts)
     if len(rollouts) != config.rollouts_per_query:
         raise ContractError(f"expected {config.rollouts_per_query} rollouts, got {len(rollouts)}")
+    accepted, gt = _targets(correct_answer, gt_participants, answer_aliases)
     traces = [parse_trace(raw) for raw in rollouts]
-    breakdowns = [
-        reward_components(trace, correct_answer, gt_participants, answer_aliases, config)
-        for trace in traces
-    ]
+    breakdowns = []
+    for index, trace in enumerate(traces):
+        try:
+            breakdowns.append(_score(trace, accepted, gt, config))
+        except ValidationError as exc:
+            raise ValidationError(f"rollout {index}: {exc}") from None
     advantages = group_advantages([b.total for b in breakdowns],
                                   config.advantage_clip, config.advantage_mode)
     return [

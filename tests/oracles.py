@@ -439,3 +439,44 @@ def check_template(raw: str) -> bool:
             return False
         cursor = match.end()
     return state == "done" and not raw[cursor:].strip()
+
+
+_THINK_RE = re.compile(r"<think>(.*?)</think>", re.DOTALL)
+_ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", re.DOTALL)
+_GAZE_RE = re.compile(r"<gaze>(.*?)</gaze>", re.DOTALL)
+_GESTURE_RE = re.compile(r"<gesture>(.*?)</gesture>", re.DOTALL)
+
+
+def regex_blocks(raw: str) -> tuple:
+    """(think, gaze blocks, gesture blocks, answer) of a trace as four lazy
+    regexes find them: the first think and answer block in the raw text, and
+    every gaze and gesture block within the think block, or within the raw
+    text when there is none. Quadratic on unclosed tags, so only for short
+    traces."""
+    think = _THINK_RE.search(raw)
+    think_block = think.group(1) if think else None
+    answer = _ANSWER_RE.search(raw)
+    scope = think_block if think_block is not None else raw
+    return (think_block, tuple(_GAZE_RE.findall(scope)), tuple(_GESTURE_RE.findall(scope)),
+            answer.group(1) if answer else None)
+
+
+_PERSON_WORD_RE = re.compile(r"\bperson\s+(\d+)\b", re.IGNORECASE)
+_PERSON_SHORT_RE = re.compile(r"\bP(\d+)\b")
+
+
+def regex_person_ids(text: str) -> list[int]:
+    """Every person token's ID, one regex per token form: "Person N" tokens
+    first, then "PN" tokens."""
+    return [int(m.group(1)) for regex in (_PERSON_WORD_RE, _PERSON_SHORT_RE)
+            for m in regex.finditer(text)]
+
+
+def regex_replace_person_ids(text: str, mapping: dict[int, int]) -> str:
+    """Rewrite "Person N" tokens through mapping, then "PN" tokens."""
+
+    def _sub(match: re.Match) -> str:
+        prefix = match.group(0)[: match.start(1) - match.start(0)]
+        return prefix + str(mapping[int(match.group(1))])
+
+    return _PERSON_SHORT_RE.sub(_sub, _PERSON_WORD_RE.sub(_sub, text))

@@ -646,6 +646,65 @@ def test_qa_citing_no_participants_names_its_line(valid_inputs, tmp_path, capsys
     assert not (out / "rewards.jsonl").exists()
 
 
+LONG_ID = "P" + "7" * 5000
+
+
+@pytest.mark.parametrize("where", ["rollout", "question"])
+def test_over_long_person_id_in_reward_names_its_line(valid_inputs, tmp_path, capsys, where):
+    """A person id of more digits than Python converts to an int exits 3
+    naming the trace line, and the rollout or the QA item."""
+    traces = valid_inputs["traces"].read_text().splitlines()
+    record = json.loads(traces[1])
+    paths = dict(valid_inputs)
+    if where == "rollout":
+        record["rollouts"][5] = f"<think><gaze>{LONG_ID} looks</gaze></think><answer>A</answer>"
+        traces[1] = json.dumps(record)
+        paths["traces"] = tmp_path / "traces.jsonl"
+        paths["traces"].write_text("\n".join(traces) + "\n")
+        message = "rollout 5: person id of 5000 digits is too long"
+    else:
+        qa_records = read_lines(valid_inputs["qa"])
+        item = next(r for r in qa_records if r["qa_id"] == record["qa_id"])
+        item["question"] += f" And {LONG_ID}?"
+        paths["qa"] = tmp_path / "qa.jsonl"
+        paths["qa"].write_text("".join(json.dumps(r) + "\n" for r in qa_records))
+        message = f"qa {record['qa_id']} question: person id of 5000 digits is too long"
+    out = tmp_path / "out"
+    assert run(*(arg.format(**paths) for arg in REWARD_ARGS), "--out", str(out)) == 3
+    assert capsys.readouterr().err == f"error: line 2: {message}\n"
+    assert not (out / "rewards.jsonl").exists()
+
+
+def test_over_long_person_id_in_corrupt_names_its_line(valid_inputs, tmp_path, capsys):
+    lines = valid_inputs["qa"].read_text().splitlines()
+    record = json.loads(lines[1])
+    record["answer_text"] += f" {LONG_ID}"
+    lines[1] = json.dumps(record)
+    path = tmp_path / "qa.jsonl"
+    path.write_text("\n\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run("corrupt", "--input", str(path), "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        f"error: line 3: qa {record['qa_id']}: person id of 5000 digits is too long\n")
+    assert not (out / "qa.corrupted.jsonl").exists()
+
+
+def test_graph_rejects_repeated_event_id(valid_inputs, tmp_path, capsys):
+    """Two events of one video with one event_id would make a graph that
+    qagen rejects; the graph stage exits 3 naming the second line. The same
+    id in another video is fine."""
+    events = tmp_path / "events.jsonl"
+    events.write_text(serialize_event(event(0, parts=(0, 1)), "v") + "\n"
+                      + serialize_event(event(0, parts=(1, 2)), "w") + "\n"
+                      + serialize_event(event(0, parts=(2, 3)), "v") + "\n")
+    out = tmp_path / "out"
+    assert run("graph", "--input", str(events), "--gestures", str(valid_inputs["gestures"]),
+               "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        "error: line 3: bad event record: video 'v' repeats event_id 0\n")
+    assert not (out / "graph.jsonl").exists()
+
+
 def test_input_directory_exit_2(tmp_path, capsys):
     assert run("detect", "--input", str(tmp_path), "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err

@@ -3,14 +3,16 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from oracles import check_template
+from oracles import check_template, regex_blocks, regex_person_ids, regex_replace_person_ids
 from socialevents import reward
 from socialevents.config import EngineConfig
-from socialevents.errors import ContractError
+from socialevents.errors import ContractError, ValidationError
+from socialevents.mentions import extract_person_ids, person_id_counts, replace_person_ids
 from socialevents.reward import (
     _TEMPLATE_RE,
     extract_participants,
@@ -18,6 +20,7 @@ from socialevents.reward import (
     normalize_answer,
     parse_trace,
     reward_components,
+    score_group,
 )
 
 GOOD = "<think><gaze>Person 0 looks at Person 2</gaze><gesture>none</gesture></think><answer>B</answer>"
@@ -100,6 +103,55 @@ class TestExtractParticipants:
         assert extract_participants(parse_trace(raw)) == frozenset()
 
 
+# The mention corpus: near-tokens made of both forms in mixed case, every
+# kind of separator and digits of other scripts, run together or apart.
+MENTION_FORMS = ["Person", "person", "PERSON", "pErSoN", "per\u017fon", "Persons", "P", "p", "x"]
+MENTION_SEPARATORS = ["", " ", "  ", "\t", "\u00a0", "\n", "_", ".", "-"]
+MENTION_DIGITS = ["", "0", "1", "23", "007", "\u0663", "\uff17", "x"]
+
+
+def mention_text(rng) -> str:
+    return "".join(rng.choice(MENTION_SEPARATORS + ["", ""]) + rng.choice(MENTION_FORMS)
+                   + rng.choice(MENTION_SEPARATORS) + rng.choice(MENTION_DIGITS)
+                   for _ in range(rng.randint(0, 4)))
+
+
+class TestMentionRule:
+    """The one mention regex against the two it replaced (tests/oracles.py)."""
+
+    def test_agrees_with_two_regexes(self):
+        rng = random.Random(5)
+        found = 0
+        for _ in range(20_000):
+            text = mention_text(rng)
+            expected = regex_person_ids(text)
+            assert extract_person_ids(text) == set(expected), text
+            assert person_id_counts(text) == Counter(expected), text
+            mapping = {pid: 7 * pid + 3 for pid in expected}
+            assert replace_person_ids(text, mapping) == \
+                regex_replace_person_ids(text, mapping), text
+            found += bool(expected)
+        assert found > 4_000
+
+    @pytest.mark.parametrize("text, ids", [
+        ("P1P2", set()), ("person 3P4", set()), ("p5", set()), ("PERSON\t6", {6}),
+        ("Person\u00a07", {7}), ("P\u0663 and person \uff17", {3, 7}), ("P007", {7}),
+    ])
+    def test_edge_tokens(self, text, ids):
+        assert extract_person_ids(text) == ids == set(regex_person_ids(text))
+
+    def test_over_long_id_is_a_validation_error(self):
+        limit = sys.get_int_max_str_digits()
+        assert extract_person_ids("P" + "1" * limit) == {int("1" * limit)}
+        for text in (f"P{'1' * 5000}", f"Person 2 and person {'0' * (limit + 1)}"):
+            digits = len(text.rsplit(maxsplit=1)[-1].lstrip("P"))
+            message = f"person id of {digits} digits is too long"
+            for call in (extract_person_ids, person_id_counts,
+                         lambda t: replace_person_ids(t, {2: 5})):
+                with pytest.raises(ValidationError, match=message):
+                    call(text)
+
+
 def trace_for(pred_ids, answer="B", well_formed=True, tagged=True):
     mention = " ".join(f"Person {i}" for i in sorted(pred_ids))
     inner = f"<gaze>{mention} interact</gaze>" if tagged else mention
@@ -180,6 +232,50 @@ class TestRewardComponents:
         assert values[0] == 2.0  # exact match maxes out
         # r_gnd == 2 only for the exact set
         assert all(v < 2.0 for v in values[1:])
+
+
+class TestScoreGroup:
+    """score_group builds the accepted answers and the participant set once
+    per group; each breakdown must equal reward_components on the rollout
+    alone."""
+
+    def test_breakdowns_equal_reward_components_alone(self):
+        rng = random.Random(11)
+        answers = ["B", " b ", "b\n", "C", "Person 2 looks at Person 0",
+                   " person 2 LOOKS AT person 0\t", "Person 2", "", "  "]
+        alias_hits = 0
+        for n in range(300):
+            rollouts = []
+            for _ in range(8):
+                if rng.random() < 0.3:
+                    rollouts.append(tag_soup(rng) if n % 2 else near_valid(rng))
+                else:
+                    pred = " ".join(f"Person {i}" for i in rng.sample(range(5), rng.randint(0, 3)))
+                    rollouts.append(f"<think><gaze>{pred}</gaze></think>"
+                                    f"<answer>{rng.choice(answers)}</answer>")
+            mcq = n % 3 != 0
+            correct = "B" if mcq else rng.choice(["Person 2", " person 2 "])
+            aliases = ("Person 2 looks at Person 0",) if mcq else ()
+            gt = set(rng.sample(range(5), rng.randint(1, 3)))
+            config = EngineConfig(weight_acc=rng.random(), weight_gnd=rng.random())
+            scored = score_group(rollouts, correct, gt, aliases, config)
+            alone = [reward_components(parse_trace(raw), correct, gt, aliases, config)
+                     for raw in rollouts]
+            assert [s.breakdown for s in scored] == alone
+            alias_hits += sum(b.r_acc for b, raw in zip(alone, rollouts)
+                              if mcq and "looks at" in raw.lower())
+        assert alias_hits > 100
+
+    def test_empty_gt_is_contract_violation(self):
+        with pytest.raises(ContractError, match="gt_participants must be non-empty"):
+            score_group([GOOD] * 8, "B", set())
+
+    def test_over_long_id_names_the_rollout(self):
+        rollouts = [GOOD] * 8
+        rollouts[3] = f"<think><gaze>P{'9' * 5000}</gaze></think><answer>B</answer>"
+        with pytest.raises(ValidationError,
+                           match="^rollout 3: person id of 5000 digits is too long$"):
+            score_group(rollouts, "B", {0})
 
 
 class TestGroupAdvantages:
@@ -274,19 +370,38 @@ class TestParserFuzz:
             assert trace.think_block is None and trace.answer_block is None
 
 
+def grammar_corpus():
+    """100,000 traces, tag soup and near-valid in turn."""
+    rng = random.Random(7)
+    for n in range(100_000):
+        yield tag_soup(rng) if n % 2 else near_valid(rng)
+
+
 class TestTemplateGrammar:
-    """The compiled template grammar against the state machine in
+    """The compiled template grammar against the state machine, and the
+    blocks and mentions parse_trace finds against the regexes in
     tests/oracles.py."""
 
     def test_agrees_with_state_machine(self):
-        rng = random.Random(7)
         outcomes = {True: 0, False: 0}
-        for n in range(100_000):
-            raw = tag_soup(rng) if n % 2 else near_valid(rng)
+        for raw in grammar_corpus():
             expected = check_template(raw)
             assert (_TEMPLATE_RE.fullmatch(raw) is not None) == expected, raw
             outcomes[expected] += 1
         assert min(outcomes.values()) > 10_000, outcomes
+
+    def test_blocks_and_mentions_agree_with_regexes(self):
+        with_blocks = with_ids = 0
+        for raw in grammar_corpus():
+            trace = parse_trace(raw)
+            blocks = (trace.think_block, trace.gaze_blocks, trace.gesture_blocks,
+                      trace.answer_block)
+            assert blocks == regex_blocks(raw), raw
+            ids = set(regex_person_ids(raw))
+            assert extract_person_ids(raw) == ids, raw
+            with_blocks += bool(trace.gaze_blocks or trace.gesture_blocks)
+            with_ids += bool(ids)
+        assert min(with_blocks, with_ids) > 30_000, (with_blocks, with_ids)
 
     def test_outside_whitespace_is_str_isspace(self):
         every = "".join(map(chr, range(0x110000)))
@@ -305,22 +420,26 @@ class TestTemplateGrammar:
         "<think>" + "<gaze>a<b</gaze> <" * 7_000 + "<answer>A</answer>",
         "<think>" + "<" * 100_000 + "</think><answer>A",
         "<think></think><answer>" + "<gaze" * 25_000 + "</answer></answer>",
-    ], ids=["trailing-text", "unclosed-think", "bare-lt", "tag-in-answer"])
+        "<think>" + "<gaze>" * 25_000,
+        "<answer>" * 25_000,
+    ], ids=["trailing-text", "unclosed-think", "bare-lt", "tag-in-answer", "unclosed-gaze",
+            "unclosed-answer"])
     def test_failing_long_trace_is_linear(self, raw):
-        """The match runs in a child process that times it, so a backtracking
-        grammar fails at the outer timeout instead of hanging the run."""
+        """The whole parse, template match and block search, runs in a child
+        process that times it, so a parse that backtracks or rescans fails at
+        the outer timeout instead of hanging the run."""
         assert len(raw) >= 100_000 and raw.count("<") >= 25_000
         child = (
             "import sys, time\n"
             f"sys.path.insert(0, {str(Path(reward.__file__).parents[1])!r})\n"
-            "from socialevents.reward import _TEMPLATE_RE\n"
+            "from socialevents.reward import parse_trace\n"
             "raw = sys.stdin.read()\n"
             "start = time.perf_counter()\n"
-            "matched = _TEMPLATE_RE.fullmatch(raw) is not None\n"
-            "print(matched, time.perf_counter() - start)\n"
+            "well_formed = parse_trace(raw).well_formed\n"
+            "print(well_formed, time.perf_counter() - start)\n"
         )
         done = subprocess.run([sys.executable, "-c", child], input=raw, capture_output=True,
                               text=True, timeout=30, check=True)
-        matched, seconds = done.stdout.split()
-        assert matched == "False"
+        well_formed, seconds = done.stdout.split()
+        assert well_formed == "False"
         assert float(seconds) < 0.25
