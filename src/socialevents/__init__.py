@@ -9,7 +9,6 @@ from .analytics import (
     IdRemap,
     corrupt_ids,
     grounding_precision,
-    id_echo_answer,
     novel_participants,
     pearson,
     seeded_remap,
@@ -73,7 +72,6 @@ __all__ = [
     "group_advantages",
     "grounding_precision",
     "head_region",
-    "id_echo_answer",
     "interpolate_track",
     "load_gestures",
     "load_observations",

@@ -2,9 +2,8 @@
 
 Covers the per-rollout diagnostics the reward stage records (grounding
 precision, novel participants, reasoning length), participant-ID corruption
-for shortcut probing, Pearson correlation, and a reference "ID echo"
-answerer that picks options purely by repeating question IDs. The per-model
-aggregation over scored rollouts is the analyze stage in cli.py.
+for shortcut probing and Pearson correlation. The per-model aggregation over
+scored rollouts is the analyze stage in cli.py.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import ContractError
-from .mentions import extract_person_ids, person_id_counts, replace_person_ids
-from .qa import LETTERS, QAItem, item_person_ids
+from .mentions import extract_person_ids, replace_person_ids
+from .qa import QAItem, item_person_ids
 from .reward import ReasoningTrace
 
 
@@ -116,20 +115,3 @@ def reasoning_length(trace: ReasoningTrace) -> tuple[int, bool]:
     if trace.well_formed and trace.think_block is not None:
         return len(trace.think_block.split()), False
     return len(trace.raw.split()), True
-
-
-def id_echo_answer(item: QAItem) -> str | None:
-    """Reference shortcut answerer: take the most frequent person ID in the
-    question (ties to the smallest ID) and pick the first option mentioning
-    it. Used to demonstrate that ID corruption breaks text-only shortcuts."""
-    if item.format != "mcq" or not item.options:
-        return None
-    counts = person_id_counts(item.question)
-    if not counts:
-        return None
-    top = max(counts.values())
-    echo_id = min(pid for pid, c in counts.items() if c == top)
-    for index, option in enumerate(item.options):
-        if echo_id in extract_person_ids(option):
-            return LETTERS[index]
-    return None

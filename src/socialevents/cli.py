@@ -179,7 +179,7 @@ def _cmd_detect(args: argparse.Namespace, config: EngineConfig) -> int:
         tracks = [gaze.interpolate_track(t, config) for t in gaze.build_tracks(frames)]
         features = gaze.compute_features(tracks, config)
         detected = events.detect_all(tracks, features, config)
-        duration = frames[-1].t + ingest.SAMPLE_PERIOD
+        duration = (frames[-1].k + 1) * ingest.SAMPLE_PERIOD
         person_ids = sorted({p.person_id for f in frames for p in f.persons})
         results.append((video_id, duration, person_ids, detected, features))
 

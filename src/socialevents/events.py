@@ -20,21 +20,23 @@ a video's length roughly doubles its detection time:
                         measured leader: each follower sample visits only
                         the leaders measured at t - lag; lags stop at the
                         video's span
-    attention_capture   O(F x P) (windows hold a fixed number of frames)
+    attention_capture   O(n log n) for n <= F x P velocity flags, whatever
+                        the width: only windows where the held flags change
     mutual_gaze         O(F x P^2): every pair
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import ValidationError
 from .gaze import PROV_MEASURED, FrameFeatures, GazeSample, GazeTrack
-from .ingest import GESTURE_TYPES, SAMPLE_PERIOD, dumps_canonical, read_field, typed
+from .ingest import GESTURE_TYPES, SAMPLE_PERIOD, dumps_canonical, read_field, to_tick, typed
 
 SOURCE_GAZE = "gaze"
 SOURCE_GESTURE = "gesture"
@@ -66,22 +68,21 @@ class SocialEvent:
         return self.end_time - self.start_time
 
 
-@dataclass(frozen=True)
-class IntervalCluster:
-    start_t: float
-    end_t: float
-    member_times: tuple[float, ...]
+class IntervalCluster(NamedTuple):
+    start: int  # ticks
+    end: int
+    members: tuple[int, ...]
 
 
-def cluster_intervals(flagged_times: list[float], max_gap: float) -> list[IntervalCluster]:
-    """Maximal runs of sorted times whose consecutive gaps stay within max_gap."""
+def cluster_intervals(flagged: list[int], max_gap: float) -> list[IntervalCluster]:
+    """Maximal runs of sorted ticks whose gaps stay within max_gap seconds."""
     clusters = []
-    run: list[float] = []
-    for t in flagged_times:
-        if run and t - run[-1] > max_gap:
+    run: list[int] = []
+    for k in flagged:
+        if run and (k - run[-1]) * SAMPLE_PERIOD > max_gap:
             clusters.append(IntervalCluster(run[0], run[-1], tuple(run)))
             run = []
-        run.append(t)
+        run.append(k)
     if run:
         clusters.append(IntervalCluster(run[0], run[-1], tuple(run)))
     return clusters
@@ -102,27 +103,28 @@ def detect_sudden_shifts(
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> list[SocialEvent]:
     pid = track.person_id
-    flagged: list[float] = []
-    flagged_v: list[float] = []  # velocity of each flagged time, in the same order
+    flagged: list[int] = []
+    flagged_v: list[float] = []  # velocity of each flagged tick, in the same order
     for f in features:
         v = f.velocities.get(pid)
         if v is not None and v > config.sudden_velocity:
-            flagged.append(f.t)
+            flagged.append(f.k)
             flagged_v.append(v)
-    times = [s.t for s in track.samples]  # ascending, so bisect finds a time span
     events = []
     first = 0
     for cluster in cluster_intervals(flagged, config.sudden_cluster_gap):
-        members = slice(first, first + len(cluster.member_times))
+        members = slice(first, first + len(cluster.members))
         first = members.stop
-        duration = cluster.end_t - cluster.start_t
+        duration = (cluster.end - cluster.start) * SAMPLE_PERIOD
         if not config.sudden_min_duration <= duration <= config.sudden_max_duration:
             continue
-        lo = bisect_left(times, cluster.start_t - SAMPLE_PERIOD)
-        hi = bisect_right(times, cluster.end_t)
+        # support: the samples from the tick before the first flag, which the
+        # first flag's velocity needs, to the last flag
+        lo = cluster.start - 1 - track.start
         events.append(_event(
-            "sudden_gaze_shift", {pid}, cluster.start_t, cluster.end_t,
-            list(track.samples[lo:hi]), attributes={"peak_velocity": max(flagged_v[members])},
+            "sudden_gaze_shift", {pid}, cluster.start, cluster.end,
+            list(track.samples[lo:cluster.end + 1 - track.start]),
+            attributes={"peak_velocity": max(flagged_v[members])},
         ))
     return events
 
@@ -134,20 +136,20 @@ def detect_joint_attention(
 ) -> list[SocialEvent]:
     by_id = {track.person_id: track for track in tracks}
 
-    eligible: list[tuple[float, frozenset[int], float]] = []  # (t, retained set, score)
+    eligible: list[tuple[int, frozenset[int], float]] = []  # (tick, retained set, score)
     for f in features:
         if f.convergence is None or f.convergence < config.ja_convergence:
             continue
         retained = _retain_central(f, by_id, config)
         if len(retained) >= 2:
-            eligible.append((f.t, retained, f.convergence))
+            eligible.append((f.k, retained, f.convergence))
 
     events = []
-    run: list[tuple[float, frozenset[int], float]] = []
+    run: list[tuple[int, frozenset[int], float]] = []
     for entry in eligible:
         if run:
-            prev_t, prev_set, _ = run[-1]
-            adjacent = entry[0] - prev_t == SAMPLE_PERIOD
+            prev_k, prev_set, _ = run[-1]
+            adjacent = entry[0] == prev_k + 1
             if not (adjacent and _jaccard(prev_set, entry[1]) >= config.ja_set_overlap):
                 events.extend(_finish_ja(run, by_id, config))
                 run = []
@@ -162,35 +164,32 @@ def _retain_central(
     """Drop contributors farther than mult x median distance from the centroid."""
     dists = {}
     for pid in f.contributors:
-        sample = by_id[pid].sample_at(f.t)
+        sample = by_id[pid].sample_at(f.k)
         dists[pid] = math.hypot(
             sample.gaze_point[0] - f.centroid[0], sample.gaze_point[1] - f.centroid[1]
         )
-    ordered = sorted(dists.values())
-    k = len(ordered)
-    median = ordered[k // 2] if k % 2 else (ordered[k // 2 - 1] + ordered[k // 2]) / 2.0
-    cutoff = config.ja_peripheral_mult * median
+    cutoff = config.ja_peripheral_mult * statistics.median(dists.values())
     return frozenset(pid for pid, d in dists.items() if d <= cutoff)
 
 
 def _finish_ja(
-    run: list[tuple[float, frozenset[int], float]],
+    run: list[tuple[int, frozenset[int], float]],
     by_id: dict[int, GazeTrack],
     config: EngineConfig,
 ) -> list[SocialEvent]:
     if not run:
         return []
     start, end = run[0][0], run[-1][0]
-    if end - start < config.ja_min_duration:
+    if (end - start) * SAMPLE_PERIOD < config.ja_min_duration:
         return []
     participants: set[int] = set()
     support = []
     scores = []
-    for t, retained, score in run:
+    for k, retained, score in run:
         participants.update(retained)
         scores.append(score)
         for pid in sorted(retained):
-            support.append(by_id[pid].sample_at(t))
+            support.append(by_id[pid].sample_at(k))
     return [_event(
         "joint_attention", participants, start, end, support,
         attributes={
@@ -203,25 +202,29 @@ def _finish_ja(
 def detect_gaze_following(
     tracks: list[GazeTrack], config: EngineConfig = DEFAULT_CONFIG
 ) -> list[SocialEvent]:
-    lags = _lag_grid(config, tracks)
+    # EngineConfig keeps both lags on the grid. A lag longer than the tracks'
+    # span never reaches a leader sample.
+    span = max((tr.stop for tr in tracks), default=0) - min((tr.start for tr in tracks), default=0)
+    lags = range(to_tick(config.follow_lag_min), min(to_tick(config.follow_lag_max), span) + 1)
     distance = config.follow_distance
-    # time -> {leader id: sample} for every measured gaze point; one dict per
-    # time and no container per sample keeps the garbage collector's work low
-    measured_at: dict[float, dict[int, GazeSample]] = {}
+    # tick -> {leader id: sample} for every measured gaze point; one dict per
+    # tick and no container per sample keeps the garbage collector's work low
+    measured_at: dict[int, dict[int, GazeSample]] = {}
     for tr in tracks:
         for s in tr.samples:
             if s.provenance == PROV_MEASURED and s.gaze_point is not None:
-                measured_at.setdefault(s.t, {})[tr.person_id] = s
+                measured_at.setdefault(s.k, {})[tr.person_id] = s
     events = []
     for follower in tracks:
         follower_id = follower.person_id
         for cur in follower.samples:
             if cur.gaze_point is None:
                 continue
+            k = cur.k
             cx, cy = cur.gaze_point
             done: tuple[int, ...] = ()  # leaders that qualified at an earlier lag
             for lag in lags:
-                for leader_id, past in measured_at.get(cur.t - lag, {}).items():
+                for leader_id, past in measured_at.get(k - lag, {}).items():
                     if leader_id == follower_id or leader_id in done:
                         continue
                     px, py = past.gaze_point
@@ -231,9 +234,9 @@ def detect_gaze_following(
                         events.append(_event(
                             "gaze_following",
                             {leader_id, follower_id},
-                            cur.t - lag, cur.t, [past, cur],
+                            k - lag, k, [past, cur],
                             roles={"leader": leader_id, "follower": follower_id},
-                            attributes={"lag": lag, "distance": d},
+                            attributes={"lag": lag * SAMPLE_PERIOD, "distance": d},
                         ))
     return events
 
@@ -243,65 +246,117 @@ def detect_attention_capture(
     features: list[FrameFeatures],
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> list[SocialEvent]:
-    flags: list[tuple[float, int, float]] = []  # (t, person, velocity)
+    """Groups of persons whose velocity flags fall in one sliding window.
+
+    The window starting at tick w holds the flags at ticks k >= w with
+    k * SAMPLE_PERIOD <= w * SAMPLE_PERIOD + width; that right edge stays a
+    float sum, as capture_window need not be a grid multiple. A window with
+    at least capture_min_persons persons is a candidate. Candidates with the
+    same persons whose windows intersect merge into one group, and the hull
+    of a group's windows selects the flags of its support and peak.
+
+    The sweep visits only the starts where the held flags change, so its cost
+    does not grow with the width. As w grows, the first held flag (lo) and
+    one past the last (hi) only move forward, and all windows between two
+    moves hold the same flags. Of such a run only the first and the last
+    window become candidates, with the same bytes as taking every window:
+    a run that holds no flag, or too few persons, has no candidate; in a run
+    that holds a flag f, every window starts at or before f and reaches it,
+    so each intersects the one before and joins the group the first window
+    joined, and the last window leaves that group with the hull every window
+    of the run would have left. Widths from 2**51 s up act as 2**51 s, so
+    that k * SAMPLE_PERIOD stays exact for every start. For a video shorter
+    than 2**51 s that changes nothing: once a grid-multiple width exceeds the
+    flags' span, the runs of held flags, and so the events, no longer depend
+    on it.
+    """
+    flags: list[tuple[int, int, float]] = []  # (tick, person, velocity)
     for f in features:
         for pid, v in f.velocities.items():
             if v > config.capture_velocity:
-                flags.append((f.t, pid, v))
+                flags.append((f.k, pid, v))
     if not flags:
         return []
-    # A stable sort keeps feature order among equal times, which fixes the
+    # A stable sort keeps feature order among equal ticks, which fixes the
     # order of the support samples and so the confidence bytes.
     flags.sort(key=lambda flag: flag[0])
-    flag_times = [t for t, _, _ in flags]
+    ticks = [k for k, _, _ in flags]
+    width = min(config.capture_window, 2.0 ** 51)
 
-    # Slide the window over every grid start that could contain a flag; both
-    # window edges only move forward, so two pointers find each window's flags.
-    candidates = []  # (window_start, participants, span)
-    width = config.capture_window
-    step = SAMPLE_PERIOD
-    last_flag = flag_times[-1]
-    w = flag_times[0] - math.ceil(width / step - 1e-9) * step
+    def reaches(w: int, k: int) -> bool:
+        return k * SAMPLE_PERIOD <= w * SAMPLE_PERIOD + width
+
+    # enter[j]: the first start whose window reaches flag j. Right edges grow
+    # with the start, so enter is sorted, and each entry is found by
+    # galloping up from the one before and then bisecting.
+    enter = []
+    w = ticks[0] - 2 ** 53  # its right edge lies below every flag
+    for k in ticks:
+        if not reaches(w, k):
+            step = 1
+            while not reaches(w + step, k):
+                w += step
+                step *= 2
+            hi = w + step
+            while hi - w > 1:
+                mid = (w + hi) // 2
+                if reaches(mid, k):
+                    hi = mid
+                else:
+                    w = mid
+            w = hi
+        enter.append(w)
+
+    # A run begins where a flag enters or the start passes a flag's tick; the
+    # last run begins past every flag and holds none.
+    starts = sorted({*enter, *(k + 1 for k in ticks)})
+    candidates = []  # (window start, persons, first held tick, last held tick)
+    held: dict[int, int] = {}  # person -> flags held
     lo = hi = 0
-    while w <= last_flag:
-        while lo < len(flags) and flag_times[lo] < w:
-            lo += 1
-        while hi < len(flags) and flag_times[hi] <= w + width:
+    for w, after in zip(starts, starts[1:]):
+        while hi < len(flags) and enter[hi] <= w:
+            held[flags[hi][1]] = held.get(flags[hi][1], 0) + 1
             hi += 1
-        persons = frozenset(pid for _, pid, _ in flags[lo:hi])
-        if len(persons) >= config.capture_min_persons:
-            candidates.append((w, persons, flag_times[lo], flag_times[hi - 1]))
-        w += step
+        while ticks[lo] < w:  # w is at most the last tick, so lo stays in range
+            held[flags[lo][1]] -= 1
+            if not held[flags[lo][1]]:
+                del held[flags[lo][1]]
+            lo += 1
+        if len(held) >= config.capture_min_persons:
+            persons = frozenset(held)
+            candidates.append((w, persons, ticks[lo], ticks[hi - 1]))
+            if after - 1 > w:
+                candidates.append((after - 1, persons, ticks[lo], ticks[hi - 1]))
 
     # Merge candidates whose windows intersect and participant sets match.
     # Windows arrive in increasing order, so once a set starts a new group its
     # older groups can never intersect again: only the latest group per set
-    # can take a candidate.
-    merged: list[list] = []  # [persons, span_lo, span_hi, win_lo, win_hi]
+    # can take a candidate. lo and hi only move forward, so a group's first
+    # candidate holds its first flag and its latest one its last.
+    merged: list[list] = []  # [persons, first tick, last tick, first start, last start]
     latest: dict[frozenset[int], list] = {}
     for w, persons, span_lo, span_hi in candidates:
         group = latest.get(persons)
-        if group is None or not (w <= group[4] and w + width >= group[3]):
-            group = [persons, span_lo, span_hi, w, w + width]
+        if group is None or w * SAMPLE_PERIOD > group[4] * SAMPLE_PERIOD + width:
+            group = [persons, span_lo, span_hi, w, w]
             merged.append(group)
             latest[persons] = group
         else:
-            group[1] = min(group[1], span_lo)
-            group[2] = max(group[2], span_hi)
-            group[3] = min(group[3], w)
-            group[4] = max(group[4], w + width)
+            group[2] = span_hi
+            group[4] = w
 
     by_id = {track.person_id: track for track in tracks}
     events = []
-    for persons, span_lo, span_hi, win_lo, win_hi in merged:
+    for persons, span_lo, span_hi, first, last in merged:
         support: list[GazeSample] = []
         seen: set[GazeSample] = set()  # equal samples count once, as in a list test
         peak = 0.0
-        for t, pid, v in flags[bisect_left(flag_times, win_lo):bisect_right(flag_times, win_hi)]:
+        # the hull holds the flags from tick first on that window last reaches
+        for k, pid, v in flags[bisect_left(ticks, first):bisect_right(enter, last)]:
             if pid not in persons:
                 continue
             peak = max(peak, v)
-            for at in (t - SAMPLE_PERIOD, t):
+            for at in (k - 1, k):
                 sample = by_id[pid].sample_at(at)
                 if sample is not None and sample not in seen:
                     seen.add(sample)
@@ -316,42 +371,38 @@ def detect_attention_capture(
 def detect_mutual_gaze(
     tracks: list[GazeTrack], config: EngineConfig = DEFAULT_CONFIG
 ) -> list[SocialEvent]:
-    # Only measured samples with a gaze point and a face box can hit.
-    hittable = {
-        track.person_id: {
-            s.t: s for s in track.samples
-            if s.provenance == PROV_MEASURED and s.gaze_point is not None
-            and s.face_box is not None
-        }
+    # Only measured samples with a gaze point and a face box can hit; others are None.
+    hittable = [
+        [s if s.provenance == PROV_MEASURED and s.gaze_point is not None
+         and s.face_box is not None else None for s in track.samples]
         for track in tracks
-    }
+    ]
     m = config.mutual_margin
     events = []
     for i, a in enumerate(tracks):
-        a_by_t = hittable[a.person_id]
-        for b in tracks[i + 1:]:
-            b_by_t = hittable[b.person_id]
+        for b, b_hittable in zip(tracks[i + 1:], hittable[i + 1:]):
+            lo, hi = max(a.start, b.start), min(a.stop, b.stop)
             hits = []
-            for t, sa in a_by_t.items():
-                sb = b_by_t.get(t)
-                if sb is None:
+            for k, sa, sb in zip(range(lo, hi), hittable[i][lo - a.start:hi - a.start],
+                                 b_hittable[lo - b.start:hi - b.start]):
+                if sa is None or sb is None:
                     continue
                 # each gaze point inside the other's face box grown by the margin
                 (ax, ay), (bx, by) = sa.gaze_point, sb.gaze_point
                 fa, fb = sa.face_box, sb.face_box
                 if fb.x1 - m <= ax <= fb.x2 + m and fb.y1 - m <= ay <= fb.y2 + m and \
                         fa.x1 - m <= bx <= fa.x2 + m and fa.y1 - m <= by <= fa.y2 + m:
-                    hits.append(t)
+                    hits.append(k)
             for cluster in cluster_intervals(hits, SAMPLE_PERIOD):
-                if cluster.end_t - cluster.start_t < config.mutual_min_duration:
+                if (cluster.end - cluster.start) * SAMPLE_PERIOD < config.mutual_min_duration:
                     continue
                 support = []
-                for t in cluster.member_times:
-                    support.append(a_by_t[t])
-                    support.append(b_by_t[t])
+                for k in cluster.members:
+                    support.append(a.samples[k - a.start])
+                    support.append(b.samples[k - b.start])
                 events.append(_event(
                     "mutual_gaze", {a.person_id, b.person_id},
-                    cluster.start_t, cluster.end_t, support,
+                    cluster.start, cluster.end, support,
                 ))
     return events
 
@@ -440,8 +491,8 @@ def parse_event(record: dict, line: int | None = None) -> SocialEvent:
 def _event(
     event_type: str,
     participants: Iterable[int],
-    start: float,
-    end: float,
+    start: int,
+    end: int,
     support: list[GazeSample],
     roles: dict[str, int] | None = None,
     attributes: dict | None = None,
@@ -452,8 +503,8 @@ def _event(
         event_type=event_type,
         participants=frozenset(participants),
         roles=roles or {},
-        start_time=start,
-        end_time=end,
+        start_time=start * SAMPLE_PERIOD,
+        end_time=end * SAMPLE_PERIOD,
         attributes=attributes or {},
     )
     return replace(event, confidence=score_event_confidence(event, [s for s in support if s]))
@@ -465,12 +516,3 @@ def _jaccard(a: frozenset[int], b: frozenset[int]) -> float:
         return 1.0
     return len(a & b) / len(union)
 
-
-def _lag_grid(config: EngineConfig, tracks: list[GazeTrack]) -> list[float]:
-    # EngineConfig keeps both lags on the grid, so the quotients are whole. A
-    # lag longer than the tracks' time span never reaches a leader sample.
-    ends = [s.t for tr in tracks for s in tr.samples[:1] + tr.samples[-1:]]
-    span = max(ends) - min(ends) if ends else 0.0
-    first = int(config.follow_lag_min / SAMPLE_PERIOD)
-    last = min(int(config.follow_lag_max / SAMPLE_PERIOD), round(span / SAMPLE_PERIOD))
-    return [k * SAMPLE_PERIOD for k in range(first, last + 1)]

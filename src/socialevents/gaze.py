@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import DataError
@@ -32,9 +33,8 @@ PROV_MISSING = "missing"
 Point = tuple[float, float]
 
 
-@dataclass(frozen=True)
-class GazeSample:
-    t: float
+class GazeSample(NamedTuple):
+    k: int  # grid tick
     gaze_point: Point | None
     face_center: Point | None
     face_box: Box | None
@@ -42,33 +42,52 @@ class GazeSample:
     confidence: float
     provenance: str
 
+    @property
+    def t(self) -> float:
+        return self.k * SAMPLE_PERIOD
+
 
 @dataclass(frozen=True)
 class GazeTrack:
+    """A person's samples on consecutive ticks, the first at tick ``start``."""
+
     video_id: str
     person_id: int
     samples: tuple[GazeSample, ...]
+    start: int = field(init=False, compare=False)
 
-    def sample_at(self, t: float) -> GazeSample | None:
-        if not self.samples:
-            return None
-        idx = round((t - self.samples[0].t) / SAMPLE_PERIOD)
-        if 0 <= idx < len(self.samples) and self.samples[idx].t == t:
-            return self.samples[idx]
+    def __post_init__(self) -> None:
+        start = self.samples[0].k if self.samples else 0
+        if self.samples and self.samples[-1].k - start != len(self.samples) - 1:
+            raise DataError(f"track of person {self.person_id} skips a tick")
+        object.__setattr__(self, "start", start)
+
+    @property
+    def stop(self) -> int:
+        """One past the last tick."""
+        return self.start + len(self.samples)
+
+    def sample_at(self, k: int) -> GazeSample | None:
+        i = k - self.start
+        if 0 <= i < len(self.samples):
+            return self.samples[i]
         return None
 
 
-@dataclass(frozen=True)
-class FrameFeatures:
-    t: float
+class FrameFeatures(NamedTuple):
+    k: int
     velocities: dict[int, float]
     convergence: float | None
     centroid: Point | None
     contributors: tuple[int, ...]
 
+    @property
+    def t(self) -> float:
+        return self.k * SAMPLE_PERIOD
 
-def _missing(t: float) -> GazeSample:
-    return GazeSample(t, None, None, None, False, 0.0, PROV_MISSING)
+
+def _missing(k: int) -> GazeSample:
+    return GazeSample(k, None, None, None, False, 0.0, PROV_MISSING)
 
 
 def build_tracks(frames: list[FrameObservation]) -> list[GazeTrack]:
@@ -82,14 +101,14 @@ def build_tracks(frames: list[FrameObservation]) -> list[GazeTrack]:
         return []
     video_id = frames[0].video_id
 
-    span: dict[int, tuple[float, float]] = {}
-    observed: dict[int, dict[float, GazeSample]] = {}
+    span: dict[int, tuple[int, int]] = {}
+    observed: dict[int, dict[int, GazeSample]] = {}
     for frame in frames:
         if frame.video_id != video_id:
             raise DataError(f"mixed videos in one track build: {video_id!r}, {frame.video_id!r}")
         for person in frame.persons:
-            lo, hi = span.get(person.person_id, (frame.t, frame.t))
-            span[person.person_id] = (min(lo, frame.t), max(hi, frame.t))
+            lo, hi = span.get(person.person_id, (frame.k, frame.k))
+            span[person.person_id] = (min(lo, frame.k), max(hi, frame.k))
         assoc = match_faces_to_persons(frame)
         seen: set[int] = set()
         for person_id, face_index, _overlap in assoc.pairs:
@@ -99,25 +118,20 @@ def build_tracks(frames: list[FrameObservation]) -> list[GazeTrack]:
             face = frame.faces[face_index]
             if face.gaze_point is not None:
                 sample = GazeSample(
-                    frame.t, face.gaze_point, face.box.center, face.box,
+                    frame.k, face.gaze_point, face.box.center, face.box,
                     face.gaze_in_frame, face.det_confidence, PROV_MEASURED,
                 )
             else:
                 sample = GazeSample(
-                    frame.t, None, face.box.center, face.box, False, 0.0, PROV_MISSING
-                )
-            observed.setdefault(person_id, {})[frame.t] = sample
+                    frame.k, None, face.box.center, face.box, False, 0.0, PROV_MISSING)
+            observed.setdefault(person_id, {})[frame.k] = sample
 
     tracks = []
     for person_id in sorted(span):
         lo, hi = span[person_id]
-        by_t = observed.get(person_id, {})
-        samples = []
-        steps = round((hi - lo) / SAMPLE_PERIOD)
-        for k in range(steps + 1):
-            t = lo + k * SAMPLE_PERIOD
-            samples.append(by_t.get(t) or _missing(t))
-        tracks.append(GazeTrack(video_id, person_id, tuple(samples)))
+        by_k = observed.get(person_id, {})
+        samples = tuple(by_k.get(k) or _missing(k) for k in range(lo, hi + 1))
+        tracks.append(GazeTrack(video_id, person_id, samples))
     return tracks
 
 
@@ -130,35 +144,35 @@ def interpolate_track(track: GazeTrack, config: EngineConfig = DEFAULT_CONFIG) -
         if gap == 0:
             continue
         a, b = samples[left], samples[right]
-        if b.t - a.t > config.block_temporal_gap:
+        if (right - left) * SAMPLE_PERIOD > config.block_temporal_gap:
             continue
         if _dist(a.face_center, b.face_center) > config.block_face_displacement:
             continue
         if gap <= config.linear_max_gap:
             conf = 1.0 - config.linear_conf_slope * gap
             in_frame = a.in_frame and b.in_frame
-            for k in range(1, gap + 1):
-                frac = k / (gap + 1)
-                samples[left + k] = GazeSample(
-                    samples[left + k].t,
+            for i in range(left + 1, right):
+                frac = (i - left) / (gap + 1)
+                samples[i] = GazeSample(
+                    samples[i].k,
                     _lerp(a.gaze_point, b.gaze_point, frac),
                     _lerp(a.face_center, b.face_center, frac),
                     None, in_frame, conf, PROV_INTERPOLATED,
                 )
         elif gap <= config.carry_max_gap:
             conf = config.carry_conf_base * math.exp(-config.carry_conf_decay * gap)
-            for k in range(1, gap + 1):
-                samples[left + k] = GazeSample(
-                    samples[left + k].t, a.gaze_point, a.face_center,
+            for i in range(left + 1, right):
+                samples[i] = GazeSample(
+                    samples[i].k, a.gaze_point, a.face_center,
                     None, a.in_frame, conf, PROV_CARRIED,
                 )
     return GazeTrack(track.video_id, track.person_id, tuple(samples))
 
 
-def gaze_velocity(track: GazeTrack, t: float) -> float | None:
-    """Speed of the face-centered gaze direction between t-step and t."""
-    cur = track.sample_at(t)
-    prev = track.sample_at(t - SAMPLE_PERIOD)
+def gaze_velocity(track: GazeTrack, k: int) -> float | None:
+    """Speed of the face-centered gaze direction between ticks k - 1 and k."""
+    cur = track.sample_at(k)
+    prev = track.sample_at(k - 1)
     if cur is None or prev is None:
         return None
     if cur.gaze_point is None or cur.face_center is None:
@@ -171,9 +185,9 @@ def gaze_velocity(track: GazeTrack, t: float) -> float | None:
 
 
 def convergence_score(
-    tracks: list[GazeTrack], t: float, config: EngineConfig = DEFAULT_CONFIG
+    tracks: list[GazeTrack], k: int, config: EngineConfig = DEFAULT_CONFIG
 ) -> tuple[float, Point, tuple[int, ...]] | None:
-    """Convergence of concurrent in-frame gaze points at time t.
+    """Convergence of concurrent in-frame gaze points at tick k.
 
     Needs at least two contributors; returns (score, centroid, person IDs).
     The score is exp(-alpha * median distance to the centroid), so identical
@@ -181,7 +195,7 @@ def convergence_score(
     """
     points: list[tuple[int, Point]] = []
     for track in tracks:
-        sample = track.sample_at(t)
+        sample = track.sample_at(k)
         if sample is None or sample.gaze_point is None:
             continue
         if not sample.in_frame or sample.confidence <= 0.0:
@@ -198,33 +212,21 @@ def convergence_score(
     return score, (cx, cy), tuple(sorted(pid for pid, _ in points))
 
 
-def grid_times(tracks: list[GazeTrack]) -> list[float]:
-    """All grid steps between the earliest and latest sample of any track."""
-    if not any(track.samples for track in tracks):
-        return []
-    lo = min(track.samples[0].t for track in tracks if track.samples)
-    hi = max(track.samples[-1].t for track in tracks if track.samples)
-    steps = round((hi - lo) / SAMPLE_PERIOD)
-    return [lo + k * SAMPLE_PERIOD for k in range(steps + 1)]
-
-
 def compute_features(
     tracks: list[GazeTrack], config: EngineConfig = DEFAULT_CONFIG
 ) -> list[FrameFeatures]:
-    """Per-frame velocities and convergence for a video's interpolated tracks."""
+    """Per-frame velocities and convergence for a video's interpolated tracks,
+    one per tick from the earliest sample of any track to the latest."""
     features = []
-    for t in grid_times(tracks):
+    for k in range(min((tr.start for tr in tracks if tr.samples), default=0),
+                   max((tr.stop for tr in tracks if tr.samples), default=0)):
         velocities = {}
         for track in tracks:
-            v = gaze_velocity(track, t)
+            v = gaze_velocity(track, k)
             if v is not None:
                 velocities[track.person_id] = v
-        conv = convergence_score(tracks, t, config)
-        if conv is None:
-            features.append(FrameFeatures(t, velocities, None, None, ()))
-        else:
-            score, centroid, contributors = conv
-            features.append(FrameFeatures(t, velocities, score, centroid, contributors))
+        conv = convergence_score(tracks, k, config) or (None, None, ())
+        features.append(FrameFeatures(k, velocities, *conv))
     return features
 
 

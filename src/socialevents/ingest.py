@@ -17,8 +17,11 @@ field of every record through ``read_field`` (a key) or ``typed`` (a value):
 a missing key or a value of the wrong JSON type is a ValidationError naming
 the line and the field. Only an observation's per-person and per-face fields
 are checked inline, on the parse hot path. Unknown fields are ignored for
-forward compatibility. Serializing a parsed record reproduces the canonical
-bytes.
+forward compatibility.
+
+Parse turns ``t`` into the grid tick ``k`` that frames, gaze samples and
+features carry (``t = k * SAMPLE_PERIOD``, read back as their ``t``); ``t``
+must be below 2**52, where every grid time is an exact float.
 
 Parse cost per box: a box given as four in-range floats, which is what the
 JSON decoder yields for a valid one, takes one combined type and range test
@@ -99,9 +102,13 @@ class FaceMeasurement(NamedTuple):
 @dataclass(frozen=True)
 class FrameObservation:
     video_id: str
-    t: float
+    k: int  # grid tick
     persons: tuple[PersonBox, ...]
     faces: tuple[FaceMeasurement, ...]
+
+    @property
+    def t(self) -> float:
+        return self.k * SAMPLE_PERIOD
 
 
 @dataclass(frozen=True)
@@ -127,9 +134,9 @@ def snap_to_grid(t: float) -> float:
     return math.floor(t / SAMPLE_PERIOD + 0.5) * SAMPLE_PERIOD
 
 
-def is_on_grid(t: float) -> bool:
-    steps = t / SAMPLE_PERIOD
-    return abs(steps - round(steps)) <= _GRID_TOL
+def to_tick(t: float) -> int:
+    """The tick k of an on-grid time t = k * SAMPLE_PERIOD."""
+    return round(t / SAMPLE_PERIOD)
 
 
 def dumps_canonical(obj) -> str:
@@ -187,9 +194,11 @@ def parse_frame(record: dict, line: int | None = None) -> FrameObservation:
     t = read_field(record, "t", float, "observation", line)
     if t < 0:
         raise ValidationError(f"t must be non-negative, got {t}", line)
-    if not is_on_grid(t):
+    if t >= 2.0 ** 52:
+        raise ValidationError(f"t must be below 2**52, got {t}", line)
+    k = to_tick(t)
+    if abs(t / SAMPLE_PERIOD - k) > _GRID_TOL:
         raise ValidationError(f"t={t} is not a multiple of {SAMPLE_PERIOD}", line)
-    t = round(t / SAMPLE_PERIOD) * SAMPLE_PERIOD
 
     persons = []
     seen_ids: set[int] = set()
@@ -228,39 +237,21 @@ def parse_frame(record: dict, line: int | None = None) -> FrameObservation:
             raise ValidationError(f"faces[{i}].in_frame must be a boolean", line)
         faces.append(FaceMeasurement(box, float(conf), point, in_frame))
 
-    return FrameObservation(video_id, t, tuple(persons), tuple(faces))
-
-
-def serialize_frame(frame: FrameObservation) -> str:
-    record = {
-        "video_id": frame.video_id,
-        "t": frame.t,
-        "persons": [{"id": p.person_id, "box": p.box.as_list()} for p in frame.persons],
-        "faces": [
-            {
-                "box": f.box.as_list(),
-                "det_conf": f.det_confidence,
-                "gaze": list(f.gaze_point) if f.gaze_point is not None else None,
-                "in_frame": f.gaze_in_frame,
-            }
-            for f in frame.faces
-        ],
-    }
-    return dumps_canonical(record)
+    return FrameObservation(video_id, k, tuple(persons), tuple(faces))
 
 
 def load_observations(path: str | Path) -> Iterator[FrameObservation]:
     """Stream frames from a JSONL file, enforcing per-video time ordering."""
-    last_t: dict[str, float] = {}
+    last: dict[str, FrameObservation] = {}
     for line_no, record in read_jsonl(path):
         frame = parse_frame(record, line_no)
-        prev = last_t.get(frame.video_id)
-        if prev is not None and frame.t <= prev:
+        prev = last.get(frame.video_id)
+        if prev is not None and frame.k <= prev.k:
             raise OrderingError(
-                f"t={frame.t} not after t={prev} for video {frame.video_id!r}",
+                f"t={frame.t} not after t={prev.t} for video {frame.video_id!r}",
                 line_no,
             )
-        last_t[frame.video_id] = frame.t
+        last[frame.video_id] = frame
         yield frame
 
 
@@ -313,20 +304,6 @@ def parse_gesture(record: dict, line: int | None = None) -> GestureAnnotation:
 
     return GestureAnnotation(
         video_id, gesture_type, initiator, target_type, target_pid, start, end, conf)
-
-
-def serialize_gesture(gesture: GestureAnnotation) -> str:
-    record = {
-        "video_id": gesture.video_id,
-        "gesture_type": gesture.gesture_type,
-        "initiator_id": gesture.initiator_id,
-        "target_type": gesture.target_type,
-        "target_person_id": gesture.target_person_id,
-        "start_time": gesture.start_time,
-        "end_time": gesture.end_time,
-        "confidence": gesture.confidence,
-    }
-    return dumps_canonical(record)
 
 
 def load_gestures(path: str | Path) -> tuple[list[GestureAnnotation], list[GestureRejection]]:

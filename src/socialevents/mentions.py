@@ -40,12 +40,17 @@ def person_id_counts(text: str) -> Counter:
 def replace_person_ids(text: str, mapping: dict[int, int]) -> str:
     """Rewrite every person token through mapping, preserving the token style.
 
-    Raises KeyError if the text mentions an ID absent from the mapping.
+    A token whose ID maps to itself keeps its text; a remapped ID is written
+    in canonical ASCII digits. Raises KeyError if the text mentions an ID
+    absent from the mapping.
     """
 
     def _sub(match: re.Match) -> str:
         (old,) = _ids([match.group(1)])
+        new = mapping[old]
+        if new == old:
+            return match.group(0)
         prefix = match.group(0)[: match.start(1) - match.start(0)]
-        return prefix + str(mapping[old])
+        return prefix + str(new)
 
     return PERSON_RE.sub(_sub, text)

@@ -1,12 +1,22 @@
-"""Shared fixture builders for unit tests."""
+"""Shared fixtures for unit tests, and the tests' one conversion from
+seconds to grid ticks."""
 
 from __future__ import annotations
 
 from socialevents.events import SOURCE_GAZE, SOURCE_GESTURE, SocialEvent
 from socialevents.gaze import PROV_MEASURED, PROV_MISSING, GazeSample, GazeTrack
-from socialevents.ingest import Box
+from socialevents.ingest import SAMPLE_PERIOD, Box
+from socialevents.mentions import extract_person_ids, person_id_counts
+from socialevents.qa import LETTERS, QAItem
 
 DEFAULT_FACE = Box(0.48, 0.38, 0.52, 0.42)
+
+
+def tick(t: float) -> int:
+    """The grid tick of a time in seconds; the time must lie on the grid."""
+    k = round(t / SAMPLE_PERIOD)
+    assert k * SAMPLE_PERIOD == t, f"{t} is not on the {SAMPLE_PERIOD} s grid"
+    return k
 
 
 def sample(
@@ -21,13 +31,13 @@ def sample(
     """One track sample; defaults to a confident measured sample when a gaze
     point is given and a missing sample otherwise."""
     if gaze is None:
-        return GazeSample(t, None, center, box, False, 0.0, prov or PROV_MISSING)
+        return GazeSample(tick(t), None, center, box, False, 0.0, prov or PROV_MISSING)
     if box is None and center is None:
         box = DEFAULT_FACE
     if center is None:
         center = box.center
     return GazeSample(
-        t, gaze, center, box, in_frame,
+        tick(t), gaze, center, box, in_frame,
         1.0 if conf is None else conf,
         prov or PROV_MEASURED,
     )
@@ -82,3 +92,20 @@ def event(
         confidence=conf,
         attributes=attributes or {},
     )
+
+
+def id_echo_answer(item: QAItem) -> str | None:
+    """Reference shortcut answerer: take the most frequent person ID in the
+    question (ties to the smallest ID) and pick the first option mentioning
+    it. Used to demonstrate that ID corruption breaks text-only shortcuts."""
+    if item.format != "mcq" or not item.options:
+        return None
+    counts = person_id_counts(item.question)
+    if not counts:
+        return None
+    top = max(counts.values())
+    echo_id = min(pid for pid, c in counts.items() if c == top)
+    for index, option in enumerate(item.options):
+        if echo_id in extract_person_ids(option):
+            return LETTERS[index]
+    return None

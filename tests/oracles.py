@@ -13,6 +13,7 @@ from itertools import permutations
 from socialevents.config import DEFAULT_CONFIG, EngineConfig
 from socialevents.gaze import PROV_MEASURED
 from socialevents.ingest import Box
+from helpers import tick
 
 
 def best_assignment_total(weights: list[list[float]]) -> float:
@@ -80,6 +81,11 @@ def assign_dp(weights: list[list[float]]) -> list[tuple[int, int]]:
 # detector oracles; events are (type, participants tuple, start, end)
 
 
+def _at(track, t):
+    """The track's sample at time t in seconds, or None."""
+    return track.sample_at(tick(t))
+
+
 def _grid(tracks) -> list[float]:
     ts = [s.t for tr in tracks for s in tr.samples]
     if not ts:
@@ -89,8 +95,8 @@ def _grid(tracks) -> list[float]:
 
 
 def _velocity(track, t) -> float | None:
-    cur = track.sample_at(t)
-    prev = track.sample_at(t - 0.5)
+    cur = _at(track, t)
+    prev = _at(track, t - 0.5)
     for s in (cur, prev):
         if s is None or s.gaze_point is None or s.face_center is None:
             return None
@@ -146,7 +152,7 @@ def oracle_mutual(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[tuple]:
         for tb in tracks[i + 1:]:
             hits = []
             for t in _grid([ta, tb]):
-                sa, sb = ta.sample_at(t), tb.sample_at(t)
+                sa, sb = _at(ta, t), _at(tb, t)
                 if sa is None or sb is None:
                     continue
                 if sa.provenance != PROV_MEASURED or sb.provenance != PROV_MEASURED:
@@ -176,14 +182,14 @@ def follow_hits(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[tuple]:
                                    round(config.follow_lag_max / 0.5) + 1)]
     for follower in tracks:
         for t in _grid([follower]):
-            cur = follower.sample_at(t)
+            cur = _at(follower, t)
             if cur is None or cur.gaze_point is None:
                 continue
             for leader in tracks:
                 if leader.person_id == follower.person_id:
                     continue
                 for lag in lags:
-                    past = leader.sample_at(t - lag)
+                    past = _at(leader, t - lag)
                     if past is None or past.provenance != PROV_MEASURED:
                         continue
                     if past.gaze_point is None:
@@ -259,7 +265,7 @@ def oracle_joint_attention(tracks, config: EngineConfig = DEFAULT_CONFIG) -> lis
     for t in _grid(tracks):
         pts = []
         for tr in tracks:
-            s = tr.sample_at(t)
+            s = _at(tr, t)
             if s is None or s.gaze_point is None or not s.in_frame or s.confidence <= 0.0:
                 continue
             pts.append((tr.person_id, s.gaze_point))

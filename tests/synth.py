@@ -17,8 +17,7 @@ from socialevents.ingest import (
     FrameObservation,
     GestureAnnotation,
     PersonBox,
-    serialize_frame,
-    serialize_gesture,
+    dumps_canonical,
 )
 
 
@@ -89,8 +88,7 @@ def make_video(
             episodes.append(("sudden", start, start + rng.randint(2, 3), (p,), None))
 
     frames = []
-    for idx in range(n_frames):
-        t = idx * 0.5
+    for idx in range(n_frames):  # the frame index is its grid tick
         frame_rng = Random(seed * 100003 + idx)
 
         forced: dict[int, tuple[float, float]] = {}
@@ -185,7 +183,7 @@ def make_video(
                 Box(x, 0.8, x + 0.05, 0.88), frame_rng.uniform(0.6, 1.0), None, False
             ))
         frame_rng.shuffle(faces)
-        frames.append(FrameObservation(video_id, t, tuple(persons), tuple(faces)))
+        frames.append(FrameObservation(video_id, idx, tuple(persons), tuple(faces)))
     return frames
 
 
@@ -251,6 +249,38 @@ def make_graph(seed: int, video_id: str | None = None, duration: float = 60.0):
     gestures = make_gestures(seed + 1, video_id, person_ids, duration,
                              count=rng.randint(0, 8))
     return build_graph(video_id, duration, events, gestures)
+
+
+def serialize_frame(frame: FrameObservation) -> str:
+    record = {
+        "video_id": frame.video_id,
+        "t": frame.t,
+        "persons": [{"id": p.person_id, "box": p.box.as_list()} for p in frame.persons],
+        "faces": [
+            {
+                "box": f.box.as_list(),
+                "det_conf": f.det_confidence,
+                "gaze": list(f.gaze_point) if f.gaze_point is not None else None,
+                "in_frame": f.gaze_in_frame,
+            }
+            for f in frame.faces
+        ],
+    }
+    return dumps_canonical(record)
+
+
+def serialize_gesture(gesture: GestureAnnotation) -> str:
+    record = {
+        "video_id": gesture.video_id,
+        "gesture_type": gesture.gesture_type,
+        "initiator_id": gesture.initiator_id,
+        "target_type": gesture.target_type,
+        "target_person_id": gesture.target_person_id,
+        "start_time": gesture.start_time,
+        "end_time": gesture.end_time,
+        "confidence": gesture.confidence,
+    }
+    return dumps_canonical(record)
 
 
 def write_observations(frames, path):

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from socialevents.analytics import IdRemap, corrupt_ids, id_echo_answer, seeded_remap
+from socialevents.analytics import IdRemap, corrupt_ids, seeded_remap
 from socialevents.cli import main as cli_main
 from socialevents.events import detect_all
 from socialevents.gaze import (
@@ -23,7 +23,7 @@ from socialevents.graph import prune_graph, serialize_graph
 from socialevents.qa import QAItem, generate_qa, serialize_qa_item, validate_qa
 from socialevents.reward import group_advantages, parse_trace, reward_components
 
-from helpers import grid_track
+from helpers import grid_track, id_echo_answer
 from oracles import detector_view, oracle_all, recover_answer
 from synth import make_gestures, make_graph, make_video, write_gestures, write_observations
 from test_graph import check_graph_invariants

@@ -7,7 +7,6 @@ from socialevents.analytics import (
     IdRemap,
     corrupt_ids,
     grounding_precision,
-    id_echo_answer,
     item_person_ids,
     novel_participants,
     pearson,
@@ -18,6 +17,7 @@ from socialevents.cli import main
 from socialevents.errors import ContractError
 from socialevents.qa import QAItem
 from socialevents.reward import parse_trace
+from helpers import id_echo_answer
 
 
 def item_fixture(**overrides):

@@ -50,6 +50,42 @@ class TestDetect:
         manifest = read_lines(out / "videos.jsonl")
         assert manifest[0]["duration"] == frames[-1].t + 0.5
 
+    def test_t_just_below_2_to_the_52_keeps_its_grid(self, tmp_path):
+        # every grid time below 2**52 is an exact float, so two frames there
+        # give two samples at their own times and the duration is exact
+        frames = make_video(1, min_frames=2, max_frames=2)
+        top = 2 ** 53 - 1  # the tick of t = 2**52 - 0.5
+        frames = [dataclasses.replace(f, k=top - 1 + f.k) for f in frames]
+        obs = tmp_path / "obs.jsonl"
+        write_observations(frames, obs)
+        assert '"t":4503599627370495.5' in obs.read_text()
+        out = tmp_path / "out"
+        assert run("detect", "--input", str(obs), "--out", str(out), "--dump-features") == 0
+        assert '"duration":4503599627370496.0' in (out / "videos.jsonl").read_text()
+        assert [r["t"] for r in read_lines(out / "features.jsonl")] == [2 ** 52 - 1, 2 ** 52 - 0.5]
+
+    def test_t_at_2_to_the_52_exit_3(self, tmp_path, capsys):
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text('{"video_id": "v", "t": 0.0, "persons": [], "faces": []}\n'
+                       '{"video_id": "v", "t": 4503599627370496, "persons": [], "faces": []}\n')
+        assert run("detect", "--input", str(obs), "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert "line 2" in err and "t must be below 2**52" in err
+
+    def test_interleaved_videos_give_the_grouped_bytes(self, tmp_path):
+        one = make_video(1, min_frames=40, max_frames=40)
+        two = make_video(2, min_frames=40, max_frames=40)
+        write_observations(one + two, tmp_path / "grouped.jsonl")
+        write_observations([f for pair in zip(one, two) for f in pair],
+                           tmp_path / "interleaved.jsonl")
+        for name in ("grouped", "interleaved"):
+            assert run("detect", "--input", str(tmp_path / f"{name}.jsonl"),
+                       "--out", str(tmp_path / name)) == 0
+        for artifact in ("events.jsonl", "videos.jsonl"):
+            grouped = (tmp_path / "grouped" / artifact).read_bytes()
+            assert grouped.count(b"synth-1") and grouped.count(b"synth-2")
+            assert (tmp_path / "interleaved" / artifact).read_bytes() == grouped
+
     def test_missing_input_exit_2(self, tmp_path):
         assert run("detect", "--input", str(tmp_path / "nope.jsonl"),
                    "--out", str(tmp_path / "o")) == 2

@@ -37,7 +37,7 @@ class TestTinyVideos:
                                 min_frames=5, max_frames=25)
             # drop one person entirely: only sudden shifts remain possible
             frames = [
-                type(f)(f.video_id, f.t, tuple(p for p in f.persons if p.person_id == 0),
+                type(f)(f.video_id, f.k, tuple(p for p in f.persons if p.person_id == 0),
                         f.faces)
                 for f in frames
             ]

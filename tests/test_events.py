@@ -1,8 +1,15 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from socialevents.config import DEFAULT_CONFIG
 from socialevents.errors import ValidationError
@@ -14,6 +21,7 @@ from socialevents.events import (
     detect_joint_attention,
     detect_mutual_gaze,
     detect_sudden_shifts,
+    event_record,
     score_event_confidence,
 )
 from socialevents.gaze import (
@@ -24,8 +32,8 @@ from socialevents.gaze import (
     interpolate_track,
 )
 from socialevents.ingest import Box
-from helpers import event, grid_track, sample
-from oracles import contains, detector_view, expand, follow_hits, oracle_all
+from helpers import event, grid_track, sample, tick
+from oracles import contains, detector_view, expand, follow_hits, oracle_all, oracle_capture
 from synth import make_video
 
 
@@ -35,16 +43,16 @@ def features_of(tracks):
 
 class TestClusterIntervals:
     def test_gap_splits(self):
-        clusters = cluster_intervals([0.5, 1.0, 2.5], 0.6)
-        assert [(c.start_t, c.end_t) for c in clusters] == [(0.5, 1.0), (2.5, 2.5)]
-        assert clusters[0].member_times == (0.5, 1.0)
+        clusters = cluster_intervals([tick(0.5), tick(1.0), tick(2.5)], 0.6)
+        assert [(c.start, c.end) for c in clusters] == [(tick(0.5), tick(1.0)), (tick(2.5),) * 2]
+        assert clusters[0].members == (tick(0.5), tick(1.0))
 
     def test_empty(self):
         assert cluster_intervals([], 0.6) == []
 
     def test_singleton_zero_length(self):
-        (c,) = cluster_intervals([2.0], 0.6)
-        assert (c.start_t, c.end_t) == (2.0, 2.0)
+        (c,) = cluster_intervals([tick(2.0)], 0.6)
+        assert (c.start, c.end) == (tick(2.0), tick(2.0))
 
 
 def velocity_track(pid, deltas, center=(0.5, 0.5)):
@@ -245,10 +253,7 @@ class TestMutualGaze:
     def test_interpolated_gaze_never_hits(self):
         tracks = facing_tracks(4)
         # recast every sample of one side as interpolated
-        import dataclasses
-        recast = tuple(
-            dataclasses.replace(s, provenance=PROV_INTERPOLATED) for s in tracks[0].samples
-        )
+        recast = tuple(s._replace(provenance=PROV_INTERPOLATED) for s in tracks[0].samples)
         tracks[0] = GazeTrack("v", 0, recast)
         assert detect_mutual_gaze(tracks) == []
 
@@ -346,6 +351,68 @@ def test_follow_lag_max_beyond_the_video_costs_no_more_than_its_span():
     assert huge == at_span
 
 
+def _capture_setup(seed):
+    frames = make_video(seed, min_persons=3, max_frames=60)
+    tracks = [interpolate_track(t) for t in build_tracks(frames)]
+    return tracks, compute_features(tracks)
+
+
+def test_capture_window_beyond_the_flags_costs_what_their_span_costs():
+    # Once a window holds every flag, a wider one changes nothing, and the
+    # sweep's cost does not grow with the width.
+    tracks, features = _capture_setup(44)
+    flags = [f.t for f in features
+             if any(v > DEFAULT_CONFIG.capture_velocity for v in f.velocities.values())]
+    config = dataclasses.replace(DEFAULT_CONFIG, capture_window=flags[-1] - flags[0] + 1.0)
+    at_span = detect_attention_capture(tracks, features, config)
+    assert len(at_span) > 1
+    assert detector_view(at_span) == oracle_capture(tracks, config)
+    child = (
+        "import dataclasses, json\n"
+        "from socialevents.config import DEFAULT_CONFIG\n"
+        "from socialevents.events import detect_attention_capture, event_record\n"
+        "from test_events import _capture_setup\n"
+        "config = dataclasses.replace(DEFAULT_CONFIG, capture_window=1e17)\n"
+        "events = detect_attention_capture(*_capture_setup(44), config)\n"
+        "print(json.dumps([event_record(e) for e in events]))\n"
+    )
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert json.loads(done.stdout) == [event_record(e) for e in at_span]
+
+
+def test_capture_right_edge_is_the_float_sum():
+    # Near t = 1000 s, w + 0.9999999999999999 rounds to w + 1.0, so that
+    # window holds a flag 1.0 s after its start, as a 1.0 s window does.
+    frames = [dataclasses.replace(f, k=f.k + 2000) for f in make_video(10, min_persons=4,
+                                                                       max_frames=40)]
+    tracks = [interpolate_track(t) for t in build_tracks(frames)]
+    features = compute_features(tracks)
+    found = {}
+    for width in (0.5, 0.9999999999999999, 1.0):
+        config = dataclasses.replace(DEFAULT_CONFIG, capture_window=width)
+        found[width] = detector_view(detect_attention_capture(tracks, features, config))
+        assert found[width] == oracle_capture(tracks, config)
+    assert found[0.9999999999999999] == found[1.0] != found[0.5]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10_000), width=st.floats(0.0, 5.0, exclude_min=True),
+       min_persons=st.integers(1, 4))
+@example(seed=3, width=0.3, min_persons=3).via("off-grid")
+@example(seed=7, width=0.75, min_persons=3).via("off-grid")
+@example(seed=12, width=0.9999999999999999, min_persons=2).via("one ulp below the grid")
+@example(seed=23, width=4.999999999999999, min_persons=3).via("one ulp below the grid")
+def test_capture_matches_oracle_at_any_width(seed, width, min_persons):
+    tracks, features = _capture_setup(seed)
+    config = dataclasses.replace(DEFAULT_CONFIG, capture_window=width,
+                                 capture_min_persons=min_persons)
+    assert detector_view(detect_attention_capture(tracks, features, config)) == \
+        oracle_capture(tracks, config)
+
+
 class TestEventProperties:
     def relabel(self, tracks, mapping):
         return [GazeTrack(t.video_id, mapping[t.person_id], t.samples) for t in tracks]
@@ -366,13 +433,12 @@ class TestEventProperties:
         assert detector_view(relabeled) == expect
 
     def test_time_shift(self):
-        import dataclasses
         frames = make_video(23, max_frames=30)
         tracks = [interpolate_track(t) for t in build_tracks(frames)]
         delta = 7.5
         shifted_tracks = [
             GazeTrack(t.video_id, t.person_id, tuple(
-                dataclasses.replace(s, t=s.t + delta) for s in t.samples
+                s._replace(k=s.k + tick(delta)) for s in t.samples
             ))
             for t in tracks
         ]

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from socialevents.config import DEFAULT_CONFIG
+from socialevents.errors import DataError
 from socialevents.gaze import (
     PROV_CARRIED,
     PROV_INTERPOLATED,
@@ -18,7 +19,7 @@ from socialevents.gaze import (
     interpolate_track,
 )
 from socialevents.ingest import Box, FaceMeasurement, FrameObservation, PersonBox
-from helpers import grid_track, sample
+from helpers import grid_track, sample, tick
 
 
 def person_frame(t, pids, gaze_by_pid=None, video="v"):
@@ -35,7 +36,7 @@ def person_frame(t, pids, gaze_by_pid=None, video="v"):
             cx = (x1 + x2) / 2
             fb = Box(cx - 0.02, 0.3, cx + 0.02, 0.38)
             faces.append(FaceMeasurement(fb, 1.0, gaze_by_pid[pid], True))
-    return FrameObservation(video, t, tuple(persons), tuple(faces))
+    return FrameObservation(video, tick(t), tuple(persons), tuple(faces))
 
 
 class TestBuildTracks:
@@ -67,11 +68,15 @@ class TestBuildTracks:
         assert s.gaze_point is None
         assert s.face_center is not None
 
+    def test_track_needs_one_sample_per_tick(self):
+        with pytest.raises(DataError, match="skips a tick"):
+            GazeTrack("v", 0, (sample(0.0), sample(1.0)))
+
     def test_measured_confidence_as_ingested(self):
         frame = person_frame(0.0, [0], {0: (0.5, 0.5)})
         face = frame.faces[0]
         frame = FrameObservation(
-            frame.video_id, frame.t, frame.persons,
+            frame.video_id, frame.k, frame.persons,
             (FaceMeasurement(face.box, 0.77, face.gaze_point, True),),
         )
         (track,) = build_tracks([frame])
@@ -161,19 +166,19 @@ class TestVelocity:
             0.0: {"gaze": (0.6, 0.5), "center": (0.5, 0.5)},
             0.5: {"gaze": (0.7, 0.6), "center": (0.6, 0.6)},  # same d = (0.1, 0)
         })
-        assert gaze_velocity(track, 0.5) == pytest.approx(0.0)
+        assert gaze_velocity(track, tick(0.5)) == pytest.approx(0.0)
 
     def test_direction_change(self):
         track = grid_track(0, 0.0, 0.5, {
             0.0: {"gaze": (0.6, 0.5), "center": (0.5, 0.5)},  # d = (0.1, 0.0)
             0.5: {"gaze": (0.6, 0.7), "center": (0.5, 0.5)},  # d = (0.1, 0.2)
         })
-        assert gaze_velocity(track, 0.5) == pytest.approx(0.4)
+        assert gaze_velocity(track, tick(0.5)) == pytest.approx(0.4)
 
     def test_missing_previous_sample(self):
         track = grid_track(0, 0.0, 1.0, {1.0: {"gaze": (0.5, 0.5)}})
-        assert gaze_velocity(track, 1.0) is None
-        assert gaze_velocity(track, 0.5) is None
+        assert gaze_velocity(track, tick(1.0)) is None
+        assert gaze_velocity(track, tick(0.5)) is None
 
     def test_translation_invariance(self):
         rng = random.Random(3)
@@ -190,7 +195,8 @@ class TestVelocity:
                 t: {"gaze": (g[0] + dx, g[1] + dy), "center": (c[0] + dx, c[1] + dy)}
                 for t, (g, c) in pts.items()
             })
-            assert gaze_velocity(shifted, 0.5) == pytest.approx(gaze_velocity(track, 0.5))
+            assert gaze_velocity(shifted, tick(0.5)) == \
+                pytest.approx(gaze_velocity(track, tick(0.5)))
 
 
 def one_point_tracks(points, t=0.0):
@@ -201,41 +207,42 @@ def one_point_tracks(points, t=0.0):
 
 class TestConvergence:
     def test_identical_points_score_one(self):
-        result = convergence_score(one_point_tracks([(0.5, 0.5)] * 3), 0.0)
+        result = convergence_score(one_point_tracks([(0.5, 0.5)] * 3), tick(0.0))
         assert result[0] == 1.0
 
     def test_two_points(self):
-        s, centroid, who = convergence_score(one_point_tracks([(0.4, 0.5), (0.6, 0.5)]), 0.0)
+        s, centroid, who = convergence_score(
+            one_point_tracks([(0.4, 0.5), (0.6, 0.5)]), tick(0.0))
         assert centroid == pytest.approx((0.5, 0.5))
         assert s == pytest.approx(math.exp(-0.3))
         assert who == (0, 1)
 
     def test_three_points_even_median(self):
         s, centroid, _ = convergence_score(
-            one_point_tracks([(0.5, 0.5), (0.5, 0.5), (0.9, 0.5)]), 0.0
+            one_point_tracks([(0.5, 0.5), (0.5, 0.5), (0.9, 0.5)]), tick(0.0)
         )
         assert centroid[0] == pytest.approx(0.63333333)
         assert s == pytest.approx(math.exp(-0.4))
 
     def test_single_point_undefined(self):
-        assert convergence_score(one_point_tracks([(0.5, 0.5)]), 0.0) is None
+        assert convergence_score(one_point_tracks([(0.5, 0.5)]), tick(0.0)) is None
 
     def test_out_of_frame_excluded(self):
         tracks = one_point_tracks([(0.5, 0.5), (0.5, 0.5)])
         s0 = tracks[0].samples[0]
         tracks[0] = GazeTrack(tracks[0].video_id, 0, (GazeSample(
-            s0.t, s0.gaze_point, s0.face_center, s0.face_box, False, s0.confidence,
+            s0.k, s0.gaze_point, s0.face_center, s0.face_box, False, s0.confidence,
             s0.provenance), ))
-        assert convergence_score(tracks, 0.0) is None
+        assert convergence_score(tracks, tick(0.0)) is None
 
     def test_permutation_and_relabel_invariance(self):
         pts = [(0.2, 0.3), (0.25, 0.33), (0.7, 0.7), (0.21, 0.29)]
         tracks = one_point_tracks(pts)
-        base = convergence_score(tracks, 0.0)
+        base = convergence_score(tracks, tick(0.0))
         relabeled = [
             GazeTrack("v", 10 - tr.person_id, tr.samples) for tr in reversed(tracks)
         ]
-        other = convergence_score(relabeled, 0.0)
+        other = convergence_score(relabeled, tick(0.0))
         assert other[0] == pytest.approx(base[0])
         assert other[1] == pytest.approx(base[1])
         assert len(other[2]) == len(base[2])
@@ -245,7 +252,7 @@ class TestConvergence:
         rng = random.Random(11)
         for _ in range(100):
             pts = [(rng.random(), rng.random()) for _ in range(rng.randint(2, 6))]
-            s, centroid, _ = convergence_score(one_point_tracks(pts), 0.0)
+            s, centroid, _ = convergence_score(one_point_tracks(pts), tick(0.0))
             assert 0.0 < s <= 1.0
             median = statistics.median(
                 math.hypot(p[0] - centroid[0], p[1] - centroid[1]) for p in pts
@@ -253,16 +260,16 @@ class TestConvergence:
             assert (s == 1.0) == (median == 0.0)
         # all-coincident points always score exactly 1
         coincident = [(0.37, 0.61)] * 4
-        assert convergence_score(one_point_tracks(coincident), 0.0)[0] == 1.0
+        assert convergence_score(one_point_tracks(coincident), tick(0.0))[0] == 1.0
 
     def test_strict_measured_mode_excludes_interpolated(self):
         import dataclasses
         cfg = dataclasses.replace(DEFAULT_CONFIG, convergence_measured_only=True)
         tracks = one_point_tracks([(0.5, 0.5), (0.5, 0.5)])
         s0 = tracks[0].samples[0]
-        tracks[0] = GazeTrack("v", 0, (dataclasses.replace(s0, provenance=PROV_INTERPOLATED),))
-        assert convergence_score(tracks, 0.0, cfg) is None
-        assert convergence_score(tracks, 0.0) is not None
+        tracks[0] = GazeTrack("v", 0, (s0._replace(provenance=PROV_INTERPOLATED),))
+        assert convergence_score(tracks, tick(0.0), cfg) is None
+        assert convergence_score(tracks, tick(0.0)) is not None
 
 
 def test_compute_features_shape():

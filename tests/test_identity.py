@@ -17,6 +17,7 @@ from socialevents.identity import (
     match_faces_to_persons,
 )
 from socialevents.ingest import Box, FaceMeasurement, FrameObservation, PersonBox
+from helpers import tick
 from oracles import assign_dp, best_assignment_total
 from synth import make_video, write_observations
 
@@ -26,7 +27,7 @@ def face(box, conf=0.9):
 
 
 def frame(persons, faces, t=0.0):
-    return FrameObservation("v", t, tuple(persons), tuple(faces))
+    return FrameObservation("v", tick(t), tuple(persons), tuple(faces))
 
 
 class TestHeadRegion:
@@ -301,7 +302,7 @@ def _large_component_frame():
     wide = PersonBox(0, Box(0.0, 0.0, 1.0, 0.4))
     narrow = PersonBox(1, Box(0.02, 0.0, 0.16, 0.4))
     faces = [face(Box(0.01 + 0.075 * k, 0.02, 0.07 + 0.075 * k, 0.12)) for k in range(13)]
-    return FrameObservation("wide", 0.0, (wide, narrow), tuple(faces))
+    return FrameObservation("wide", 0, (wide, narrow), tuple(faces))
 
 
 def test_large_component_matches_brute_force():

@@ -14,10 +14,8 @@ from socialevents.ingest import (
     parse_frame,
     parse_gesture,
     read_jsonl,
-    serialize_frame,
-    serialize_gesture,
 )
-from synth import make_video, write_observations
+from synth import make_video, serialize_frame, serialize_gesture, write_observations
 
 
 def frame_record(t=0.0, video="v1", persons=None, faces=None):

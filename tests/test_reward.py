@@ -133,6 +133,12 @@ class TestMentionRule:
             found += bool(expected)
         assert found > 4_000
 
+    def test_identity_mapped_token_keeps_its_text(self):
+        text = "P03 sees Person 007, P\u0663 and person\t2"
+        assert replace_person_ids(text, {3: 3, 7: 7, 2: 2}) == text
+        assert replace_person_ids(text, {3: 3, 7: 8, 2: 2}) == \
+            "P03 sees Person 8, P\u0663 and person\t2"
+
     @pytest.mark.parametrize("text, ids", [
         ("P1P2", set()), ("person 3P4", set()), ("p5", set()), ("PERSON\t6", {6}),
         ("Person\u00a07", {7}), ("P\u0663 and person \uff17", {3, 7}), ("P007", {7}),
