@@ -174,14 +174,31 @@ def _write_lines(path: Path, lines) -> None:
 
 def _cmd_detect(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
+    # Observations stream in: each contiguous run of a video's frames becomes
+    # tracks as it is read, so a frame is garbage once its samples exist. A
+    # video whose frames come back after another video's has several runs,
+    # joined per person once the input is read.
+    runs: dict[str, list[list[gaze.GazeTrack]]] = {}  # first-appearance order
+    stops: dict[str, int] = {}  # one past each video's last tick
+
+    def frames_of(video_id, run):
+        for frame in run:
+            yield frame
+        stops[video_id] = frame.k + 1
+
+    for video_id, run in itertools.groupby(ingest.load_observations(args.input),
+                                           operator.attrgetter("video_id")):
+        runs.setdefault(video_id, []).append(gaze.build_tracks(frames_of(video_id, run)))
+
     results = []
-    for video_id, frames in ingest.group_by_video(ingest.load_observations(args.input)).items():
-        tracks = [gaze.interpolate_track(t, config) for t in gaze.build_tracks(frames)]
+    for video_id in list(runs):
+        tracks = [gaze.interpolate_track(t, config) for t in gaze.join_tracks(runs.pop(video_id))]
         features = gaze.compute_features(tracks, config)
         detected = events.detect_all(tracks, features, config)
-        duration = (frames[-1].k + 1) * ingest.SAMPLE_PERIOD
-        person_ids = sorted({p.person_id for f in frames for p in f.persons})
-        results.append((video_id, duration, person_ids, detected, features))
+        duration = stops[video_id] * ingest.SAMPLE_PERIOD
+        person_ids = [t.person_id for t in tracks]
+        results.append((video_id, duration, person_ids, detected,
+                        features if args.dump_features else None))
 
     _write_lines(out / "events.jsonl", (
         events.serialize_event(event, video_id)

@@ -16,10 +16,11 @@ a video's length roughly doubles its detection time:
 
     sudden_gaze_shift   O(F) per person, O(F x P) over all persons
     joint_attention     O(F x P)
-    gaze_following      O(F x P x lags) lookups plus one distance per
+    gaze_following      O(F x P x lags) lookups plus one x-offset test per
                         measured leader: each follower sample visits only
-                        the leaders measured at t - lag; lags stop at the
-                        video's span
+                        the leaders measured at t - lag, and only a leader
+                        within the distance on x costs a hypot; lags stop at
+                        the video's span
     attention_capture   O(n log n) for n <= F x P velocity flags, whatever
                         the width: only windows where the held flags change
     mutual_gaze         O(F x P^2): every pair
@@ -35,7 +36,7 @@ from typing import Iterable, NamedTuple
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import ValidationError
-from .gaze import PROV_MEASURED, FrameFeatures, GazeSample, GazeTrack
+from .gaze import PROV_MEASURED, FrameFeatures, GazeSample, GazeTrack, Point
 from .ingest import GESTURE_TYPES, SAMPLE_PERIOD, dumps_canonical, read_field, to_tick, typed
 
 SOURCE_GAZE = "gaze"
@@ -207,13 +208,18 @@ def detect_gaze_following(
     span = max((tr.stop for tr in tracks), default=0) - min((tr.start for tr in tracks), default=0)
     lags = range(to_tick(config.follow_lag_min), min(to_tick(config.follow_lag_max), span) + 1)
     distance = config.follow_distance
-    # tick -> {leader id: sample} for every measured gaze point; one dict per
-    # tick and no container per sample keeps the garbage collector's work low
-    measured_at: dict[int, dict[int, GazeSample]] = {}
+    # tick -> {leader id: gaze point} for every measured gaze point. The
+    # garbage collector stops tracking a pair of floats once it survives a
+    # collection, and never tracks a dict of such pairs, so it never walks
+    # this index; a leader's sample is looked up only for an event.
+    measured_at: dict[int, dict[int, Point]] = {}
+    track_of = {}
     for tr in tracks:
+        leader_id = tr.person_id
+        track_of[leader_id] = tr
         for s in tr.samples:
             if s.provenance == PROV_MEASURED and s.gaze_point is not None:
-                measured_at.setdefault(s.k, {})[tr.person_id] = s
+                measured_at.setdefault(s.k, {})[leader_id] = s.gaze_point
     events = []
     for follower in tracks:
         follower_id = follower.person_id
@@ -224,17 +230,21 @@ def detect_gaze_following(
             cx, cy = cur.gaze_point
             done: tuple[int, ...] = ()  # leaders that qualified at an earlier lag
             for lag in lags:
-                for leader_id, past in measured_at.get(k - lag, {}).items():
+                for leader_id, (px, py) in measured_at.get(k - lag, {}).items():
+                    dx = cx - px
+                    # hypot(dx, dy) >= |dx|: a leader this far apart on x
+                    # cannot be within the distance
+                    if dx >= distance or dx <= -distance:
+                        continue
                     if leader_id == follower_id or leader_id in done:
                         continue
-                    px, py = past.gaze_point
-                    d = math.hypot(cx - px, cy - py)
+                    d = math.hypot(dx, cy - py)
                     if d < distance:
                         done += (leader_id,)
                         events.append(_event(
                             "gaze_following",
                             {leader_id, follower_id},
-                            k - lag, k, [past, cur],
+                            k - lag, k, [track_of[leader_id].sample_at(k - lag), cur],
                             roles={"leader": leader_id, "follower": follower_id},
                             attributes={"lag": lag * SAMPLE_PERIOD, "distance": d},
                         ))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import DataError
@@ -90,22 +90,23 @@ def _missing(k: int) -> GazeSample:
     return GazeSample(k, None, None, None, False, 0.0, PROV_MISSING)
 
 
-def build_tracks(frames: list[FrameObservation]) -> list[GazeTrack]:
+def build_tracks(frames: Iterable[FrameObservation]) -> list[GazeTrack]:
     """One grid-complete track per person ID observed in a single video.
 
     Samples are measured where the person has an associated face with a gaze
     point, missing elsewhere. Track spans run from the person's first to last
-    appearance.
+    appearance. ``frames`` is read once, so a frame from a stream can be
+    dropped as soon as its samples exist.
     """
-    if not frames:
-        return []
-    video_id = frames[0].video_id
-
+    video_id = None
     span: dict[int, tuple[int, int]] = {}
     observed: dict[int, dict[int, GazeSample]] = {}
     for frame in frames:
         if frame.video_id != video_id:
-            raise DataError(f"mixed videos in one track build: {video_id!r}, {frame.video_id!r}")
+            if video_id is not None:
+                raise DataError(
+                    f"mixed videos in one track build: {video_id!r}, {frame.video_id!r}")
+            video_id = frame.video_id
         for person in frame.persons:
             lo, hi = span.get(person.person_id, (frame.k, frame.k))
             span[person.person_id] = (min(lo, frame.k), max(hi, frame.k))
@@ -133,6 +134,31 @@ def build_tracks(frames: list[FrameObservation]) -> list[GazeTrack]:
         samples = tuple(by_k.get(k) or _missing(k) for k in range(lo, hi + 1))
         tracks.append(GazeTrack(video_id, person_id, samples))
     return tracks
+
+
+def join_tracks(runs: list[list[GazeTrack]]) -> list[GazeTrack]:
+    """The tracks of one video's runs of frames, joined per person.
+
+    ``runs`` holds ``build_tracks`` of each run, the runs in time order. A
+    person's track is the samples of each run that has them, with missing
+    samples over the gaps between runs: what ``build_tracks`` gives over all
+    the runs' frames, since a person has no sample between two of their
+    appearances in different runs.
+    """
+    if len(runs) == 1:
+        return runs[0]
+    joined: dict[int, list[GazeSample]] = {}
+    video_id = None
+    for tracks in runs:
+        for track in tracks:
+            video_id = track.video_id
+            samples = joined.get(track.person_id)
+            if samples is None:
+                joined[track.person_id] = list(track.samples)
+            else:
+                samples.extend(_missing(k) for k in range(samples[-1].k + 1, track.start))
+                samples.extend(track.samples)
+    return [GazeTrack(video_id, pid, tuple(joined[pid])) for pid in sorted(joined)]
 
 
 def interpolate_track(track: GazeTrack, config: EngineConfig = DEFAULT_CONFIG) -> GazeTrack:

@@ -44,7 +44,6 @@ _TOL = 1e-12
 
 @dataclass(frozen=True)
 class Association:
-    frame_t: float
     pairs: tuple[tuple[int, int, float], ...]  # (person_id, face_index, overlap)
     unmatched_faces: tuple[int, ...]
 
@@ -70,7 +69,7 @@ def match_faces_to_persons(frame: FrameObservation) -> Association:
     persons = sorted(frame.persons, key=lambda p: p.person_id)
     n, m = len(persons), len(frame.faces)
     if n == 0 or m == 0:
-        return Association(frame.t, (), tuple(range(m)))
+        return Association((), tuple(range(m)))
 
     # box_overlap(head_region(p.box), f.box) from unpacked coordinates, with
     # each area computed once; every float operation is box_overlap's, in the
@@ -102,7 +101,7 @@ def match_faces_to_persons(frame: FrameObservation) -> Association:
     )
     matched_faces = {j for _, j in chosen}
     unmatched = tuple(j for j in range(m) if j not in matched_faces)
-    return Association(frame.t, pairs, unmatched)
+    return Association(pairs, unmatched)
 
 
 def _assign_conflict_free(weights: list[list[float]]) -> list[tuple[int, int]] | None:

@@ -1,8 +1,12 @@
 import argparse
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socialevents import cli, qa
 from socialevents.cli import main
@@ -36,6 +40,35 @@ def make_inputs(tmp_path, seed=3, n_videos=2):
 
 def read_lines(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+
+
+def detect_bytes(frames, directory):
+    """events, videos and features bytes of detect over these frames."""
+    directory.mkdir()
+    write_observations(frames, directory / "obs.jsonl")
+    assert run("detect", "--input", str(directory / "obs.jsonl"),
+               "--out", str(directory / "out"), "--dump-features") == 0
+    return [(directory / "out" / name).read_bytes()
+            for name in ("events.jsonl", "videos.jsonl", "features.jsonl")]
+
+
+@st.composite
+def interleavings(draw, videos):
+    """The videos' frames in one order that keeps each video's own order:
+    runs of 1-12 frames, and, when drawn, the first video held back after
+    its first run until every other video is done."""
+    queues = [list(video) for video in videos]
+    lines = []
+    hold = draw(st.booleans())
+    while any(queues):
+        live = [i for i, q in enumerate(queues) if q]
+        if hold and 0 in live and len(live) > 1 and len(queues[0]) < len(videos[0]):
+            live.remove(0)
+        i = draw(st.sampled_from(live))
+        n = draw(st.integers(1, 12))
+        lines += queues[i][:n]
+        del queues[i][:n]
+    return lines
 
 
 class TestDetect:
@@ -85,6 +118,29 @@ class TestDetect:
             grouped = (tmp_path / "grouped" / artifact).read_bytes()
             assert grouped.count(b"synth-1") and grouped.count(b"synth-2")
             assert (tmp_path / "interleaved" / artifact).read_bytes() == grouped
+
+    def test_video_back_after_a_long_gap_gives_the_grouped_bytes(self, tmp_path):
+        # each video comes back after all of another's frames, with persons
+        # that may be absent at the seams of its runs
+        one = make_video(4, min_frames=30, max_frames=30)
+        two = make_video(5, min_frames=30, max_frames=30)
+        three = make_video(6, min_frames=20, max_frames=20)
+        lines = one[:5] + two + one[5:12] + three + one[12:]
+        assert detect_bytes(lines, tmp_path / "interleaved") == \
+            detect_bytes(one + two + three, tmp_path / "grouped")
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_interleaved_runs_give_the_grouped_bytes(self, data):
+        videos = [make_video(seed, min_frames=6, max_frames=40) for seed in
+                  data.draw(st.lists(st.integers(0, 10_000), min_size=2, max_size=3,
+                                     unique=True))]
+        lines = data.draw(interleavings(videos))
+        first_seen = list(dict.fromkeys(f.video_id for f in lines))
+        by_id = {video[0].video_id: video for video in videos}
+        with tempfile.TemporaryDirectory() as tmp:
+            assert detect_bytes(lines, Path(tmp, "interleaved")) == detect_bytes(
+                [f for video_id in first_seen for f in by_id[video_id]], Path(tmp, "grouped"))
 
     def test_missing_input_exit_2(self, tmp_path):
         assert run("detect", "--input", str(tmp_path / "nope.jsonl"),

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -166,6 +167,27 @@ class TestGazeFollowing:
         follower = grid_track(1, 0.0, 4.0, {2.5: {"gaze": mid, "center": (0.8, 0.4)}})
         events = detect_gaze_following([leader, follower])
         assert events == []
+
+    @pytest.mark.parametrize("dx, found", [
+        (DEFAULT_CONFIG.follow_distance, False),
+        (-DEFAULT_CONFIG.follow_distance, False),
+        (math.nextafter(DEFAULT_CONFIG.follow_distance, 0.0), True),
+        (-math.nextafter(DEFAULT_CONFIG.follow_distance, 0.0), True),
+    ])
+    def test_leader_at_the_distance_on_x(self, dx, found):
+        # the x offset alone decides: exactly the distance apart is not
+        # within it, one ulp closer is; one of the two points sits at x = 0,
+        # so each offset is exact
+        leader_x = max(0.0, -dx)
+        tracks = self.make_pair((leader_x, 0.30), (leader_x + dx, 0.30), 2.0, 3.0)
+        events = detect_gaze_following(tracks)
+        assert len(events) == (1 if found else 0)
+        if found:
+            assert events[0].attributes["distance"] == abs(dx)
+
+    def test_near_on_x_far_on_y_is_no_follow(self):
+        tracks = self.make_pair((0.50, 0.30), (0.51, 0.33), 2.0, 3.0)
+        assert detect_gaze_following(tracks) == []
 
     def test_earliest_lag_wins(self):
         leader = grid_track(0, 0.0, 4.0, {
@@ -470,3 +492,16 @@ class TestEventProperties:
                     assert len(ev.participants) == 2
                     assert 1.0 <= ev.duration <= 2.0
                 assert 0.0 <= ev.confidence <= 1.0
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(dx=_finite, dy=_finite)
+@example(dx=0.03, dy=0.0).via("on the x axis")
+@example(dx=-0.03, dy=5e-324).via("the smallest y offset")
+def test_hypot_is_at_least_the_x_offset(dx, dy):
+    # gaze following skips a leader whose x offset alone reaches the
+    # distance; that skip drops no event only while this holds
+    assert math.hypot(dx, dy) >= abs(dx)

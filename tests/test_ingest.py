@@ -9,6 +9,8 @@ from socialevents.ingest import (
     FaceMeasurement,
     PersonBox,
     _box,
+    _det_conf,
+    _gaze,
     load_gestures,
     load_observations,
     parse_frame,
@@ -229,13 +231,13 @@ def test_records_are_immutable_hashable_tuples():
 
 
 def test_box_fast_and_slow_paths_agree():
-    fast = _box([0.1, 0.2, 0.3, 0.4], "box", 1)
+    fast = _box([0.1, 0.2, 0.3, 0.4], "box", 0, 1)
     assert fast == Box(0.1, 0.2, 0.3, 0.4)
     # ints take the checked path and come out as the same float Box
-    slow = _box([0, 0.2, 1, 0.4], "box", 1)
-    assert slow == _box([0.0, 0.2, 1.0, 0.4], "box", 1) == Box(0.0, 0.2, 1.0, 0.4)
+    slow = _box([0, 0.2, 1, 0.4], "box", 0, 1)
+    assert slow == _box([0.0, 0.2, 1.0, 0.4], "box", 0, 1) == Box(0.0, 0.2, 1.0, 0.4)
     assert all(type(v) is float for v in slow)
-    assert _box([0.0, 0.0, 1.0, 1.0], "box", 1) == Box(0.0, 0.0, 1.0, 1.0)
+    assert _box([0.0, 0.0, 1.0, 1.0], "box", 0, 1) == Box(0.0, 0.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("value, message", [
@@ -257,8 +259,65 @@ def test_box_fast_and_slow_paths_agree():
 ])
 def test_bad_box_error_text(value, message):
     with pytest.raises(ValidationError) as exc:
-        _box(value, "faces[2].box", 9)
+        _box(value, "faces", 2, 9)
     assert str(exc.value) == f"line 9: {message}"
+
+
+def test_det_conf_and_gaze_fast_and_slow_paths_agree():
+    assert _det_conf(0.25, 2, 9) == 0.25
+    assert _gaze([0.25, 0.75], 2, 9) == (0.25, 0.75)
+    assert _gaze(None, 2, 9) is None
+    # ints take the checked path and come out as the same floats
+    for value in (0, 1):
+        conf = _det_conf(value, 2, 9)
+        assert conf == _det_conf(float(value), 2, 9) and type(conf) is float
+    for value in ([0, 1], [0.25, 1], [0, 0.75]):
+        point = _gaze(value, 2, 9)
+        assert point == _gaze([float(v) for v in value], 2, 9)
+        assert all(type(v) is float for v in point)
+    assert _det_conf(0.0, 2, 9) == 0.0 and _gaze([1.0, 0.0], 2, 9) == (1.0, 0.0)
+
+
+def _face_error(field, value):
+    record = frame_record()
+    record["faces"] = [record["faces"][0]] * 2 + [{**record["faces"][0], field: value}]
+    with pytest.raises(ValidationError) as exc:
+        parse_frame(record, 9)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "faces[2].det_conf out of range [0,1]: True"),
+    (float("nan"), "faces[2].det_conf out of range [0,1]: nan"),
+    (float("inf"), "faces[2].det_conf out of range [0,1]: inf"),
+    (-0.1, "faces[2].det_conf out of range [0,1]: -0.1"),
+    (1.5, "faces[2].det_conf out of range [0,1]: 1.5"),
+    (2, "faces[2].det_conf out of range [0,1]: 2"),
+    ("0.9", "faces[2].det_conf out of range [0,1]: '0.9'"),
+    ([0.1, 0.2, 0.3], "faces[2].det_conf out of range [0,1]: [0.1, 0.2, 0.3]"),
+    (None, "faces[2].det_conf out of range [0,1]: None"),
+])
+def test_bad_det_conf_error_text(value, message):
+    assert _face_error("det_conf", value) == f"line 9: {message}"
+
+
+@pytest.mark.parametrize("value, message", [
+    ([True, 0.5], "faces[2].gaze[0] out of range [0,1]: True"),
+    ([0.5, False], "faces[2].gaze[1] out of range [0,1]: False"),
+    ([float("nan"), 0.5], "faces[2].gaze[0] out of range [0,1]: nan"),
+    ([0.5, float("inf")], "faces[2].gaze[1] out of range [0,1]: inf"),
+    ([-0.1, 0.5], "faces[2].gaze[0] out of range [0,1]: -0.1"),
+    ([0.5, 1.5], "faces[2].gaze[1] out of range [0,1]: 1.5"),
+    ([2, 0.5], "faces[2].gaze[0] out of range [0,1]: 2"),
+    (["0.5", 0.5], "faces[2].gaze[0] out of range [0,1]: '0.5'"),
+    ([0.1, 0.2, 0.3], "faces[2].gaze must be [x, y] or null"),
+    ([0.5], "faces[2].gaze must be [x, y] or null"),
+    ((0.5, 0.5), "faces[2].gaze must be [x, y] or null"),
+    ("0.5,0.5", "faces[2].gaze must be [x, y] or null"),
+    (0.5, "faces[2].gaze must be [x, y] or null"),
+])
+def test_bad_gaze_error_text(value, message):
+    assert _face_error("gaze", value) == f"line 9: {message}"
 
 
 def test_read_jsonl_skips_blank_lines_and_names_bad_ones(tmp_path):
