@@ -38,7 +38,7 @@ import sys
 from pathlib import Path
 
 from . import analytics, events, gaze, graph as graph_mod, ingest, qa, reward as reward_mod
-from .config import DETECTOR_FIELDS, EngineConfig, add_config_arguments, config_from_args
+from .config import EngineConfig, add_config_arguments, config_from_args
 from .errors import ContractError, EngineError, ValidationError
 from .mentions import extract_person_ids
 
@@ -53,7 +53,12 @@ STAGE_FIELDS = {
     "detect": (
         "linear_max_gap", "carry_max_gap", "linear_conf_slope", "carry_conf_base",
         "carry_conf_decay", "block_temporal_gap", "block_face_displacement",
-        "convergence_alpha", "convergence_measured_only", *DETECTOR_FIELDS,
+        "convergence_alpha", "convergence_measured_only",
+        "sudden_velocity", "sudden_cluster_gap", "sudden_min_duration", "sudden_max_duration",
+        "ja_convergence", "ja_min_duration", "ja_set_overlap", "ja_peripheral_mult",
+        "follow_distance", "follow_lag_min", "follow_lag_max",
+        "capture_velocity", "capture_min_persons", "capture_window",
+        "mutual_margin", "mutual_min_duration",
     ),
     "graph": ("gaze_conf_min", "gesture_conf_min", "pair_max_distance", "max_graph_events"),
     "qagen": ("qa_medium_min_events", "qa_hard_min_events"),
@@ -419,14 +424,14 @@ def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
         models[model] = {
             "queries": len(b["queries"]),
             "rollouts": len(b["acc"]),
-            "accuracy": _mean(b["acc"]),
-            "grounding_precision_macro": _mean(b["precision"]) if b["precision"] else None,
+            "accuracy": _mean(b["acc"], model, "accuracy"),
+            "grounding_precision_macro": _mean(b["precision"], model, "grounding_precision_macro"),
             "grounding_precision_micro": (sum(b["n_correct"]) / n_pred) if n_pred else None,
-            "mean_novel_participants": _mean(b["novel"]),
-            "mean_reasoning_length": _mean(b["length"]),
+            "mean_novel_participants": _mean(b["novel"], model, "mean_novel_participants"),
+            "mean_reasoning_length": _mean(b["length"], model, "mean_reasoning_length"),
             "median_reasoning_length": float(statistics.median(b["length"])) if b["length"] else None,
             "malformed_traces": sum(b["malformed"]),
-            "mean_total_reward": _mean(b["total"]),
+            "mean_total_reward": _mean(b["total"], model, "mean_total_reward"),
         }
 
     report = {"models": models, "cross_model": _cross_model(models)}
@@ -439,11 +444,15 @@ def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
     return EXIT_OK
 
 
-def _mean(values) -> float | None:
-    values = list(values)
+def _mean(values: list, model: str, aggregate: str) -> float | None:
+    """The mean, or None for no values. A sum beyond the float range is a
+    ContractError naming the model and the aggregate."""
     if not values:
         return None
-    return math.fsum(values) / len(values)
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        raise ContractError(f"model {model!r}: {aggregate} overflows the float range") from None
 
 
 def _cross_model(models: dict) -> dict:
@@ -460,6 +469,9 @@ def _cross_model(models: dict) -> dict:
                 cross[label] = analytics.pearson(accs, series)
             except ContractError:
                 cross[label] = None
+            except OverflowError:
+                raise ContractError(
+                    f"cross_model {label}: the Pearson sums overflow the float range") from None
         else:
             cross[label] = None
     return cross

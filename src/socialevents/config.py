@@ -17,16 +17,6 @@ from dataclasses import dataclass, fields
 from .errors import ContractError
 from .ingest import SAMPLE_PERIOD
 
-# The gaze event detector fields.
-DETECTOR_FIELDS = (
-    "sudden_velocity", "sudden_cluster_gap", "sudden_min_duration", "sudden_max_duration",
-    "ja_convergence", "ja_min_duration", "ja_set_overlap", "ja_peripheral_mult",
-    "follow_distance", "follow_lag_min", "follow_lag_max",
-    "capture_velocity", "capture_min_persons", "capture_window",
-    "mutual_margin", "mutual_min_duration",
-)
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     # gaze gap repair
@@ -121,6 +111,10 @@ class EngineConfig:
             ("qa_medium_min_events", self.qa_medium_min_events >= 0, "must be >= 0"),
             ("qa_hard_min_events", self.qa_hard_min_events >= self.qa_medium_min_events,
              f"must be >= qa_medium_min_events ({self.qa_medium_min_events!r})"),
+            # A total is at most 5 weights (r_gnd <= 2), so at this bound the
+            # totals and their squared deviations stay finite.
+            *((name, abs(getattr(self, name)) <= 1e100, "must be within [-1e100, 1e100]")
+              for name in ("weight_acc", "weight_fmt", "weight_str", "weight_gnd")),
             ("rollouts_per_query", self.rollouts_per_query >= 2, "must be >= 2"),
             ("advantage_clip", self.advantage_clip > 0, "must be > 0"),
             ("advantage_mode", self.advantage_mode in ("zscore", "mean_center"),

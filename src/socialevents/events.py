@@ -37,7 +37,8 @@ from typing import Iterable, NamedTuple
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import ValidationError
 from .gaze import PROV_MEASURED, FrameFeatures, GazeSample, GazeTrack, Point
-from .ingest import GESTURE_TYPES, SAMPLE_PERIOD, dumps_canonical, read_field, to_tick, typed
+from .ingest import (GESTURE_TYPES, SAMPLE_PERIOD, TIME_LIMIT, dumps_canonical, read_field,
+                     to_tick, typed)
 
 SOURCE_GAZE = "gaze"
 SOURCE_GESTURE = "gesture"
@@ -75,7 +76,7 @@ class IntervalCluster(NamedTuple):
     members: tuple[int, ...]
 
 
-def cluster_intervals(flagged: list[int], max_gap: float) -> list[IntervalCluster]:
+def cluster_intervals(flagged: Iterable[int], max_gap: float) -> list[IntervalCluster]:
     """Maximal runs of sorted ticks whose gaps stay within max_gap seconds."""
     clusters = []
     run: list[int] = []
@@ -104,18 +105,13 @@ def detect_sudden_shifts(
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> list[SocialEvent]:
     pid = track.person_id
-    flagged: list[int] = []
-    flagged_v: list[float] = []  # velocity of each flagged tick, in the same order
+    velocity: dict[int, float] = {}  # flagged tick -> velocity
     for f in features:
         v = f.velocities.get(pid)
         if v is not None and v > config.sudden_velocity:
-            flagged.append(f.k)
-            flagged_v.append(v)
+            velocity[f.k] = v
     events = []
-    first = 0
-    for cluster in cluster_intervals(flagged, config.sudden_cluster_gap):
-        members = slice(first, first + len(cluster.members))
-        first = members.stop
+    for cluster in cluster_intervals(velocity, config.sudden_cluster_gap):
         duration = (cluster.end - cluster.start) * SAMPLE_PERIOD
         if not config.sudden_min_duration <= duration <= config.sudden_max_duration:
             continue
@@ -125,7 +121,7 @@ def detect_sudden_shifts(
         events.append(_event(
             "sudden_gaze_shift", {pid}, cluster.start, cluster.end,
             list(track.samples[lo:cluster.end + 1 - track.start]),
-            attributes={"peak_velocity": max(flagged_v[members])},
+            attributes={"peak_velocity": max(velocity[k] for k in cluster.members)},
         ))
     return events
 
@@ -259,26 +255,21 @@ def detect_attention_capture(
     """Groups of persons whose velocity flags fall in one sliding window.
 
     The window starting at tick w holds the flags at ticks k >= w with
-    k * SAMPLE_PERIOD <= w * SAMPLE_PERIOD + width; that right edge stays a
-    float sum, as capture_window need not be a grid multiple. A window with
-    at least capture_min_persons persons is a candidate. Candidates with the
-    same persons whose windows intersect merge into one group, and the hull
-    of a group's windows selects the flags of its support and peak.
+    k * SAMPLE_PERIOD <= w * SAMPLE_PERIOD + width, a float sum, as
+    capture_window need not be a grid multiple. Widths from 2**51 s up act
+    as 2**51 s, which keeps every product exact and changes no event of a
+    shorter video. A window with at least capture_min_persons persons joins
+    the group of the latest window with the same persons if the two
+    intersect, else starts one; the hull of a group's windows selects the
+    flags of its support and peak.
 
     The sweep visits only the starts where the held flags change, so its cost
-    does not grow with the width. As w grows, the first held flag (lo) and
-    one past the last (hi) only move forward, and all windows between two
-    moves hold the same flags. Of such a run only the first and the last
-    window become candidates, with the same bytes as taking every window:
-    a run that holds no flag, or too few persons, has no candidate; in a run
-    that holds a flag f, every window starts at or before f and reaches it,
-    so each intersects the one before and joins the group the first window
-    joined, and the last window leaves that group with the hull every window
-    of the run would have left. Widths from 2**51 s up act as 2**51 s, so
-    that k * SAMPLE_PERIOD stays exact for every start. For a video shorter
-    than 2**51 s that changes nothing: once a grid-multiple width exceeds the
-    flags' span, the runs of held flags, and so the events, no longer depend
-    on it.
+    does not grow with the width. It rests on two facts. The first start that
+    reaches a flag at tick k is k - floor(width / SAMPLE_PERIOD) or just
+    below: that start reaches k in exact arithmetic, and rounding is
+    monotone. And the windows of a run hold the same flags and all reach the
+    first of them, so they intersect: a run joins or starts a group as its
+    first window would and extends it to its last.
     """
     flags: list[tuple[int, int, float]] = []  # (tick, person, velocity)
     for f in features:
@@ -296,31 +287,20 @@ def detect_attention_capture(
     def reaches(w: int, k: int) -> bool:
         return k * SAMPLE_PERIOD <= w * SAMPLE_PERIOD + width
 
-    # enter[j]: the first start whose window reaches flag j. Right edges grow
-    # with the start, so enter is sorted, and each entry is found by
-    # galloping up from the one before and then bisecting.
+    # enter[j]: the first start whose window reaches flag j; sorted, as right
+    # edges grow with the start
     enter = []
-    w = ticks[0] - 2 ** 53  # its right edge lies below every flag
     for k in ticks:
-        if not reaches(w, k):
-            step = 1
-            while not reaches(w + step, k):
-                w += step
-                step *= 2
-            hi = w + step
-            while hi - w > 1:
-                mid = (w + hi) // 2
-                if reaches(mid, k):
-                    hi = mid
-                else:
-                    w = mid
-            w = hi
+        w = k - math.floor(width / SAMPLE_PERIOD)
+        while reaches(w - 1, k):
+            w -= 1
         enter.append(w)
 
     # A run begins where a flag enters or the start passes a flag's tick; the
     # last run begins past every flag and holds none.
     starts = sorted({*enter, *(k + 1 for k in ticks)})
-    candidates = []  # (window start, persons, first held tick, last held tick)
+    groups: list[list] = []  # [persons, first tick, last tick, first start, last start]
+    latest: dict[frozenset[int], list] = {}  # persons -> their latest group
     held: dict[int, int] = {}  # person -> flags held
     lo = hi = 0
     for w, after in zip(starts, starts[1:]):
@@ -332,32 +312,20 @@ def detect_attention_capture(
             if not held[flags[lo][1]]:
                 del held[flags[lo][1]]
             lo += 1
-        if len(held) >= config.capture_min_persons:
-            persons = frozenset(held)
-            candidates.append((w, persons, ticks[lo], ticks[hi - 1]))
-            if after - 1 > w:
-                candidates.append((after - 1, persons, ticks[lo], ticks[hi - 1]))
-
-    # Merge candidates whose windows intersect and participant sets match.
-    # Windows arrive in increasing order, so once a set starts a new group its
-    # older groups can never intersect again: only the latest group per set
-    # can take a candidate. lo and hi only move forward, so a group's first
-    # candidate holds its first flag and its latest one its last.
-    merged: list[list] = []  # [persons, first tick, last tick, first start, last start]
-    latest: dict[frozenset[int], list] = {}
-    for w, persons, span_lo, span_hi in candidates:
+        if len(held) < config.capture_min_persons:
+            continue
+        persons = frozenset(held)
         group = latest.get(persons)
-        if group is None or w * SAMPLE_PERIOD > group[4] * SAMPLE_PERIOD + width:
-            group = [persons, span_lo, span_hi, w, w]
-            merged.append(group)
-            latest[persons] = group
+        # starts only grow, so no older group of these persons can intersect
+        if group is None or not reaches(group[4], w):
+            group = latest[persons] = [persons, ticks[lo], ticks[hi - 1], w, after - 1]
+            groups.append(group)
         else:
-            group[2] = span_hi
-            group[4] = w
+            group[2], group[4] = ticks[hi - 1], after - 1
 
     by_id = {track.person_id: track for track in tracks}
     events = []
-    for persons, span_lo, span_hi, first, last in merged:
+    for persons, span_lo, span_hi, first, last in groups:
         support: list[GazeSample] = []
         seen: set[GazeSample] = set()  # equal samples count once, as in a list test
         peak = 0.0
@@ -468,8 +436,9 @@ def event_record(event: SocialEvent, video_id: str | None = None) -> dict:
 
 
 def parse_event(record: dict, line: int | None = None) -> SocialEvent:
-    """A checked event: typed fields, a type known for its source, at least
-    one participant, two for mutual gaze, and an initiator on a gesture."""
+    """A checked event: typed fields, times below 2**52 in magnitude, a type
+    known for its source, at least one participant, two for mutual gaze, and
+    an initiator on a gesture."""
     roles = read_field(record, "roles", dict, "event", line, default={})
     event = SocialEvent(
         event_id=read_field(record, "event_id", int, "event", line),
@@ -493,6 +462,10 @@ def parse_event(record: dict, line: int | None = None) -> SocialEvent:
         fault = f"participants of mutual_gaze must be 2 persons, got {sorted(event.participants)}"
     elif event.source == SOURCE_GESTURE and "initiator" not in event.roles:
         fault = "roles['initiator'] is required on a gesture event"
+    elif abs(event.start_time) >= TIME_LIMIT:
+        fault = f"start_time must be below 2**52 in magnitude, got {event.start_time}"
+    elif abs(event.end_time) >= TIME_LIMIT:
+        fault = f"end_time must be below 2**52 in magnitude, got {event.end_time}"
     else:
         return event
     raise ValidationError(f"bad event record: {fault}", line)
@@ -517,7 +490,7 @@ def _event(
         end_time=end * SAMPLE_PERIOD,
         attributes=attributes or {},
     )
-    return replace(event, confidence=score_event_confidence(event, [s for s in support if s]))
+    return replace(event, confidence=score_event_confidence(event, support))
 
 
 def _jaccard(a: frozenset[int], b: frozenset[int]) -> float:

@@ -143,52 +143,43 @@ def prune_graph(graph: SocialGraph, config: EngineConfig = DEFAULT_CONFIG) -> So
     """
     cap = config.max_graph_events
     events = sorted(graph.events, key=lambda e: (event_sort_key(e), e.event_id))
-    if len(events) <= cap:
-        return SocialGraph(graph.video_id, graph.duration, events, sorted(graph.joint_pairs))
-
-    by_id = {e.event_id: e for e in events}
     pairs = sorted(graph.joint_pairs)
-    protected_ids = {eid for gid, gesid, _ in pairs for eid in (gid, gesid)}
+    if len(events) <= cap:
+        return SocialGraph(graph.video_id, graph.duration, events, pairs)
 
-    if len(protected_ids) > cap:
-        # Drop whole pairs, weakest first, until the protected set fits.
-        surviving = list(pairs)
-        surviving.sort(
-            key=lambda p: (min(by_id[p[0]].confidence, by_id[p[1]].confidence), p[0], p[1])
+    kept_ids = {eid for gid, gesid, _ in pairs for eid in (gid, gesid)}
+    if len(kept_ids) > cap:
+        # Keep whole pairs, strongest first, up to the first that would
+        # overflow the cap: what dropping the weakest first until the rest
+        # fit leaves.
+        by_id = {e.event_id: e for e in events}
+        ranked = sorted(
+            pairs, key=lambda p: (min(by_id[p[0]].confidence, by_id[p[1]].confidence), p[0], p[1])
         )
-        while True:
-            ids = {eid for gid, gesid, _ in surviving for eid in (gid, gesid)}
-            if len(ids) <= cap:
+        kept_ids, kept_pairs = set(), []
+        for pair in reversed(ranked):
+            ids = kept_ids | {pair[0], pair[1]}
+            if len(ids) > cap:
                 break
-            surviving.pop(0)
-        kept_ids = ids
-        kept_pairs = sorted(surviving)
+            kept_ids = ids
+            kept_pairs.append(pair)
+        pairs = sorted(kept_pairs)
     else:
-        kept_ids = set(protected_ids)
-        kept_pairs = pairs
-        free = [e for e in events if e.event_id not in protected_ids]
+        ranked = sorted((e for e in events if e.event_id not in kept_ids),
+                        key=lambda e: (-e.confidence, e.start_time, e.event_id))
+        # One diversity slot per event type, strongest types first, then the
+        # strongest of the rest.
+        best: dict[str, SocialEvent] = {}
+        for event in ranked:
+            best.setdefault(event.event_type, event)
         budget = cap - len(kept_ids)
-
-        # One diversity slot per event type, strongest types first.
-        pools: dict[str, list[SocialEvent]] = {}
-        for event in free:
-            pools.setdefault(event.event_type, []).append(event)
-        for pool in pools.values():
-            pool.sort(key=lambda e: (-e.confidence, e.start_time, e.event_id))
-        type_order = sorted(pools, key=lambda t: (-pools[t][0].confidence, t))
-        for event_type in type_order:
-            if budget == 0:
-                break
-            kept_ids.add(pools[event_type][0].event_id)
-            budget -= 1
-
-        rest = [e for e in free if e.event_id not in kept_ids]
-        rest.sort(key=lambda e: (-e.confidence, e.start_time, e.event_id))
-        for event in rest[:budget]:
-            kept_ids.add(event.event_id)
+        slots = sorted(best.values(), key=lambda e: (-e.confidence, e.event_type))[:budget]
+        kept_ids.update(e.event_id for e in slots)
+        rest = [e for e in ranked if e.event_id not in kept_ids]
+        kept_ids.update(e.event_id for e in rest[:budget - len(slots)])
 
     kept_events = [e for e in events if e.event_id in kept_ids]
-    return SocialGraph(graph.video_id, graph.duration, kept_events, kept_pairs)
+    return SocialGraph(graph.video_id, graph.duration, kept_events, pairs)
 
 
 def build_graph(

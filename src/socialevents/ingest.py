@@ -21,7 +21,9 @@ forward compatibility.
 
 Parse turns ``t`` into the grid tick ``k`` that frames, gaze samples and
 features carry (``t = k * SAMPLE_PERIOD``, read back as their ``t``); ``t``
-must be below 2**52, where every grid time is an exact float.
+must be below TIME_LIMIT (2**52), where every grid time is an exact float.
+Event and gesture times have the same bound in magnitude, so snapping them
+to the grid cannot overflow.
 
 Parse cost: a box given as four in-range floats, which is what the JSON
 decoder yields for a valid one, takes one combined type and range test, and
@@ -46,6 +48,7 @@ from .errors import OrderingError, ParseError, ValidationError
 
 # The timeline is fixed at 2 fps; every stage reads the grid from here.
 SAMPLE_PERIOD = 0.5
+TIME_LIMIT = 2.0 ** 52
 GESTURE_TYPES = ("pointing", "showing", "giving", "reaching")
 
 _GRID_TOL = 1e-9
@@ -203,7 +206,7 @@ def parse_frame(record: dict, line: int | None = None) -> FrameObservation:
     t = read_field(record, "t", float, "observation", line)
     if t < 0:
         raise ValidationError(f"t must be non-negative, got {t}", line)
-    if t >= 2.0 ** 52:
+    if t >= TIME_LIMIT:
         raise ValidationError(f"t must be below 2**52, got {t}", line)
     k = to_tick(t)
     if abs(t / SAMPLE_PERIOD - k) > _GRID_TOL:
@@ -287,6 +290,8 @@ def parse_gesture(record: dict, line: int | None = None) -> GestureAnnotation:
         raise ValidationError("start_time must be non-negative", line)
     if end <= start:
         raise ValidationError(f"end_time {end} must exceed start_time {start}", line)
+    if end >= TIME_LIMIT:
+        raise ValidationError(f"end_time must be below 2**52, got {end}", line)
     conf = read_field(record, "confidence", float, "gesture", line)
     if not 0.0 <= conf <= 1.0:
         raise ValidationError(f"confidence out of range [0,1]: {conf}", line)

@@ -1,6 +1,7 @@
 """Independent brute-force oracles for the detectors, the assignment, the
-trace template and QA answers. These enumerate candidates literally and re-derive intermediate
-quantities from the tracks themselves rather than reusing detector internals.
+graph's event cap, the trace template and QA answers. These enumerate
+candidates literally and re-derive intermediate quantities from the tracks
+themselves rather than reusing detector internals.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ import statistics
 from itertools import permutations
 
 from socialevents.config import DEFAULT_CONFIG, EngineConfig
+from socialevents.events import SocialEvent, event_sort_key
 from socialevents.gaze import PROV_MEASURED
+from socialevents.graph import SocialGraph
 from socialevents.ingest import Box
 from helpers import tick
 
@@ -397,6 +400,65 @@ def recover_answer(category: str, events: list) -> str:
         (common,) = gaze.participants & gesture.participants
         return f"Person {common}"
     raise AssertionError(f"unknown category {category}")
+
+
+def oracle_prune(graph: SocialGraph, config: EngineConfig = DEFAULT_CONFIG) -> SocialGraph:
+    """The reference for graph.prune_graph, tier by tier as its docstring
+    reads: cap the graph at the event limit, never orphaning a linked pair.
+
+    Selection tiers: (1) events in joint pairs, dropping whole pairs by
+    ascending minimum confidence if they alone exceed the cap; (2) the best
+    unlinked event of each event type; (3) remaining unlinked events by
+    descending confidence.
+    """
+    cap = config.max_graph_events
+    events = sorted(graph.events, key=lambda e: (event_sort_key(e), e.event_id))
+    if len(events) <= cap:
+        return SocialGraph(graph.video_id, graph.duration, events, sorted(graph.joint_pairs))
+
+    by_id = {e.event_id: e for e in events}
+    pairs = sorted(graph.joint_pairs)
+    protected_ids = {eid for gid, gesid, _ in pairs for eid in (gid, gesid)}
+
+    if len(protected_ids) > cap:
+        # Drop whole pairs, weakest first, until the protected set fits.
+        surviving = list(pairs)
+        surviving.sort(
+            key=lambda p: (min(by_id[p[0]].confidence, by_id[p[1]].confidence), p[0], p[1])
+        )
+        while True:
+            ids = {eid for gid, gesid, _ in surviving for eid in (gid, gesid)}
+            if len(ids) <= cap:
+                break
+            surviving.pop(0)
+        kept_ids = ids
+        kept_pairs = sorted(surviving)
+    else:
+        kept_ids = set(protected_ids)
+        kept_pairs = pairs
+        free = [e for e in events if e.event_id not in protected_ids]
+        budget = cap - len(kept_ids)
+
+        # One diversity slot per event type, strongest types first.
+        pools: dict[str, list[SocialEvent]] = {}
+        for event in free:
+            pools.setdefault(event.event_type, []).append(event)
+        for pool in pools.values():
+            pool.sort(key=lambda e: (-e.confidence, e.start_time, e.event_id))
+        type_order = sorted(pools, key=lambda t: (-pools[t][0].confidence, t))
+        for event_type in type_order:
+            if budget == 0:
+                break
+            kept_ids.add(pools[event_type][0].event_id)
+            budget -= 1
+
+        rest = [e for e in free if e.event_id not in kept_ids]
+        rest.sort(key=lambda e: (-e.confidence, e.start_time, e.event_id))
+        for event in rest[:budget]:
+            kept_ids.add(event.event_id)
+
+    kept_events = [e for e in events if e.event_id in kept_ids]
+    return SocialGraph(graph.video_id, graph.duration, kept_events, kept_pairs)
 
 
 _TAG_RE = re.compile(r"</?(think|gaze|gesture|answer)>")

@@ -14,6 +14,7 @@ from socialevents.config import EngineConfig
 from socialevents.errors import ContractError
 from socialevents.events import serialize_event
 from socialevents.qa import load_qa_items
+from socialevents.reward import score_group
 from helpers import event
 from synth import make_gestures, make_video, write_gestures, write_observations
 
@@ -332,6 +333,29 @@ def test_analyze_malformed_rewards_exit_3(tmp_path):
     assert run("analyze", "--input", str(bad), "--out", str(tmp_path / "o")) == 3
 
 
+@pytest.mark.parametrize("weights, field", [
+    ({"weight_acc": 1e308, "weight_fmt": 1e308}, "weight_acc"),  # the total overflows
+    ({"weight_acc": 1e200}, "weight_acc"),  # squared deviations overflow to inf
+    ({"weight_gnd": -1.0000000000000002e100}, "weight_gnd"),
+])
+def test_reward_weight_beyond_1e100_rejected(weights, field):
+    with pytest.raises(ContractError, match=rf"^config field {field} = .* must be within "
+                                            r"\[-1e100, 1e100\]$"):
+        EngineConfig(**weights)
+
+
+def test_reward_weights_at_1e100_give_finite_advantages(capsys):
+    config = EngineConfig(weight_acc=1e100, weight_fmt=-1e100, weight_str=1e100,
+                          weight_gnd=1e100, rollouts_per_query=2)
+    scored = score_group(["<think><gaze>Person 0</gaze></think><answer>B</answer>",
+                          "<think></think><answer>C</answer>"], "B", {0}, config=config)
+    assert [round(s.advantage, 9) for s in scored] == [1.0, -1.0]
+    assert run("reward", "--input", "x", "--traces", "y", "--graphs", "z", "--out", "o",
+               "--weights", "1e308,1e308,0,0") == 3
+    assert capsys.readouterr().err == (
+        "error: config field weight_acc = 1e+308 must be within [-1e100, 1e100]\n")
+
+
 def test_weights_flag_rejects_bad_values(capsys):
     base = ("reward", "--input", "x", "--traces", "y", "--graphs", "z", "--out", "o")
     for flag, value in (("--weights", "x,1,1,1"), ("--weights", "1,2"),
@@ -477,6 +501,49 @@ def test_graph_without_videos_rounds_duration_up_to_grid(tmp_path):
                "--out", str(out)) == 0
     durations = {g["video_id"]: g["duration"] for g in read_lines(out / "graph.jsonl")}
     assert durations == {"a": 3.5, "b": 4.0, "c": 4.5}
+
+
+def test_graph_event_times_without_videos(tmp_path, capsys):
+    """Without --videos the duration comes from the latest end time: a time
+    of 2**52 or more exits 3 naming the line and the field, while a small
+    negative time is snapped and its event dropped as outside the video."""
+    events_path = tmp_path / "events.jsonl"
+    gestures_path = tmp_path / "gestures.jsonl"
+    gestures_path.write_text("")
+    events_path.write_text(serialize_event(event(0, start=-3.0, end=2.0), "a") + "\n"
+                           + serialize_event(event(1, start=1.0, end=2.0), "a") + "\n")
+    out = tmp_path / "out"
+    assert run("graph", "--input", str(events_path), "--gestures", str(gestures_path),
+               "--out", str(out)) == 0
+    assert [[e["event_id"] for e in g["events"]] for g in read_lines(out / "graph.jsonl")] == [[1]]
+    events_path.write_text(serialize_event(event(0, start=1.0, end=1e308), "a") + "\n")
+    assert run("graph", "--input", str(events_path), "--gestures", str(gestures_path),
+               "--out", str(tmp_path / "out2")) == 3
+    assert capsys.readouterr().err == (
+        "error: line 1: bad event record: end_time must be below 2**52 in magnitude, "
+        "got 1e+308\n")
+
+
+def test_analyze_overflow_names_the_model_and_the_aggregate(valid_inputs, tmp_path, capsys):
+    """Finite per-rollout values whose sum, or whose Pearson squares across
+    models, leave the float range exit 3 naming the model or the pair."""
+    record = read_lines(valid_inputs["rewards"])[0]
+    path = tmp_path / "rewards.jsonl"
+    for field, model, message in (
+        ("total", "m", "model 'm': mean_total_reward overflows the float range"),
+        ("r_acc", "m", "model 'm': accuracy overflows the float range"),
+        ("r_acc", None, "cross_model accuracy_vs_reasoning_length: the Pearson sums "
+                        "overflow the float range"),
+    ):
+        big = {**record, "model": model or "a",
+               "per_rollout": [{**r, field: 1e308 if model else 1e300, "think_tokens": 3}
+                               for r in record["per_rollout"]]}
+        small = {**record, "model": "b",
+                 "per_rollout": [{**r, field: 0.0, "think_tokens": 5}
+                                 for r in record["per_rollout"]]}
+        path.write_text(json.dumps(big) + "\n" + ("" if model else json.dumps(small) + "\n"))
+        assert run("analyze", "--input", str(path), "--out", str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.fixture(scope="module")
@@ -629,6 +696,10 @@ MISTYPED = [
     ("events", ("end_time",), 10 ** 400,
      f"event record: end_time must be a finite number, got {10 ** 400}"),
     ("events", ("attributes",), [], "event record: attributes must be an object, got []"),
+    ("events", ("start_time",), 1e308,
+     "event record: start_time must be below 2**52 in magnitude, got 1e+308"),
+    ("events", ("end_time",), -2.0 ** 52,
+     "event record: end_time must be below 2**52 in magnitude, got -4503599627370496.0"),
     ("videos", ("video_id",), 7, "video manifest record: video_id must be a string, got 7"),
     ("videos", ("duration",), None,
      "video manifest record: duration must be a finite number, got None"),
@@ -641,6 +712,8 @@ MISTYPED = [
     ("graph", ("events",), {"a": 1}, "graph record: events must be a list, got {'a': 1}"),
     ("graph", ("events", 0, "participants", 0), True,
      "event record: participants[0] must be an integer, got True"),
+    ("graph", ("events", 0, "start_time"), -1e308,
+     "event record: start_time must be below 2**52 in magnitude, got -1e+308"),
     ("graph", ("joint_pairs",), [[0, 1, True]],
      "graph record: joint_pairs[0][2] must be a finite number, got True"),
     ("graph", ("joint_pairs",), [[0, 1]],
@@ -682,9 +755,9 @@ def _mistyped_id(broken, path, value, command):
 ])
 def test_mistyped_record_exit_3(valid_inputs, tmp_path, capsys, broken, path, value, message,
                                 command, artifact):
-    """A missing key, null, the wrong JSON type, a bool for a number or NaN
-    in any record exits 3 with one line naming the line and the field, and
-    writes no artifact."""
+    """A missing key, null, the wrong JSON type, a bool for a number, NaN or
+    an event time of 2**52 or more in magnitude in any record exits 3 with
+    one line naming the line and the field, and writes no artifact."""
     lines = valid_inputs[broken].read_text().splitlines()
     record = json.loads(lines[1])
     *parents, last = path

@@ -17,6 +17,7 @@ from socialevents.graph import (
 )
 from socialevents.ingest import GestureAnnotation
 from helpers import event
+from oracles import oracle_prune
 
 GAZE_TYPES = ("mutual_gaze", "joint_attention", "gaze_following",
               "attention_capture", "sudden_gaze_shift")
@@ -231,6 +232,36 @@ class TestPrune:
             unprotected_kept = kept - protected
             if dropped_protected:
                 assert not unprotected_kept
+
+
+def over_cap_graph(rng, n_pairs):
+    """More events than the cap, with confidences drawn from five values, so
+    that pairs and events tie on confidence, and n_pairs random links."""
+    events = []
+    for i in range(rng.randint(26, 60)):
+        start = rng.randrange(0, 40) * 0.5
+        events.append(event(i, rng.choice(GAZE_TYPES + GESTURE_TYPES),
+                            parts=tuple(rng.sample(range(6), 2)), start=start,
+                            end=start + rng.randrange(1, 6) * 0.5,
+                            conf=rng.choice((0.9, 0.93, 0.95, 0.98, 1.0))))
+    gaze = [e.event_id for e in events if e.event_type in GAZE_TYPES]
+    gestures = [e.event_id for e in events if e.event_type in GESTURE_TYPES]
+    links = {(rng.choice(gaze), rng.choice(gestures)) for _ in range(n_pairs)}
+    return graph_of(events, [(g, h, 0.5) for g, h in sorted(links)])
+
+
+def test_prune_matches_the_reference_on_over_cap_graphs():
+    """Both tiers, with ties in confidence: the pair tier (more linked ids
+    than the cap) and the diversity tier (fewer) keep what the reference
+    keeps, down to the order of equal-confidence pairs and types."""
+    rng = random.Random(14)
+    tiers = {"pairs": 0, "diversity": 0}
+    for _ in range(600):
+        g = over_cap_graph(rng, rng.choice((0, 4, 8, 12, 20, 30, 45)))
+        protected = {eid for gid, gesid, _ in g.joint_pairs for eid in (gid, gesid)}
+        tiers["pairs" if len(protected) > 25 else "diversity"] += 1
+        assert serialize_graph(prune_graph(g)) == serialize_graph(oracle_prune(g))
+    assert min(tiers.values()) >= 150, tiers
 
 
 def random_graph(rng, max_events=40):

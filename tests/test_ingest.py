@@ -129,6 +129,19 @@ class TestGestures:
         assert accepted == []
         assert "end_time" in rejected[0].reason
 
+    def test_end_time_of_2_to_the_52_or_more_rejected(self, tmp_path):
+        # beyond it snapping to the grid would overflow
+        path = tmp_path / "g.jsonl"
+        write_lines(path, [self.gesture_record(end_time=2.0 ** 52),
+                           self.gesture_record(start_time=1e308, end_time=1.5e308),
+                           self.gesture_record(end_time=2.0 ** 52 - 1.0)])
+        accepted, rejected = load_gestures(path)
+        assert [g.end_time for g in accepted] == [2.0 ** 52 - 1.0]
+        assert [r.reason for r in rejected] == [
+            "line 1: end_time must be below 2**52, got 4503599627370496.0",
+            "line 2: end_time must be below 2**52, got 1.5e+308",
+        ]
+
     def test_person_target_requires_id(self):
         with pytest.raises(ValidationError, match="target_person_id"):
             parse_gesture(self.gesture_record(target_person_id=None))
