@@ -27,6 +27,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -157,20 +158,26 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _write_lines(path: Path, lines) -> None:
-    """Write one artifact, one line per item, to a temporary file in the same
-    directory that then replaces the artifact. A failure while writing leaves
-    any previous artifact as it was and removes the temporary file, so the
-    next stage never reads a truncated artifact."""
+@contextlib.contextmanager
+def _artifact(path: Path):
+    """A text file for one artifact: a temporary file in the same directory
+    that replaces the artifact when the block ends. A failure inside the
+    block leaves any previous artifact as it was and removes the temporary
+    file, so the next stage never reads a truncated artifact."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_lines(path: Path, lines) -> None:
+    """Write one artifact, one line per item."""
+    with _artifact(path) as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -195,27 +202,22 @@ def _cmd_detect(args: argparse.Namespace, config: EngineConfig) -> int:
                                            operator.attrgetter("video_id")):
         runs.setdefault(video_id, []).append(gaze.build_tracks(frames_of(video_id, run)))
 
-    results = []
-    for video_id in list(runs):
-        tracks = [gaze.interpolate_track(t, config) for t in gaze.join_tracks(runs.pop(video_id))]
-        features = gaze.compute_features(tracks, config)
-        detected = events.detect_all(tracks, features, config)
-        duration = stops[video_id] * ingest.SAMPLE_PERIOD
-        person_ids = [t.person_id for t in tracks]
-        results.append((video_id, duration, person_ids, detected,
-                        features if args.dump_features else None))
-
-    _write_lines(out / "events.jsonl", (
-        events.serialize_event(event, video_id)
-        for video_id, _, _, detected, _ in results for event in detected))
-    _write_lines(out / "videos.jsonl", (
-        ingest.dumps_canonical({"video_id": video_id, "duration": duration,
-                                "person_ids": person_ids})
-        for video_id, duration, person_ids, _, _ in results))
-    if args.dump_features:
-        _write_lines(out / "features.jsonl", (
-            ingest.dumps_canonical(_feature_record(video_id, f))
-            for video_id, _, _, _, features in results for f in features))
+    # Each video's lines are written as soon as it is detected.
+    dump = _artifact(out / "features.jsonl") if args.dump_features else contextlib.nullcontext()
+    with (_artifact(out / "events.jsonl") as events_fh,
+          _artifact(out / "videos.jsonl") as videos_fh, dump as features_fh):
+        for video_id in list(runs):
+            tracks = [gaze.interpolate_track(t, config)
+                      for t in gaze.join_tracks(runs.pop(video_id))]
+            features = gaze.compute_features(tracks, config)
+            events_fh.writelines(events.serialize_event(event, video_id) + "\n"
+                                 for event in events.detect_all(tracks, features, config))
+            videos_fh.write(ingest.dumps_canonical({
+                "video_id": video_id, "duration": stops[video_id] * ingest.SAMPLE_PERIOD,
+                "person_ids": [t.person_id for t in tracks]}) + "\n")
+            if args.dump_features:
+                features_fh.writelines(ingest.dumps_canonical(_feature_record(video_id, f)) + "\n"
+                                       for f in features)
     return EXIT_OK
 
 
@@ -287,10 +289,9 @@ def _cmd_graph(args: argparse.Namespace, config: EngineConfig) -> int:
 
 def _cmd_qagen(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
-    batches = [qa.generate_qa(g, budget=args.budget, seed=args.seed, config=config)
-               for g in graph_mod.load_graphs(args.input)]
-    _write_lines(out / "qa.jsonl", (qa.serialize_qa_item(item)
-                                    for batch in batches for item in batch))
+    _write_lines(out / "qa.jsonl", (
+        qa.serialize_qa_item(item) for g in graph_mod.load_graphs(args.input)
+        for item in qa.generate_qa(g, budget=args.budget, seed=args.seed, config=config)))
     return EXIT_OK
 
 
@@ -311,69 +312,58 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
     items = {item.qa_id: item for item in qa.load_qa_items(args.input)}
     graphs = {g.video_id: g for g in graph_mod.load_graphs(args.graphs)}
 
-    groups = []
-    for line_no, record in ingest.read_jsonl(args.traces):
-        query_id, qa_id, model = _group_keys(record, "trace", line_no)
-        rollouts = tuple(ingest.read_field(record, "rollouts", [str], "trace", line_no))
-        if len(rollouts) != config.rollouts_per_query:
-            raise ValidationError(
-                f"expected {config.rollouts_per_query} rollouts, got {len(rollouts)}",
-                line_no,
-            )
-        if qa_id not in items:
-            raise ValidationError(f"unknown qa_id {qa_id!r}", line_no)
-        groups.append((line_no, query_id, qa_id, rollouts, model))
-
-    results = []
-    for line_no, query_id, qa_id, rollouts, model in groups:
-        item = items[qa_id]
-        g = graphs.get(item.video_id)
-        if g is None:
-            raise ValidationError(f"no graph for video {item.video_id!r}", line_no)
-        gt: set[int] = set()
-        for eid in item.source_event_ids:
-            event = g.event_by_id(eid)
-            if event is None:
-                raise ValidationError(
-                    f"qa {item.qa_id} cites unknown event {eid}", line_no)
-            gt.update(event.participants)
-        if not gt:
-            raise ValidationError(f"qa {qa_id} cites no events with participants", line_no)
-        aliases = (item.answer_text,) if item.format == "mcq" else ()
-        try:
-            asked = extract_person_ids(item.question)
-        except ValidationError as exc:
-            raise ValidationError(f"qa {qa_id} question: {exc}", line_no) from None
-        try:
-            scored = reward_mod.score_group(rollouts, item.answer, gt, aliases, config)
-        except ValidationError as exc:
-            raise ValidationError(str(exc), line_no) from None
-        per_rollout = []
-        for s in scored:
-            pred = s.breakdown.pred_participants
-            tokens, flagged = analytics.reasoning_length(s.trace)
-            per_rollout.append({
-                "r_acc": s.breakdown.r_acc,
-                "r_fmt": s.breakdown.r_fmt,
-                "r_str": s.breakdown.r_str,
-                "r_gnd": s.breakdown.r_gnd,
-                "total": s.breakdown.total,
-                "advantage": s.advantage,
-                "pred_participants": sorted(pred),
-                "n_pred": len(pred),
-                "n_correct": len(pred & gt),
-                "grounding_precision": analytics.grounding_precision(pred, gt),
-                "novel_participants": len(pred - asked),
-                "think_tokens": tokens,
-                "well_formed": not flagged,
-            })
-        results.append({
-            "query_id": query_id,
-            "qa_id": qa_id,
-            "model": model,
-            "per_rollout": per_rollout,
-        })
-    _write_lines(out / "rewards.jsonl", (ingest.dumps_canonical(r) for r in results))
+    with _artifact(out / "rewards.jsonl") as fh:
+        for line_no, record in ingest.read_jsonl(args.traces):
+            query_id, qa_id, model = _group_keys(record, "trace", line_no)
+            rollouts = ingest.read_field(record, "rollouts", [str], "trace", line_no)
+            try:
+                item = items.get(qa_id)
+                if item is None:
+                    raise ValidationError(f"unknown qa_id {qa_id!r}")
+                g = graphs.get(item.video_id)
+                if g is None:
+                    raise ValidationError(f"no graph for video {item.video_id!r}")
+                gt: set[int] = set()
+                for eid in item.source_event_ids:
+                    event = g.event_by_id(eid)
+                    if event is None:
+                        raise ValidationError(f"qa {qa_id} cites unknown event {eid}")
+                    gt.update(event.participants)
+                if not gt:
+                    raise ValidationError(f"qa {qa_id} cites no events with participants")
+                try:
+                    asked = extract_person_ids(item.question)
+                except ValidationError as exc:
+                    raise ValidationError(f"qa {qa_id} question: {exc}") from None
+                aliases = (item.answer_text,) if item.format == "mcq" else ()
+                scored = reward_mod.score_group(rollouts, item.answer, gt, aliases, config)
+            except (ValidationError, ContractError) as exc:  # the rollout count is a ContractError
+                raise ValidationError(str(exc), line_no) from None
+            per_rollout = []
+            for s in scored:
+                pred = s.breakdown.pred_participants
+                tokens, flagged = analytics.reasoning_length(s.trace)
+                per_rollout.append({
+                    "r_acc": s.breakdown.r_acc,
+                    "r_fmt": s.breakdown.r_fmt,
+                    "r_str": s.breakdown.r_str,
+                    "r_gnd": s.breakdown.r_gnd,
+                    "total": s.breakdown.total,
+                    "advantage": s.advantage,
+                    "pred_participants": sorted(pred),
+                    "n_pred": len(pred),
+                    "n_correct": len(pred & gt),
+                    "grounding_precision": analytics.grounding_precision(pred, gt),
+                    "novel_participants": len(pred - asked),
+                    "think_tokens": tokens,
+                    "well_formed": not flagged,
+                })
+            fh.write(ingest.dumps_canonical({
+                "query_id": query_id,
+                "qa_id": qa_id,
+                "model": model,
+                "per_rollout": per_rollout,
+            }) + "\n")
     return EXIT_OK
 
 
@@ -421,12 +411,17 @@ def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
     models = {}
     for model, b in sorted(per_model.items()):
         n_pred = sum(b["n_pred"])
+        try:
+            micro = sum(b["n_correct"]) / n_pred if n_pred else None
+        except OverflowError:  # Python ints: the quotient can leave the float range
+            raise ContractError(
+                f"model {model!r}: grounding_precision_micro overflows the float range") from None
         models[model] = {
             "queries": len(b["queries"]),
             "rollouts": len(b["acc"]),
             "accuracy": _mean(b["acc"], model, "accuracy"),
             "grounding_precision_macro": _mean(b["precision"], model, "grounding_precision_macro"),
-            "grounding_precision_micro": (sum(b["n_correct"]) / n_pred) if n_pred else None,
+            "grounding_precision_micro": micro,
             "mean_novel_participants": _mean(b["novel"], model, "mean_novel_participants"),
             "mean_reasoning_length": _mean(b["length"], model, "mean_reasoning_length"),
             "median_reasoning_length": float(statistics.median(b["length"])) if b["length"] else None,
@@ -483,18 +478,17 @@ def _cross_model(models: dict) -> dict:
 
 def _cmd_corrupt(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
-    records = []
-    for line_no, raw in ingest.read_jsonl(args.input):
-        item = qa.parse_qa_item(raw, line_no)
-        try:
-            ids = sorted(analytics.item_person_ids(item))
-        except ValidationError as exc:
-            raise ValidationError(f"qa {item.qa_id}: {exc}", line_no) from None
-        remap = analytics.seeded_remap(ids, f"{args.seed}:{item.qa_id}")
-        record = qa.qa_item_record(analytics.corrupt_ids(item, remap))
-        record["id_remap"] = {str(k): v for k, v in sorted(remap.mapping.items())}
-        records.append(record)
-    _write_lines(out / "qa.corrupted.jsonl", (ingest.dumps_canonical(r) for r in records))
+    with _artifact(out / "qa.corrupted.jsonl") as fh:
+        for line_no, raw in ingest.read_jsonl(args.input):
+            item = qa.parse_qa_item(raw, line_no)
+            try:
+                ids = sorted(analytics.item_person_ids(item))
+            except ValidationError as exc:
+                raise ValidationError(f"qa {item.qa_id}: {exc}", line_no) from None
+            remap = analytics.seeded_remap(ids, f"{args.seed}:{item.qa_id}")
+            record = qa.qa_item_record(analytics.corrupt_ids(item, remap))
+            record["id_remap"] = {str(k): v for k, v in sorted(remap.mapping.items())}
+            fh.write(ingest.dumps_canonical(record) + "\n")
     return EXIT_OK
 
 

@@ -132,26 +132,21 @@ def detect_joint_attention(
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> list[SocialEvent]:
     by_id = {track.person_id: track for track in tracks}
-
-    eligible: list[tuple[int, frozenset[int], float]] = []  # (tick, retained set, score)
+    events = []
+    run: list[tuple[int, frozenset[int], float]] = []  # (tick, retained set, score)
     for f in features:
         if f.convergence is None or f.convergence < config.ja_convergence:
             continue
         retained = _retain_central(f, by_id, config)
-        if len(retained) >= 2:
-            eligible.append((f.k, retained, f.convergence))
-
-    events = []
-    run: list[tuple[int, frozenset[int], float]] = []
-    for entry in eligible:
-        if run:
-            prev_k, prev_set, _ = run[-1]
-            adjacent = entry[0] == prev_k + 1
-            if not (adjacent and _jaccard(prev_set, entry[1]) >= config.ja_set_overlap):
-                events.extend(_finish_ja(run, by_id, config))
-                run = []
-        run.append(entry)
-    events.extend(_finish_ja(run, by_id, config))
+        if len(retained) < 2:
+            continue
+        if run and not (f.k == run[-1][0] + 1
+                        and _jaccard(run[-1][1], retained) >= config.ja_set_overlap):
+            events.extend(_finish_ja(run, by_id, config))
+            run = []
+        run.append((f.k, retained, f.convergence))
+    if run:
+        events.extend(_finish_ja(run, by_id, config))
     return events
 
 
@@ -174,19 +169,12 @@ def _finish_ja(
     by_id: dict[int, GazeTrack],
     config: EngineConfig,
 ) -> list[SocialEvent]:
-    if not run:
-        return []
     start, end = run[0][0], run[-1][0]
     if (end - start) * SAMPLE_PERIOD < config.ja_min_duration:
         return []
-    participants: set[int] = set()
-    support = []
-    scores = []
-    for k, retained, score in run:
-        participants.update(retained)
-        scores.append(score)
-        for pid in sorted(retained):
-            support.append(by_id[pid].sample_at(k))
+    participants = frozenset().union(*(retained for _, retained, _ in run))
+    support = [by_id[pid].sample_at(k) for k, retained, _ in run for pid in sorted(retained)]
+    scores = [score for _, _, score in run]
     return [_event(
         "joint_attention", participants, start, end, support,
         attributes={
@@ -494,8 +482,6 @@ def _event(
 
 
 def _jaccard(a: frozenset[int], b: frozenset[int]) -> float:
-    union = a | b
-    if not union:
-        return 1.0
-    return len(a & b) / len(union)
+    """Overlap of two retained sets, each of two or more persons."""
+    return len(a & b) / len(a | b)
 

@@ -95,45 +95,36 @@ def build_tracks(frames: Iterable[FrameObservation]) -> list[GazeTrack]:
 
     Samples are measured where the person has an associated face with a gaze
     point, missing elsewhere. Track spans run from the person's first to last
-    appearance. ``frames`` is read once, so a frame from a stream can be
-    dropped as soon as its samples exist.
+    appearance. ``frames`` come in time order and are read once, so a frame
+    from a stream can be dropped as soon as its samples exist.
     """
     video_id = None
-    span: dict[int, tuple[int, int]] = {}
-    observed: dict[int, dict[int, GazeSample]] = {}
+    tracks: dict[int, list[GazeSample]] = {}
     for frame in frames:
         if frame.video_id != video_id:
             if video_id is not None:
                 raise DataError(
                     f"mixed videos in one track build: {video_id!r}, {frame.video_id!r}")
             video_id = frame.video_id
-        for person in frame.persons:
-            lo, hi = span.get(person.person_id, (frame.k, frame.k))
-            span[person.person_id] = (min(lo, frame.k), max(hi, frame.k))
-        assoc = match_faces_to_persons(frame)
-        seen: set[int] = set()
-        for person_id, face_index, _overlap in assoc.pairs:
-            if person_id in seen:
+        faced: dict[int, GazeSample] = {}
+        for person_id, face_index, _overlap in match_faces_to_persons(frame).pairs:
+            if person_id in faced:
                 raise DataError(f"person {person_id} assigned two faces at t={frame.t}")
-            seen.add(person_id)
             face = frame.faces[face_index]
             if face.gaze_point is not None:
-                sample = GazeSample(
+                faced[person_id] = GazeSample(
                     frame.k, face.gaze_point, face.box.center, face.box,
                     face.gaze_in_frame, face.det_confidence, PROV_MEASURED,
                 )
             else:
-                sample = GazeSample(
+                faced[person_id] = GazeSample(
                     frame.k, None, face.box.center, face.box, False, 0.0, PROV_MISSING)
-            observed.setdefault(person_id, {})[frame.k] = sample
-
-    tracks = []
-    for person_id in sorted(span):
-        lo, hi = span[person_id]
-        by_k = observed.get(person_id, {})
-        samples = tuple(by_k.get(k) or _missing(k) for k in range(lo, hi + 1))
-        tracks.append(GazeTrack(video_id, person_id, samples))
-    return tracks
+        for person_id in {person.person_id for person in frame.persons}:
+            samples = tracks.setdefault(person_id, [])
+            if samples and samples[-1].k + 1 < frame.k:  # absent since the last appearance
+                samples.extend(_missing(k) for k in range(samples[-1].k + 1, frame.k))
+            samples.append(faced.get(person_id) or _missing(frame.k))
+    return [GazeTrack(video_id, pid, tuple(tracks[pid])) for pid in sorted(tracks)]
 
 
 def join_tracks(runs: list[list[GazeTrack]]) -> list[GazeTrack]:

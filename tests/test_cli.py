@@ -244,7 +244,7 @@ class TestPipeline:
         assert report["models"]["demo"]["rollouts"] == len(rewards) * 8
         assert (out / "report.tsv").exists()
 
-    def test_reward_k_mismatch_exit_3(self, tmp_path):
+    def test_reward_k_mismatch_exit_3(self, tmp_path, capsys):
         out = self.run_through_qa(tmp_path)
         items = load_qa_items(out / "qa.jsonl")
         traces = tmp_path / "traces.jsonl"
@@ -252,9 +252,12 @@ class TestPipeline:
             "query_id": "q0", "qa_id": items[0].qa_id,
             "rollouts": ["<think></think><answer>A</answer>"] * 3,
         }) + "\n")
+        capsys.readouterr()
         assert run("reward", "--input", str(out / "qa.jsonl"),
                    "--traces", str(traces), "--graphs", str(out / "graph.jsonl"),
                    "--out", str(out)) == 3
+        assert capsys.readouterr().err == "error: line 1: expected 8 rollouts, got 3\n"
+        assert not (out / "rewards.jsonl").exists()
 
     def test_reward_k_flag(self, tmp_path):
         out = self.run_through_qa(tmp_path)
@@ -544,6 +547,14 @@ def test_analyze_overflow_names_the_model_and_the_aggregate(valid_inputs, tmp_pa
         path.write_text(json.dumps(big) + "\n" + ("" if model else json.dumps(small) + "\n"))
         assert run("analyze", "--input", str(path), "--out", str(tmp_path / "out")) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+    # n_correct and n_pred are Python ints: their quotient can leave the float range
+    huge = {**record, "model": "m",
+            "per_rollout": [{**r, "n_correct": 10 ** 400, "n_pred": 1}
+                            for r in record["per_rollout"]]}
+    path.write_text(json.dumps(huge) + "\n")
+    assert run("analyze", "--input", str(path), "--out", str(tmp_path / "out")) == 3
+    assert capsys.readouterr().err == \
+        "error: model 'm': grounding_precision_micro overflows the float range\n"
 
 
 @pytest.fixture(scope="module")
@@ -670,6 +681,93 @@ def test_mistyped_trace_record_exit_3(valid_inputs, tmp_path, capsys, trace, mes
     err = capsys.readouterr().err
     assert err == f"error: line 2: bad trace record: {message}\n"
     assert not (out / "rewards.jsonl").exists()
+
+
+def test_reward_names_the_first_faulty_line(valid_inputs, tmp_path, capsys):
+    """Traces are joined and scored one line at a time: the first faulty line
+    is named, and within a line a broken join comes before a wrong rollout
+    count."""
+    traces = read_lines(valid_inputs["traces"])
+    qa_records = read_lines(valid_inputs["qa"])
+    target = traces[1]["qa_id"]
+    for r in qa_records:
+        if r["qa_id"] == target:
+            r["source_event_ids"] = [999999]
+    paths = {**valid_inputs, "qa": tmp_path / "qa.jsonl", "traces": tmp_path / "traces.jsonl"}
+    paths["qa"].write_text("".join(json.dumps(r) + "\n" for r in qa_records))
+    for short in (1, 2):  # the wrong rollout count on the faulty line, then on the next
+        records = [dict(r) for r in traces]
+        records[short]["rollouts"] = records[short]["rollouts"][:3]
+        paths["traces"].write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / f"out{short}"
+        assert run(*(arg.format(**paths) for arg in REWARD_ARGS), "--out", str(out)) == 3
+        assert capsys.readouterr().err == \
+            f"error: line 2: qa {target} cites unknown event 999999\n"
+        assert not (out / "rewards.jsonl").exists()
+
+
+# Any JSON value, numbers beyond the float range included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=12)
+    | st.integers(-10 ** 400, 10 ** 400) | st.sampled_from([0, 1, -1, 1e308, 2 ** 53, 10 ** 400]),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=6,
+)
+ROLLOUTS = st.text(max_size=80) | st.sampled_from([
+    "<think></think><answer>A</answer>",
+    "<think><gaze>P1 looks at P2</gaze></think><answer>B</answer>",
+    "<think>P0 and P3</think><answer>P0, P3</answer>",
+    "<answer>", "",
+])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_trace_record_exits_0_or_3(valid_inputs, data):
+    """A trace record with any JSON value in query_id, qa_id, model or
+    rollouts, after a valid line, exits 0 or 3 and never raises; on 3 it
+    leaves no rewards.jsonl."""
+    good = read_lines(valid_inputs["traces"])[0]
+    qa_ids = [r["qa_id"] for r in read_lines(valid_inputs["qa"])]
+    record = dict(good)
+    for key, plausible in (
+        ("query_id", st.text(max_size=8)),
+        ("qa_id", st.sampled_from(qa_ids)),
+        ("model", st.text(max_size=8)),
+        ("rollouts", st.lists(ROLLOUTS, min_size=8, max_size=8) | st.lists(ROLLOUTS)),
+    ):
+        value = data.draw(st.sampled_from([good.get(key, MISSING), MISSING]) | plausible
+                          | JSON_VALUES, label=key)
+        if value is MISSING:
+            record.pop(key, None)
+        else:
+            record[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {**valid_inputs, "traces": Path(tmp, "traces.jsonl")}
+        paths["traces"].write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        out = Path(tmp, "out")
+        code = run(*(arg.format(**paths) for arg in REWARD_ARGS), "--out", str(out))
+        assert code in (0, 3)
+        assert (out / "rewards.jsonl").exists() == (code == 0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_per_rollout_value_exits_0_or_3(valid_inputs, data):
+    """A per_rollout entry with any JSON value in any of its fields exits 0
+    or 3, with and without --tsv."""
+    records = read_lines(valid_inputs["rewards"])
+    entries = records[0]["per_rollout"]
+    i = data.draw(st.integers(0, len(entries) - 1), label="rollout")
+    for key in data.draw(st.lists(st.sampled_from(sorted(entries[i])), min_size=1,
+                                  max_size=3, unique=True), label="fields"):
+        entries[i][key] = data.draw(JSON_VALUES, label=key)
+    tsv = ["--tsv"] if data.draw(st.booleans(), label="tsv") else []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "rewards.jsonl")
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run("analyze", "--input", str(path), "--out", str(Path(tmp, "out")), *tsv) in (0, 3)
 
 
 MISSING = object()

@@ -88,6 +88,16 @@ class TestBuildTracks:
         (track,) = build_tracks([frame])
         assert track.samples[0].confidence == 0.77
 
+    def test_repeated_person_id_gives_one_sample_per_tick(self):
+        # ingest rejects a repeated id; a frame built in code can still hold one
+        frames = [person_frame(t, [0, 1], {0: (0.5, 0.5)}) for t in (0.0, 0.5, 1.5)]
+        repeated = [FrameObservation(f.video_id, f.k, f.persons * 2, f.faces) for f in frames]
+        tracks = build_tracks(repeated)
+        assert tracks == build_tracks(frames)
+        assert [[s.k for s in t.samples] for t in tracks] == [[0, 1, 2, 3]] * 2
+        assert [s.provenance for s in tracks[0].samples] == \
+            [PROV_MEASURED, PROV_MEASURED, PROV_MISSING, PROV_MEASURED]
+
 
 class TestStreamedTracks:
     @pytest.mark.parametrize("seed", range(6))

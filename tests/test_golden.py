@@ -1,6 +1,7 @@
 """Byte goldens: the sha256 of every artifact the pipeline writes.
 
-Detect: events.jsonl and features.jsonl.
+Detect: events.jsonl and features.jsonl of single videos, and events.jsonl,
+videos.jsonl and features.jsonl of four videos one after another in one file.
 
 The oracle tests compare only (type, participants, start, end). These digests
 also pin every confidence, peak velocity, lag, distance and feature value, so
@@ -8,6 +9,8 @@ a rewrite of a detector or of track building that changes any output byte
 fails here. The 1200-frame video builds multi-window capture merges and long
 velocity runs that the short videos never reach. The expected digests were
 computed with the detectors as they stood before their linear-time rewrite.
+The four-video digests were computed while detect still held every video's
+events and features until the input was done.
 
 The rest of the pipeline (graph, qagen, reward, analyze, corrupt) runs on one
 six-person video with gestures and seeded traces: three models, about one
@@ -70,6 +73,29 @@ def test_detect_bytes_match_golden(name, tmp_path):
     assert main(["detect", "--input", str(obs), "--out", str(out), "--dump-features"]) == 0
     assert (_digest(out / "events.jsonl"), _digest(out / "features.jsonl")) == \
         (events_sha, features_sha)
+
+
+MULTI_VIDEO_GOLDEN = {
+    "events.jsonl":
+        "b63269b6450906ec4d9762bf7795b995b54a83d2dd5efafd2f6612aaf4d55de0",
+    "videos.jsonl":
+        "f2392cbf2f159a87ab96bda91a0c59ed4b720022a3562627fd292a4dfaff4faa",
+    "features.jsonl":
+        "9e434156263ba4c74aa020f2762f9f6948a648d89063cd3774d7dbeec94cb7c2",
+}
+
+
+def test_multi_video_detect_bytes_match_golden(tmp_path):
+    """Videos of 2, 4, 6 and 3 persons, each one's frames contiguous."""
+    frames = [f for seed, persons in ((4, 2), (9, 4), (13, 6), (21, 3))
+              for f in make_video(seed, min_persons=persons, max_persons=persons,
+                                  min_frames=40, max_frames=90)]
+    obs = tmp_path / "observations.jsonl"
+    write_observations(frames, obs)
+    out = tmp_path / "out"
+    assert main(["detect", "--input", str(obs), "--out", str(out), "--dump-features"]) == 0
+    assert len((out / "videos.jsonl").read_text().splitlines()) == 4
+    assert {name: _digest(out / name) for name in MULTI_VIDEO_GOLDEN} == MULTI_VIDEO_GOLDEN
 
 
 PIPELINE_GOLDEN = {
