@@ -14,8 +14,13 @@ STAGE_FIELDS); reward's weights and rollout count come from --weights and
 --k. detect, graph, qagen and reward take --print-config to dump the full
 parameter set. The timeline is fixed at 2 fps (ingest.SAMPLE_PERIOD).
 
-Work runs serially in input order. --threads is still accepted so that
-existing scripts keep working, but it changes nothing.
+--threads N (default 1) is the number of worker processes. Only detect uses
+it: with N > 1 it splits the input's lines by video and forks up to N workers
+(no more than the videos or the usable CPUs), each detecting whole videos,
+and writes their output in the order each video first appears. Every other
+stage runs serially in input order. The bytes, the exit code and the message
+are the same at any N: input the workers cannot take, or a fault in any of
+them, makes detect run serially from the start.
 
 Exit codes: 0 success; 2 missing or unreadable input, an output directory
 that cannot be made, or a bad command line; 3 schema/validation error,
@@ -34,6 +39,7 @@ import json
 import math
 import operator
 import os
+import re
 import statistics
 import sys
 from pathlib import Path
@@ -104,8 +110,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.add_argument("--input", required=True, help="primary input JSONL file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility; work runs serially")
+        p.add_argument("--threads", type=_threads, default=1, metavar="N",
+                       help="worker processes, at least 1: detect shards its videos over "
+                            "up to N; other stages run serially; same bytes at any N")
         if name in STAGE_FIELDS:
             p.add_argument("--print-config", action="store_true",
                            help="print the effective parameter set and exit")
@@ -139,6 +146,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = stage("corrupt", "QA to participant-ID corrupted QA", _cmd_corrupt)
     p.add_argument("--seed", type=int, default=0)
     return parser
+
+
+def _threads(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"needs an integer of at least 1, got {text!r}")
+    return value
 
 
 def _weights(text: str) -> tuple[float, ...]:
@@ -186,39 +203,169 @@ def _write_lines(path: Path, lines) -> None:
 
 def _cmd_detect(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
-    # Observations stream in: each contiguous run of a video's frames becomes
-    # tracks as it is read, so a frame is garbage once its samples exist. A
-    # video whose frames come back after another video's has several runs,
-    # joined per person once the input is read.
-    runs: dict[str, list[list[gaze.GazeTrack]]] = {}  # first-appearance order
-    stops: dict[str, int] = {}  # one past each video's last tick
+    outputs = _detect_sharded(args, config) if args.threads > 1 else None
+    if outputs is None:
+        runs, stops = _read_runs(ingest.load_observations(args.input))
+        outputs = (_detect_video(video_id, runs.pop(video_id), stops[video_id], config,
+                                 args.dump_features) for video_id in list(runs))
+
+    # Each video's lines are written as soon as it is detected.
+    dump = _artifact(out / "features.jsonl") if args.dump_features else contextlib.nullcontext()
+    with (_artifact(out / "events.jsonl") as events_fh,
+          _artifact(out / "videos.jsonl") as videos_fh, dump as features_fh):
+        for events_text, video_line, features_text in outputs:
+            events_fh.write(events_text)
+            videos_fh.write(video_line)
+            if args.dump_features:
+                features_fh.write(features_text)
+    return EXIT_OK
+
+
+def _read_runs(frames) -> tuple[dict[str, list[list[gaze.GazeTrack]]], dict[str, int]]:
+    """Tracks of each contiguous run of a video's frames, per video in
+    first-appearance order, and one past each video's last tick.
+
+    Each run becomes tracks as it is read, so a frame is garbage once its
+    samples exist. A video whose frames come back after another video's has
+    several runs, joined per person by ``_detect_video``."""
+    runs: dict[str, list[list[gaze.GazeTrack]]] = {}
+    stops: dict[str, int] = {}
 
     def frames_of(video_id, run):
         for frame in run:
             yield frame
         stops[video_id] = frame.k + 1
 
-    for video_id, run in itertools.groupby(ingest.load_observations(args.input),
-                                           operator.attrgetter("video_id")):
+    for video_id, run in itertools.groupby(frames, operator.attrgetter("video_id")):
         runs.setdefault(video_id, []).append(gaze.build_tracks(frames_of(video_id, run)))
+    return runs, stops
 
-    # Each video's lines are written as soon as it is detected.
-    dump = _artifact(out / "features.jsonl") if args.dump_features else contextlib.nullcontext()
-    with (_artifact(out / "events.jsonl") as events_fh,
-          _artifact(out / "videos.jsonl") as videos_fh, dump as features_fh):
-        for video_id in list(runs):
-            tracks = [gaze.interpolate_track(t, config)
-                      for t in gaze.join_tracks(runs.pop(video_id))]
-            features = gaze.compute_features(tracks, config)
-            events_fh.writelines(events.serialize_event(event, video_id) + "\n"
-                                 for event in events.detect_all(tracks, features, config))
-            videos_fh.write(ingest.dumps_canonical({
-                "video_id": video_id, "duration": stops[video_id] * ingest.SAMPLE_PERIOD,
-                "person_ids": [t.person_id for t in tracks]}) + "\n")
-            if args.dump_features:
-                features_fh.writelines(ingest.dumps_canonical(_feature_record(video_id, f)) + "\n"
-                                       for f in features)
-    return EXIT_OK
+
+def _detect_video(video_id: str, runs: list[list[gaze.GazeTrack]], stop: int,
+                  config: EngineConfig, dump: bool) -> tuple[str, str, str]:
+    """One video's events, manifest line and (when ``dump``) features, as
+    the text of its lines in each artifact."""
+    tracks = [gaze.interpolate_track(t, config) for t in gaze.join_tracks(runs)]
+    features = gaze.compute_features(tracks, config)
+    events_text = "".join(events.serialize_event(event, video_id) + "\n"
+                          for event in events.detect_all(tracks, features, config))
+    video_line = ingest.dumps_canonical({
+        "video_id": video_id, "duration": stop * ingest.SAMPLE_PERIOD,
+        "person_ids": [t.person_id for t in tracks]}) + "\n"
+    features_text = "".join(ingest.dumps_canonical(_feature_record(video_id, f)) + "\n"
+                            for f in features) if dump else ""
+    return events_text, video_line, features_text
+
+
+# A line's video, read from its bytes: the first "video_id":"..." whose
+# value holds no quote and no backslash. A worker checks it against the
+# parsed record.
+_VIDEO_KEY = re.compile(rb'"video_id":"([^"\\]*)"')
+
+
+def _detect_sharded(args: argparse.Namespace,
+                    config: EngineConfig) -> list[tuple[str, str, str]] | None:
+    """Each video's ``_detect_video`` output in first-appearance order,
+    computed by up to ``args.threads`` forked workers, each given whole
+    videos. None, with nothing written, where the serial path must run
+    instead: fewer than two workers would run (one video, one usable CPU),
+    a line has no key, the input holds a "\\r" or a byte that is not UTF-8,
+    there is no fork, another thread runs, or a worker met a fault of any
+    kind. The serial path then gives the serial exit code and message.
+
+    Workers read their lines through ``ingest.read_lines`` and
+    ``ingest.parse_observations``, as ``load_observations`` does, and get
+    them by inheritance: nothing of the input is pickled."""
+    with open(args.input, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        return None
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    lines = data.split(b"\n")  # with no "\r", text mode's lines
+    index: dict[str, list[int]] = {}  # video -> its line indices, first-appearance order
+    for i, line in enumerate(lines):
+        if line.strip():
+            key = _VIDEO_KEY.search(line)
+            if key is None:
+                return None
+            index.setdefault(key[1].decode("utf-8"), []).append(i)
+    n = min(args.threads, len(index), _usable_cpus())
+    if n < 2:
+        return None
+    import multiprocessing  # here, not at the top: it adds ~10 ms to importing the CLI
+    import threading
+
+    # Input reaches the workers by inheritance, so they must be forked, and
+    # forking is safe only in a process that runs no other thread.
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return None
+    context = multiprocessing.get_context("fork")
+
+    # Whole videos, largest first, each to the worker with the fewest lines.
+    shares: list[list[str]] = [[] for _ in range(n)]
+    load = [0] * n
+    for video_id in sorted(index, key=lambda v: len(index[v]), reverse=True):
+        w = load.index(min(load))
+        shares[w].append(video_id)
+        load[w] += len(index[video_id])
+
+    workers = []
+    done: dict[str, tuple[str, str, str]] = {}
+    try:
+        for share in shares:
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(target=_detect_share, daemon=True,
+                                     args=(share, lines, index, config, args.dump_features, sender))
+            try:
+                worker.start()
+            except OSError:  # no process to be had
+                receiver.close()
+                return None
+            finally:
+                sender.close()
+            workers.append((worker, receiver))
+        for (worker, receiver), share in zip(workers, shares):
+            try:
+                outputs = receiver.recv()
+            except EOFError:  # the worker died
+                outputs = None
+            if outputs is None:
+                return None
+            done.update(zip(share, outputs))
+    finally:
+        for worker, receiver in workers:  # each has sent its output or is not needed
+            worker.terminate()
+            worker.join()
+            receiver.close()
+    return [done[video_id] for video_id in index]
+
+
+def _detect_share(share: list[str], lines: list[bytes], index: dict[str, list[int]],
+                  config: EngineConfig, dump: bool, sender) -> None:
+    """A forked worker: sends ``_detect_video``'s output for each video of
+    its share, or None at its first fault, of any kind. A line whose parsed
+    video_id is not its key is a fault."""
+    try:
+        outputs = []
+        for video_id in share:
+            numbered = ((i + 1, lines[i].decode("utf-8")) for i in index[video_id])
+            runs, stops = _read_runs(ingest.parse_observations(ingest.read_lines(numbered)))
+            if list(runs) != [video_id]:
+                raise ValidationError(f"a line keyed {video_id!r} belongs to another video")
+            outputs.append(_detect_video(video_id, runs[video_id], stops[video_id], config, dump))
+    except Exception:  # the serial rerun reports it
+        outputs = None
+    sender.send(outputs)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
 
 
 def _feature_record(video_id: str, f: gaze.FrameFeatures) -> dict:
@@ -270,16 +417,18 @@ def _cmd_graph(args: argparse.Namespace, config: EngineConfig) -> int:
             durations[video_id] = ingest.read_field(
                 record, "duration", float, "video manifest", line_no)
 
-    graphs = []
-    for video_id in dict.fromkeys(list(gaze_by_video) + list(gestures_by_video)):
-        gaze_events = gaze_by_video.get(video_id, [])
-        video_gestures = gestures_by_video.get(video_id, [])
-        duration = durations.get(video_id)
-        if duration is None:
-            ends = [e.end_time for e in gaze_events] + [g.end_time for g in video_gestures]
-            duration = math.ceil(max(ends, default=0.0) / ingest.SAMPLE_PERIOD) * ingest.SAMPLE_PERIOD
-        graphs.append(graph_mod.build_graph(video_id, duration, gaze_events, video_gestures, config))
-    _write_lines(out / "graph.jsonl", (graph_mod.serialize_graph(g) for g in graphs))
+    def graphs():  # each written as soon as it is built
+        for video_id in dict.fromkeys(list(gaze_by_video) + list(gestures_by_video)):
+            gaze_events = gaze_by_video.get(video_id, [])
+            video_gestures = gestures_by_video.get(video_id, [])
+            duration = durations.get(video_id)
+            if duration is None:
+                ends = [e.end_time for e in gaze_events] + [g.end_time for g in video_gestures]
+                duration = (math.ceil(max(ends, default=0.0) / ingest.SAMPLE_PERIOD)
+                            * ingest.SAMPLE_PERIOD)
+            yield graph_mod.build_graph(video_id, duration, gaze_events, video_gestures, config)
+
+    _write_lines(out / "graph.jsonl", (graph_mod.serialize_graph(g) for g in graphs()))
     return EXIT_OK
 
 

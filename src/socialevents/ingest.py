@@ -42,7 +42,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import OrderingError, ParseError, ValidationError
 
@@ -158,18 +158,24 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            for line_no, raw in enumerate(fh, start=1):
-                if not raw.strip():
-                    continue
-                try:
-                    record = json.loads(raw)
-                except (ValueError, RecursionError) as exc:  # also an over-long int, deep nesting
-                    raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line_no) from exc
-                if not isinstance(record, dict):
-                    raise ParseError("record must be a JSON object", line_no)
-                yield line_no, record
+            yield from read_lines(enumerate(fh, start=1))
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8: {exc.reason}", _undecodable_line(path)) from exc
+
+
+def read_lines(numbered: Iterable[tuple[int, str]]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each non-blank (line number, text)
+    pair: the checks of ``read_jsonl`` on lines already decoded."""
+    for line_no, raw in numbered:
+        if not raw.strip():
+            continue
+        try:
+            record = json.loads(raw)
+        except (ValueError, RecursionError) as exc:  # also an over-long int, deep nesting
+            raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line_no) from exc
+        if not isinstance(record, dict):
+            raise ParseError("record must be a JSON object", line_no)
+        yield line_no, record
 
 
 def _undecodable_line(path: str | Path) -> int | None:
@@ -242,8 +248,14 @@ def parse_frame(record: dict, line: int | None = None) -> FrameObservation:
 
 def load_observations(path: str | Path) -> Iterator[FrameObservation]:
     """Stream frames from a JSONL file, enforcing per-video time ordering."""
+    yield from parse_observations(read_jsonl(path))
+
+
+def parse_observations(records: Iterable[tuple[int, dict]]) -> Iterator[FrameObservation]:
+    """Frames from (line number, record) pairs, enforcing per-video time
+    ordering."""
     last: dict[str, int] = {}  # video -> tick of its latest frame
-    for line_no, record in read_jsonl(path):
+    for line_no, record in records:
         frame = parse_frame(record, line_no)
         prev = last.get(frame.video_id)
         if prev is not None and frame.k <= prev:

@@ -1,7 +1,12 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import multiprocessing
+import os
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -16,7 +21,13 @@ from socialevents.events import serialize_event
 from socialevents.qa import load_qa_items
 from socialevents.reward import score_group
 from helpers import event
-from synth import make_gestures, make_video, write_gestures, write_observations
+from synth import (
+    make_gestures,
+    make_video,
+    serialize_frame,
+    write_gestures,
+    write_observations,
+)
 
 
 def run(*argv):
@@ -313,6 +324,167 @@ class TestWeightsFlag:
         config = json.loads(capsys.readouterr().out)
         assert config["weight_acc"] == 2.0
         assert config["weight_gnd"] == 0.4
+
+
+# ---------------------------------------------------------------------------
+# detect --threads N: the same outcome at any N
+
+# Each fault, applied to line i (j is a later position), gives the file's
+# bytes. "blank lines" and "CRLF" are not faults to the serial path; the
+# duplicate and the escaped video_id are not faults to it either, but the
+# byte scan keys those lines wrongly or not at all.
+FAULTS = ("none", "bad JSON", "not an object", "schema error", "ordering error",
+          "duplicate video_id key", "escaped video_id", "BOM", "CRLF", "CR inside a line",
+          "blank lines", "not UTF-8")
+
+
+def observation_bytes(frames, fault="none", i=0, j=1) -> bytes:
+    lines = [serialize_frame(f).encode() for f in frames]
+    line = lines[i]
+    newline = b"\n"
+    if fault == "bad JSON":
+        lines[i] = line[:-1]
+    elif fault == "not an object":
+        lines[i] = b"[" + line + b"]"
+    elif fault == "schema error":
+        lines[i] = line.replace(b'"persons":', b'"persons":7,"was":', 1)
+    elif fault == "ordering error":
+        lines.insert(j, line)
+    elif fault == "duplicate video_id key":
+        other = next((f.video_id for f in frames if f.video_id != frames[i].video_id), "other")
+        lines[i] = b'{"video_id":"' + other.encode() + b'",' + line[1:]
+    elif fault == "escaped video_id":
+        lines[i] = line.replace(b'"video_id":"synth-', b'"video_id":"synth\\u002d', 1)
+    elif fault == "BOM":
+        lines[0] = "\ufeff".encode() + lines[0]
+    elif fault == "CRLF":
+        newline = b"\r\n"
+    elif fault == "CR inside a line":  # text mode ends a line there
+        lines[i] = line.replace(b',"t":', b',\r"t":', 1)
+    elif fault == "blank lines":
+        lines[j:j] = [b"", b"  \t"]
+    elif fault == "not UTF-8":
+        lines[i] = line.replace(b'"video_id":"synth-', b'"video_id":"synth\xff-', 1)
+    return b"".join(line + newline for line in lines)
+
+
+def detect_outcome(data: bytes, directory: Path, threads: int, dump: bool):
+    """Exit code, stderr and artifact bytes of detect over these bytes."""
+    directory.mkdir()
+    (directory / "obs.jsonl").write_bytes(data)
+    out = directory / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run("detect", "--input", str(directory / "obs.jsonl"), "--out", str(out),
+                   "--threads", str(threads), *(["--dump-features"] if dump else []))
+    assert multiprocessing.active_children() == []
+    artifacts = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    if code != 0:
+        assert artifacts == {}, "a faulty run leaves no artifact behind"
+    return code, err.getvalue(), artifacts
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_detect_gives_the_same_outcome_at_any_thread_count(data):
+    videos = [make_video(seed, min_frames=4, max_frames=24) for seed in
+              data.draw(st.lists(st.integers(0, 10_000), min_size=2, max_size=4, unique=True))]
+    frames = data.draw(interleavings(videos))
+    fault = data.draw(st.sampled_from(FAULTS))
+    i = data.draw(st.integers(0, len(frames) - 1))
+    j = data.draw(st.integers(i + 1, len(frames)))
+    dump = data.draw(st.booleans())
+    observations = observation_bytes(frames, fault, i, j)
+    with tempfile.TemporaryDirectory() as tmp:
+        serial = detect_outcome(observations, Path(tmp, "1"), 1, dump)
+        for threads in (2, 3):
+            assert detect_outcome(observations, Path(tmp, str(threads)), threads, dump) == serial
+    assert (serial[0] == 0) == (fault in ("none", "duplicate video_id key", "escaped video_id",
+                                          "CRLF", "blank lines"))
+
+
+def _three_videos():
+    return [f for seed in (1, 2, 3) for f in make_video(seed, min_frames=20, max_frames=30)]
+
+
+needs_two_cpus = pytest.mark.skipif(cli._usable_cpus() < 2, reason="detect shards only on 2+ CPUs")
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("fault", FAULTS)
+def test_sharded_detect_runs_only_on_input_it_can_key(tmp_path, fault):
+    obs = tmp_path / "obs.jsonl"
+    obs.write_bytes(observation_bytes(_three_videos(), fault, i=5, j=30))
+    args = argparse.Namespace(input=str(obs), threads=2, dump_features=True)
+    sharded = cli._detect_sharded(args, EngineConfig())
+    assert multiprocessing.active_children() == []
+    assert (sharded is not None) == (fault in ("none", "blank lines"))
+
+
+@needs_two_cpus
+def test_sharded_detect_never_forks_beside_another_thread(tmp_path):
+    obs = tmp_path / "obs.jsonl"
+    obs.write_bytes(observation_bytes(_three_videos()))
+    args = argparse.Namespace(input=str(obs), threads=2, dump_features=False)
+    assert cli._detect_sharded(args, EngineConfig()) is not None
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert cli._detect_sharded(args, EngineConfig()) is None
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@needs_two_cpus
+def test_detect_starts_no_more_workers_than_videos_or_cpus(tmp_path, monkeypatch):
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda self: (started.append(self), start(self))[1])
+    obs = tmp_path / "obs.jsonl"
+    obs.write_bytes(observation_bytes(_three_videos()))
+    for threads in ("1", "1000000"):
+        assert run("detect", "--input", str(obs), "--out", str(tmp_path / threads),
+                   "--threads", threads) == 0
+    assert len(started) == min(3, cli._usable_cpus())
+    assert multiprocessing.active_children() == []
+    assert (tmp_path / "1" / "events.jsonl").read_bytes() == \
+        (tmp_path / "1000000" / "events.jsonl").read_bytes()
+
+
+def _fork_fails(self):
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+def _worker_dies(*args):
+    os._exit(1)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("target, name, value", [
+    (multiprocessing.process.BaseProcess, "start", _fork_fails),
+    (cli, "_detect_share", _worker_dies),
+], ids=["no process", "a worker dies"])
+def test_detect_runs_serially_when_the_workers_fail(tmp_path, monkeypatch, target, name, value):
+    obs = tmp_path / "obs.jsonl"
+    obs.write_bytes(observation_bytes(_three_videos()))
+    assert run("detect", "--input", str(obs), "--out", str(tmp_path / "1")) == 0
+    monkeypatch.setattr(target, name, value)
+    assert run("detect", "--input", str(obs), "--out", str(tmp_path / "2"), "--threads", "2") == 0
+    assert multiprocessing.active_children() == []
+    for artifact in ("events.jsonl", "videos.jsonl"):
+        assert (tmp_path / "1" / artifact).read_bytes() == (tmp_path / "2" / artifact).read_bytes()
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
+def test_threads_below_1_is_a_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("detect", "--input", "x", "--out", "o", "--threads", value)
+    assert exc.value.code == 2
+    assert "argument --threads: needs an integer of at least 1" in capsys.readouterr().err
 
 
 def test_env_var_thread_fallback(tmp_path, monkeypatch):

@@ -34,7 +34,15 @@ from socialevents.gaze import (
 )
 from socialevents.ingest import Box
 from helpers import event, grid_track, sample, tick
-from oracles import contains, detector_view, expand, follow_hits, oracle_all, oracle_capture
+from oracles import (
+    contains,
+    detector_view,
+    expand,
+    follow_hits,
+    oracle_all,
+    oracle_capture,
+    oracle_joint_attention,
+)
 from synth import make_video
 
 
@@ -358,6 +366,19 @@ def test_long_videos_match_oracle_off_defaults(sweep_videos, overrides, event_ty
     assert seen, f"no {event_type} events, so {overrides} was not exercised"
     if event_type == "gaze_following" and config.follow_lag_max > config.follow_lag_min:
         assert multi_lag, f"no leader qualifies at two lags under {overrides}"
+
+
+def test_joint_attention_matches_oracle_below_the_median_cutoff():
+    # Below 1, the peripheral cutoff can retain fewer than two of a frame's
+    # contributors; such a frame ends the current run and starts none.
+    config = dataclasses.replace(DEFAULT_CONFIG, ja_peripheral_mult=0.9)
+    found = 0
+    for seed in range(200):
+        tracks = [interpolate_track(t, config) for t in build_tracks(make_video(seed))]
+        detected = detect_joint_attention(tracks, compute_features(tracks, config), config)
+        assert detector_view(detected) == oracle_joint_attention(tracks, config), f"seed {seed}"
+        found += len(detected)
+    assert found, "no joint attention at ja_peripheral_mult=0.9"
 
 
 def test_follow_lag_max_beyond_the_video_costs_no_more_than_its_span():
