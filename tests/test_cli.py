@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socialevents import cli, qa
+from socialevents import events as events_mod
 from socialevents.cli import main
 from socialevents.config import EngineConfig
-from socialevents.errors import ContractError
+from socialevents.errors import ContractError, ValidationError
 from socialevents.events import serialize_event
 from socialevents.qa import load_qa_items
 from socialevents.reward import score_group
@@ -940,6 +941,79 @@ def test_any_per_rollout_value_exits_0_or_3(valid_inputs, data):
         path = Path(tmp, "rewards.jsonl")
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         assert run("analyze", "--input", str(path), "--out", str(Path(tmp, "out")), *tsv) in (0, 3)
+
+
+EVENT_FIELDS = ("event_id", "source", "event_type", "participants", "roles", "start_time",
+                "end_time", "confidence", "attributes")
+# Values at the edge of parse_event's fast path: kinds it must reject, and
+# valid ones. The first five pass a test of kind alone: a bool is an int to
+# isinstance, and json.loads reads NaN and Infinity as floats.
+EVENT_EDGES = [float("nan"), float("inf"), -float("inf"), True, False, None, 0, 3, -1, 0.5, -0.0,
+               2.0 ** 52, 10 ** 400, "gaze", "gesture", "mutual_gaze", "pointing", [], {}]
+_EDGE_ITEMS = st.sampled_from(EVENT_EDGES[:13]) | st.integers(0, 9)
+# Per field: values of its kind, and lists and role maps with edge items.
+EVENT_VALUES = {
+    "event_id": st.integers(-2, 2 ** 64),
+    "source": st.sampled_from(["gaze", "gesture", "gestures"]),
+    "event_type": st.sampled_from(["mutual_gaze", "joint_attention", "pointing", "waving"]),
+    "participants": st.lists(_EDGE_ITEMS, max_size=3),
+    "roles": st.dictionaries(st.sampled_from(["leader", "follower", "initiator", "target"]),
+                             _EDGE_ITEMS, max_size=3),
+    "start_time": st.floats(),
+    "end_time": st.floats(),
+    "confidence": st.floats(),
+    "attributes": st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=2),
+}
+
+
+@pytest.mark.parametrize("key", EVENT_FIELDS)
+def test_event_field_edges_give_the_checked_parse_outcome(valid_inputs, key):
+    """Each edge value, alone in a list or as a role value, in each event
+    field: parse_event gives what it gives without its fast path."""
+    good = read_lines(valid_inputs["events"])[0]
+    for value in [MISSING, *EVENT_EDGES, *([0, v] for v in EVENT_EDGES),
+                  *({"leader": 0, "follower": v} for v in EVENT_EDGES)]:
+        record = {k: v for k, v in good.items() if k != key}
+        if value is not MISSING:
+            record[key] = value
+        assert _parse_outcome(events_mod.parse_event, record) == \
+            _parse_outcome(events_mod._parse_event_checked, record), value
+
+
+def _parse_outcome(parse, record):
+    try:
+        return repr(parse(record, 1))
+    except ValidationError as exc:
+        return f"error: {exc}\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_event_field_gives_the_checked_parse_outcome(valid_inputs, data):
+    """An event record with any JSON value in any of its fields (NaN, bools
+    and floats in participants and non-int role values included) makes
+    graph exit 0 or 3, and parse_event give what it gives without its fast
+    path: the same event or, on 3, the same message."""
+    record = read_lines(valid_inputs["events"])[0]
+    for key in data.draw(st.lists(st.sampled_from(EVENT_FIELDS), min_size=1, max_size=2,
+                                  unique=True), label="fields"):
+        value = data.draw(EVENT_VALUES[key] | st.sampled_from([MISSING, *EVENT_EDGES])
+                          | st.sampled_from(EVENT_EDGES[:5]) | JSON_VALUES, label=key)
+        if value is MISSING:
+            record.pop(key, None)
+        else:
+            record[key] = value
+    expected = _parse_outcome(events_mod._parse_event_checked, record)
+    assert _parse_outcome(events_mod.parse_event, record) == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {**valid_inputs, "events": Path(tmp, "events.jsonl")}
+        paths["events"].write_text(json.dumps(record) + "\n")
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run(*(arg.format(**paths) for arg in GRAPH_ARGS), "--out", str(Path(tmp, "out")))
+    if expected.startswith("error: "):
+        assert (code, err.getvalue()) == (3, expected)
+    else:
+        assert (code, err.getvalue()) == (0, "")
 
 
 MISSING = object()

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from socialevents.config import DEFAULT_CONFIG
 from socialevents.errors import ValidationError
 from socialevents.events import (
+    SocialEvent,
     cluster_intervals,
     detect_all,
     detect_attention_capture,
@@ -311,8 +312,30 @@ class TestEventConfidence:
         assert score_event_confidence(ev, samples) == pytest.approx(0.9 * 0.75)
 
     def test_no_support_is_an_error(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^event mutual_gaze has no supporting samples$"):
             score_event_confidence(event(0), [])
+
+    def test_mean_is_a_left_to_right_fold(self):
+        # sum() of floats rounds otherwise from Python 3.12 on
+        samples = [sample(0.5 * i, gaze=(0.5, 0.5), conf=c) for i, c in enumerate((0.1, 0.2, 0.3))]
+        assert score_event_confidence(event(0), samples) == ((0.1 + 0.2) + 0.3) / 3
+
+
+class TestSocialEvent:
+    def test_defaults_are_fresh_per_event(self):
+        a = SocialEvent(0, "gaze", "sudden_gaze_shift", frozenset({1}))
+        b = SocialEvent(1, "gaze", "sudden_gaze_shift", frozenset({2}))
+        assert a.roles == a.attributes == {} and (a.start_time, a.end_time, a.confidence) == \
+            (0.0, 0.0, 0.0)
+        assert a.roles is not b.roles and a.attributes is not b.attributes
+        assert a.roles is not a.attributes
+
+    def test_a_named_tuple_of_its_fields(self):
+        ev = event(3, start=1.0, end=2.5)
+        assert ev == tuple(getattr(ev, name) for name in SocialEvent._fields)
+        assert ev.duration == 1.5
+        moved = ev._replace(event_id=7)
+        assert type(moved) is SocialEvent and moved.event_id == 7 and moved[1:] == ev[1:]
 
 
 class TestDetectorOracleEquivalence:
@@ -420,7 +443,8 @@ def test_capture_window_beyond_the_flags_costs_what_their_span_costs():
         "print(json.dumps([event_record(e) for e in events]))\n"
     )
     here = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    path = os.pathsep.join([str(here.parent / "src"), str(here),
+                            *filter(None, [os.environ.get("PYTHONPATH")])])
     done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": path}, check=True)
     assert json.loads(done.stdout) == [event_record(e) for e in at_span]

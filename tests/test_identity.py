@@ -330,9 +330,10 @@ def test_association_and_detect_import_no_numpy_or_scipy(tmp_path):
         "print(code, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
     )
     src = str(Path(socialevents.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
     result = subprocess.run(
         [sys.executable, "-c", script, str(obs), str(tmp_path / "out")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "0 []"
