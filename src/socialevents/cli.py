@@ -22,6 +22,12 @@ stage runs serially in input order. The bytes, the exit code and the message
 are the same at any N: input the workers cannot take, or a fault in any of
 them, makes detect run serially from the start.
 
+analyze reads a rollout as the reward stage writes it (every field of its
+exact kind) with one combined test; any other rollout has each field
+checked in turn, with the same outcome, so a fault is named the same way.
+With --tsv a query_id, qa_id or model holding a tab, LF or CR is a schema
+error, as it would split report.tsv's rows.
+
 Exit codes: 0 success; 2 missing or unreadable input, an output directory
 that cannot be made, or a bad command line; 3 schema/validation error,
 including an input byte that is not UTF-8. The message names the path, the
@@ -491,6 +497,7 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
             per_rollout = []
             for s in scored:
                 pred = s.breakdown.pred_participants
+                hits = len(pred & gt)
                 tokens, flagged = analytics.reasoning_length(s.trace)
                 per_rollout.append({
                     "r_acc": s.breakdown.r_acc,
@@ -501,8 +508,8 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
                     "advantage": s.advantage,
                     "pred_participants": sorted(pred),
                     "n_pred": len(pred),
-                    "n_correct": len(pred & gt),
-                    "grounding_precision": analytics.grounding_precision(pred, gt),
+                    "n_correct": hits,
+                    "grounding_precision": hits / len(pred) if pred else None,
                     "novel_participants": len(pred - asked),
                     "think_tokens": tokens,
                     "well_formed": not flagged,
@@ -524,71 +531,116 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
 # the rollout index.
 TSV_FIELDS = ("r_acc", "r_fmt", "r_str", "r_gnd", "total", "advantage",
               "grounding_precision", "novel_participants", "think_tokens", "well_formed")
-_tsv_values = operator.itemgetter(*TSV_FIELDS)
+# Each per-rollout field analyze reads, with its kind, in the order the
+# checked path reads them; the last four only with --tsv.
+_ROLLOUT_KINDS = {
+    "r_acc": float, "grounding_precision": float, "n_pred": int, "n_correct": int,
+    "novel_participants": int, "think_tokens": int, "well_formed": bool, "total": float,
+    "r_fmt": float, "r_str": float, "r_gnd": float, "advantage": float,
+}
+_rollout_values = operator.itemgetter(*_ROLLOUT_KINDS)
+_FLOAT_MAX = sys.float_info.max
+_TSV_BREAK = re.compile(r"[\t\n\r]")
 
 
 def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
-    per_model: dict[str, dict[str, list]] = {}
+    tsv = args.tsv
+    per_model: dict[str, tuple[list, list]] = {}  # model -> (query_ids, rollout values)
     rows = []
     for line_no, record in ingest.read_jsonl(args.input):
-        query_id, qa_id, model = _group_keys(record, "rewards", line_no)
-        bucket = per_model.setdefault(model, {
-            "acc": [], "precision": [], "n_pred": [], "n_correct": [],
-            "novel": [], "length": [], "malformed": [], "total": [], "queries": [],
-        })
-        bucket["queries"].append(query_id)
+        keys = _group_keys(record, "rewards", line_no)
+        query_id, qa_id, model = keys
+        if tsv and _TSV_BREAK.search("".join(keys)):  # the key would split its rows
+            name, value = next(item for item in zip(("query_id", "qa_id", "model"), keys)
+                               if _TSV_BREAK.search(item[1]))
+            raise ValidationError(f"bad rewards record: {name} must not hold a tab, LF or CR "
+                                  f"in report.tsv, got {value!r}", line_no)
+        queries, rollouts = per_model.setdefault(model, ([], []))
+        queries.append(query_id)
+        prefix = f"{query_id}\t{qa_id}\t{model}\t"
         for i, r in enumerate(ingest.read_field(record, "per_rollout", [dict], "rewards", line_no)):
-            bucket["acc"].append(ingest.read_field(r, "r_acc", float, "rewards", line_no))
-            # null: nothing predicted, left out of the mean; a missing key fails in read_field
-            if r.get("grounding_precision", 0) is not None:
-                bucket["precision"].append(
-                    ingest.read_field(r, "grounding_precision", float, "rewards", line_no))
-            bucket["n_pred"].append(ingest.read_field(r, "n_pred", int, "rewards", line_no))
-            bucket["n_correct"].append(ingest.read_field(r, "n_correct", int, "rewards", line_no))
-            bucket["novel"].append(
-                ingest.read_field(r, "novel_participants", int, "rewards", line_no))
-            bucket["length"].append(ingest.read_field(r, "think_tokens", int, "rewards", line_no))
-            well_formed = ingest.read_field(r, "well_formed", bool, "rewards", line_no)
-            bucket["malformed"].append(0 if well_formed else 1)
-            bucket["total"].append(ingest.read_field(r, "total", float, "rewards", line_no))
-            if args.tsv:  # check the fields only the TSV reads; rows keep values as read
-                for key in ("r_fmt", "r_str", "r_gnd", "advantage"):
-                    ingest.read_field(r, key, float, "rewards", line_no)
-                rows.append((query_id, qa_id, model, i, *_tsv_values(r)))
+            values = _read_rollout(r, tsv, line_no)
+            rollouts.append(values)
+            if tsv:  # each value as read: 1, 0.0, None, True
+                (r_acc, precision, _, _, novel, tokens, well_formed, total,
+                 r_fmt, r_str, r_gnd, advantage) = values
+                rows.append(f"{prefix}{i}\t{r_acc}\t{r_fmt}\t{r_str}\t{r_gnd}\t{total}\t"
+                            f"{advantage}\t{precision}\t{novel}\t{tokens}\t{well_formed}\n")
 
     models = {}
-    for model, b in sorted(per_model.items()):
-        n_pred = sum(b["n_pred"])
+    for model, (queries, rollouts) in sorted(per_model.items()):
+        acc, precision, n_preds, n_correct, novel, length, well_formed, total = \
+            list(zip(*rollouts))[:8] if rollouts else [()] * 8
+        n_pred = sum(n_preds)
         try:
-            micro = sum(b["n_correct"]) / n_pred if n_pred else None
+            micro = sum(n_correct) / n_pred if n_pred else None
         except OverflowError:  # Python ints: the quotient can leave the float range
             raise ContractError(
                 f"model {model!r}: grounding_precision_micro overflows the float range") from None
         models[model] = {
-            "queries": len(b["queries"]),
-            "rollouts": len(b["acc"]),
-            "accuracy": _mean(b["acc"], model, "accuracy"),
-            "grounding_precision_macro": _mean(b["precision"], model, "grounding_precision_macro"),
+            "queries": len(queries),
+            "rollouts": len(rollouts),
+            "accuracy": _mean(acc, model, "accuracy"),
+            # null: nothing predicted, left out of the mean
+            "grounding_precision_macro": _mean([p for p in precision if p is not None], model,
+                                               "grounding_precision_macro"),
             "grounding_precision_micro": micro,
-            "mean_novel_participants": _mean(b["novel"], model, "mean_novel_participants"),
-            "mean_reasoning_length": _mean(b["length"], model, "mean_reasoning_length"),
-            "median_reasoning_length": float(statistics.median(b["length"])) if b["length"] else None,
-            "malformed_traces": sum(b["malformed"]),
-            "mean_total_reward": _mean(b["total"], model, "mean_total_reward"),
+            "mean_novel_participants": _mean(novel, model, "mean_novel_participants"),
+            "mean_reasoning_length": _mean(length, model, "mean_reasoning_length"),
+            "median_reasoning_length": float(statistics.median(length)) if length else None,
+            "malformed_traces": well_formed.count(False),
+            "mean_total_reward": _mean(total, model, "mean_total_reward"),
         }
 
     report = {"models": models, "cross_model": _cross_model(models)}
     _write_lines(out / "report.json", [json.dumps(report, indent=2, sort_keys=True)])
 
-    if args.tsv:
-        columns = ("query_id", "qa_id", "model", "rollout", *TSV_FIELDS)
-        _write_lines(out / "report.tsv", itertools.chain(
-            ["\t".join(columns)], ("\t".join(map(str, row)) for row in rows)))
+    if tsv:
+        with _artifact(out / "report.tsv") as fh:
+            fh.write("\t".join(("query_id", "qa_id", "model", "rollout", *TSV_FIELDS)) + "\n"
+                     + "".join(rows))
     return EXIT_OK
 
 
-def _mean(values: list, model: str, aggregate: str) -> float | None:
+def _read_rollout(r: dict, tsv: bool, line_no: int) -> tuple:
+    """One per_rollout entry's values in ``_ROLLOUT_KINDS`` order, as read.
+
+    Fast path: what the reward stage writes, each field present and of its
+    exact kind (r_acc, r_fmt and r_str ints within the float range, the
+    other rewards finite floats, grounding_precision also null), taken with
+    one combined test. Any other entry takes ``_read_rollout_checked``,
+    whose message names the field."""
+    try:
+        values = _rollout_values(r)
+    except KeyError:
+        return _read_rollout_checked(r, tsv, line_no)
+    (r_acc, precision, n_pred, n_correct, novel, tokens, well_formed, total,
+     r_fmt, r_str, r_gnd, advantage) = values
+    if type(r_acc) is int and type(r_fmt) is int and type(r_str) is int \
+            and type(total) is float and type(r_gnd) is float and type(advantage) is float \
+            and (precision is None or type(precision) is float and math.isfinite(precision)) \
+            and type(n_pred) is int and type(n_correct) is int and type(novel) is int \
+            and type(tokens) is int and type(well_formed) is bool \
+            and math.isfinite(total) and math.isfinite(r_gnd) and math.isfinite(advantage) \
+            and -_FLOAT_MAX <= r_acc <= _FLOAT_MAX and -_FLOAT_MAX <= r_fmt <= _FLOAT_MAX \
+            and -_FLOAT_MAX <= r_str <= _FLOAT_MAX:
+        return values
+    return _read_rollout_checked(r, tsv, line_no)
+
+
+def _read_rollout_checked(r: dict, tsv: bool, line_no: int) -> tuple:
+    """``_read_rollout`` without its fast path: each field analyze reads
+    checked by ``read_field`` in turn (the TSV's four only with ``tsv``), so
+    the first fault is the one named. A null grounding_precision is valid;
+    a missing one is not. A TSV key absent without ``tsv`` gives None."""
+    for key, kind in itertools.islice(_ROLLOUT_KINDS.items(), None if tsv else 8):
+        if key != "grounding_precision" or r.get(key, 0) is not None:
+            ingest.read_field(r, key, kind, "rewards", line_no)
+    return tuple(r.get(key) for key in _ROLLOUT_KINDS)
+
+
+def _mean(values: tuple | list, model: str, aggregate: str) -> float | None:
     """The mean, or None for no values. A sum beyond the float range is a
     ContractError naming the model and the aggregate."""
     if not values:

@@ -466,8 +466,9 @@ def event_record(event: SocialEvent, video_id: str | None = None) -> dict:
 
 def parse_event(record: dict, line: int | None = None) -> SocialEvent:
     """A checked event: typed fields, times below 2**52 in magnitude, a type
-    known for its source, at least one participant, two for mutual gaze, and
-    an initiator on a gesture."""
+    known for its source, at least one participant, two for mutual gaze, an
+    initiator on a gesture, and no NaN or infinity at any depth of its
+    attributes."""
     get = record.get
     event_id, source, event_type, participants, roles, start, end, confidence, attributes = (
         get("event_id"), get("source"), get("event_type"), get("participants"), get("roles"),
@@ -521,9 +522,29 @@ def _valid_event(event: SocialEvent, line: int | None) -> SocialEvent:
         fault = f"start_time must be below 2**52 in magnitude, got {event.start_time}"
     elif abs(event.end_time) >= TIME_LIMIT:
         fault = f"end_time must be below 2**52 in magnitude, got {event.end_time}"
-    else:
+    elif _non_finite(event.attributes) is None:
         return event
+    else:  # a NaN or an infinity would be written as a bare NaN or Infinity, not JSON
+        key, number = next((k, n) for k, v in event.attributes.items()
+                           if (n := _non_finite(v)) is not None)
+        fault = f"attributes[{key!r}] must hold only finite numbers, got {number}"
     raise ValidationError(f"bad event record: {fault}", line)
+
+
+def _non_finite(value) -> float | None:
+    """The first NaN or infinity at any depth of a JSON value, or None.
+    Iterative: a parsed value nests as deep as the decoder allows."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if type(value) is float:
+            if not math.isfinite(value):
+                return value
+        elif type(value) is dict:
+            stack.extend(value.values())
+        elif type(value) is list:
+            stack.extend(value)
+    return None
 
 
 def _event(

@@ -357,6 +357,27 @@ class TestAnalyzeRejects:
         assert capsys.readouterr().err == (
             f"error: line 2: bad rewards record: {field} must be a string, got {value!r}\n")
 
+    @pytest.mark.parametrize("keys, field", [
+        ({"query_id": "q\t1\nx", "model": "m\r2"}, "query_id"),
+        ({"qa_id": "v:T1\n0"}, "qa_id"),
+        ({"model": "m\r2"}, "model"),
+    ], ids=["query_id-and-model", "qa_id-lf", "model-cr"])
+    def test_tsv_key_breaking_a_row(self, tmp_path, capsys, keys, field):
+        """A tab, LF or CR in a key would split its report.tsv rows: with
+        --tsv the record exits 3 naming the line and the first such field,
+        and no report is written. Without --tsv the keys are only names."""
+        record = {**group("m", rollout(**self.TSV_ONLY)), **keys}
+        assert self.run(tmp_path, record) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert set(report["models"]) == {"m", keys.get("model", "m")}
+        (tmp_path / "out" / "report.json").unlink()
+        assert self.run(tmp_path, record, "--tsv") == 3
+        assert capsys.readouterr().err == (
+            f"error: line 2: bad rewards record: {field} must not hold a tab, LF or CR "
+            f"in report.tsv, got {record[field]!r}\n")
+        assert not (tmp_path / "out" / "report.json").exists()
+        assert not (tmp_path / "out" / "report.tsv").exists()
+
 
 def test_item_person_ids_covers_all_text():
     item = item_fixture()

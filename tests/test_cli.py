@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -925,22 +926,90 @@ def test_any_trace_record_exits_0_or_3(valid_inputs, data):
         assert (out / "rewards.jsonl").exists() == (code == 0)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# Values at the edge of analyze's per-rollout fast path, by class: kinds it
+# must reject (a bool is an int to isinstance, json.loads reads NaN and
+# Infinity as floats, an int beyond the float range is still an int) and
+# valid ones, the float range's ends included, plus a float where an int
+# belongs.
+FLOAT_MAX_INT = int(sys.float_info.max)
+ROLLOUT_EDGE_CLASSES = [
+    [True, False], [None], [float("nan"), float("inf"), -float("inf")],
+    [10 ** 400, -10 ** 400, FLOAT_MAX_INT + 1, -FLOAT_MAX_INT - 1],
+    [0, 1, -1, FLOAT_MAX_INT, -FLOAT_MAX_INT], [0.5, 1.0, -0.0, 1e308], ["1", [], {}],
+]
+ROLLOUT_EDGES = [value for values in ROLLOUT_EDGE_CLASSES for value in values]
+
+
+def _rollout_outcome(read, entry, tsv):
+    try:
+        return repr(read(entry, tsv, 1))
+    except ValidationError as exc:
+        return f"error: {exc}\n"
+
+
+@pytest.mark.parametrize("tsv", [False, True], ids=["report", "tsv"])
+@pytest.mark.parametrize("key", sorted(cli._ROLLOUT_KINDS))
+def test_rollout_field_edges_give_the_checked_read(valid_inputs, key, tsv):
+    """Each edge value, or no value, in each per_rollout field: analyze's
+    read of the entry gives what it gives without its fast path, the same
+    values or the same message."""
+    good = read_lines(valid_inputs["rewards"])[0]["per_rollout"][0]
+    for value in [MISSING, *ROLLOUT_EDGES]:
+        entry = {k: v for k, v in good.items() if k != key}
+        if value is not MISSING:
+            entry[key] = value
+        assert _rollout_outcome(cli._read_rollout, entry, tsv) == \
+            _rollout_outcome(cli._read_rollout_checked, entry, tsv), value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_any_per_rollout_value_exits_0_or_3(valid_inputs, data):
-    """A per_rollout entry with any JSON value in any of its fields exits 0
-    or 3, with and without --tsv."""
+    """Rollouts of a rewards record, each with any JSON value, or none, in
+    one to three of its fields: analyze's read of each gives what it gives
+    without its fast path, and analyze exits 0, or 3 with the first one's
+    message, with and without --tsv. A 3 on valid rollouts names an
+    aggregate beyond the float range. Each report.tsv row is its values as
+    read, joined by tabs."""
     records = read_lines(valid_inputs["rewards"])
     entries = records[0]["per_rollout"]
-    i = data.draw(st.integers(0, len(entries) - 1), label="rollout")
-    for key in data.draw(st.lists(st.sampled_from(sorted(entries[i])), min_size=1,
-                                  max_size=3, unique=True), label="fields"):
-        entries[i][key] = data.draw(JSON_VALUES, label=key)
-    tsv = ["--tsv"] if data.draw(st.booleans(), label="tsv") else []
+    edges = [st.just(MISSING), *map(st.sampled_from, ROLLOUT_EDGE_CLASSES), JSON_VALUES]
+    for i in data.draw(st.lists(st.integers(0, len(entries) - 1), min_size=1, unique=True),
+                       label="rollouts"):
+        for key in data.draw(st.lists(st.sampled_from(sorted(entries[i])), min_size=1,
+                                      max_size=3, unique=True), label=f"fields of {i}"):
+            value = data.draw(st.one_of(st.just(entries[i][key]), *edges), label=key)
+            if value is MISSING:
+                del entries[i][key]
+            else:
+                entries[i][key] = value
+    tsv = data.draw(st.booleans(), label="tsv")
+    expected = None
+    for entry in entries:
+        for mode in (False, True):
+            checked = _rollout_outcome(cli._read_rollout_checked, entry, mode)
+            assert _rollout_outcome(cli._read_rollout, entry, mode) == checked
+            if mode == tsv and expected is None and checked.startswith("error: "):
+                expected = checked
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp, "rewards.jsonl")
+        path, out = Path(tmp, "rewards.jsonl"), Path(tmp, "out")
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        assert run("analyze", "--input", str(path), "--out", str(Path(tmp, "out")), *tsv) in (0, 3)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run("analyze", "--input", str(path), "--out", str(out),
+                       *(["--tsv"] if tsv else []))
+        if expected is not None:
+            assert (code, err.getvalue()) == (3, expected)
+        elif code == 3:
+            assert err.getvalue().endswith(" overflows the float range\n")
+        else:
+            assert code == 0
+            assert (out / "report.tsv").exists() == tsv
+            if tsv:
+                rows = ["\t".join(("query_id", "qa_id", "model", "rollout", *cli.TSV_FIELDS))]
+                rows += ["\t".join(map(str, (r["query_id"], r["qa_id"], r["model"], j,
+                                             *(entry[k] for k in cli.TSV_FIELDS))))
+                         for r in read_lines(path) for j, entry in enumerate(r["per_rollout"])]
+                assert (out / "report.tsv").read_text() == "\n".join(rows) + "\n"
 
 
 EVENT_FIELDS = ("event_id", "source", "event_type", "participants", "roles", "start_time",
@@ -968,11 +1037,13 @@ EVENT_VALUES = {
 
 @pytest.mark.parametrize("key", EVENT_FIELDS)
 def test_event_field_edges_give_the_checked_parse_outcome(valid_inputs, key):
-    """Each edge value, alone in a list or as a role value, in each event
-    field: parse_event gives what it gives without its fast path."""
+    """Each edge value, alone in a list, as a role value or deep in an
+    attribute (NaN and the infinities), in each event field: parse_event
+    gives what it gives without its fast path."""
     good = read_lines(valid_inputs["events"])[0]
     for value in [MISSING, *EVENT_EDGES, *([0, v] for v in EVENT_EDGES),
-                  *({"leader": 0, "follower": v} for v in EVENT_EDGES)]:
+                  *({"leader": 0, "follower": v} for v in EVENT_EDGES),
+                  *({"lag": 1.0, "distance": [0.5, {"x": v}]} for v in EVENT_EDGES[:3])]:
         record = {k: v for k, v in good.items() if k != key}
         if value is not MISSING:
             record[key] = value
@@ -1040,6 +1111,10 @@ MISTYPED = [
     ("events", ("end_time",), 10 ** 400,
      f"event record: end_time must be a finite number, got {10 ** 400}"),
     ("events", ("attributes",), [], "event record: attributes must be an object, got []"),
+    ("events", ("attributes",), {"peak_velocity": NAN},
+     "event record: attributes['peak_velocity'] must hold only finite numbers, got nan"),
+    ("events", ("attributes",), {"lag": 1.0, "distance": [0.5, {"x": -float("inf")}]},
+     "event record: attributes['distance'] must hold only finite numbers, got -inf"),
     ("events", ("start_time",), 1e308,
      "event record: start_time must be below 2**52 in magnitude, got 1e+308"),
     ("events", ("end_time",), -2.0 ** 52,
@@ -1058,6 +1133,8 @@ MISTYPED = [
      "event record: participants[0] must be an integer, got True"),
     ("graph", ("events", 0, "start_time"), -1e308,
      "event record: start_time must be below 2**52 in magnitude, got -1e+308"),
+    ("graph", ("events", 0, "attributes"), {"peak_velocity": float("inf")},
+     "event record: attributes['peak_velocity'] must hold only finite numbers, got inf"),
     ("graph", ("joint_pairs",), [[0, 1, True]],
      "graph record: joint_pairs[0][2] must be a finite number, got True"),
     ("graph", ("joint_pairs",), [[0, 1]],
