@@ -109,9 +109,23 @@ def pearson(xs: list[float], ys: list[float]) -> float:
     return sxy / math.sqrt(sxx * syy)
 
 
+# Each byte of an ASCII text marked as a separator of str.split() (b" ") or
+# a token byte (b"x"). The ASCII characters str.isspace() accepts are
+# \t \n \x0b \x0c \r \x1c-\x1f and space.
+_TOKEN_MARKS = bytes(32 if b < 128 and chr(b).isspace() else 120 for b in range(256))
+
+
 def reasoning_length(trace: ReasoningTrace) -> tuple[int, bool]:
     """Whitespace-token count of the think block; malformed traces are counted
-    over the raw text and flagged."""
+    over the raw text and flagged. The count is ``len(text.split())``; for
+    an ASCII text it is taken from the marks of ``_TOKEN_MARKS`` without
+    building the words: a token starts at each separator followed by a
+    token byte, and at a leading token byte."""
     if trace.well_formed and trace.think_block is not None:
-        return len(trace.think_block.split()), False
-    return len(trace.raw.split()), True
+        text, flagged = trace.think_block, False
+    else:
+        text, flagged = trace.raw, True
+    if text.isascii():
+        marks = text.encode().translate(_TOKEN_MARKS)
+        return marks.count(b" x") + (marks[:1] == b"x"), flagged
+    return len(text.split()), flagged

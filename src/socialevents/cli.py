@@ -22,11 +22,14 @@ stage runs serially in input order. The bytes, the exit code and the message
 are the same at any N: input the workers cannot take, or a fault in any of
 them, makes detect run serially from the start.
 
-analyze reads a rollout as the reward stage writes it (every field of its
-exact kind) with one combined test; any other rollout has each field
-checked in turn, with the same outcome, so a fault is named the same way.
-With --tsv a query_id, qa_id or model holding a tab, LF or CR is a schema
-error, as it would split report.tsv's rows.
+reward formats each rewards.jsonl line as text (rewards_line), with the
+bytes ingest.dumps_canonical would write for the group's record. analyze
+reads a rollout as the reward stage writes it (every field of its exact
+kind) with one combined test; any other rollout has each field checked in
+turn, with the same outcome, so a fault is named the same way. With --tsv a
+query_id, qa_id or model holding a tab, LF or CR (which would split
+report.tsv's rows) or a lone surrogate (which has no UTF-8 bytes) is a
+schema error.
 
 Exit codes: 0 success; 2 missing or unreadable input, an output directory
 that cannot be made, or a bad command line; 3 schema/validation error,
@@ -462,6 +465,38 @@ def _group_keys(record: dict, what: str, line_no: int) -> tuple[str, str, str]:
             ingest.read_field(record, "model", str, what, line_no, default="default"))
 
 
+# json.dumps's string encoder under ensure_ascii=True, quotes included.
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def rewards_line(query_id: str, qa_id: str, model: str,
+                 scored: list[reward_mod.ScoredRollout], asked: set[int]) -> str:
+    """One trace group's rewards.jsonl line, newline included: the text of
+    ``ingest.dumps_canonical`` of its record, formatted per rollout with the
+    keys as literal text in the record's order.
+
+    ``float.__repr__`` writes a float as json.dumps does only while it is
+    finite, and every float here is: each weight is within [-1e100, 1e100]
+    (EngineConfig) and r_gnd at most 2, so a total is finite, advantages are
+    clipped, and a precision is at most 1."""
+    rollouts = []
+    for s in scored:
+        b = s.breakdown
+        pred = b.pred_participants
+        n_pred = len(pred)
+        tokens, flagged = analytics.reasoning_length(s.trace)
+        rollouts.append(
+            f'{{"r_acc":{b.r_acc},"r_fmt":{b.r_fmt},"r_str":{b.r_str},"r_gnd":{b.r_gnd!r},'
+            f'"total":{b.total!r},"advantage":{s.advantage!r},'
+            f'"pred_participants":[{",".join(map(str, sorted(pred)))}],"n_pred":{n_pred},'
+            f'"n_correct":{b.n_correct},'
+            f'"grounding_precision":{repr(b.n_correct / n_pred) if n_pred else "null"},'
+            f'"novel_participants":{len(pred - asked)},"think_tokens":{tokens},'
+            f'"well_formed":{"false" if flagged else "true"}}}')
+    return (f'{{"query_id":{_json_string(query_id)},"qa_id":{_json_string(qa_id)},'
+            f'"model":{_json_string(model)},"per_rollout":[{",".join(rollouts)}]}}\n')
+
+
 def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
     items = {item.qa_id: item for item in qa.load_qa_items(args.input)}
@@ -494,32 +529,7 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
                 scored = reward_mod.score_group(rollouts, item.answer, gt, aliases, config)
             except (ValidationError, ContractError) as exc:  # the rollout count is a ContractError
                 raise ValidationError(str(exc), line_no) from None
-            per_rollout = []
-            for s in scored:
-                pred = s.breakdown.pred_participants
-                hits = len(pred & gt)
-                tokens, flagged = analytics.reasoning_length(s.trace)
-                per_rollout.append({
-                    "r_acc": s.breakdown.r_acc,
-                    "r_fmt": s.breakdown.r_fmt,
-                    "r_str": s.breakdown.r_str,
-                    "r_gnd": s.breakdown.r_gnd,
-                    "total": s.breakdown.total,
-                    "advantage": s.advantage,
-                    "pred_participants": sorted(pred),
-                    "n_pred": len(pred),
-                    "n_correct": hits,
-                    "grounding_precision": hits / len(pred) if pred else None,
-                    "novel_participants": len(pred - asked),
-                    "think_tokens": tokens,
-                    "well_formed": not flagged,
-                })
-            fh.write(ingest.dumps_canonical({
-                "query_id": query_id,
-                "qa_id": qa_id,
-                "model": model,
-                "per_rollout": per_rollout,
-            }) + "\n")
+            fh.write(rewards_line(query_id, qa_id, model, scored, asked))
     return EXIT_OK
 
 
@@ -540,7 +550,9 @@ _ROLLOUT_KINDS = {
 }
 _rollout_values = operator.itemgetter(*_ROLLOUT_KINDS)
 _FLOAT_MAX = sys.float_info.max
-_TSV_BREAK = re.compile(r"[\t\n\r]")
+# A key character report.tsv cannot hold: a tab, LF or CR would split its
+# row, and a lone surrogate has no UTF-8 encoding.
+_TSV_BREAK = re.compile(r"[\t\n\r\ud800-\udfff]")
 
 
 def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
@@ -551,10 +563,12 @@ def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
     for line_no, record in ingest.read_jsonl(args.input):
         keys = _group_keys(record, "rewards", line_no)
         query_id, qa_id, model = keys
-        if tsv and _TSV_BREAK.search("".join(keys)):  # the key would split its rows
+        if tsv and _TSV_BREAK.search("".join(keys)):
             name, value = next(item for item in zip(("query_id", "qa_id", "model"), keys)
                                if _TSV_BREAK.search(item[1]))
-            raise ValidationError(f"bad rewards record: {name} must not hold a tab, LF or CR "
+            what = "a tab, LF or CR" if _TSV_BREAK.search(value)[0] in "\t\n\r" \
+                else "a lone surrogate"
+            raise ValidationError(f"bad rewards record: {name} must not hold {what} "
                                   f"in report.tsv, got {value!r}", line_no)
         queries, rollouts = per_model.setdefault(model, ([], []))
         queries.append(query_id)

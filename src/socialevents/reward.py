@@ -58,6 +58,7 @@ class RewardBreakdown(NamedTuple):
     r_gnd: float
     total: float
     pred_participants: frozenset[int]
+    n_correct: int  # predicted participants in the ground-truth set
 
 
 class ScoredRollout(NamedTuple):
@@ -157,7 +158,7 @@ def _score(
         config.weight_str * r_str,
         config.weight_gnd * r_gnd,
     ])
-    return RewardBreakdown(r_acc, r_fmt, r_str, r_gnd, total, pred)
+    return RewardBreakdown(r_acc, r_fmt, r_str, r_gnd, total, pred, hits)
 
 
 def score_group(

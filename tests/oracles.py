@@ -1,7 +1,7 @@
 """Independent brute-force oracles for the detectors, the assignment, the
-graph's event cap, the trace template and QA answers. These enumerate
-candidates literally and re-derive intermediate quantities from the tracks
-themselves rather than reusing detector internals.
+graph's event cap, the trace template, QA answers and the rewards record.
+These enumerate candidates literally and re-derive intermediate quantities
+from the tracks themselves rather than reusing detector internals.
 """
 
 from __future__ import annotations
@@ -548,3 +548,32 @@ def regex_replace_person_ids(text: str, mapping: dict[int, int]) -> str:
         return prefix + str(mapping[int(match.group(1))])
 
     return _PERSON_SHORT_RE.sub(_sub, _PERSON_WORD_RE.sub(_sub, text))
+
+
+def rewards_record(query_id: str, qa_id: str, model: str, scored, gt: set[int],
+                   asked: set[int]) -> dict:
+    """A trace group's rewards.jsonl record as a dict in key order, each
+    value derived from the scored rollouts and the group's sets: the
+    overlap from ``gt``, the think tokens from ``str.split``. The reward
+    stage writes ``dumps_canonical`` of it."""
+    per_rollout = []
+    for s in scored:
+        pred = s.breakdown.pred_participants
+        hits = len(pred & gt)
+        well_formed = s.trace.well_formed and s.trace.think_block is not None
+        per_rollout.append({
+            "r_acc": s.breakdown.r_acc,
+            "r_fmt": s.breakdown.r_fmt,
+            "r_str": s.breakdown.r_str,
+            "r_gnd": s.breakdown.r_gnd,
+            "total": s.breakdown.total,
+            "advantage": s.advantage,
+            "pred_participants": sorted(pred),
+            "n_pred": len(pred),
+            "n_correct": hits,
+            "grounding_precision": hits / len(pred) if pred else None,
+            "novel_participants": len(pred - asked),
+            "think_tokens": len((s.trace.think_block if well_formed else s.trace.raw).split()),
+            "well_formed": well_formed,
+        })
+    return {"query_id": query_id, "qa_id": qa_id, "model": model, "per_rollout": per_rollout}

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from socialevents.analytics import (
     IdRemap,
@@ -16,7 +18,7 @@ from socialevents.analytics import (
 from socialevents.cli import main
 from socialevents.errors import ContractError
 from socialevents.qa import QAItem
-from socialevents.reward import parse_trace
+from socialevents.reward import ReasoningTrace, parse_trace
 from helpers import id_echo_answer
 
 
@@ -180,6 +182,35 @@ class TestPearson:
 def test_novel_participants():
     assert novel_participants({0, 2, 5}, "Person 0 looks at Person 1") == 2
     assert novel_participants(set(), "Person 0") == 0
+
+
+# Every character str.split() splits at: \t-\r, \x1c-\x1f, space, \x85,
+# \xa0, U+1680, U+2000-U+200A, U+2028, U+2029, U+202F, U+205F and U+3000.
+SPACES = "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+
+
+def token_counts(text: str) -> tuple:
+    """reasoning_length over text as a well-formed trace's think block and
+    as a malformed trace's raw text."""
+    return (reasoning_length(ReasoningTrace("", text, (), (), "", True)),
+            reasoning_length(ReasoningTrace(text, None, (), (), None, False)))
+
+
+def test_token_count_at_each_space():
+    for c in SPACES:
+        for text in (c, c * 3, f"a{c}b", f"{c}ab{c}{c}c", f"x{c}", f"{c}\u00e9{c}z"):
+            n = len(text.split())
+            assert token_counts(text) == ((n, False), (n, True)), repr(text)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(text=st.text(st.sampled_from(SPACES + "ab<>") | st.characters(exclude_categories=()),
+                    max_size=40))
+@example(text="")
+def test_token_count_is_the_split_count(text):
+    """For any text, ASCII or not, the count is len(text.split())."""
+    n = len(text.split())
+    assert token_counts(text) == ((n, False), (n, True))
 
 
 def analyze(tmp_path, records) -> dict:
@@ -374,6 +405,28 @@ class TestAnalyzeRejects:
         assert self.run(tmp_path, record, "--tsv") == 3
         assert capsys.readouterr().err == (
             f"error: line 2: bad rewards record: {field} must not hold a tab, LF or CR "
+            f"in report.tsv, got {record[field]!r}\n")
+        assert not (tmp_path / "out" / "report.json").exists()
+        assert not (tmp_path / "out" / "report.tsv").exists()
+
+
+    @pytest.mark.parametrize("keys, field", [
+        ({"query_id": "q\ud800"}, "query_id"),
+        ({"qa_id": "v:T1:\udfff", "model": "m\udc00"}, "qa_id"),
+        ({"model": "\udbff\tm"}, "model"),
+    ], ids=["query_id-high", "qa_id-low-and-model", "model-before-a-tab"])
+    def test_tsv_key_with_a_lone_surrogate(self, tmp_path, capsys, keys, field):
+        """A lone surrogate in a key has no UTF-8 bytes for report.tsv: with
+        --tsv the record exits 3 naming the line and the first such field,
+        and no report is written. Without --tsv report.json escapes it."""
+        record = {**group("m", rollout(**self.TSV_ONLY)), **keys}
+        assert self.run(tmp_path, record) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert set(report["models"]) == {"m", keys.get("model", "m")}
+        (tmp_path / "out" / "report.json").unlink()
+        assert self.run(tmp_path, record, "--tsv") == 3
+        assert capsys.readouterr().err == (
+            f"error: line 2: bad rewards record: {field} must not hold a lone surrogate "
             f"in report.tsv, got {record[field]!r}\n")
         assert not (tmp_path / "out" / "report.json").exists()
         assert not (tmp_path / "out" / "report.tsv").exists()

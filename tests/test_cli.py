@@ -20,9 +20,11 @@ from socialevents.cli import main
 from socialevents.config import EngineConfig
 from socialevents.errors import ContractError, ValidationError
 from socialevents.events import serialize_event
+from socialevents.ingest import dumps_canonical
 from socialevents.qa import load_qa_items
 from socialevents.reward import score_group
 from helpers import event
+from oracles import rewards_record
 from synth import (
     make_gestures,
     make_video,
@@ -531,6 +533,45 @@ def test_reward_weights_at_1e100_give_finite_advantages(capsys):
                "--weights", "1e308,1e308,0,0") == 3
     assert capsys.readouterr().err == (
         "error: config field weight_acc = 1e+308 must be within [-1e100, 1e100]\n")
+
+
+# Any text: non-ASCII, quotes, backslashes, control characters, lone surrogates.
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+PERSON = st.integers(0, 5) | st.integers(0, 10 ** 100)
+WEIGHT = st.floats(-1e100, 1e100) | st.sampled_from([0.0, -0.0, 1e100, -1e100, 5e-324, -1e-310])
+
+
+@st.composite
+def rollout_text(draw) -> str:
+    """A trace naming some persons (maybe none) in a gaze or gesture block,
+    well formed or cut short."""
+    words = draw(st.text(st.sampled_from(" \t\n\x1c\x85\u3000ab\"\\"), max_size=12))
+    mentions = " ".join(draw(st.sampled_from(["Person {}", "P{}"])).format(i)
+                        for i in draw(st.lists(PERSON, max_size=4)))
+    tag = draw(st.sampled_from(["gaze", "gesture"]))
+    answer = draw(st.sampled_from(["A", "B", " b "]))
+    raw = f"<think>{words}<{tag}>{mentions}</{tag}></think><answer>{answer}</answer>"
+    return raw[:draw(st.integers(0, len(raw)))] if draw(st.booleans()) else raw
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_rewards_line_is_the_canonical_record(data):
+    """reward's line for a group is dumps_canonical of the oracle's record,
+    for any keys, weights within the bound, advantage mode and traces."""
+    k = data.draw(st.integers(2, 4))
+    config = EngineConfig(
+        **dict(zip(("weight_acc", "weight_fmt", "weight_str", "weight_gnd"),
+                   data.draw(st.tuples(WEIGHT, WEIGHT, WEIGHT, WEIGHT)))),
+        rollouts_per_query=k, advantage_mode=data.draw(st.sampled_from(["zscore", "mean_center"])),
+        advantage_clip=data.draw(st.sampled_from([5.0, 0.5, 1e300])))
+    gt = data.draw(st.sets(PERSON, min_size=1, max_size=3))
+    asked = data.draw(st.sets(PERSON, max_size=3))
+    scored = score_group(data.draw(st.lists(rollout_text(), min_size=k, max_size=k)),
+                         "B", gt, config=config)
+    keys = data.draw(st.tuples(ANY_TEXT, ANY_TEXT, ANY_TEXT))
+    assert cli.rewards_line(*keys, scored, asked) == \
+        dumps_canonical(rewards_record(*keys, scored, gt, asked)) + "\n"
 
 
 def test_weights_flag_rejects_bad_values(capsys):
