@@ -23,13 +23,12 @@ are the same at any N: input the workers cannot take, or a fault in any of
 them, makes detect run serially from the start.
 
 reward formats each rewards.jsonl line as text (rewards_line), with the
-bytes ingest.dumps_canonical would write for the group's record. analyze
-reads a rollout as the reward stage writes it (every field of its exact
-kind) with one combined test; any other rollout has each field checked in
-turn, with the same outcome, so a fault is named the same way. With --tsv a
-query_id, qa_id or model holding a tab, LF or CR (which would split
-report.tsv's rows) or a lone surrogate (which has no UTF-8 bytes) is a
-schema error.
+bytes ingest.dumps_canonical would write for the group's record. Trace
+records, rewards records and their rollouts are read through the TRACE,
+REWARDS and ROLLOUT tables below with ingest.read_record, as every other
+record is through its own table. With --tsv a query_id, qa_id or model
+holding a tab, LF or CR (which would split report.tsv's rows) or a lone
+surrogate (which has no UTF-8 bytes) is a schema error.
 
 Exit codes: 0 success; 2 missing or unreadable input, an output directory
 that cannot be made, or a bad command line; 3 schema/validation error,
@@ -404,8 +403,7 @@ def _cmd_graph(args: argparse.Namespace, config: EngineConfig) -> int:
     gaze_by_video: dict[str, list[events.SocialEvent]] = {}
     seen: set[tuple[str, int]] = set()
     for line_no, record in ingest.read_jsonl(args.input):
-        video_id = ingest.read_field(record, "video_id", str, "event", line_no)
-        event = events.parse_event(record, line_no)
+        video_id, event = events.parse_event_line(record, line_no)
         if (video_id, event.event_id) in seen:
             raise ValidationError(
                 f"bad event record: video {video_id!r} repeats event_id {event.event_id}", line_no)
@@ -419,12 +417,8 @@ def _cmd_graph(args: argparse.Namespace, config: EngineConfig) -> int:
     for gesture in gestures:
         gestures_by_video.setdefault(gesture.video_id, []).append(gesture)
 
-    durations: dict[str, float] = {}
-    if args.videos:
-        for line_no, record in ingest.read_jsonl(args.videos):
-            video_id = ingest.read_field(record, "video_id", str, "video manifest", line_no)
-            durations[video_id] = ingest.read_field(
-                record, "duration", float, "video manifest", line_no)
+    durations = dict(ingest.read_record(record, ingest.MANIFEST, line_no)
+                     for line_no, record in ingest.read_jsonl(args.videos)) if args.videos else {}
 
     def graphs():  # each written as soon as it is built
         for video_id in dict.fromkeys(list(gaze_by_video) + list(gestures_by_video)):
@@ -457,12 +451,10 @@ def _cmd_qagen(args: argparse.Namespace, config: EngineConfig) -> int:
 # reward
 
 
-def _group_keys(record: dict, what: str, line_no: int) -> tuple[str, str, str]:
-    """A trace or rewards record's query_id, qa_id and model ("default" when
-    absent)."""
-    return (ingest.read_field(record, "query_id", str, what, line_no),
-            ingest.read_field(record, "qa_id", str, what, line_no),
-            ingest.read_field(record, "model", str, what, line_no, default="default"))
+# A trace group's keys, as traces.jsonl and rewards.jsonl both hold them.
+_GROUP_KEYS = (("query_id", str), ("qa_id", str), ("model", str, "default"))
+TRACE = ingest.Schema("trace", *_GROUP_KEYS, ("rollouts", [str]))
+REWARDS = ingest.Schema("rewards", *_GROUP_KEYS, ("per_rollout", [dict]))
 
 
 # json.dumps's string encoder under ensure_ascii=True, quotes included.
@@ -504,8 +496,7 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
 
     with _artifact(out / "rewards.jsonl") as fh:
         for line_no, record in ingest.read_jsonl(args.traces):
-            query_id, qa_id, model = _group_keys(record, "trace", line_no)
-            rollouts = ingest.read_field(record, "rollouts", [str], "trace", line_no)
+            query_id, qa_id, model, rollouts = ingest.read_record(record, TRACE, line_no)
             try:
                 item = items.get(qa_id)
                 if item is None:
@@ -541,15 +532,15 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
 # the rollout index.
 TSV_FIELDS = ("r_acc", "r_fmt", "r_str", "r_gnd", "total", "advantage",
               "grounding_precision", "novel_participants", "think_tokens", "well_formed")
-# Each per-rollout field analyze reads, with its kind, in the order the
-# checked path reads them; the last four only with --tsv.
-_ROLLOUT_KINDS = {
-    "r_acc": float, "grounding_precision": float, "n_pred": int, "n_correct": int,
-    "novel_participants": int, "think_tokens": int, "well_formed": bool, "total": float,
-    "r_fmt": float, "r_str": float, "r_gnd": float, "advantage": float,
-}
-_rollout_values = operator.itemgetter(*_ROLLOUT_KINDS)
-_FLOAT_MAX = sys.float_info.max
+# Each per-rollout field analyze reads, in the order they are checked; the
+# last four only with --tsv. r_acc, r_fmt and r_str are written as ints:
+# each value is kept as read, so report.tsv writes it as reward did.
+ROLLOUT_TSV = ingest.Schema(
+    "rewards", ("r_acc", ingest.NUMBER), ("grounding_precision", ingest.Nullable(ingest.NUMBER)),
+    ("n_pred", int), ("n_correct", int), ("novel_participants", int), ("think_tokens", int),
+    ("well_formed", bool), ("total", ingest.NUMBER), ("r_fmt", ingest.NUMBER),
+    ("r_str", ingest.NUMBER), ("r_gnd", ingest.NUMBER), ("advantage", ingest.NUMBER))
+ROLLOUT = ingest.Schema("rewards", *ROLLOUT_TSV.fields[:8])
 # A key character report.tsv cannot hold: a tab, LF or CR would split its
 # row, and a lone surrogate has no UTF-8 encoding.
 _TSV_BREAK = re.compile(r"[\t\n\r\ud800-\udfff]")
@@ -561,10 +552,10 @@ def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
     per_model: dict[str, tuple[list, list]] = {}  # model -> (query_ids, rollout values)
     rows = []
     for line_no, record in ingest.read_jsonl(args.input):
-        keys = _group_keys(record, "rewards", line_no)
+        *keys, per_rollout = ingest.read_record(record, REWARDS, line_no)
         query_id, qa_id, model = keys
         if tsv and _TSV_BREAK.search("".join(keys)):
-            name, value = next(item for item in zip(("query_id", "qa_id", "model"), keys)
+            name, value = next(item for item in zip(REWARDS.keys, keys)
                                if _TSV_BREAK.search(item[1]))
             what = "a tab, LF or CR" if _TSV_BREAK.search(value)[0] in "\t\n\r" \
                 else "a lone surrogate"
@@ -573,8 +564,8 @@ def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
         queries, rollouts = per_model.setdefault(model, ([], []))
         queries.append(query_id)
         prefix = f"{query_id}\t{qa_id}\t{model}\t"
-        for i, r in enumerate(ingest.read_field(record, "per_rollout", [dict], "rewards", line_no)):
-            values = _read_rollout(r, tsv, line_no)
+        for i, r in enumerate(per_rollout):
+            values = ingest.read_record(r, ROLLOUT_TSV if tsv else ROLLOUT, line_no)
             rollouts.append(values)
             if tsv:  # each value as read: 1, 0.0, None, True
                 (r_acc, precision, _, _, novel, tokens, well_formed, total,
@@ -615,43 +606,6 @@ def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
             fh.write("\t".join(("query_id", "qa_id", "model", "rollout", *TSV_FIELDS)) + "\n"
                      + "".join(rows))
     return EXIT_OK
-
-
-def _read_rollout(r: dict, tsv: bool, line_no: int) -> tuple:
-    """One per_rollout entry's values in ``_ROLLOUT_KINDS`` order, as read.
-
-    Fast path: what the reward stage writes, each field present and of its
-    exact kind (r_acc, r_fmt and r_str ints within the float range, the
-    other rewards finite floats, grounding_precision also null), taken with
-    one combined test. Any other entry takes ``_read_rollout_checked``,
-    whose message names the field."""
-    try:
-        values = _rollout_values(r)
-    except KeyError:
-        return _read_rollout_checked(r, tsv, line_no)
-    (r_acc, precision, n_pred, n_correct, novel, tokens, well_formed, total,
-     r_fmt, r_str, r_gnd, advantage) = values
-    if type(r_acc) is int and type(r_fmt) is int and type(r_str) is int \
-            and type(total) is float and type(r_gnd) is float and type(advantage) is float \
-            and (precision is None or type(precision) is float and math.isfinite(precision)) \
-            and type(n_pred) is int and type(n_correct) is int and type(novel) is int \
-            and type(tokens) is int and type(well_formed) is bool \
-            and math.isfinite(total) and math.isfinite(r_gnd) and math.isfinite(advantage) \
-            and -_FLOAT_MAX <= r_acc <= _FLOAT_MAX and -_FLOAT_MAX <= r_fmt <= _FLOAT_MAX \
-            and -_FLOAT_MAX <= r_str <= _FLOAT_MAX:
-        return values
-    return _read_rollout_checked(r, tsv, line_no)
-
-
-def _read_rollout_checked(r: dict, tsv: bool, line_no: int) -> tuple:
-    """``_read_rollout`` without its fast path: each field analyze reads
-    checked by ``read_field`` in turn (the TSV's four only with ``tsv``), so
-    the first fault is the one named. A null grounding_precision is valid;
-    a missing one is not. A TSV key absent without ``tsv`` gives None."""
-    for key, kind in itertools.islice(_ROLLOUT_KINDS.items(), None if tsv else 8):
-        if key != "grounding_precision" or r.get(key, 0) is not None:
-            ingest.read_field(r, key, kind, "rewards", line_no)
-    return tuple(r.get(key) for key in _ROLLOUT_KINDS)
 
 
 def _mean(values: tuple | list, model: str, aggregate: str) -> float | None:

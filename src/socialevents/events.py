@@ -27,13 +27,13 @@ a video's length roughly doubles its detection time:
 
 An event is a NamedTuple built once, its confidence scored before it is
 built; detect_all and graph's snapping set its id and grid times with
-``_replace``. ``parse_event`` takes a record whose nine fields are of their
-exact kinds, which is what the JSON decoder gives for a valid one, with one
-combined test; any other record takes the checked path, whose messages name
-the fault. On the crowd benchmark's events (x86-64, Python 3.11, best of 30)
-building one takes ~1.2 us, ~7 us as a frozen dataclass copied by two
-``dataclasses.replace``; parsing one ~2.2 us, ~4.9 us with every field read
-by ``read_field``; snapping one ~1.3 us, ~3.2 us.
+``_replace``. ``parse_event`` reads a record through the EVENT table: one
+whose fields are of their exact kinds, as the JSON decoder gives a valid
+one, takes ``ingest.read_record``'s shape test, and any other its checked
+path, whose messages name the fault. On the crowd benchmark's events
+(x86-64, Python 3.11, best of 30) building one takes ~1.2 us, ~7 us as a
+frozen dataclass copied by two ``dataclasses.replace``; snapping one ~1.3
+us, ~3.2 us; parsing one ~3.7 us, ~5.7 us on the checked path.
 
 Means over floats are left-to-right folds, not ``sum()``, whose float
 rounding differs from Python 3.12 on; the bytes are the same on every
@@ -50,8 +50,8 @@ from typing import Iterable, NamedTuple
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import ValidationError
 from .gaze import PROV_MEASURED, FrameFeatures, GazeSample, GazeTrack, Point
-from .ingest import (GESTURE_TYPES, SAMPLE_PERIOD, TIME_LIMIT, dumps_canonical, read_field,
-                     to_tick, typed)
+from .ingest import (GESTURE_TYPES, SAMPLE_PERIOD, TIME_LIMIT, Schema, dumps_canonical,
+                     read_record, to_tick)
 
 SOURCE_GAZE = "gaze"
 SOURCE_GESTURE = "gesture"
@@ -122,12 +122,8 @@ def cluster_intervals(flagged: Iterable[int], max_gap: float) -> list[IntervalCl
     return clusters
 
 
-def score_event_confidence(event: SocialEvent, samples: list[GazeSample]) -> float:
-    """Mean supporting-sample confidence, discounted by interpolated support."""
-    return _confidence(event.event_type, samples)
-
-
 def _confidence(event_type: str, samples: list[GazeSample]) -> float:
+    """Mean supporting-sample confidence, discounted by interpolated support."""
     if not samples:
         raise ValidationError(f"event {event_type} has no supporting samples")
     total = 0.0  # a left-to-right fold: sum() of floats rounds otherwise from 3.12 on
@@ -447,21 +443,21 @@ def serialize_event(event: SocialEvent, video_id: str | None = None) -> str:
 
 
 def event_record(event: SocialEvent, video_id: str | None = None) -> dict:
-    record: dict = {}
-    if video_id is not None:
-        record["video_id"] = video_id
-    record.update({
-        "event_id": event.event_id,
-        "source": event.source,
-        "event_type": event.event_type,
-        "participants": sorted(event.participants),
-        "roles": dict(sorted(event.roles.items())),
-        "start_time": event.start_time,
-        "end_time": event.end_time,
-        "confidence": event.confidence,
-        "attributes": dict(sorted(event.attributes.items())),
-    })
+    """The event's record, its keys in EVENT table order after the video_id
+    when one is given, with participants, roles and attributes sorted."""
+    record = {} if video_id is None else {"video_id": video_id}
+    record.update(zip(EVENT.keys, event))
+    record.update(participants=sorted(event.participants), roles=dict(sorted(event.roles.items())),
+                  attributes=dict(sorted(event.attributes.items())))
     return record
+
+
+# An event record, in events.jsonl or inside a graph, in the order it is
+# written; EVENT_LINE is an events.jsonl line as graph reads it.
+EVENT = Schema("event", ("event_id", int), ("source", str), ("event_type", str),
+               ("participants", [int]), ("roles", {str: int}, {}), ("start_time", float),
+               ("end_time", float), ("confidence", float), ("attributes", dict, {}))
+EVENT_LINE = Schema("event", ("video_id", str), *EVENT.fields)
 
 
 def parse_event(record: dict, line: int | None = None) -> SocialEvent:
@@ -469,44 +465,21 @@ def parse_event(record: dict, line: int | None = None) -> SocialEvent:
     known for its source, at least one participant, two for mutual gaze, an
     initiator on a gesture, and no NaN or infinity at any depth of its
     attributes."""
-    get = record.get
-    event_id, source, event_type, participants, roles, start, end, confidence, attributes = (
-        get("event_id"), get("source"), get("event_type"), get("participants"), get("roles"),
-        get("start_time"), get("end_time"), get("confidence"), get("attributes"))
-    # Fast path: what the JSON decoder gives for a valid record, every field
-    # present and of its exact kind. Anything else takes the checked path,
-    # which converts an integral time and names the fault.
-    if type(event_id) is int and type(source) is str and type(event_type) is str \
-            and type(participants) is list and type(roles) is dict \
-            and type(start) is float and type(end) is float and type(confidence) is float \
-            and type(attributes) is dict \
-            and math.isfinite(start) and math.isfinite(end) and math.isfinite(confidence) \
-            and all(type(p) is int for p in participants) \
-            and all(type(v) is int for v in roles.values()):
-        return _valid_event(_new(SocialEvent, (
-            event_id, source, event_type, frozenset(participants), dict(roles),
-            start, end, confidence, dict(attributes))), line)
-    return _parse_event_checked(record, line)
+    return _valid_event(read_record(record, EVENT, line), line)
 
 
-def _parse_event_checked(record: dict, line: int | None = None) -> SocialEvent:
-    """``parse_event`` without its fast path: every field read by
-    ``read_field`` or ``typed``."""
-    roles = read_field(record, "roles", dict, "event", line, default={})
-    return _valid_event(SocialEvent(
-        event_id=read_field(record, "event_id", int, "event", line),
-        source=read_field(record, "source", str, "event", line),
-        event_type=read_field(record, "event_type", str, "event", line),
-        participants=frozenset(read_field(record, "participants", [int], "event", line)),
-        roles={k: typed(v, int, f"roles[{k!r}]", "event", line) for k, v in roles.items()},
-        start_time=read_field(record, "start_time", float, "event", line),
-        end_time=read_field(record, "end_time", float, "event", line),
-        confidence=read_field(record, "confidence", float, "event", line),
-        attributes=dict(read_field(record, "attributes", dict, "event", line, default={})),
-    ), line)
+def parse_event_line(record: dict, line: int | None = None) -> tuple[str, SocialEvent]:
+    """The video_id and the checked event of an events.jsonl line."""
+    video_id, *values = read_record(record, EVENT_LINE, line)
+    return video_id, _valid_event(values, line)
 
 
-def _valid_event(event: SocialEvent, line: int | None) -> SocialEvent:
+def _valid_event(values, line: int | None) -> SocialEvent:
+    """The event of an EVENT table's values, with its own roles and
+    attributes, if it keeps the rules of ``parse_event``."""
+    event_id, source, event_type, participants, roles, start, end, confidence, attributes = values
+    event = _new(SocialEvent, (event_id, source, event_type, frozenset(participants), dict(roles),
+                               start, end, confidence, dict(attributes)))
     types = _TYPES_BY_SOURCE.get(event.source)
     if types is None:
         fault = f"source must be {SOURCE_GAZE!r} or {SOURCE_GESTURE!r}, got {event.source!r}"

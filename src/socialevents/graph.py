@@ -16,8 +16,8 @@ from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import ValidationError
 from .events import (SOURCE_GAZE, SOURCE_GESTURE, SocialEvent, event_record, event_sort_key,
                      parse_event)
-from .ingest import (SAMPLE_PERIOD, GestureAnnotation, dumps_canonical, read_field, read_jsonl,
-                     snap_to_grid)
+from .ingest import (SAMPLE_PERIOD, GestureAnnotation, Schema, dumps_canonical, read_jsonl,
+                     read_record, snap_to_grid)
 
 _EPS = 1e-9
 
@@ -210,33 +210,33 @@ def build_graph(
     return prune_graph(graph, config)
 
 
+GRAPH = Schema("graph", ("video_id", str), ("duration", float), ("events", [dict]),
+               ("joint_pairs", [(int, int, float)], []))
+
+
 def serialize_graph(graph: SocialGraph) -> str:
-    record = {
-        "video_id": graph.video_id,
-        "duration": graph.duration,
-        "events": [event_record(e) for e in graph.events],
-        "joint_pairs": [[gid, gesid, dist] for gid, gesid, dist in graph.joint_pairs],
-    }
-    return dumps_canonical(record)
+    """The graph's line, in GRAPH table order (a pair's tuple as a list)."""
+    return dumps_canonical(dict(zip(GRAPH.keys, (
+        graph.video_id, graph.duration, [event_record(e) for e in graph.events],
+        graph.joint_pairs))))
 
 
 def parse_graph(record: dict, line: int | None = None) -> SocialGraph:
     """A checked graph: checked events with unique ids, and joint pairs that
     each link a gaze event of the graph to one of its gesture events."""
-    events = [parse_event(e, line) for e in read_field(record, "events", [dict], "graph", line)]
+    video_id, duration, event_records, pairs = read_record(record, GRAPH, line)
+    events = [parse_event(e, line) for e in event_records]
     sources: dict[int, str] = {}
     for e in events:
         if e.event_id in sources:
             raise ValidationError(f"bad graph record: events repeat event_id {e.event_id}", line)
         sources[e.event_id] = e.source
-    pairs = read_field(record, "joint_pairs", [(int, int, float)], "graph", line, default=[])
     for i, (gaze_id, gesture_id, _) in enumerate(pairs):
         if (sources.get(gaze_id), sources.get(gesture_id)) != (SOURCE_GAZE, SOURCE_GESTURE):
             raise ValidationError(
                 f"bad graph record: joint_pairs[{i}] must link a gaze event id to a gesture "
                 f"event id of this graph, got [{gaze_id}, {gesture_id}]", line)
-    return SocialGraph(read_field(record, "video_id", str, "graph", line),
-                       read_field(record, "duration", float, "graph", line), events, pairs)
+    return SocialGraph(video_id, duration, events, pairs)
 
 
 def load_graphs(path) -> list[SocialGraph]:

@@ -13,11 +13,11 @@ gestures.jsonl
      "start_time": float, "end_time": float, "confidence": float}
 
 Every JSONL file of the pipeline is read through ``read_jsonl``, and every
-field of every record through ``read_field`` (a key) or ``typed`` (a value):
-a missing key or a value of the wrong JSON type is a ValidationError naming
-the line and the field. Only an observation's per-person and per-face fields
-are checked inline, on the parse hot path. Unknown fields are ignored for
-forward compatibility.
+record through ``read_record`` and the table (``Schema``) of its kind, which
+gives each field's key, kind and default once: a missing key or a value of
+the wrong JSON type is a ValidationError naming the line and the field.
+Only an observation's per-person and per-face fields are checked inline, on
+the parse hot path. Unknown fields are ignored for forward compatibility.
 
 Parse turns ``t`` into the grid tick ``k`` that frames, gaze samples and
 features carry (``t = k * SAMPLE_PERIOD``, read back as their ``t``); ``t``
@@ -41,6 +41,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import compress, product
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -54,8 +56,7 @@ GESTURE_TYPES = ("pointing", "showing", "giving", "reaching")
 _GRID_TOL = 1e-9
 
 _MISSING = object()
-_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number",
-               bool: "a boolean", list: "a list", dict: "an object"}
+_FLOAT_MAX = sys.float_info.max
 
 
 class Box(NamedTuple):
@@ -196,6 +197,130 @@ def _undecodable_line(path: str | Path) -> int | None:
 
 
 # ---------------------------------------------------------------------------
+# record schemas
+
+
+# A kind: a finite number kept as read (the kind float converts an int).
+NUMBER = "number"
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number",
+               NUMBER: "a finite number", bool: "a boolean", list: "a list", dict: "an object"}
+
+
+class Nullable(NamedTuple):
+    """A kind that also takes null, read as None."""
+
+    kind: object
+
+
+class Schema:
+    """One record kind: its name in messages and its fields in the order
+    they are checked, each ``(key, kind)`` or, for a key that may be absent,
+    ``(key, kind, default)``, with a kind that ``typed`` takes. For the fast
+    path, each shape (tuple of value types) taken as read maps to masks of
+    its floats and NUMBER ints, and ``items`` holds the item types of each
+    list and object field. A list read as a tuple leaves the table no shape."""
+
+    def __init__(self, what: str, *fields: tuple) -> None:
+        self.what, self.fields = what, [(*field, _MISSING)[:3] for field in fields]
+        self.keys = [field[0] for field in fields]
+        self.values = itemgetter(*self.keys)  # a tuple: every table has two fields or more
+        kinds = [field[1] for field in fields]
+        self.shapes = {shape: ([t is float for t in shape],
+                               [t is int and kind is not int for t, kind in zip(shape, kinds)])
+                       for shape in product(*map(_fast_types, kinds))}
+        self.items = [(i, frozenset(kind.values() if type(kind) is dict else kind))
+                      for i, kind in enumerate(kinds) if type(kind) in (list, dict)]
+
+
+def _fast_types(kind) -> tuple:
+    """The types of a value of ``kind`` that the fast path takes as read."""
+    if kind is NUMBER:
+        return (int, float)
+    if type(kind) is Nullable:  # only a number: a null list would fail the item test
+        return (int, float, type(None)) if kind.kind is NUMBER else ()
+    if type(kind) in (list, dict):  # [k] or {str: k}; the items are tested apart
+        (item,) = kind.values() if type(kind) is dict else kind
+        return (type(kind),) if item in (str, int, bool, list, dict) else ()
+    return (kind,) if type(kind) is type else ()
+
+
+def read_record(record: dict, schema: Schema, line: int | None) -> tuple:
+    """The values of ``schema``'s fields in ``record``, checked, in table
+    order. Fast path: every key present, the values' types a shape of the
+    table, its floats finite, its NUMBER ints within the float range and the
+    items of its lists and objects of their kind; the values are returned as
+    read. Any other record takes ``_read_checked``, which names its fault."""
+    try:
+        values = schema.values(record)
+    except KeyError:
+        return _read_checked(record, schema, line)
+    masks = schema.shapes.get(tuple(map(type, values)))
+    # a float sum is finite only if every term is
+    if masks is not None and math.isfinite(sum(compress(values, masks[0]))) \
+            and sum(map(abs, compress(values, masks[1]))) <= _FLOAT_MAX \
+            and (not schema.items or all(
+                types.issuperset(map(type, v.values() if type(v := values[i]) is dict else v))
+                for i, types in schema.items)):
+        return values
+    return _read_checked(record, schema, line)
+
+
+def _read_checked(record: dict, schema: Schema, line: int | None) -> tuple:
+    """``read_record`` without its fast path: each field read by
+    ``read_field`` in table order, so the first fault is the one named."""
+    return tuple(read_field(record, key, kind, schema.what, line, default)
+                 for key, kind, default in schema.fields)
+
+
+def read_field(record: dict, key: str, kind, what: str, line: int | None,
+               default=_MISSING):
+    """``record[key]`` checked by ``typed``. A missing key gives ``default``,
+    itself checked, or, with none, a ValidationError naming the key."""
+    value = record.get(key, default)
+    # typed's first test, inline: a field of the exact kind costs no call.
+    return value if type(value) is kind and (kind is not float or math.isfinite(value)) \
+        else typed(value, kind, key, what, line)
+
+
+def typed(value, kind, name: str, what: str, line: int | None):
+    """``value`` if its JSON type is ``kind``, else a ValidationError naming
+    ``name``. ``kind`` is str, int, float, bool, list, dict, NUMBER,
+    ``Nullable(k)`` for kind ``k`` or null, ``[k]`` for a list of items of
+    kind ``k``, ``{str: k}`` for an object of values of kind ``k``, or a
+    tuple of kinds for a list of exactly that shape, returned as a tuple;
+    items are named ``name[i]`` or ``name[key]``. A bool is neither an int
+    nor a number; a float is any finite int or float, returned as a float."""
+    if type(value) is kind:
+        if kind is not float or math.isfinite(value):
+            return value
+    elif kind is float:
+        if type(value) is int and abs(value) <= _FLOAT_MAX:
+            return float(value)
+    elif kind is NUMBER:
+        if type(value) in (int, float) and abs(value) <= _FLOAT_MAX:  # NaN fails too
+            return value
+    elif type(kind) is Nullable:
+        return None if value is None else typed(value, kind.kind, name, what, line)
+    elif type(value) is list:
+        if type(kind) is list:
+            return [typed(v, kind[0], f"{name}[{i}]", what, line) for i, v in enumerate(value)]
+        if type(kind) is tuple and len(value) == len(kind):
+            return tuple(typed(v, k, f"{name}[{i}]", what, line)
+                         for i, (v, k) in enumerate(zip(value, kind)))
+    elif type(value) is dict and type(kind) is dict:
+        (item,) = kind.values()
+        for key, v in value.items():
+            typed(v, item, f"{name}[{key!r}]", what, line)
+        return value
+    if value is _MISSING:
+        raise ValidationError(f"bad {what} record: {name!r}", line)
+    expected = (f"a list of {len(kind)} items" if type(kind) is tuple
+                else "a list" if type(kind) is list else "an object" if type(kind) is dict
+                else _KIND_NAMES[kind])
+    raise ValidationError(f"bad {what} record: {name} must be {expected}, got {value!r}", line)
+
+
+# ---------------------------------------------------------------------------
 # frame observations
 
 
@@ -205,13 +330,16 @@ def _undecodable_line(path: str | Path) -> int | None:
 _new = tuple.__new__
 
 
+OBSERVATION = Schema("observation", ("video_id", str), ("t", float), ("persons", list),
+                     ("faces", list))
+
+
 def parse_frame(record: dict, line: int | None = None) -> FrameObservation:
     """Validate one decoded observation record."""
-    video_id = read_field(record, "video_id", str, "observation", line)
+    video_id, t, person_entries, face_entries = read_record(record, OBSERVATION, line)
     if not video_id:
         raise ValidationError("video_id must be non-empty", line)
 
-    t = read_field(record, "t", float, "observation", line)
     if t < 0:
         raise ValidationError(f"t must be non-negative, got {t}", line)
     if t >= TIME_LIMIT:
@@ -222,7 +350,7 @@ def parse_frame(record: dict, line: int | None = None) -> FrameObservation:
 
     persons = []
     seen_ids: set[int] = set()
-    for i, entry in enumerate(read_field(record, "persons", list, "observation", line)):
+    for i, entry in enumerate(person_entries):
         if not isinstance(entry, dict):
             raise ValidationError(f"persons[{i}] must be an object", line)
         pid = entry.get("id")
@@ -234,7 +362,7 @@ def parse_frame(record: dict, line: int | None = None) -> FrameObservation:
         persons.append(_new(PersonBox, (pid, _box(entry.get("box"), "persons", i, line))))
 
     faces = []
-    for i, entry in enumerate(read_field(record, "faces", list, "observation", line)):
+    for i, entry in enumerate(face_entries):
         if not isinstance(entry, dict):
             raise ValidationError(f"faces[{i}] must be an object", line)
         box = _box(entry.get("box"), "faces", i, line)
@@ -273,21 +401,25 @@ def parse_observations(records: Iterable[tuple[int, dict]]) -> Iterator[FrameObs
 # gesture annotations
 
 
+# target_person_id is read after the table, as target_type says if it is due.
+GESTURE = Schema("gesture", ("video_id", str), ("gesture_type", str), ("initiator_id", int),
+                 ("target_type", str), ("start_time", float), ("end_time", float),
+                 ("confidence", float))
+
+
 def parse_gesture(record: dict, line: int | None = None) -> GestureAnnotation:
-    video_id = read_field(record, "video_id", str, "gesture", line)
+    video_id, gesture_type, initiator, target_type, start, end, conf = \
+        read_record(record, GESTURE, line)
     if not video_id:
         raise ValidationError("video_id must be non-empty", line)
 
-    gesture_type = read_field(record, "gesture_type", str, "gesture", line)
     if gesture_type not in GESTURE_TYPES:
         raise ValidationError(
             f"unknown gesture_type {gesture_type!r}; expected one of {GESTURE_TYPES}", line
         )
-    initiator = read_field(record, "initiator_id", int, "gesture", line)
     if initiator < 0:
         raise ValidationError("initiator_id must be non-negative", line)
 
-    target_type = read_field(record, "target_type", str, "gesture", line)
     if target_type not in ("person", "object"):
         raise ValidationError(f"target_type must be 'person' or 'object', got {target_type!r}", line)
     target_pid = None
@@ -298,15 +430,12 @@ def parse_gesture(record: dict, line: int | None = None) -> GestureAnnotation:
     elif record.get("target_person_id") is not None:
         raise ValidationError("target_person_id must be null for object targets", line)
 
-    start = read_field(record, "start_time", float, "gesture", line)
-    end = read_field(record, "end_time", float, "gesture", line)
     if start < 0:
         raise ValidationError("start_time must be non-negative", line)
     if end <= start:
         raise ValidationError(f"end_time {end} must exceed start_time {start}", line)
     if end >= TIME_LIMIT:
         raise ValidationError(f"end_time must be below 2**52, got {end}", line)
-    conf = read_field(record, "confidence", float, "gesture", line)
     if not 0.0 <= conf <= 1.0:
         raise ValidationError(f"confidence out of range [0,1]: {conf}", line)
 
@@ -326,50 +455,8 @@ def load_gestures(path: str | Path) -> tuple[list[GestureAnnotation], list[Gestu
     return accepted, rejected
 
 
-# ---------------------------------------------------------------------------
-# field helpers
-
-
-def read_field(record: dict, key: str, kind, what: str, line: int | None,
-               default=_MISSING):
-    """``record[key]`` checked by ``typed``. A missing key gives ``default``,
-    or, with no default, a ValidationError naming the key."""
-    value = record.get(key, _MISSING)
-    # typed's first test, inline: a field of the exact kind costs no call.
-    if type(value) is kind and (kind is not float or math.isfinite(value)):
-        return value
-    if value is not _MISSING:
-        return typed(value, kind, key, what, line)
-    if default is _MISSING:
-        raise ValidationError(f"bad {what} record: {key!r}", line)
-    return default
-
-
-def typed(value, kind, name: str, what: str, line: int | None):
-    """``value`` if its JSON type is ``kind``, else a ValidationError naming
-    ``name``. ``kind`` is str, int, float, bool, list or dict, ``[k]`` for a
-    list whose items are of kind ``k``, or a tuple of kinds for a list of
-    exactly that shape, returned as a tuple; items are named ``name[i]``. A
-    bool is neither an int nor a float; a float is any finite int or float,
-    returned as a float."""
-    if type(value) is kind:
-        if kind is not float or math.isfinite(value):
-            return value
-    elif kind is float:
-        if type(value) is int and abs(value) <= sys.float_info.max:
-            return float(value)
-    elif type(value) is list:
-        if type(kind) is list:
-            item = kind[0]
-            if item is not float and all(type(v) is item for v in value):
-                return value
-            return [typed(v, item, f"{name}[{i}]", what, line) for i, v in enumerate(value)]
-        if type(kind) is tuple and len(value) == len(kind):
-            return tuple(typed(v, k, f"{name}[{i}]", what, line)
-                         for i, (v, k) in enumerate(zip(value, kind)))
-    expected = (f"a list of {len(kind)} items" if type(kind) is tuple
-                else "a list" if type(kind) is list else _KIND_NAMES[kind])
-    raise ValidationError(f"bad {what} record: {name} must be {expected}, got {value!r}", line)
+# videos.jsonl, the manifest detect writes; graph reads these two fields.
+MANIFEST = Schema("video manifest", ("video_id", str), ("duration", float))
 
 
 def _box(value, what: str, i: int, line) -> Box:

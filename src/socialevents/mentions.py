@@ -8,7 +8,6 @@ regex matches both, so each text is scanned once.
 from __future__ import annotations
 
 import re
-from collections import Counter
 
 from .errors import ValidationError
 
@@ -30,11 +29,6 @@ def _ids(digit_runs: list[str]) -> list[int]:
 def extract_person_ids(text: str) -> set[int]:
     """All person IDs mentioned in text via either token form."""
     return set(_ids(PERSON_RE.findall(text)))
-
-
-def person_id_counts(text: str) -> Counter:
-    """Mention counts per person ID (both token forms pooled)."""
-    return Counter(_ids(PERSON_RE.findall(text)))
 
 
 def replace_person_ids(text: str, mapping: dict[int, int]) -> str:

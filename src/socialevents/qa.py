@@ -21,9 +21,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, EngineConfig
+from .errors import ValidationError
 from .events import SOURCE_GESTURE, SocialEvent
 from .graph import SocialGraph
-from .ingest import GESTURE_TYPES, dumps_canonical, read_field, read_jsonl, snap_to_grid, typed
+from .ingest import (GESTURE_TYPES, Nullable, Schema, dumps_canonical, read_jsonl, read_record,
+                     snap_to_grid)
 from .mentions import extract_person_ids
 
 BLACKLIST = (
@@ -587,23 +589,17 @@ CATEGORY_DIFFICULTY = {category: spec[0] for category, spec in CATEGORIES.items(
 # serialization
 
 
+QA = Schema("qa", ("qa_id", str), ("video_id", str), ("category", str), ("difficulty", str),
+            ("format", str), ("question", str), ("options", Nullable([str]), None),
+            ("answer", str), ("answer_text", str), ("source_event_ids", [int]),
+            ("time_range", (float, float)))
+
+
 def qa_item_record(item: QAItem) -> dict:
-    record = {
-        "qa_id": item.qa_id,
-        "video_id": item.video_id,
-        "category": item.category,
-        "difficulty": item.difficulty,
-        "format": item.format,
-        "question": item.question,
-    }
-    if item.format == "mcq":
-        record["options"] = list(item.options)
-    record.update({
-        "answer": item.answer,
-        "answer_text": item.answer_text,
-        "source_event_ids": list(item.source_event_ids),
-        "time_range": list(item.time_range),
-    })
+    """The item's record in QA table order, ``options`` only on an MCQ."""
+    record = {key: getattr(item, key) for key in QA.keys}
+    if item.format != "mcq":
+        del record["options"]
     return record
 
 
@@ -612,18 +608,13 @@ def serialize_qa_item(item: QAItem) -> str:
 
 
 def parse_qa_item(record: dict, line: int | None = None) -> QAItem:
-    texts = {key: read_field(record, key, str, "qa", line) for key in (
-        "qa_id", "video_id", "category", "difficulty", "format", "question",
-        "answer", "answer_text")}
-    options = record.get("options")
-    if options is not None:
-        options = tuple(typed(options, [str], "options", "qa", line))
-    return QAItem(
-        **texts,
-        options=options,
-        source_event_ids=tuple(read_field(record, "source_event_ids", [int], "qa", line)),
-        time_range=read_field(record, "time_range", (float, float), "qa", line),
-    )
+    (qa_id, video_id, category, difficulty, fmt, question, options, answer, answer_text,
+     source_event_ids, time_range) = read_record(record, QA, line)
+    if fmt == "mcq" and options is None:
+        raise ValidationError("bad qa record: options must be a list on an mcq item", line)
+    return QAItem(qa_id, video_id, category, difficulty, fmt, question,
+                  None if options is None else tuple(options), answer, answer_text,
+                  tuple(source_event_ids), time_range)
 
 
 def load_qa_items(path) -> list[QAItem]:

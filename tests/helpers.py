@@ -3,10 +3,12 @@ seconds to grid ticks."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 from socialevents.events import SOURCE_GAZE, SOURCE_GESTURE, SocialEvent
 from socialevents.gaze import PROV_MEASURED, PROV_MISSING, GazeSample, GazeTrack
 from socialevents.ingest import SAMPLE_PERIOD, Box
-from socialevents.mentions import extract_person_ids, person_id_counts
+from socialevents.mentions import PERSON_RE, extract_person_ids
 from socialevents.qa import LETTERS, QAItem
 
 DEFAULT_FACE = Box(0.48, 0.38, 0.52, 0.42)
@@ -92,6 +94,11 @@ def event(
         confidence=conf,
         attributes=attributes or {},
     )
+
+
+def person_id_counts(text: str) -> Counter:
+    """Mention counts per person ID (both token forms pooled)."""
+    return Counter(map(int, PERSON_RE.findall(text)))
 
 
 def id_echo_answer(item: QAItem) -> str | None:

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socialevents import cli, qa
+from socialevents import cli, ingest, qa
 from socialevents import events as events_mod
+from socialevents import graph as graph_mod
 from socialevents.cli import main
 from socialevents.config import EngineConfig
 from socialevents.errors import ContractError, ValidationError
@@ -558,7 +559,8 @@ def rollout_text(draw) -> str:
 @given(data=st.data())
 def test_rewards_line_is_the_canonical_record(data):
     """reward's line for a group is dumps_canonical of the oracle's record,
-    for any keys, weights within the bound, advantage mode and traces."""
+    for any keys, weights within the bound, advantage mode and traces, and
+    analyze's tables take its record and each rollout on their fast path."""
     k = data.draw(st.integers(2, 4))
     config = EngineConfig(
         **dict(zip(("weight_acc", "weight_fmt", "weight_str", "weight_gnd"),
@@ -570,8 +572,11 @@ def test_rewards_line_is_the_canonical_record(data):
     scored = score_group(data.draw(st.lists(rollout_text(), min_size=k, max_size=k)),
                          "B", gt, config=config)
     keys = data.draw(st.tuples(ANY_TEXT, ANY_TEXT, ANY_TEXT))
-    assert cli.rewards_line(*keys, scored, asked) == \
-        dumps_canonical(rewards_record(*keys, scored, gt, asked)) + "\n"
+    line = cli.rewards_line(*keys, scored, asked)
+    assert line == dumps_canonical(rewards_record(*keys, scored, gt, asked)) + "\n"
+    record = json.loads(line)
+    for schema, r in [(cli.REWARDS, record), *((cli.ROLLOUT_TSV, r) for r in record["per_rollout"])]:
+        assert tuple(map(type, schema.values(r))) in schema.shapes
 
 
 def test_weights_flag_rejects_bad_values(capsys):
@@ -921,6 +926,7 @@ def test_reward_names_the_first_faulty_line(valid_inputs, tmp_path, capsys):
         assert not (out / "rewards.jsonl").exists()
 
 
+MISSING = object()
 # Any JSON value, numbers beyond the float range included.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text(max_size=12)
@@ -967,11 +973,10 @@ def test_any_trace_record_exits_0_or_3(valid_inputs, data):
         assert (out / "rewards.jsonl").exists() == (code == 0)
 
 
-# Values at the edge of analyze's per-rollout fast path, by class: kinds it
-# must reject (a bool is an int to isinstance, json.loads reads NaN and
-# Infinity as floats, an int beyond the float range is still an int) and
-# valid ones, the float range's ends included, plus a float where an int
-# belongs.
+# Values at the edge of read_record's fast path, by class: kinds it must
+# reject (a bool is an int to isinstance, json.loads reads NaN and Infinity
+# as floats, an int beyond the float range is still an int) and valid ones,
+# the float range's ends included, plus a float where an int belongs.
 FLOAT_MAX_INT = int(sys.float_info.max)
 ROLLOUT_EDGE_CLASSES = [
     [True, False], [None], [float("nan"), float("inf"), -float("inf")],
@@ -981,57 +986,22 @@ ROLLOUT_EDGE_CLASSES = [
 ROLLOUT_EDGES = [value for values in ROLLOUT_EDGE_CLASSES for value in values]
 
 
-def _rollout_outcome(read, entry, tsv):
+def _read_outcome(read, record, schema):
     try:
-        return repr(read(entry, tsv, 1))
+        return repr(read(record, schema, 1))
     except ValidationError as exc:
         return f"error: {exc}\n"
 
 
-@pytest.mark.parametrize("tsv", [False, True], ids=["report", "tsv"])
-@pytest.mark.parametrize("key", sorted(cli._ROLLOUT_KINDS))
-def test_rollout_field_edges_give_the_checked_read(valid_inputs, key, tsv):
-    """Each edge value, or no value, in each per_rollout field: analyze's
-    read of the entry gives what it gives without its fast path, the same
-    values or the same message."""
-    good = read_lines(valid_inputs["rewards"])[0]["per_rollout"][0]
-    for value in [MISSING, *ROLLOUT_EDGES]:
-        entry = {k: v for k, v in good.items() if k != key}
-        if value is not MISSING:
-            entry[key] = value
-        assert _rollout_outcome(cli._read_rollout, entry, tsv) == \
-            _rollout_outcome(cli._read_rollout_checked, entry, tsv), value
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_any_per_rollout_value_exits_0_or_3(valid_inputs, data):
-    """Rollouts of a rewards record, each with any JSON value, or none, in
-    one to three of its fields: analyze's read of each gives what it gives
-    without its fast path, and analyze exits 0, or 3 with the first one's
-    message, with and without --tsv. A 3 on valid rollouts names an
-    aggregate beyond the float range. Each report.tsv row is its values as
-    read, joined by tabs."""
-    records = read_lines(valid_inputs["rewards"])
-    entries = records[0]["per_rollout"]
-    edges = [st.just(MISSING), *map(st.sampled_from, ROLLOUT_EDGE_CLASSES), JSON_VALUES]
-    for i in data.draw(st.lists(st.integers(0, len(entries) - 1), min_size=1, unique=True),
-                       label="rollouts"):
-        for key in data.draw(st.lists(st.sampled_from(sorted(entries[i])), min_size=1,
-                                      max_size=3, unique=True), label=f"fields of {i}"):
-            value = data.draw(st.one_of(st.just(entries[i][key]), *edges), label=key)
-            if value is MISSING:
-                del entries[i][key]
-            else:
-                entries[i][key] = value
-    tsv = data.draw(st.booleans(), label="tsv")
-    expected = None
-    for entry in entries:
-        for mode in (False, True):
-            checked = _rollout_outcome(cli._read_rollout_checked, entry, mode)
-            assert _rollout_outcome(cli._read_rollout, entry, mode) == checked
-            if mode == tsv and expected is None and checked.startswith("error: "):
-                expected = checked
+def _analyze_gives_the_read(records, tsv):
+    """analyze over rewards records, only the first of them edited: exit 3
+    with the message read_record gives for the first rollout it rejects,
+    else 0, or 3 naming an aggregate beyond the float range; each report.tsv
+    row is its values as read, joined by tabs."""
+    schema = cli.ROLLOUT_TSV if tsv else cli.ROLLOUT
+    expected = next((outcome for outcome in (_read_outcome(ingest.read_record, entry, schema)
+                                             for entry in records[0]["per_rollout"])
+                     if outcome.startswith("error: ")), None)
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp, "rewards.jsonl"), Path(tmp, "out")
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -1049,15 +1019,135 @@ def test_any_per_rollout_value_exits_0_or_3(valid_inputs, data):
                 rows = ["\t".join(("query_id", "qa_id", "model", "rollout", *cli.TSV_FIELDS))]
                 rows += ["\t".join(map(str, (r["query_id"], r["qa_id"], r["model"], j,
                                              *(entry[k] for k in cli.TSV_FIELDS))))
-                         for r in read_lines(path) for j, entry in enumerate(r["per_rollout"])]
+                         for r in records for j, entry in enumerate(r["per_rollout"])]
                 assert (out / "report.tsv").read_text() == "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("tsv", [False, True], ids=["report", "tsv"])
+@pytest.mark.parametrize("key", sorted(cli.ROLLOUT_TSV.keys))
+def test_rollout_field_edges_give_the_checked_read(valid_inputs, key, tsv):
+    """Each edge value, or no value, in each per_rollout field: analyze
+    exits 0 with the value as read in report.tsv, or 3 with read_record's
+    message."""
+    records = read_lines(valid_inputs["rewards"])
+    good = records[0]["per_rollout"][0]
+    for value in [MISSING, *ROLLOUT_EDGES]:
+        entry = {k: v for k, v in good.items() if k != key}
+        if value is not MISSING:
+            entry[key] = value
+        records[0]["per_rollout"][0] = entry
+        _analyze_gives_the_read(records, tsv)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_per_rollout_value_exits_0_or_3(valid_inputs, data):
+    """Rollouts of a rewards record, each with any JSON value, or none, in
+    one to three of its fields: analyze exits 0, or 3 with the message
+    read_record gives for the first faulty one, with and without --tsv. A 3
+    on valid rollouts names an aggregate beyond the float range. Each
+    report.tsv row is its values as read, joined by tabs."""
+    records = read_lines(valid_inputs["rewards"])
+    entries = records[0]["per_rollout"]
+    edges = [st.just(MISSING), *map(st.sampled_from, ROLLOUT_EDGE_CLASSES), JSON_VALUES]
+    for i in data.draw(st.lists(st.integers(0, len(entries) - 1), min_size=1, unique=True),
+                       label="rollouts"):
+        for key in data.draw(st.lists(st.sampled_from(sorted(entries[i])), min_size=1,
+                                      max_size=3, unique=True), label=f"fields of {i}"):
+            value = data.draw(st.one_of(st.just(entries[i][key]), *edges), label=key)
+            if value is MISSING:
+                del entries[i][key]
+            else:
+                entries[i][key] = value
+    _analyze_gives_the_read(records, data.draw(st.booleans(), label="tsv"))
+
+
+def _tables(valid_inputs):
+    """Each record table of the package, by name, with a valid record of its
+    kind."""
+    first = {name: read_lines(path)[0] for name, path in valid_inputs.items()}
+    gesture = next(g for g in read_lines(valid_inputs["gestures"]) if g["target_type"] == "person")
+    mcq = next(item for item in read_lines(valid_inputs["qa"]) if item["format"] == "mcq")
+    rollout = first["rewards"]["per_rollout"][0]
+    return {
+        "observation": (ingest.OBSERVATION, first["observations"]),
+        "gesture": (ingest.GESTURE, gesture), "manifest": (ingest.MANIFEST, first["videos"]),
+        "event": (events_mod.EVENT, first["events"]),
+        "event_line": (events_mod.EVENT_LINE, first["events"]),
+        "graph": (graph_mod.GRAPH, first["graph"]), "qa": (qa.QA, mcq),
+        "trace": (cli.TRACE, {**first["traces"], "model": "m"}),
+        "rewards": (cli.REWARDS, first["rewards"]),
+        "rollout": (cli.ROLLOUT, rollout), "rollout_tsv": (cli.ROLLOUT_TSV, rollout),
+    }
+
+
+TABLES = ("observation", "gesture", "manifest", "event", "event_line", "graph", "qa", "trace",
+          "rewards", "rollout", "rollout_tsv")
+
+
+def test_every_table_has_a_valid_record(valid_inputs):
+    """The property below runs on every Schema of the package, and each
+    record it starts from is read without a fault."""
+    declared = {id(value) for module in (ingest, events_mod, graph_mod, qa, cli)
+                for value in vars(module).values() if isinstance(value, ingest.Schema)}
+    tables = _tables(valid_inputs)
+    assert list(tables) == list(TABLES)
+    assert {id(schema) for schema, _ in tables.values()} == declared
+    for schema, record in tables.values():
+        assert not _read_outcome(ingest.read_record, record, schema).startswith("error: ")
+
+
+# Values for the two tests below: no value, the edges above, and lists and
+# objects holding one edge, which only an item test rejects.
+FIELD_EDGES = [MISSING, *ROLLOUT_EDGES, *([v] for v in ROLLOUT_EDGES),
+               *({"k": v} for v in ROLLOUT_EDGES)]
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_each_field_edge_gives_the_checked_read(valid_inputs, table):
+    """Each edge value, or no value, in each field of a valid record:
+    read_record's fast path gives what its checked path gives."""
+    schema, good = _tables(valid_inputs)[table]
+    for key in schema.keys:
+        for value in FIELD_EDGES:
+            record = {k: v for k, v in good.items() if k != key}
+            if value is not MISSING:
+                record[key] = value
+            assert _read_outcome(ingest.read_record, record, schema) == \
+                _read_outcome(ingest._read_checked, record, schema), (key, value)
+
+
+_EDGE_VALUES = st.sampled_from(ROLLOUT_EDGES) | st.text(max_size=3)
+FIELD_VALUES = (st.sampled_from(FIELD_EDGES) | JSON_VALUES
+                | st.lists(_EDGE_VALUES, max_size=3)
+                | st.dictionaries(st.text(max_size=3), _EDGE_VALUES, max_size=3))
+
+
+@pytest.mark.parametrize("table", TABLES)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_read_record_gives_its_checked_read(valid_inputs, table, data):
+    """Any JSON value, or no value, in one to three fields of a valid record
+    of any table: read_record's fast path gives what its checked path
+    gives, the same values or the same message."""
+    schema, good = _tables(valid_inputs)[table]
+    record = dict(good)
+    for key in data.draw(st.lists(st.sampled_from(schema.keys),
+                                  min_size=1, max_size=3, unique=True), label="fields"):
+        value = data.draw(FIELD_VALUES, label=key)
+        if value is MISSING:
+            record.pop(key, None)
+        else:
+            record[key] = value
+    assert _read_outcome(ingest.read_record, record, schema) == \
+        _read_outcome(ingest._read_checked, record, schema)
 
 
 EVENT_FIELDS = ("event_id", "source", "event_type", "participants", "roles", "start_time",
                 "end_time", "confidence", "attributes")
-# Values at the edge of parse_event's fast path: kinds it must reject, and
-# valid ones. The first five pass a test of kind alone: a bool is an int to
-# isinstance, and json.loads reads NaN and Infinity as floats.
+# Values at the edge of read_record's fast path for an event: kinds it must
+# reject, and valid ones. The first five pass a test of kind alone: a bool
+# is an int to isinstance, and json.loads reads NaN and Infinity as floats.
 EVENT_EDGES = [float("nan"), float("inf"), -float("inf"), True, False, None, 0, 3, -1, 0.5, -0.0,
                2.0 ** 52, 10 ** 400, "gaze", "gesture", "mutual_gaze", "pointing", [], {}]
 _EDGE_ITEMS = st.sampled_from(EVENT_EDGES[:13]) | st.integers(0, 9)
@@ -1076,22 +1166,6 @@ EVENT_VALUES = {
 }
 
 
-@pytest.mark.parametrize("key", EVENT_FIELDS)
-def test_event_field_edges_give_the_checked_parse_outcome(valid_inputs, key):
-    """Each edge value, alone in a list, as a role value or deep in an
-    attribute (NaN and the infinities), in each event field: parse_event
-    gives what it gives without its fast path."""
-    good = read_lines(valid_inputs["events"])[0]
-    for value in [MISSING, *EVENT_EDGES, *([0, v] for v in EVENT_EDGES),
-                  *({"leader": 0, "follower": v} for v in EVENT_EDGES),
-                  *({"lag": 1.0, "distance": [0.5, {"x": v}]} for v in EVENT_EDGES[:3])]:
-        record = {k: v for k, v in good.items() if k != key}
-        if value is not MISSING:
-            record[key] = value
-        assert _parse_outcome(events_mod.parse_event, record) == \
-            _parse_outcome(events_mod._parse_event_checked, record), value
-
-
 def _parse_outcome(parse, record):
     try:
         return repr(parse(record, 1))
@@ -1099,24 +1173,10 @@ def _parse_outcome(parse, record):
         return f"error: {exc}\n"
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_any_event_field_gives_the_checked_parse_outcome(valid_inputs, data):
-    """An event record with any JSON value in any of its fields (NaN, bools
-    and floats in participants and non-int role values included) makes
-    graph exit 0 or 3, and parse_event give what it gives without its fast
-    path: the same event or, on 3, the same message."""
-    record = read_lines(valid_inputs["events"])[0]
-    for key in data.draw(st.lists(st.sampled_from(EVENT_FIELDS), min_size=1, max_size=2,
-                                  unique=True), label="fields"):
-        value = data.draw(EVENT_VALUES[key] | st.sampled_from([MISSING, *EVENT_EDGES])
-                          | st.sampled_from(EVENT_EDGES[:5]) | JSON_VALUES, label=key)
-        if value is MISSING:
-            record.pop(key, None)
-        else:
-            record[key] = value
-    expected = _parse_outcome(events_mod._parse_event_checked, record)
-    assert _parse_outcome(events_mod.parse_event, record) == expected
+def _graph_gives_the_parse(valid_inputs, record):
+    """graph over one events.jsonl line exits 0, or 3 with the message
+    parse_event gives for it."""
+    expected = _parse_outcome(events_mod.parse_event, record)
     with tempfile.TemporaryDirectory() as tmp:
         paths = {**valid_inputs, "events": Path(tmp, "events.jsonl")}
         paths["events"].write_text(json.dumps(record) + "\n")
@@ -1128,7 +1188,39 @@ def test_any_event_field_gives_the_checked_parse_outcome(valid_inputs, data):
         assert (code, err.getvalue()) == (0, "")
 
 
-MISSING = object()
+@pytest.mark.parametrize("key", EVENT_FIELDS)
+def test_event_field_edges_give_the_checked_parse_outcome(valid_inputs, key):
+    """Each edge value, alone in a list, as a role value or deep in an
+    attribute (NaN and the infinities), in each event field: graph exits 0,
+    or 3 with parse_event's message."""
+    good = read_lines(valid_inputs["events"])[0]
+    for value in [MISSING, *EVENT_EDGES, *([0, v] for v in EVENT_EDGES),
+                  *({"leader": 0, "follower": v} for v in EVENT_EDGES),
+                  *({"lag": 1.0, "distance": [0.5, {"x": v}]} for v in EVENT_EDGES[:3])]:
+        record = {k: v for k, v in good.items() if k != key}
+        if value is not MISSING:
+            record[key] = value
+        _graph_gives_the_parse(valid_inputs, record)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_event_field_gives_the_checked_parse_outcome(valid_inputs, data):
+    """An event record with any JSON value in any of its fields (NaN, bools
+    and floats in participants and non-int role values included) makes
+    graph exit 0, or 3 with parse_event's message."""
+    record = read_lines(valid_inputs["events"])[0]
+    for key in data.draw(st.lists(st.sampled_from(EVENT_FIELDS), min_size=1, max_size=2,
+                                  unique=True), label="fields"):
+        value = data.draw(EVENT_VALUES[key] | st.sampled_from([MISSING, *EVENT_EDGES])
+                          | st.sampled_from(EVENT_EDGES[:5]) | JSON_VALUES, label=key)
+        if value is MISSING:
+            record.pop(key, None)
+        else:
+            record[key] = value
+    _graph_gives_the_parse(valid_inputs, record)
+
+
 NAN = float("nan")
 # Each input file, the stages that read it and the artifact each would write.
 READERS = {
@@ -1183,6 +1275,8 @@ MISTYPED = [
     ("qa", ("qa_id",), None, "qa record: qa_id must be a string, got None"),
     ("qa", ("video_id",), 7, "qa record: video_id must be a string, got 7"),
     ("qa", ("options",), "ABCD", "qa record: options must be a list, got 'ABCD'"),
+    ("qa", ("options",), MISSING, "qa record: options must be a list on an mcq item"),
+    ("qa", ("options",), None, "qa record: options must be a list on an mcq item"),
     ("qa", ("source_event_ids",), [True],
      "qa record: source_event_ids[0] must be an integer, got True"),
     ("qa", ("time_range",), [0.0, NAN], "qa record: time_range[1] must be a finite number, got nan"),

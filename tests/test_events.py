@@ -16,6 +16,7 @@ from socialevents.config import DEFAULT_CONFIG
 from socialevents.errors import ValidationError
 from socialevents.events import (
     SocialEvent,
+    _confidence,
     cluster_intervals,
     detect_all,
     detect_attention_capture,
@@ -24,7 +25,6 @@ from socialevents.events import (
     detect_mutual_gaze,
     detect_sudden_shifts,
     event_record,
-    score_event_confidence,
 )
 from socialevents.gaze import (
     PROV_INTERPOLATED,
@@ -300,7 +300,7 @@ class TestEventConfidence:
     def test_all_measured_full_confidence(self):
         ev = event(0)
         samples = [sample(t, gaze=(0.5, 0.5)) for t in (0.0, 0.5)]
-        assert score_event_confidence(ev, samples) == 1.0
+        assert _confidence(ev.event_type, samples) == 1.0
 
     def test_interpolated_support_discounted(self):
         ev = event(0)
@@ -309,16 +309,16 @@ class TestEventConfidence:
             sample(0.5, gaze=(0.5, 0.5), conf=0.8, prov=PROV_INTERPOLATED),
         ]
         # mean 0.9, measured fraction 0.5
-        assert score_event_confidence(ev, samples) == pytest.approx(0.9 * 0.75)
+        assert _confidence(ev.event_type, samples) == pytest.approx(0.9 * 0.75)
 
     def test_no_support_is_an_error(self):
         with pytest.raises(ValidationError, match="^event mutual_gaze has no supporting samples$"):
-            score_event_confidence(event(0), [])
+            _confidence(event(0).event_type, [])
 
     def test_mean_is_a_left_to_right_fold(self):
         # sum() of floats rounds otherwise from Python 3.12 on
         samples = [sample(0.5 * i, gaze=(0.5, 0.5), conf=c) for i, c in enumerate((0.1, 0.2, 0.3))]
-        assert score_event_confidence(event(0), samples) == ((0.1 + 0.2) + 0.3) / 3
+        assert _confidence(event(0).event_type, samples) == ((0.1 + 0.2) + 0.3) / 3
 
 
 class TestSocialEvent:
