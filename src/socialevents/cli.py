@@ -30,6 +30,9 @@ record is through its own table. With --tsv a query_id, qa_id or model
 holding a tab, LF or CR (which would split report.tsv's rows) or a lone
 surrogate (which has no UTF-8 bytes) is a schema error.
 
+Each stage runs with the cyclic garbage collector off; main restores the
+caller's setting however the stage ends.
+
 Exit codes: 0 success; 2 missing or unreadable input, an output directory
 that cannot be made, or a bad command line; 3 schema/validation error,
 including an input byte that is not UTF-8. The message names the path, the
@@ -42,6 +45,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import itertools
 import json
 import math
@@ -83,6 +87,24 @@ WEIGHT_FIELDS = ("weight_acc", "weight_fmt", "weight_str", "weight_gnd")
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one stage with the cyclic garbage collector off, then restore
+    the caller's setting, however the stage ends.
+
+    Every gaze sample and its face box is a NamedTuple subclass, which the
+    collector never untracks, so with it on each full collection walks every
+    sample of the video and detect's time grows faster than its length. The
+    stages leave no cycles that grow with the input; the few they leave
+    (argparse's) wait for the caller's next collection."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

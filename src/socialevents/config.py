@@ -93,17 +93,26 @@ class EngineConfig:
             ("convergence_alpha", self.convergence_alpha >= 0, "must be >= 0"),
             ("capture_min_persons", self.capture_min_persons >= 1, "must be >= 1"),
             ("capture_window", self.capture_window > 0, "must be > 0"),
+            ("capture_velocity", self.capture_velocity >= 0, "must be >= 0"),
+            ("sudden_velocity", self.sudden_velocity >= 0, "must be >= 0"),
             ("sudden_cluster_gap", self.sudden_cluster_gap > 0, "must be > 0"),
+            ("sudden_min_duration", self.sudden_min_duration >= 0, "must be >= 0"),
             ("sudden_max_duration", self.sudden_max_duration >= self.sudden_min_duration,
              f"must be >= sudden_min_duration ({self.sudden_min_duration!r})"),
             ("ja_convergence", 0 < self.ja_convergence <= 1, "must be in (0, 1]"),
+            ("ja_min_duration", self.ja_min_duration >= 0, "must be >= 0"),
             ("ja_set_overlap", 0 <= self.ja_set_overlap <= 1, "must be in [0, 1]"),
+            # The cutoff is mult x the median distance to the centroid: at 0 or
+            # below it keeps at most the gazes exactly on the centroid.
+            ("ja_peripheral_mult", self.ja_peripheral_mult > 0, "must be > 0"),
+            ("follow_distance", self.follow_distance >= 0, "must be >= 0"),
             ("follow_lag_min", self.follow_lag_min > 0, "must be > 0"),
             ("follow_lag_min", (self.follow_lag_min / SAMPLE_PERIOD).is_integer(), on_grid),
             ("follow_lag_max", self.follow_lag_max >= self.follow_lag_min,
              f"must be >= follow_lag_min ({self.follow_lag_min!r})"),
             ("follow_lag_max", (self.follow_lag_max / SAMPLE_PERIOD).is_integer(), on_grid),
             ("mutual_margin", self.mutual_margin >= 0, "must be >= 0"),
+            ("mutual_min_duration", self.mutual_min_duration >= 0, "must be >= 0"),
             ("gaze_conf_min", 0 <= self.gaze_conf_min <= 1, "must be in [0, 1]"),
             ("gesture_conf_min", 0 <= self.gesture_conf_min <= 1, "must be in [0, 1]"),
             ("pair_max_distance", self.pair_max_distance >= 0, "must be >= 0"),

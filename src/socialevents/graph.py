@@ -236,7 +236,7 @@ def parse_graph(record: dict, line: int | None = None) -> SocialGraph:
             raise ValidationError(
                 f"bad graph record: joint_pairs[{i}] must link a gaze event id to a gesture "
                 f"event id of this graph, got [{gaze_id}, {gesture_id}]", line)
-    return SocialGraph(video_id, duration, events, pairs)
+    return SocialGraph(video_id, duration, events, [tuple(pair) for pair in pairs])
 
 
 def load_graphs(path) -> list[SocialGraph]:

@@ -217,31 +217,50 @@ class Schema:
     they are checked, each ``(key, kind)`` or, for a key that may be absent,
     ``(key, kind, default)``, with a kind that ``typed`` takes. For the fast
     path, each shape (tuple of value types) taken as read maps to masks of
-    its floats and NUMBER ints, and ``items`` holds the item types of each
-    list and object field. A list read as a tuple leaves the table no shape."""
+    its floats and NUMBER ints, and ``items`` holds a test of the items of
+    each list and object field."""
 
     def __init__(self, what: str, *fields: tuple) -> None:
         self.what, self.fields = what, [(*field, _MISSING)[:3] for field in fields]
         self.keys = [field[0] for field in fields]
         self.values = itemgetter(*self.keys)  # a tuple: every table has two fields or more
         kinds = [field[1] for field in fields]
+        fast = [_fast(kind) for kind in kinds]
         self.shapes = {shape: ([t is float for t in shape],
                                [t is int and kind is not int for t, kind in zip(shape, kinds)])
-                       for shape in product(*map(_fast_types, kinds))}
-        self.items = [(i, frozenset(kind.values() if type(kind) is dict else kind))
-                      for i, kind in enumerate(kinds) if type(kind) in (list, dict)]
+                       for shape in product(*(types for types, _ in fast))}
+        self.items = [(i, test) for i, (_, test) in enumerate(fast) if test]
 
 
-def _fast_types(kind) -> tuple:
-    """The types of a value of ``kind`` that the fast path takes as read."""
+def _fast(kind) -> tuple[tuple, object]:
+    """The types of a value of ``kind`` that the fast path takes as read,
+    and, for a kind with items, a test that such a value's items are of
+    their kinds as read (else None). A float item must also be finite, so
+    only a fixed-length list takes one."""
     if kind is NUMBER:
-        return (int, float)
-    if type(kind) is Nullable:  # only a number: a null list would fail the item test
-        return (int, float, type(None)) if kind.kind is NUMBER else ()
-    if type(kind) in (list, dict):  # [k] or {str: k}; the items are tested apart
+        return (int, float), None
+    if type(kind) is Nullable:
+        types, test = _fast(kind.kind)
+        return (*types, type(None)), test and (lambda value: value is None or test(value))
+    if type(kind) is tuple:  # a fixed-length list
+        if not set(kind) <= {str, int, bool, float}:
+            return (), None
+        floats = [k is float for k in kind]
+        return (list,), lambda value: tuple(map(type, value)) == kind \
+            and math.isfinite(sum(compress(value, floats)))
+    if type(kind) is list and type(kind[0]) is tuple:  # a list of fixed-length lists
+        _, row = _fast(kind[0])
+        return ((list,), lambda value: all(type(v) is list and row(v) for v in value)) if row \
+            else ((), None)
+    if type(kind) in (list, dict):  # [k] or {str: k}
         (item,) = kind.values() if type(kind) is dict else kind
-        return (type(kind),) if item in (str, int, bool, list, dict) else ()
-    return (kind,) if type(kind) is type else ()
+        if item not in (str, int, bool, list, dict):
+            return (), None
+        types = frozenset((item,))
+        if type(kind) is dict:
+            return (dict,), lambda value: types.issuperset(map(type, value.values()))
+        return (list,), lambda value: types.issuperset(map(type, value))
+    return ((kind,) if type(kind) is type else ()), None
 
 
 def read_record(record: dict, schema: Schema, line: int | None) -> tuple:
@@ -258,9 +277,7 @@ def read_record(record: dict, schema: Schema, line: int | None) -> tuple:
     # a float sum is finite only if every term is
     if masks is not None and math.isfinite(sum(compress(values, masks[0]))) \
             and sum(map(abs, compress(values, masks[1]))) <= _FLOAT_MAX \
-            and (not schema.items or all(
-                types.issuperset(map(type, v.values() if type(v := values[i]) is dict else v))
-                for i, types in schema.items)):
+            and (not schema.items or all(test(values[i]) for i, test in schema.items)):
         return values
     return _read_checked(record, schema, line)
 
@@ -287,7 +304,7 @@ def typed(value, kind, name: str, what: str, line: int | None):
     ``name``. ``kind`` is str, int, float, bool, list, dict, NUMBER,
     ``Nullable(k)`` for kind ``k`` or null, ``[k]`` for a list of items of
     kind ``k``, ``{str: k}`` for an object of values of kind ``k``, or a
-    tuple of kinds for a list of exactly that shape, returned as a tuple;
+    tuple of kinds for a list of exactly that shape, returned as a list;
     items are named ``name[i]`` or ``name[key]``. A bool is neither an int
     nor a number; a float is any finite int or float, returned as a float."""
     if type(value) is kind:
@@ -305,8 +322,8 @@ def typed(value, kind, name: str, what: str, line: int | None):
         if type(kind) is list:
             return [typed(v, kind[0], f"{name}[{i}]", what, line) for i, v in enumerate(value)]
         if type(kind) is tuple and len(value) == len(kind):
-            return tuple(typed(v, k, f"{name}[{i}]", what, line)
-                         for i, (v, k) in enumerate(zip(value, kind)))
+            return [typed(v, k, f"{name}[{i}]", what, line)
+                    for i, (v, k) in enumerate(zip(value, kind))]
     elif type(value) is dict and type(kind) is dict:
         (item,) = kind.values()
         for key, v in value.items():

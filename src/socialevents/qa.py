@@ -176,13 +176,10 @@ def item_person_ids(item: QAItem) -> set[int]:
     return ids
 
 
-def validate_qa(item: QAItem, graph: SocialGraph) -> str | None:
-    """Return a rejection reason, or None when the item is acceptable."""
-    if item.category not in CATEGORY_DIFFICULTY:
-        return f"unknown category {item.category!r}"
-    if item.difficulty != CATEGORY_DIFFICULTY[item.category]:
-        return f"difficulty {item.difficulty!r} does not match category {item.category}"
-
+def _shape_fault(item: QAItem) -> str | None:
+    """The first fault in the item's format, options and answer, or None:
+    the rules that need no graph, applied at generation (``validate_qa``)
+    and on read (``parse_qa_item``)."""
     if item.format == "mcq":
         if item.options is None or len(item.options) != 4:
             return "mcq items need exactly 4 options"
@@ -192,9 +189,6 @@ def validate_qa(item: QAItem, graph: SocialGraph) -> str | None:
             return f"bad answer letter {item.answer!r}"
         if item.answer_text != item.options[LETTERS.index(item.answer)]:
             return "answer_text does not match the chosen option"
-        for option in item.options:
-            if len(option.split()) > 15:
-                return f"option exceeds 15 words: {option!r}"
     elif item.format == "open_ended":
         if item.options:
             return "open-ended items carry no options"
@@ -202,6 +196,23 @@ def validate_qa(item: QAItem, graph: SocialGraph) -> str | None:
             return "open-ended answer must equal answer_text"
     else:
         return f"unknown format {item.format!r}"
+    return None
+
+
+def validate_qa(item: QAItem, graph: SocialGraph) -> str | None:
+    """Return a rejection reason, or None when the item is acceptable."""
+    if item.category not in CATEGORY_DIFFICULTY:
+        return f"unknown category {item.category!r}"
+    if item.difficulty != CATEGORY_DIFFICULTY[item.category]:
+        return f"difficulty {item.difficulty!r} does not match category {item.category}"
+
+    reason = _shape_fault(item)
+    if reason is not None:
+        return reason
+    if item.format == "mcq":
+        for option in item.options:
+            if len(option.split()) > 15:
+                return f"option exceeds 15 words: {option!r}"
 
     if not item.answer_text:
         return "empty answer_text"
@@ -612,9 +623,13 @@ def parse_qa_item(record: dict, line: int | None = None) -> QAItem:
      source_event_ids, time_range) = read_record(record, QA, line)
     if fmt == "mcq" and options is None:
         raise ValidationError("bad qa record: options must be a list on an mcq item", line)
-    return QAItem(qa_id, video_id, category, difficulty, fmt, question,
+    item = QAItem(qa_id, video_id, category, difficulty, fmt, question,
                   None if options is None else tuple(options), answer, answer_text,
-                  tuple(source_event_ids), time_range)
+                  tuple(source_event_ids), tuple(time_range))
+    reason = _shape_fault(item)
+    if reason is not None:
+        raise ValidationError(f"bad qa record: {reason}", line)
+    return item
 
 
 def load_qa_items(path) -> list[QAItem]:

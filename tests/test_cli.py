@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import multiprocessing
@@ -625,6 +626,14 @@ def test_weights_flag_rejects_bad_values(capsys):
     ("block_face_displacement", ("--block-face-displacement", "inf")),
     ("convergence_alpha", ("--convergence-alpha", "-1")),
     ("convergence_alpha", ("--convergence-alpha", "nan")),
+    ("sudden_velocity", ("--sudden-velocity", "-1")),
+    ("capture_velocity", ("--capture-velocity", "-1")),
+    ("follow_distance", ("--follow-distance", "-1")),
+    ("sudden_min_duration", ("--sudden-min-duration", "-1")),
+    ("ja_min_duration", ("--ja-min-duration", "-1")),
+    ("mutual_min_duration", ("--mutual-min-duration", "-1")),
+    ("ja_peripheral_mult", ("--ja-peripheral-mult", "-1")),
+    ("ja_peripheral_mult", ("--ja-peripheral-mult", "0")),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
 def test_bad_detector_config_exit_3(field, flags, tmp_path, capsys):
     obs = tmp_path / "obs.jsonl"
@@ -656,6 +665,9 @@ def test_boundary_detector_config_accepted():
         {"linear_conf_slope": 0.0, "carry_conf_decay": 0.0, "carry_conf_base": 1.0},
         {"linear_conf_slope": 0.25, "linear_max_gap": 4},
         {"block_temporal_gap": 0.0, "block_face_displacement": 0.0, "convergence_alpha": 0.0},
+        {"sudden_velocity": 0.0, "capture_velocity": 0.0, "follow_distance": 0.0},
+        {"sudden_min_duration": 0.0, "ja_min_duration": 0.0, "mutual_min_duration": 0.0},
+        {"ja_peripheral_mult": 1e-9},
     ):
         config = EngineConfig(**overrides)
         assert all(getattr(config, k) == v for k, v in overrides.items())
@@ -1097,6 +1109,17 @@ def test_every_table_has_a_valid_record(valid_inputs):
         assert not _read_outcome(ingest.read_record, record, schema).startswith("error: ")
 
 
+def test_written_qa_items_and_graphs_take_the_fast_path(valid_inputs):
+    """What qagen and graph write, each key present, is read as read:
+    read_record gives back the record's own values, lists included."""
+    for schema, path in ((qa.QA, valid_inputs["qa"]), (graph_mod.GRAPH, valid_inputs["graph"])):
+        records = [r for r in read_lines(path) if set(schema.keys) <= set(r)]
+        assert records
+        for record in records:
+            values = ingest.read_record(record, schema, 1)
+            assert all(value is record[key] for key, value in zip(schema.keys, values))
+
+
 # Values for the two tests below: no value, the edges above, and lists and
 # objects holding one edge, which only an item test rejects.
 FIELD_EDGES = [MISSING, *ROLLOUT_EDGES, *([v] for v in ROLLOUT_EDGES),
@@ -1333,6 +1356,52 @@ def test_mistyped_record_exit_3(valid_inputs, tmp_path, capsys, broken, path, va
     assert not (out / artifact).exists()
 
 
+def _open_ended(record, answer):
+    record.update(format="open_ended", answer=answer)
+    del record["options"]
+
+
+@pytest.mark.parametrize("edit, reason", [
+    pytest.param(lambda r: r.update(options=[r["answer_text"]], answer="Z"),
+                 "mcq items need exactly 4 options", id="one-option-answer-Z"),
+    pytest.param(lambda r: r["options"].pop(), "mcq items need exactly 4 options",
+                 id="three-options"),
+    pytest.param(lambda r: r["options"].__setitem__(3, r["options"][0]),
+                 "mcq options must be distinct", id="repeated-option"),
+    pytest.param(lambda r: r.update(answer="Z"), "bad answer letter 'Z'", id="answer-Z"),
+    pytest.param(lambda r: r.update(answer_text="nobody"),
+                 "answer_text does not match the chosen option", id="answer-text"),
+    pytest.param(lambda r: r.update(format="essay"), "unknown format 'essay'", id="format"),
+    pytest.param(lambda r: r.update(format="open_ended", answer=r["answer_text"]),
+                 "open-ended items carry no options", id="open-ended-options"),
+    pytest.param(lambda r: _open_ended(r, r["answer"]),
+                 "open-ended answer must equal answer_text", id="open-ended-answer"),
+])
+@pytest.mark.parametrize("command, artifact", READERS["qa"], ids=["reward", "corrupt"])
+def test_qa_shape_fault_exit_3(valid_inputs, tmp_path, capsys, edit, reason, command, artifact):
+    """A QA item is read with the format, options and answer rules that
+    qagen applies: a fault exits 3 in reward and corrupt, naming the line."""
+    lines = valid_inputs["qa"].read_text().splitlines()
+    record = json.loads(lines[1])
+    assert record["format"] == "mcq"
+    edit(record)
+    lines[1] = json.dumps(record)
+    paths = {**valid_inputs, "qa": tmp_path / "qa.jsonl"}
+    paths["qa"].write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run(*(arg.format(**paths) for arg in command), "--out", str(out)) == 3
+    assert capsys.readouterr().err == f"error: line 2: bad qa record: {reason}\n"
+    assert not (out / artifact).exists()
+
+
+def test_open_ended_item_is_read(valid_inputs):
+    record = json.loads(valid_inputs["qa"].read_text().splitlines()[1])
+    _open_ended(record, record["answer_text"])
+    item = qa.parse_qa_item(record, 2)
+    assert (item.format, item.options, item.answer) == ("open_ended", None, record["answer_text"])
+    assert json.loads(qa.serialize_qa_item(item)) == record
+
+
 @pytest.mark.parametrize("emptied", ["source_event_ids", "participants"])
 def test_qa_citing_no_participants_names_its_line(valid_inputs, tmp_path, capsys, emptied):
     """A QA item that cites no events has no ground truth to score against:
@@ -1400,6 +1469,8 @@ def test_over_long_person_id_in_corrupt_names_its_line(valid_inputs, tmp_path, c
     lines = valid_inputs["qa"].read_text().splitlines()
     record = json.loads(lines[1])
     record["answer_text"] += f" {LONG_ID}"
+    if record["format"] == "mcq":  # the chosen option is the answer text
+        record["options"][qa.LETTERS.index(record["answer"])] = record["answer_text"]
     lines[1] = json.dumps(record)
     path = tmp_path / "qa.jsonl"
     path.write_text("\n\n".join(lines) + "\n")
@@ -1542,3 +1613,108 @@ def test_failed_write_keeps_previous_artifact(valid_inputs, tmp_path, monkeypatc
     assert written
     assert (out / "qa.jsonl").read_bytes() == before
     assert [p.name for p in out.iterdir()] == ["qa.jsonl"]
+
+
+# ---------------------------------------------------------------------------
+# the cyclic garbage collector
+
+
+def _pipeline(directory, n_videos=2, threads=1):
+    """(stage, argv) of each stage in order over make_inputs' videos; the
+    traces for reward are written once qagen has run."""
+    directory.mkdir(exist_ok=True)
+    obs, gestures = make_inputs(directory, n_videos=n_videos)
+    out = str(directory / "out")
+    yield "detect", ["detect", "--input", str(obs), "--out", out, "--threads", str(threads)]
+    yield "graph", ["graph", "--input", f"{out}/events.jsonl", "--gestures", str(gestures),
+                    "--videos", f"{out}/videos.jsonl", "--out", out]
+    yield "qagen", ["qagen", "--input", f"{out}/graph.jsonl", "--out", out]
+    traces = directory / "traces.jsonl"
+    traces.write_text("".join(json.dumps({
+        "query_id": f"q{i}", "qa_id": item.qa_id,
+        "rollouts": ["<think></think><answer>A</answer>"] * 8,
+    }) + "\n" for i, item in enumerate(load_qa_items(f"{out}/qa.jsonl"))))
+    yield "reward", ["reward", "--input", f"{out}/qa.jsonl", "--traces", str(traces),
+                     "--graphs", f"{out}/graph.jsonl", "--out", out]
+    yield "analyze", ["analyze", "--input", f"{out}/rewards.jsonl", "--out", out, "--tsv"]
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector's setting after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def _interrupt(args, config):
+    assert not gc.isenabled()
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-on", "caller-off"])
+@pytest.mark.parametrize("argv, outcome", [
+    (("detect", "--input", "{obs}", "--out", "{out}"), 0),
+    (("detect", "--input", "{out}/absent.jsonl", "--out", "{out}"), 2),
+    (("detect", "--input", "{bad}", "--out", "{out}"), 3),
+    (("detect", "--input", "{obs}"), SystemExit),
+    (("detect", "--input", "{obs}", "--out", "{out}", "--print-config"), 0),
+    (("graph", "--input", "{obs}", "--gestures", "{obs}", "--out", "{out}"), KeyboardInterrupt),
+], ids=["exit-0", "exit-2", "exit-3", "usage", "print-config", "interrupt"])
+def test_collector_setting_restored(tmp_path, monkeypatch, collector, capsys, enabled, argv,
+                                    outcome):
+    """main runs a stage with the collector off and leaves the caller's
+    setting as it found it, however the stage ends."""
+    obs, bad = tmp_path / "obs.jsonl", tmp_path / "bad.jsonl"
+    write_observations(make_video(5, min_frames=4, max_frames=6), obs)
+    bad.write_text("{bad\n")
+    monkeypatch.setattr(cli, "_cmd_graph", _interrupt)
+    argv = [a.format(obs=obs, bad=bad, out=tmp_path / "out") for a in argv]
+    (gc.enable if enabled else gc.disable)()
+    if isinstance(outcome, int):
+        assert main(argv) == outcome
+    else:
+        with pytest.raises(outcome):
+            main(argv)
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_no_collection_while_a_stage_runs(tmp_path, collector, threads):
+    """A gc.callbacks hook sees no collection while main runs any stage,
+    and some while the same stage runs with the collector on."""
+    gc.enable()
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    for stage, argv in _pipeline(tmp_path, n_videos=3, threads=threads):
+        counts = []
+        for run_stage in (main, cli._main):
+            starts.clear()
+            gc.callbacks.append(hook)
+            try:
+                assert run_stage(argv) == 0, stage
+            finally:
+                gc.callbacks.remove(hook)
+            counts.append(len(starts))
+        assert counts[0] == 0 < counts[1], (stage, counts)
+
+
+def test_no_growing_cycles(tmp_path, collector):
+    """After each stage, the collector finds as many unreachable objects
+    for 8 videos as for 1: the stages leave no cycles that grow with the
+    input."""
+    gc.enable()
+
+    def unreachable(name, n_videos):
+        gc.collect()
+        return [(stage, main(argv), gc.collect())
+                for stage, argv in _pipeline(tmp_path / name, n_videos=n_videos)]
+
+    unreachable("warm-up", 1)
+    one = unreachable("one", 1)
+    assert [code for _, code, _ in one] == [0] * 5
+    assert unreachable("eight", 8) == one
