@@ -20,7 +20,8 @@ it: with N > 1 it splits the input's lines by video and forks up to N workers
 and writes their output in the order each video first appears. Every other
 stage runs serially in input order. The bytes, the exit code and the message
 are the same at any N: input the workers cannot take, or a fault in any of
-them, makes detect run serially from the start.
+them, makes detect run serially from the start, which detects and writes
+each video as soon as its run of frames ends (a video that comes back exits 3).
 
 reward formats each rewards.jsonl line as text (rewards_line), with the
 bytes ingest.dumps_canonical would write for the group's record. Trace
@@ -235,9 +236,9 @@ def _cmd_detect(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
     outputs = _detect_sharded(args, config) if args.threads > 1 else None
     if outputs is None:
-        runs, stops = _read_runs(ingest.load_observations(args.input))
-        outputs = (_detect_video(video_id, runs.pop(video_id), stops[video_id], config,
-                                 args.dump_features) for video_id in list(runs))
+        outputs = (_detect_video(video_id, tracks, stop, config, args.dump_features)
+                   for video_id, tracks, stop in _read_videos(
+                       ingest.load_observations(args.input)))
 
     # Each video's lines are written as soon as it is detected.
     dump = _artifact(out / "features.jsonl") if args.dump_features else contextlib.nullcontext()
@@ -251,31 +252,27 @@ def _cmd_detect(args: argparse.Namespace, config: EngineConfig) -> int:
     return EXIT_OK
 
 
-def _read_runs(frames) -> tuple[dict[str, list[list[gaze.GazeTrack]]], dict[str, int]]:
-    """Tracks of each contiguous run of a video's frames, per video in
-    first-appearance order, and one past each video's last tick.
+def _read_videos(frames):
+    """``(video_id, tracks, stop)`` of each video as soon as its run of
+    frames ends, in file order, where stop is one past its last tick. Each
+    frame is garbage once its samples exist, and a video's tracks once the
+    caller moves on."""
+    last = None
 
-    Each run becomes tracks as it is read, so a frame is garbage once its
-    samples exist. A video whose frames come back after another video's has
-    several runs, joined per person by ``_detect_video``."""
-    runs: dict[str, list[list[gaze.GazeTrack]]] = {}
-    stops: dict[str, int] = {}
-
-    def frames_of(video_id, run):
-        for frame in run:
-            yield frame
-        stops[video_id] = frame.k + 1
+    def run_of(run):
+        nonlocal last
+        for last in run:
+            yield last
 
     for video_id, run in itertools.groupby(frames, operator.attrgetter("video_id")):
-        runs.setdefault(video_id, []).append(gaze.build_tracks(frames_of(video_id, run)))
-    return runs, stops
+        yield video_id, gaze.build_tracks(run_of(run)), last.k + 1
 
 
-def _detect_video(video_id: str, runs: list[list[gaze.GazeTrack]], stop: int,
+def _detect_video(video_id: str, tracks: list[gaze.GazeTrack], stop: int,
                   config: EngineConfig, dump: bool) -> tuple[str, str, str]:
     """One video's events, manifest line and (when ``dump``) features, as
     the text of its lines in each artifact."""
-    tracks = [gaze.interpolate_track(t, config) for t in gaze.join_tracks(runs)]
+    tracks = [gaze.interpolate_track(t, config) for t in tracks]
     features = gaze.compute_features(tracks, config)
     events_text = "".join(events.serialize_event(event, video_id) + "\n"
                           for event in events.detect_all(tracks, features, config))
@@ -287,42 +284,40 @@ def _detect_video(video_id: str, runs: list[list[gaze.GazeTrack]], stop: int,
     return events_text, video_line, features_text
 
 
-# A line's video, read from its bytes: the first "video_id":"..." whose
+# A line's video, read from its text: the first "video_id":"..." whose
 # value holds no quote and no backslash. A worker checks it against the
 # parsed record.
-_VIDEO_KEY = re.compile(rb'"video_id":"([^"\\]*)"')
+_VIDEO_KEY = re.compile(r'"video_id":"([^"\\]*)"')
 
 
 def _detect_sharded(args: argparse.Namespace,
                     config: EngineConfig) -> list[tuple[str, str, str]] | None:
-    """Each video's ``_detect_video`` output in first-appearance order,
-    computed by up to ``args.threads`` forked workers, each given whole
-    videos. None, with nothing written, where the serial path must run
-    instead: fewer than two workers would run (one video, one usable CPU),
-    a line has no key, the input holds a "\\r" or a byte that is not UTF-8,
+    """Each video's ``_detect_video`` output in file order, computed by up
+    to ``args.threads`` forked workers, each given whole videos. None, with
+    nothing written, where the serial path must run instead: fewer than two
+    workers would run (one video, one usable CPU), a line has no key, a key
+    comes back after another, the input holds a byte that is not UTF-8,
     there is no fork, another thread runs, or a worker met a fault of any
     kind. The serial path then gives the serial exit code and message.
 
-    Workers read their lines through ``ingest.read_lines`` and
-    ``ingest.parse_observations``, as ``load_observations`` does, and get
-    them by inheritance: nothing of the input is pickled."""
-    with open(args.input, "rb") as fh:
-        data = fh.read()
-    if b"\r" in data:
-        return None
+    The parent splits the text into lines as ``ingest.read_jsonl`` does.
+    Workers get them by inheritance, nothing of the input is pickled, and
+    read them as ``load_observations`` does."""
     try:
-        data.decode("utf-8")
+        with open(args.input, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except UnicodeDecodeError:
         return None
-    lines = data.split(b"\n")  # with no "\r", text mode's lines
-    index: dict[str, list[int]] = {}  # video -> its line indices, first-appearance order
+    bounds: dict[str, list[int]] = {}  # video -> [start, stop) of its lines, in file order
+    key = None
     for i, line in enumerate(lines):
         if line.strip():
-            key = _VIDEO_KEY.search(line)
-            if key is None:
+            match = _VIDEO_KEY.search(line)
+            if match is None or match[1] != key and match[1] in bounds:
                 return None
-            index.setdefault(key[1].decode("utf-8"), []).append(i)
-    n = min(args.threads, len(index), _usable_cpus())
+            key = match[1]
+            bounds.setdefault(key, [i, 0])[1] = i + 1
+    n = min(args.threads, len(bounds), _usable_cpus())
     if n < 2:
         return None
     import multiprocessing  # here, not at the top: it adds ~10 ms to importing the CLI
@@ -337,10 +332,10 @@ def _detect_sharded(args: argparse.Namespace,
     # Whole videos, largest first, each to the worker with the fewest lines.
     shares: list[list[str]] = [[] for _ in range(n)]
     load = [0] * n
-    for video_id in sorted(index, key=lambda v: len(index[v]), reverse=True):
+    for video_id in sorted(bounds, key=lambda v: bounds[v][1] - bounds[v][0], reverse=True):
         w = load.index(min(load))
         shares[w].append(video_id)
-        load[w] += len(index[video_id])
+        load[w] += bounds[video_id][1] - bounds[video_id][0]
 
     workers = []
     done: dict[str, tuple[str, str, str]] = {}
@@ -348,7 +343,7 @@ def _detect_sharded(args: argparse.Namespace,
         for share in shares:
             receiver, sender = context.Pipe(duplex=False)
             worker = context.Process(target=_detect_share, daemon=True,
-                                     args=(share, lines, index, config, args.dump_features, sender))
+                                     args=(share, lines, bounds, config, args.dump_features, sender))
             try:
                 worker.start()
             except OSError:  # no process to be had
@@ -370,10 +365,10 @@ def _detect_sharded(args: argparse.Namespace,
             worker.terminate()
             worker.join()
             receiver.close()
-    return [done[video_id] for video_id in index]
+    return [done[video_id] for video_id in bounds]
 
 
-def _detect_share(share: list[str], lines: list[bytes], index: dict[str, list[int]],
+def _detect_share(share: list[str], lines: list[str], bounds: dict[str, list[int]],
                   config: EngineConfig, dump: bool, sender) -> None:
     """A forked worker: sends ``_detect_video``'s output for each video of
     its share, or None at its first fault, of any kind. A line whose parsed
@@ -381,11 +376,13 @@ def _detect_share(share: list[str], lines: list[bytes], index: dict[str, list[in
     try:
         outputs = []
         for video_id in share:
-            numbered = ((i + 1, lines[i].decode("utf-8")) for i in index[video_id])
-            runs, stops = _read_runs(ingest.parse_observations(ingest.read_lines(numbered)))
-            if list(runs) != [video_id]:
+            start, stop = bounds[video_id]
+            frames = ingest.parse_observations(
+                ingest.read_lines(enumerate(lines[start:stop], start=start + 1)))
+            (video,) = _read_videos(frames)
+            if video[0] != video_id:
                 raise ValidationError(f"a line keyed {video_id!r} belongs to another video")
-            outputs.append(_detect_video(video_id, runs[video_id], stops[video_id], config, dump))
+            outputs.append(_detect_video(*video, config, dump))
     except Exception:  # the serial rerun reports it
         outputs = None
     sender.send(outputs)
@@ -439,8 +436,15 @@ def _cmd_graph(args: argparse.Namespace, config: EngineConfig) -> int:
     for gesture in gestures:
         gestures_by_video.setdefault(gesture.video_id, []).append(gesture)
 
-    durations = dict(ingest.read_record(record, ingest.MANIFEST, line_no)
-                     for line_no, record in ingest.read_jsonl(args.videos)) if args.videos else {}
+    durations: dict[str, float] = {}
+    for line_no, record in ingest.read_jsonl(args.videos) if args.videos else ():
+        video_id, duration = ingest.read_record(record, ingest.MANIFEST, line_no)
+        fault = ("video_id must be non-empty" if not video_id
+                 else f"duration must be non-negative, got {duration}" if duration < 0
+                 else f"video_id {video_id!r} repeats" if video_id in durations else None)
+        if fault:
+            raise ValidationError(f"bad video manifest record: {fault}", line_no)
+        durations[video_id] = duration
 
     def graphs():  # each written as soon as it is built
         for video_id in dict.fromkeys(list(gaze_by_video) + list(gestures_by_video)):

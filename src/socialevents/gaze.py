@@ -110,8 +110,9 @@ def build_tracks(frames: Iterable[FrameObservation]) -> list[GazeTrack]:
 
     Samples are measured where the person has an associated face with a gaze
     point, missing elsewhere. Track spans run from the person's first to last
-    appearance. ``frames`` come in time order and are read once, so a frame
-    from a stream can be dropped as soon as its samples exist.
+    appearance. ``frames`` are all of the video's frames, in time order, and
+    are read once, so a frame from a stream can be dropped as soon as its
+    samples exist.
     """
     video_id = None
     tracks: dict[int, list[GazeSample]] = {}
@@ -141,31 +142,6 @@ def build_tracks(frames: Iterable[FrameObservation]) -> list[GazeTrack]:
                 samples.extend(_missing(gap) for gap in range(samples[-1].k + 1, k))
             samples.append(faced.get(person_id) or _missing(k))
     return [GazeTrack(video_id, pid, tuple(tracks[pid])) for pid in sorted(tracks)]
-
-
-def join_tracks(runs: list[list[GazeTrack]]) -> list[GazeTrack]:
-    """The tracks of one video's runs of frames, joined per person.
-
-    ``runs`` holds ``build_tracks`` of each run, the runs in time order. A
-    person's track is the samples of each run that has them, with missing
-    samples over the gaps between runs: what ``build_tracks`` gives over all
-    the runs' frames, since a person has no sample between two of their
-    appearances in different runs.
-    """
-    if len(runs) == 1:
-        return runs[0]
-    joined: dict[int, list[GazeSample]] = {}
-    video_id = None
-    for tracks in runs:
-        for track in tracks:
-            video_id = track.video_id
-            samples = joined.get(track.person_id)
-            if samples is None:
-                joined[track.person_id] = list(track.samples)
-            else:
-                samples.extend(_missing(k) for k in range(samples[-1].k + 1, track.start))
-                samples.extend(track.samples)
-    return [GazeTrack(video_id, pid, tuple(joined[pid])) for pid in sorted(joined)]
 
 
 def interpolate_track(track: GazeTrack, config: EngineConfig = DEFAULT_CONFIG) -> GazeTrack:

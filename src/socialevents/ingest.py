@@ -6,6 +6,7 @@ observations.jsonl
     {"video_id": str, "t": float, "persons": [{"id": int, "box": [x1,y1,x2,y2]}],
      "faces": [{"box": [x1,y1,x2,y2], "det_conf": float,
                 "gaze": [gx,gy] | null, "in_frame": bool}]}
+    with each video's frames one contiguous run of lines, in increasing t
 
 gestures.jsonl
     {"video_id": str, "gesture_type": str, "initiator_id": int,
@@ -223,6 +224,7 @@ class Schema:
     def __init__(self, what: str, *fields: tuple) -> None:
         self.what, self.fields = what, [(*field, _MISSING)[:3] for field in fields]
         self.keys = [field[0] for field in fields]
+        self.defaults = [field[2] for field in self.fields]
         self.values = itemgetter(*self.keys)  # a tuple: every table has two fields or more
         kinds = [field[1] for field in fields]
         fast = [_fast(kind) for kind in kinds]
@@ -265,14 +267,15 @@ def _fast(kind) -> tuple[tuple, object]:
 
 def read_record(record: dict, schema: Schema, line: int | None) -> tuple:
     """The values of ``schema``'s fields in ``record``, checked, in table
-    order. Fast path: every key present, the values' types a shape of the
-    table, its floats finite, its NUMBER ints within the float range and the
-    items of its lists and objects of their kind; the values are returned as
-    read. Any other record takes ``_read_checked``, which names its fault."""
+    order. Fast path: every required key present (an absent optional key
+    gives its default), the values' types a shape of the table, its floats
+    finite, its NUMBER ints within the float range and the items of its
+    lists and objects of their kind; the values are returned as read. Any
+    other record takes ``_read_checked``, which names its fault."""
     try:
         values = schema.values(record)
-    except KeyError:
-        return _read_checked(record, schema, line)
+    except KeyError:  # a required key's _MISSING matches no shape
+        values = tuple(map(record.get, schema.keys, schema.defaults))
     masks = schema.shapes.get(tuple(map(type, values)))
     # a float sum is finite only if every term is
     if masks is not None and math.isfinite(sum(compress(values, masks[0]))) \
@@ -394,23 +397,29 @@ def parse_frame(record: dict, line: int | None = None) -> FrameObservation:
 
 
 def load_observations(path: str | Path) -> Iterator[FrameObservation]:
-    """Stream frames from a JSONL file, enforcing per-video time ordering."""
+    """Stream frames from a JSONL file in ``parse_observations``'s order."""
     yield from parse_observations(read_jsonl(path))
 
 
 def parse_observations(records: Iterable[tuple[int, dict]]) -> Iterator[FrameObservation]:
-    """Frames from (line number, record) pairs, enforcing per-video time
-    ordering."""
-    last: dict[str, int] = {}  # video -> tick of its latest frame
+    """Frames from (line number, record) pairs. Each video's frames are one
+    contiguous run in increasing time: a frame not after the one before it,
+    or of a video whose run has ended, is an OrderingError naming its line."""
+    video_id = None
+    last = 0  # tick of the current video's latest frame
+    done: set[str] = set()
     for line_no, record in records:
         frame = parse_frame(record, line_no)
-        prev = last.get(frame.video_id)
-        if prev is not None and frame.k <= prev:
+        if frame.video_id != video_id:
+            if frame.video_id in done:
+                raise OrderingError(
+                    f"video {frame.video_id!r} resumes after video {video_id!r}", line_no)
+            done.add(video_id)
+            video_id = frame.video_id
+        elif frame.k <= last:
             raise OrderingError(
-                f"t={frame.t} not after t={prev * SAMPLE_PERIOD} for video {frame.video_id!r}",
-                line_no,
-            )
-        last[frame.video_id] = frame.k
+                f"t={frame.t} not after t={last * SAMPLE_PERIOD} for video {video_id!r}", line_no)
+        last = frame.k
         yield frame
 
 

@@ -22,6 +22,7 @@ from socialevents.cli import main
 from socialevents.config import EngineConfig
 from socialevents.errors import ContractError, ValidationError
 from socialevents.events import serialize_event
+from socialevents.gaze import GazeTrack
 from socialevents.ingest import dumps_canonical
 from socialevents.qa import load_qa_items
 from socialevents.reward import score_group
@@ -60,33 +61,11 @@ def read_lines(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
 
 
-def detect_bytes(frames, directory):
-    """events, videos and features bytes of detect over these frames."""
-    directory.mkdir()
-    write_observations(frames, directory / "obs.jsonl")
-    assert run("detect", "--input", str(directory / "obs.jsonl"),
-               "--out", str(directory / "out"), "--dump-features") == 0
-    return [(directory / "out" / name).read_bytes()
-            for name in ("events.jsonl", "videos.jsonl", "features.jsonl")]
-
-
 @st.composite
 def interleavings(draw, videos):
-    """The videos' frames in one order that keeps each video's own order:
-    runs of 1-12 frames, and, when drawn, the first video held back after
-    its first run until every other video is done."""
-    queues = [list(video) for video in videos]
-    lines = []
-    hold = draw(st.booleans())
-    while any(queues):
-        live = [i for i, q in enumerate(queues) if q]
-        if hold and 0 in live and len(live) > 1 and len(queues[0]) < len(videos[0]):
-            live.remove(0)
-        i = draw(st.sampled_from(live))
-        n = draw(st.integers(1, 12))
-        lines += queues[i][:n]
-        del queues[i][:n]
-    return lines
+    """The videos' frames in a drawn order of whole videos: each video's
+    frames are one run, in their own order, as observations.jsonl needs."""
+    return [frame for video in draw(st.permutations(videos)) for frame in video]
 
 
 class TestDetect:
@@ -123,42 +102,46 @@ class TestDetect:
         err = capsys.readouterr().err
         assert "line 2" in err and "t must be below 2**52" in err
 
-    def test_interleaved_videos_give_the_grouped_bytes(self, tmp_path):
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    @pytest.mark.parametrize("lines, line_no", [
+        (lambda one, two: [f for pair in zip(one, two) for f in pair], 3),
+        (lambda one, two: one[:5] + two + one[5:], 46),
+    ], ids=["alternating", "after-a-whole-video"])
+    def test_resumed_video_exit_3(self, tmp_path, capsys, threads, lines, line_no):
+        """A video's frames are one run: a frame of a video whose run has
+        ended exits 3 naming its line, at any thread count, and writes no
+        artifact."""
         one = make_video(1, min_frames=40, max_frames=40)
         two = make_video(2, min_frames=40, max_frames=40)
-        write_observations(one + two, tmp_path / "grouped.jsonl")
-        write_observations([f for pair in zip(one, two) for f in pair],
-                           tmp_path / "interleaved.jsonl")
-        for name in ("grouped", "interleaved"):
-            assert run("detect", "--input", str(tmp_path / f"{name}.jsonl"),
-                       "--out", str(tmp_path / name)) == 0
-        for artifact in ("events.jsonl", "videos.jsonl"):
-            grouped = (tmp_path / "grouped" / artifact).read_bytes()
-            assert grouped.count(b"synth-1") and grouped.count(b"synth-2")
-            assert (tmp_path / "interleaved" / artifact).read_bytes() == grouped
+        write_observations(lines(one, two), tmp_path / "obs.jsonl")
+        out = tmp_path / "out"
+        assert run("detect", "--input", str(tmp_path / "obs.jsonl"), "--out", str(out),
+                   "--threads", threads) == 3
+        assert capsys.readouterr().err == \
+            f"error: line {line_no}: video 'synth-1' resumes after video 'synth-2'\n"
+        assert list(out.iterdir()) == []
 
-    def test_video_back_after_a_long_gap_gives_the_grouped_bytes(self, tmp_path):
-        # each video comes back after all of another's frames, with persons
-        # that may be absent at the seams of its runs
-        one = make_video(4, min_frames=30, max_frames=30)
-        two = make_video(5, min_frames=30, max_frames=30)
-        three = make_video(6, min_frames=20, max_frames=20)
-        lines = one[:5] + two + one[5:12] + three + one[12:]
-        assert detect_bytes(lines, tmp_path / "interleaved") == \
-            detect_bytes(one + two + three, tmp_path / "grouped")
+    def test_no_other_video_is_alive_while_one_is_detected(self, tmp_path, monkeypatch):
+        """At --threads 1 each video is detected as soon as its frames end:
+        while the detectors run on one video, no other video's track is
+        alive."""
+        frames = [f for v in range(3)
+                  for f in make_video(v, video_id=f"spy{v}", min_frames=24, max_frames=40)]
+        write_observations(frames, tmp_path / "obs.jsonl")
+        detect_all = events_mod.detect_all
+        alive = []
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(data=st.data())
-    def test_interleaved_runs_give_the_grouped_bytes(self, data):
-        videos = [make_video(seed, min_frames=6, max_frames=40) for seed in
-                  data.draw(st.lists(st.integers(0, 10_000), min_size=2, max_size=3,
-                                     unique=True))]
-        lines = data.draw(interleavings(videos))
-        first_seen = list(dict.fromkeys(f.video_id for f in lines))
-        by_id = {video[0].video_id: video for video in videos}
-        with tempfile.TemporaryDirectory() as tmp:
-            assert detect_bytes(lines, Path(tmp, "interleaved")) == detect_bytes(
-                [f for video_id in first_seen for f in by_id[video_id]], Path(tmp, "grouped"))
+        def spy(tracks, *args, **kwargs):
+            alive.append(({t.video_id for t in tracks},
+                          {o.video_id for o in gc.get_objects()
+                           if isinstance(o, GazeTrack) and o.video_id.startswith("spy")}))
+            return detect_all(tracks, *args, **kwargs)
+
+        monkeypatch.setattr(events_mod, "detect_all", spy)
+        gc.collect()
+        assert run("detect", "--input", str(tmp_path / "obs.jsonl"),
+                   "--out", str(tmp_path / "out")) == 0
+        assert alive == [({f"spy{v}"}, {f"spy{v}"}) for v in range(3)]
 
     def test_missing_input_exit_2(self, tmp_path):
         assert run("detect", "--input", str(tmp_path / "nope.jsonl"),
@@ -338,10 +321,10 @@ class TestWeightsFlag:
 # Each fault, applied to line i (j is a later position), gives the file's
 # bytes. "blank lines" and "CRLF" are not faults to the serial path; the
 # duplicate and the escaped video_id are not faults to it either, but the
-# byte scan keys those lines wrongly or not at all.
+# line scan keys those lines wrongly or not at all.
 FAULTS = ("none", "bad JSON", "not an object", "schema error", "ordering error",
-          "duplicate video_id key", "escaped video_id", "BOM", "CRLF", "CR inside a line",
-          "blank lines", "not UTF-8")
+          "resumed video", "duplicate video_id key", "escaped video_id", "BOM", "CRLF",
+          "CR inside a line", "blank lines", "not UTF-8")
 
 
 def observation_bytes(frames, fault="none", i=0, j=1) -> bytes:
@@ -356,6 +339,8 @@ def observation_bytes(frames, fault="none", i=0, j=1) -> bytes:
         lines[i] = line.replace(b'"persons":', b'"persons":7,"was":', 1)
     elif fault == "ordering error":
         lines.insert(j, line)
+    elif fault == "resumed video":  # the first video's first frame again, after the last video
+        lines.append(lines[0])
     elif fault == "duplicate video_id key":
         other = next((f.video_id for f in frames if f.video_id != frames[i].video_id), "other")
         lines[i] = b'{"video_id":"' + other.encode() + b'",' + line[1:]
@@ -424,7 +409,7 @@ def test_sharded_detect_runs_only_on_input_it_can_key(tmp_path, fault):
     args = argparse.Namespace(input=str(obs), threads=2, dump_features=True)
     sharded = cli._detect_sharded(args, EngineConfig())
     assert multiprocessing.active_children() == []
-    assert (sharded is not None) == (fault in ("none", "blank lines"))
+    assert (sharded is not None) == (fault in ("none", "CRLF", "blank lines"))
 
 
 @needs_two_cpus
@@ -757,6 +742,27 @@ def test_graph_event_times_without_videos(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: line 1: bad event record: end_time must be below 2**52 in magnitude, "
         "got 1e+308\n")
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ('{"video_id":"synth-1","duration":-5.0}\n',
+     "line 1: bad video manifest record: duration must be non-negative, got -5.0"),
+    ('{"video_id":"","duration":5.0}\n',
+     "line 1: bad video manifest record: video_id must be non-empty"),
+    ('{"video_id":"synth-1","duration":5.0}\n{"video_id":"synth-1","duration":6.0}\n',
+     "line 2: bad video manifest record: video_id 'synth-1' repeats"),
+], ids=["negative duration", "empty video_id", "repeated video_id"])
+def test_graph_bad_manifest_exit_3(tmp_path, capsys, manifest, message):
+    events_path = tmp_path / "events.jsonl"
+    events_path.write_text("".join(serialize_event(event(i, start=1.0, end=2.0 + i), "synth-1")
+                                   + "\n" for i in range(5)))
+    (tmp_path / "gestures.jsonl").write_text("")
+    (tmp_path / "videos.jsonl").write_text(manifest)
+    out = tmp_path / "out"
+    assert run("graph", "--input", str(events_path), "--gestures", str(tmp_path / "gestures.jsonl"),
+               "--videos", str(tmp_path / "videos.jsonl"), "--out", str(out)) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_analyze_overflow_names_the_model_and_the_aggregate(valid_inputs, tmp_path, capsys):
@@ -1109,15 +1115,30 @@ def test_every_table_has_a_valid_record(valid_inputs):
         assert not _read_outcome(ingest.read_record, record, schema).startswith("error: ")
 
 
-def test_written_qa_items_and_graphs_take_the_fast_path(valid_inputs):
-    """What qagen and graph write, each key present, is read as read:
-    read_record gives back the record's own values, lists included."""
-    for schema, path in ((qa.QA, valid_inputs["qa"]), (graph_mod.GRAPH, valid_inputs["graph"])):
-        records = [r for r in read_lines(path) if set(schema.keys) <= set(r)]
+def test_written_qa_items_and_graphs_take_the_fast_path(valid_inputs, monkeypatch):
+    """What qagen and graph write is read as read: read_record gives back
+    the record's own values, lists included, and for an absent optional key
+    its default, without the checked path. That holds for an open-ended
+    item, which has no options, and for an event without roles or
+    attributes."""
+    items = read_lines(valid_inputs["qa"])
+    # qagen's line for each item asked open-ended, as a hard item may be
+    items += [json.loads(qa.serialize_qa_item(dataclasses.replace(
+        item, format="open_ended", options=None, answer=item.answer_text)))
+        for item in load_qa_items(valid_inputs["qa"])]
+    assert not any("options" in item for item in items if item["format"] == "open_ended")
+    graphs = read_lines(valid_inputs["graph"])
+    events = [{k: v for k, v in e.items() if k not in dropped}
+              for g in graphs for e in g["events"]
+              for dropped in ((), ("roles",), ("attributes",), ("roles", "attributes"))]
+    monkeypatch.setattr(ingest, "_read_checked", None)  # calling it fails the test
+    for schema, records in ((qa.QA, items), (graph_mod.GRAPH, graphs),
+                            (events_mod.EVENT, events)):
         assert records
         for record in records:
             values = ingest.read_record(record, schema, 1)
-            assert all(value is record[key] for key, value in zip(schema.keys, values))
+            assert all(value is record.get(key, default)
+                       for key, default, value in zip(schema.keys, schema.defaults, values))
 
 
 # Values for the two tests below: no value, the edges above, and lists and

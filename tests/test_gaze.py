@@ -23,7 +23,6 @@ from socialevents.gaze import (
     convergence_score,
     gaze_velocity,
     interpolate_track,
-    join_tracks,
 )
 from socialevents.ingest import Box, FaceMeasurement, FrameObservation, PersonBox, parse_frame
 from helpers import grid_track, sample, tick
@@ -127,47 +126,6 @@ class TestStreamedTracks:
         # the frame being read and the one before it, never the whole video
         assert most_alive <= 2
         assert all(r() is None for r in refs)
-
-
-def _split(frames, cuts):
-    bounds = [0, *sorted(cuts), len(frames)]
-    return [frames[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-class TestJoinTracks:
-    def test_one_run_is_its_tracks(self):
-        tracks = build_tracks(make_video(3))
-        assert join_tracks([tracks]) == tracks
-
-    def test_person_absent_from_a_run_gets_missing_samples(self):
-        runs = [
-            [person_frame(0.0, [0, 1], {0: (0.5, 0.5), 1: (0.2, 0.2)})],
-            [person_frame(1.0, [1], {1: (0.3, 0.3)})],
-            [person_frame(2.5, [0], {0: (0.6, 0.6)}), person_frame(3.0, [0, 1])],
-        ]
-        joined = join_tracks([build_tracks(run) for run in runs])
-        assert joined == build_tracks([f for run in runs for f in run])
-        zero, one = joined
-        assert [s.provenance for s in zero.samples] == \
-            [PROV_MEASURED] + [PROV_MISSING] * 4 + [PROV_MEASURED, PROV_MISSING]
-        assert (zero.start, zero.stop, one.start, one.stop) == (0, 7, 0, 7)
-
-    def test_runs_without_persons(self):
-        empty = FrameObservation("v", 0, (), ())
-        assert join_tracks([[], build_tracks([empty])]) == []
-        later = [person_frame(1.0, [2], {2: (0.5, 0.5)})]
-        assert join_tracks([build_tracks([empty]), build_tracks(later)]) == build_tracks(later)
-
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(seed=st.integers(0, 10_000), data=st.data())
-    def test_joined_runs_give_the_whole_video_tracks(self, seed, data):
-        frames = make_video(seed, max_frames=50)
-        # a dropped stretch puts some runs apart in time
-        lo = data.draw(st.integers(0, len(frames)))
-        frames = frames[:lo] + frames[data.draw(st.integers(lo, len(frames))):]
-        cuts = data.draw(st.sets(st.integers(1, max(1, len(frames) - 1)), max_size=8))
-        runs = _split(frames, cuts if len(frames) > 1 else ())
-        assert join_tracks([build_tracks(run) for run in runs]) == build_tracks(frames)
 
 
 def flank_track(gap, left=(0.2, 0.2), right=(0.5, 0.5), centers=((0.5, 0.5), (0.5, 0.5))):
