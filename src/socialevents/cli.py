@@ -15,13 +15,14 @@ STAGE_FIELDS); reward's weights and rollout count come from --weights and
 parameter set. The timeline is fixed at 2 fps (ingest.SAMPLE_PERIOD).
 
 --threads N (default 1) is the number of worker processes. Only detect uses
-it: with N > 1 it splits the input's lines by video and forks up to N workers
-(no more than the videos or the usable CPUs), each detecting whole videos,
-and writes their output in the order each video first appears. Every other
-stage runs serially in input order. The bytes, the exit code and the message
-are the same at any N: input the workers cannot take, or a fault in any of
-them, makes detect run serially from the start, which detects and writes
-each video as soon as its run of frames ends (a video that comes back exits 3).
+it: with N > 1 it keys the input's lines by video and runs a pool of up to N
+forked workers (concurrent.futures.ProcessPoolExecutor; no more workers than
+videos or usable CPUs), each taking one whole video at a time, and writes
+their output in the order each video first appears. Every other stage runs
+serially in input order. The bytes, the exit code and the message are the
+same at any N: input the workers cannot take, or a fault in the pool, makes
+detect run serially from the start, which detects and writes each video as
+soon as its run of frames ends (a video that comes back exits 3).
 
 reward formats each rewards.jsonl line as text (rewards_line), with the
 bytes ingest.dumps_canonical would write for the group's record. Trace
@@ -292,13 +293,16 @@ _VIDEO_KEY = re.compile(r'"video_id":"([^"\\]*)"')
 
 def _detect_sharded(args: argparse.Namespace,
                     config: EngineConfig) -> list[tuple[str, str, str]] | None:
-    """Each video's ``_detect_video`` output in file order, computed by up
-    to ``args.threads`` forked workers, each given whole videos. None, with
-    nothing written, where the serial path must run instead: fewer than two
-    workers would run (one video, one usable CPU), a line has no key, a key
-    comes back after another, the input holds a byte that is not UTF-8,
-    there is no fork, another thread runs, or a worker met a fault of any
-    kind. The serial path then gives the serial exit code and message.
+    """Each video's ``_detect_video`` output in file order, computed by a
+    pool of up to ``args.threads`` forked workers, each taking one whole
+    video at a time. None, with nothing written, where the serial path must
+    run instead: fewer than two workers would run (one video, one usable
+    CPU), a line has no key, a key comes back after another, the input holds
+    a byte that is not UTF-8, there is no fork, another thread runs, or the
+    pool met a fault of any kind (no process, a worker that dies or raises).
+    The serial path then gives the serial exit code and message. Results
+    are read in file order; at the first fault the videos still queued are
+    cancelled, so only those already handed to a worker still run.
 
     The parent splits the text into lines as ``ingest.read_jsonl`` does.
     Workers get them by inheritance, nothing of the input is pickled, and
@@ -320,72 +324,48 @@ def _detect_sharded(args: argparse.Namespace,
     n = min(args.threads, len(bounds), _usable_cpus())
     if n < 2:
         return None
-    import multiprocessing  # here, not at the top: it adds ~10 ms to importing the CLI
+    import multiprocessing  # here, not at the top: they add ~20 ms to importing the CLI
     import threading
+    from concurrent.futures import ProcessPoolExecutor
 
     # Input reaches the workers by inheritance, so they must be forked, and
-    # forking is safe only in a process that runs no other thread.
+    # forking is safe only in a process that runs no other thread. A pool
+    # with a "fork" context forks all its workers before it starts a thread.
     if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
         return None
-    context = multiprocessing.get_context("fork")
-
-    # Whole videos, largest first, each to the worker with the fewest lines.
-    shares: list[list[str]] = [[] for _ in range(n)]
-    load = [0] * n
-    for video_id in sorted(bounds, key=lambda v: bounds[v][1] - bounds[v][0], reverse=True):
-        w = load.index(min(load))
-        shares[w].append(video_id)
-        load[w] += bounds[video_id][1] - bounds[video_id][0]
-
-    workers = []
-    done: dict[str, tuple[str, str, str]] = {}
+    children = set(multiprocessing.active_children())
     try:
-        for share in shares:
-            receiver, sender = context.Pipe(duplex=False)
-            worker = context.Process(target=_detect_share, daemon=True,
-                                     args=(share, lines, bounds, config, args.dump_features, sender))
-            try:
-                worker.start()
-            except OSError:  # no process to be had
-                receiver.close()
-                return None
-            finally:
-                sender.close()
-            workers.append((worker, receiver))
-        for (worker, receiver), share in zip(workers, shares):
-            try:
-                outputs = receiver.recv()
-            except EOFError:  # the worker died
-                outputs = None
-            if outputs is None:
-                return None
-            done.update(zip(share, outputs))
-    finally:
-        for worker, receiver in workers:  # each has sent its output or is not needed
-            worker.terminate()
-            worker.join()
-            receiver.close()
-    return [done[video_id] for video_id in bounds]
-
-
-def _detect_share(share: list[str], lines: list[str], bounds: dict[str, list[int]],
-                  config: EngineConfig, dump: bool, sender) -> None:
-    """A forked worker: sends ``_detect_video``'s output for each video of
-    its share, or None at its first fault, of any kind. A line whose parsed
-    video_id is not its key is a fault."""
-    try:
-        outputs = []
-        for video_id in share:
-            start, stop = bounds[video_id]
-            frames = ingest.parse_observations(
-                ingest.read_lines(enumerate(lines[start:stop], start=start + 1)))
-            (video,) = _read_videos(frames)
-            if video[0] != video_id:
-                raise ValidationError(f"a line keyed {video_id!r} belongs to another video")
-            outputs.append(_detect_video(*video, config, dump))
+        with ProcessPoolExecutor(n, multiprocessing.get_context("fork"), initializer=_take_input,
+                                 initargs=(lines, config, args.dump_features)) as pool:
+            return list(pool.map(_detect_lines, bounds, *zip(*bounds.values())))
     except Exception:  # the serial rerun reports it
-        outputs = None
-    sender.send(outputs)
+        # A fork that fails after others succeeded leaves those workers
+        # waiting for work; the pool neither feeds nor ends them.
+        for worker in set(multiprocessing.active_children()) - children:
+            worker.kill()
+            worker.join()
+        return None
+
+
+_input: tuple[list[str], EngineConfig, bool] | None = None  # a worker's, from _take_input
+
+
+def _take_input(lines: list[str], config: EngineConfig, dump: bool) -> None:
+    global _input
+    _input = lines, config, dump
+
+
+def _detect_lines(video_id: str, start: int, stop: int) -> tuple[str, str, str]:
+    """In a forked worker: ``_detect_video``'s output for the video keyed
+    to lines [start, stop) of the input. A line whose parsed video_id is not
+    its key is a fault."""
+    lines, config, dump = _input
+    frames = ingest.parse_observations(
+        ingest.read_lines(enumerate(lines[start:stop], start=start + 1)))
+    (video,) = _read_videos(frames)
+    if video[0] != video_id:
+        raise ValidationError(f"a line keyed {video_id!r} belongs to another video")
+    return _detect_video(*video, config, dump)
 
 
 def _usable_cpus() -> int:

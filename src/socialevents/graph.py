@@ -240,4 +240,11 @@ def parse_graph(record: dict, line: int | None = None) -> SocialGraph:
 
 
 def load_graphs(path) -> list[SocialGraph]:
-    return [parse_graph(record, line_no) for line_no, record in read_jsonl(path)]
+    """Each graph of a graph.jsonl file in file order; a video_id that
+    comes back is a ValidationError naming its line."""
+    graphs: dict[str, SocialGraph] = {}
+    for line_no, record in read_jsonl(path):
+        g = parse_graph(record, line_no)
+        if graphs.setdefault(g.video_id, g) is not g:
+            raise ValidationError(f"bad graph record: video_id {g.video_id!r} repeats", line_no)
+    return list(graphs.values())

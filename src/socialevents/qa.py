@@ -633,4 +633,11 @@ def parse_qa_item(record: dict, line: int | None = None) -> QAItem:
 
 
 def load_qa_items(path) -> list[QAItem]:
-    return [parse_qa_item(record, line_no) for line_no, record in read_jsonl(path)]
+    """Each QA item of a qa.jsonl file in file order; a qa_id that comes
+    back is a ValidationError naming its line."""
+    items: dict[str, QAItem] = {}
+    for line_no, record in read_jsonl(path):
+        item = parse_qa_item(record, line_no)
+        if items.setdefault(item.qa_id, item) is not item:
+            raise ValidationError(f"bad qa record: qa_id {item.qa_id!r} repeats", line_no)
+    return list(items.values())

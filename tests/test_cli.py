@@ -9,6 +9,7 @@ import os
 import sys
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -430,11 +431,33 @@ def test_sharded_detect_never_forks_beside_another_thread(tmp_path):
 
 
 @needs_two_cpus
-def test_detect_starts_no_more_workers_than_videos_or_cpus(tmp_path, monkeypatch):
-    started = []
+def test_sharded_detect_leaves_no_thread_and_no_warning(tmp_path):
+    """A pool that forks beside its own thread (which warns from 3.12 on)
+    or leaves a thread alive (which makes every later pass in the process
+    run serially) fails here."""
+    obs = tmp_path / "obs.jsonl"
+    obs.write_bytes(observation_bytes(_three_videos()))
+    args = argparse.Namespace(input=str(obs), threads=2, dump_features=False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sharded = cli._detect_sharded(args, EngineConfig())
+    assert sharded is not None
+    assert caught == []
+    assert threading.active_count() == 1
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The processes started while the test runs."""
+    processes = []
     start = multiprocessing.process.BaseProcess.start
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
-                        lambda self: (started.append(self), start(self))[1])
+                        lambda self: (processes.append(self), start(self))[1])
+    return processes
+
+
+@needs_two_cpus
+def test_detect_starts_no_more_workers_than_videos_or_cpus(tmp_path, started):
     obs = tmp_path / "obs.jsonl"
     obs.write_bytes(observation_bytes(_three_videos()))
     for threads in ("1", "1000000"):
@@ -450,15 +473,30 @@ def _fork_fails(self):
     raise BlockingIOError(11, "Resource temporarily unavailable")
 
 
+_start = multiprocessing.process.BaseProcess.start
+
+
+def _later_fork_fails(self):
+    if multiprocessing.active_children():  # a worker already runs
+        _fork_fails(self)
+    _start(self)
+
+
 def _worker_dies(*args):
     os._exit(1)
+
+
+def _worker_raises(*args):
+    raise RuntimeError("a fault in a worker")
 
 
 @needs_two_cpus
 @pytest.mark.parametrize("target, name, value", [
     (multiprocessing.process.BaseProcess, "start", _fork_fails),
-    (cli, "_detect_share", _worker_dies),
-], ids=["no process", "a worker dies"])
+    (multiprocessing.process.BaseProcess, "start", _later_fork_fails),
+    (cli, "_detect_lines", _worker_dies),
+    (cli, "_detect_lines", _worker_raises),
+], ids=["no process", "a later fork fails", "a worker dies", "a worker raises"])
 def test_detect_runs_serially_when_the_workers_fail(tmp_path, monkeypatch, target, name, value):
     obs = tmp_path / "obs.jsonl"
     obs.write_bytes(observation_bytes(_three_videos()))
@@ -478,11 +516,14 @@ def test_threads_below_1_is_a_usage_error(value, capsys):
     assert "argument --threads: needs an integer of at least 1" in capsys.readouterr().err
 
 
-def test_env_var_thread_fallback(tmp_path, monkeypatch):
-    obs, _ = make_inputs(tmp_path, n_videos=1)
-    out = tmp_path / "out"
+def test_env_var_thread_fallback(tmp_path, monkeypatch, started):
+    """GRASP_ENGINE_THREADS is not read: detect without --threads starts no
+    worker, even on input it could shard."""
+    obs = tmp_path / "obs.jsonl"
+    obs.write_bytes(observation_bytes(_three_videos()))
     monkeypatch.setenv("GRASP_ENGINE_THREADS", "2")
-    assert run("detect", "--input", str(obs), "--out", str(out)) == 0
+    assert run("detect", "--input", str(obs), "--out", str(tmp_path / "out")) == 0
+    assert started == []
 
 
 def test_detect_empty_observations(tmp_path):
@@ -942,6 +983,25 @@ def test_reward_names_the_first_faulty_line(valid_inputs, tmp_path, capsys):
         assert capsys.readouterr().err == \
             f"error: line 2: qa {target} cites unknown event 999999\n"
         assert not (out / "rewards.jsonl").exists()
+
+
+@pytest.mark.parametrize("stage, key, field", [
+    (("qagen", "--input", "{graph}"), "graph", "video_id"),
+    (REWARD_ARGS, "graph", "video_id"),
+    (REWARD_ARGS, "qa", "qa_id"),
+], ids=["qagen-graph", "reward-graphs", "reward-qa"])
+def test_repeated_key_exit_3(valid_inputs, tmp_path, capsys, stage, key, field):
+    """A graph.jsonl or qa.jsonl whose first record comes back at its end
+    exits 3 naming that line; the last record does not silently win."""
+    lines = valid_inputs[key].read_text().splitlines(keepends=True)
+    paths = {**valid_inputs, key: tmp_path / f"{key}.jsonl"}
+    paths[key].write_text("".join(lines) + lines[0])
+    out = tmp_path / "out"
+    assert run(*(arg.format(**paths) for arg in stage), "--out", str(out)) == 3
+    value = json.loads(lines[0])[field]
+    assert capsys.readouterr().err == \
+        f"error: line {len(lines) + 1}: bad {key} record: {field} {value!r} repeats\n"
+    assert list(out.iterdir()) == []
 
 
 MISSING = object()
