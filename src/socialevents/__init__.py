@@ -15,7 +15,7 @@ from .analytics import (
 )
 from .config import DEFAULT_CONFIG, EngineConfig
 from .events import SocialEvent, cluster_intervals, detect_all
-from .gaze import GazeTrack, build_tracks, compute_features, convergence_score, gaze_velocity, interpolate_track
+from .gaze import GazeTrack, build_tracks, compute_features, interpolate_track
 from .graph import SocialGraph, build_graph, prune_graph
 from .identity import Association, box_overlap, head_region, match_faces_to_persons
 from .ingest import (
@@ -63,11 +63,9 @@ __all__ = [
     "build_tracks",
     "cluster_intervals",
     "compute_features",
-    "convergence_score",
     "corrupt_ids",
     "detect_all",
     "extract_participants",
-    "gaze_velocity",
     "generate_qa",
     "group_advantages",
     "grounding_precision",

@@ -20,9 +20,10 @@ forked workers (concurrent.futures.ProcessPoolExecutor; no more workers than
 videos or usable CPUs), each taking one whole video at a time, and writes
 their output in the order each video first appears. Every other stage runs
 serially in input order. The bytes, the exit code and the message are the
-same at any N: input the workers cannot take, or a fault in the pool, makes
+same at any N: input the parent cannot key, or a fault in the pool, makes
 detect run serially from the start, which detects and writes each video as
-soon as its run of frames ends (a video that comes back exits 3).
+soon as its run of frames ends (a video that comes back, which is a fault in
+its worker, exits 3).
 
 reward formats each rewards.jsonl line as text (rewards_line), with the
 bytes ingest.dumps_canonical would write for the group's record. Trace
@@ -285,10 +286,10 @@ def _detect_video(video_id: str, tracks: list[gaze.GazeTrack], stop: int,
     return events_text, video_line, features_text
 
 
-# A line's video, read from its text: the first "video_id":"..." whose
-# value holds no quote and no backslash. A worker checks it against the
-# parsed record.
-_VIDEO_KEY = re.compile(r'"video_id":"([^"\\]*)"')
+# A line's video, read from its text: the first "video_id":"..." (spaces or
+# tabs may stand around the colon) whose value holds no quote and no
+# backslash. A worker checks it against the parsed record.
+_VIDEO_KEY = re.compile(r'"video_id"[ \t]*:[ \t]*"([^"\\]*)"')
 
 
 def _detect_sharded(args: argparse.Namespace,
@@ -297,10 +298,11 @@ def _detect_sharded(args: argparse.Namespace,
     pool of up to ``args.threads`` forked workers, each taking one whole
     video at a time. None, with nothing written, where the serial path must
     run instead: fewer than two workers would run (one video, one usable
-    CPU), a line has no key, a key comes back after another, the input holds
-    a byte that is not UTF-8, there is no fork, another thread runs, or the
-    pool met a fault of any kind (no process, a worker that dies or raises).
-    The serial path then gives the serial exit code and message. Results
+    CPU), a line has no key, the input holds a byte that is not UTF-8, there
+    is no fork, another thread runs, or the pool met a fault of any kind (no
+    process, a worker that dies or raises, as on a video that comes back
+    after another, whose lines span the other's). The serial path then gives
+    the serial exit code and message. Results
     are read in file order; at the first fault the videos still queued are
     cancelled, so only those already handed to a worker still run.
 
@@ -313,14 +315,12 @@ def _detect_sharded(args: argparse.Namespace,
     except UnicodeDecodeError:
         return None
     bounds: dict[str, list[int]] = {}  # video -> [start, stop) of its lines, in file order
-    key = None
     for i, line in enumerate(lines):
         if line.strip():
             match = _VIDEO_KEY.search(line)
-            if match is None or match[1] != key and match[1] in bounds:
+            if match is None:
                 return None
-            key = match[1]
-            bounds.setdefault(key, [i, 0])[1] = i + 1
+            bounds.setdefault(match[1], [i, 0])[1] = i + 1
     n = min(args.threads, len(bounds), _usable_cpus())
     if n < 2:
         return None

@@ -229,10 +229,8 @@ def detect_gaze_following(
     span = max((tr.stop for tr in tracks), default=0) - min((tr.start for tr in tracks), default=0)
     lags = range(to_tick(config.follow_lag_min), min(to_tick(config.follow_lag_max), span) + 1)
     distance = config.follow_distance
-    # tick -> {leader id: gaze point} for every measured gaze point. The
-    # garbage collector stops tracking a pair of floats once it survives a
-    # collection, and never tracks a dict of such pairs, so it never walks
-    # this index; a leader's sample is looked up only for an event.
+    # tick -> {leader id: gaze point} for every measured gaze point; a
+    # leader's whole sample is looked up only for an event.
     measured_at: dict[int, dict[int, Point]] = {}
     track_of = {}
     for tr in tracks:

@@ -17,10 +17,8 @@ centre inline, with ``Box.center``'s float operations. ``compute_features``
 makes one sweep per track, which fills its row of velocities and of
 convergence points over the video's ticks; each tick then reads its column,
 O(F x P) for F ticks and P persons. On 14 persons (x86-64, Python 3.11,
-best of 30) a tick takes ~12.7 us; through ``gaze_velocity`` and
-``convergence_score`` per track and tick it took ~19 us. The centroid is a
-left-to-right fold, not ``sum()``, whose float rounding differs from Python
-3.12 on.
+best of 30) a tick takes ~12.7 us. The centroid is a left-to-right fold,
+not ``sum()``, whose float rounding differs from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -178,49 +176,11 @@ def interpolate_track(track: GazeTrack, config: EngineConfig = DEFAULT_CONFIG) -
     return GazeTrack(track.video_id, track.person_id, tuple(samples))
 
 
-def gaze_velocity(track: GazeTrack, k: int) -> float | None:
-    """Speed of the face-centered gaze direction between ticks k - 1 and k."""
-    cur = track.sample_at(k)
-    prev = track.sample_at(k - 1)
-    if cur is None or prev is None:
-        return None
-    if cur.gaze_point is None or cur.face_center is None:
-        return None
-    if prev.gaze_point is None or prev.face_center is None:
-        return None
-    dx = (cur.gaze_point[0] - cur.face_center[0]) - (prev.gaze_point[0] - prev.face_center[0])
-    dy = (cur.gaze_point[1] - cur.face_center[1]) - (prev.gaze_point[1] - prev.face_center[1])
-    return math.hypot(dx, dy) / SAMPLE_PERIOD
-
-
-def convergence_score(
-    tracks: list[GazeTrack], k: int, config: EngineConfig = DEFAULT_CONFIG
-) -> tuple[float, Point, tuple[int, ...]] | None:
-    """Convergence of concurrent in-frame gaze points at tick k.
-
-    Needs at least two contributors; returns (score, centroid, person IDs).
-    The score is exp(-alpha * median distance to the centroid), so identical
-    points score exactly 1.
-    """
-    points: list[tuple[int, Point]] = []
-    for track in tracks:
-        sample = track.sample_at(k)
-        if sample is None or sample.gaze_point is None:
-            continue
-        if not sample.in_frame or sample.confidence <= 0.0:
-            continue
-        if config.convergence_measured_only and sample.provenance != PROV_MEASURED:
-            continue
-        points.append((track.person_id, sample.gaze_point))
-    if len(points) < 2:
-        return None
-    return _convergence(points, config.convergence_alpha)
-
-
 def _convergence(
     points: list[tuple[int, Point]], alpha: float
 ) -> tuple[float, Point, tuple[int, ...]]:
-    """Score, centroid and sorted person IDs of two or more gaze points."""
+    """Score, centroid and sorted person IDs of two or more gaze points. The
+    score is exp(-alpha * median distance to the centroid): 1 if they agree."""
     cx = cy = 0.0  # left-to-right folds: sum() of floats rounds otherwise from 3.12 on
     for _, (x, y) in points:
         cx += x
@@ -240,8 +200,11 @@ def compute_features(
 
     One sweep per track fills its row of velocities and of convergence
     points over those ticks, None where it has none; then each tick reads
-    its column. The values are those of ``gaze_velocity`` and
-    ``convergence_score`` at each tick, with the same float operations.
+    its column. A velocity is the speed of the face-centred gaze direction
+    (gaze point minus face centre) since the tick before, where both samples
+    hold both points. A tick's contributors are its samples with a gaze
+    point, in frame, of confidence above 0 and, with
+    ``convergence_measured_only``, measured; two or more give ``_convergence``.
     """
     tracks = [tr for tr in tracks if tr.samples]
     if not tracks:
@@ -266,7 +229,7 @@ def compute_features(
                 if prev is not None:
                     velocity[i] = math.hypot(cur[0] - prev[0], cur[1] - prev[1]) / SAMPLE_PERIOD
                 prev = cur
-            # convergence_score's test, as it is written there
+            # a contributor; `not <=` lets a NaN confidence in
             if gaze_point is not None and s.in_frame and not s.confidence <= 0.0 \
                     and (not measured_only or s.provenance == PROV_MEASURED):
                 point[i] = (pid, gaze_point)

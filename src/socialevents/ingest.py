@@ -296,10 +296,7 @@ def read_field(record: dict, key: str, kind, what: str, line: int | None,
                default=_MISSING):
     """``record[key]`` checked by ``typed``. A missing key gives ``default``,
     itself checked, or, with none, a ValidationError naming the key."""
-    value = record.get(key, default)
-    # typed's first test, inline: a field of the exact kind costs no call.
-    return value if type(value) is kind and (kind is not float or math.isfinite(value)) \
-        else typed(value, kind, key, what, line)
+    return typed(record.get(key, default), kind, key, what, line)
 
 
 def typed(value, kind, name: str, what: str, line: int | None):

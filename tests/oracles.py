@@ -13,7 +13,7 @@ from itertools import permutations
 
 from socialevents.config import DEFAULT_CONFIG, EngineConfig
 from socialevents.events import SocialEvent, event_sort_key
-from socialevents.gaze import PROV_MEASURED
+from socialevents.gaze import PROV_MEASURED, FrameFeatures, _convergence
 from socialevents.graph import SocialGraph
 from socialevents.ingest import Box
 from helpers import tick
@@ -106,6 +106,32 @@ def _velocity(track, t) -> float | None:
     dx = (cur.gaze_point[0] - cur.face_center[0]) - (prev.gaze_point[0] - prev.face_center[0])
     dy = (cur.gaze_point[1] - cur.face_center[1]) - (prev.gaze_point[1] - prev.face_center[1])
     return math.hypot(dx, dy) / 0.5
+
+
+def features_per_tick(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[FrameFeatures]:
+    """gaze.compute_features tick by tick: each track's _velocity, and the
+    convergence of the tick's contributors through gaze._convergence, whose
+    left-to-right centroid folds are the detect bytes' rounding."""
+    spanned = [tr for tr in tracks if tr.samples]
+    features = []
+    for k in range(min((tr.start for tr in spanned), default=0),
+                   max((tr.stop for tr in spanned), default=0)):
+        velocities = {}
+        points = []
+        for tr in tracks:
+            v = _velocity(tr, k * 0.5)
+            if v is not None:
+                velocities[tr.person_id] = v
+            s = tr.sample_at(k)
+            if s is None or s.gaze_point is None or not s.in_frame or s.confidence <= 0.0:
+                continue
+            if config.convergence_measured_only and s.provenance != PROV_MEASURED:
+                continue
+            points.append((tr.person_id, s.gaze_point))
+        convergence = _convergence(points, config.convergence_alpha) if len(points) >= 2 \
+            else (None, None, ())
+        features.append(FrameFeatures(k, velocities, *convergence))
+    return features
 
 
 def oracle_sudden(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[tuple]:

@@ -469,6 +469,22 @@ def test_detect_starts_no_more_workers_than_videos_or_cpus(tmp_path, started):
         (tmp_path / "1000000" / "events.jsonl").read_bytes()
 
 
+@needs_two_cpus
+@pytest.mark.parametrize("separators", [(", ", ": "), (",", "\t:\t"), (",", " :")],
+                         ids=["json.dumps", "tabs", "space before"])
+def test_detect_shards_spaced_json(tmp_path, started, separators):
+    """Whitespace around a key's colon, as json.dumps writes by default."""
+    obs = tmp_path / "obs.jsonl"
+    obs.write_text("".join(json.dumps(json.loads(serialize_frame(f)), separators=separators)
+                           + "\n" for f in _three_videos()))
+    for threads in ("1", "2"):
+        assert run("detect", "--input", str(obs), "--out", str(tmp_path / threads),
+                   "--threads", threads, "--dump-features") == 0
+    assert len(started) == 2
+    for artifact in ("events.jsonl", "videos.jsonl", "features.jsonl"):
+        assert (tmp_path / "1" / artifact).read_bytes() == (tmp_path / "2" / artifact).read_bytes()
+
+
 def _fork_fails(self):
     raise BlockingIOError(11, "Resource temporarily unavailable")
 

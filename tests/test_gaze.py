@@ -15,17 +15,15 @@ from socialevents.gaze import (
     PROV_INTERPOLATED,
     PROV_MEASURED,
     PROV_MISSING,
-    FrameFeatures,
     GazeSample,
     GazeTrack,
     build_tracks,
     compute_features,
-    convergence_score,
-    gaze_velocity,
     interpolate_track,
 )
 from socialevents.ingest import Box, FaceMeasurement, FrameObservation, PersonBox, parse_frame
 from helpers import grid_track, sample, tick
+from oracles import features_per_tick
 from synth import make_video, serialize_frame
 
 
@@ -205,25 +203,30 @@ class TestInterpolation:
         assert repaired.samples[-1].provenance == PROV_MISSING
 
 
+def velocity_at(track, k):
+    """The track's velocity at tick k as compute_features gives it, or None."""
+    return compute_features([track])[k - track.start].velocities.get(track.person_id)
+
+
 class TestVelocity:
     def test_constant_direction_zero(self):
         track = grid_track(0, 0.0, 0.5, {
             0.0: {"gaze": (0.6, 0.5), "center": (0.5, 0.5)},
             0.5: {"gaze": (0.7, 0.6), "center": (0.6, 0.6)},  # same d = (0.1, 0)
         })
-        assert gaze_velocity(track, tick(0.5)) == pytest.approx(0.0)
+        assert velocity_at(track, tick(0.5)) == pytest.approx(0.0)
 
     def test_direction_change(self):
         track = grid_track(0, 0.0, 0.5, {
             0.0: {"gaze": (0.6, 0.5), "center": (0.5, 0.5)},  # d = (0.1, 0.0)
             0.5: {"gaze": (0.6, 0.7), "center": (0.5, 0.5)},  # d = (0.1, 0.2)
         })
-        assert gaze_velocity(track, tick(0.5)) == pytest.approx(0.4)
+        assert velocity_at(track, tick(0.5)) == pytest.approx(0.4)
 
     def test_missing_previous_sample(self):
         track = grid_track(0, 0.0, 1.0, {1.0: {"gaze": (0.5, 0.5)}})
-        assert gaze_velocity(track, tick(1.0)) is None
-        assert gaze_velocity(track, tick(0.5)) is None
+        assert velocity_at(track, tick(1.0)) is None
+        assert velocity_at(track, tick(0.5)) is None
 
     def test_translation_invariance(self):
         rng = random.Random(3)
@@ -240,8 +243,8 @@ class TestVelocity:
                 t: {"gaze": (g[0] + dx, g[1] + dy), "center": (c[0] + dx, c[1] + dy)}
                 for t, (g, c) in pts.items()
             })
-            assert gaze_velocity(shifted, tick(0.5)) == \
-                pytest.approx(gaze_velocity(track, tick(0.5)))
+            assert velocity_at(shifted, tick(0.5)) == \
+                pytest.approx(velocity_at(track, tick(0.5)))
 
 
 def one_point_tracks(points, t=0.0):
@@ -250,27 +253,34 @@ def one_point_tracks(points, t=0.0):
     ]
 
 
+def convergence_at(tracks, k, config=DEFAULT_CONFIG):
+    """(score, centroid, contributors) at tick k as compute_features gives
+    them, or None."""
+    (f,) = [f for f in compute_features(tracks, config) if f.k == k]
+    return None if f.convergence is None else (f.convergence, f.centroid, f.contributors)
+
+
 class TestConvergence:
     def test_identical_points_score_one(self):
-        result = convergence_score(one_point_tracks([(0.5, 0.5)] * 3), tick(0.0))
+        result = convergence_at(one_point_tracks([(0.5, 0.5)] * 3), tick(0.0))
         assert result[0] == 1.0
 
     def test_two_points(self):
-        s, centroid, who = convergence_score(
+        s, centroid, who = convergence_at(
             one_point_tracks([(0.4, 0.5), (0.6, 0.5)]), tick(0.0))
         assert centroid == pytest.approx((0.5, 0.5))
         assert s == pytest.approx(math.exp(-0.3))
         assert who == (0, 1)
 
     def test_three_points_even_median(self):
-        s, centroid, _ = convergence_score(
+        s, centroid, _ = convergence_at(
             one_point_tracks([(0.5, 0.5), (0.5, 0.5), (0.9, 0.5)]), tick(0.0)
         )
         assert centroid[0] == pytest.approx(0.63333333)
         assert s == pytest.approx(math.exp(-0.4))
 
     def test_single_point_undefined(self):
-        assert convergence_score(one_point_tracks([(0.5, 0.5)]), tick(0.0)) is None
+        assert convergence_at(one_point_tracks([(0.5, 0.5)]), tick(0.0)) is None
 
     def test_out_of_frame_excluded(self):
         tracks = one_point_tracks([(0.5, 0.5), (0.5, 0.5)])
@@ -278,16 +288,16 @@ class TestConvergence:
         tracks[0] = GazeTrack(tracks[0].video_id, 0, (GazeSample(
             s0.k, s0.gaze_point, s0.face_center, s0.face_box, False, s0.confidence,
             s0.provenance), ))
-        assert convergence_score(tracks, tick(0.0)) is None
+        assert convergence_at(tracks, tick(0.0)) is None
 
     def test_permutation_and_relabel_invariance(self):
         pts = [(0.2, 0.3), (0.25, 0.33), (0.7, 0.7), (0.21, 0.29)]
         tracks = one_point_tracks(pts)
-        base = convergence_score(tracks, tick(0.0))
+        base = convergence_at(tracks, tick(0.0))
         relabeled = [
             GazeTrack("v", 10 - tr.person_id, tr.samples) for tr in reversed(tracks)
         ]
-        other = convergence_score(relabeled, tick(0.0))
+        other = convergence_at(relabeled, tick(0.0))
         assert other[0] == pytest.approx(base[0])
         assert other[1] == pytest.approx(base[1])
         assert len(other[2]) == len(base[2])
@@ -297,7 +307,7 @@ class TestConvergence:
         rng = random.Random(11)
         for _ in range(100):
             pts = [(rng.random(), rng.random()) for _ in range(rng.randint(2, 6))]
-            s, centroid, _ = convergence_score(one_point_tracks(pts), tick(0.0))
+            s, centroid, _ = convergence_at(one_point_tracks(pts), tick(0.0))
             assert 0.0 < s <= 1.0
             median = statistics.median(
                 math.hypot(p[0] - centroid[0], p[1] - centroid[1]) for p in pts
@@ -305,15 +315,14 @@ class TestConvergence:
             assert (s == 1.0) == (median == 0.0)
         # all-coincident points always score exactly 1
         coincident = [(0.37, 0.61)] * 4
-        assert convergence_score(one_point_tracks(coincident), tick(0.0))[0] == 1.0
+        assert convergence_at(one_point_tracks(coincident), tick(0.0))[0] == 1.0
 
     def test_centroid_is_a_left_to_right_fold(self):
         # sum() of floats rounds otherwise from Python 3.12 on, which gives
         # 0.19999999999999998 here and would change the detect bytes.
         tracks = one_point_tracks([(0.1, 0.5), (0.2, 0.5), (0.3, 0.5)])
-        _, centroid, _ = convergence_score(tracks, tick(0.0))
+        _, centroid, _ = convergence_at(tracks, tick(0.0))
         assert centroid[0] == ((0.1 + 0.2) + 0.3) / 3 == 0.20000000000000004
-        assert compute_features(tracks)[0].centroid == centroid
 
     def test_strict_measured_mode_excludes_interpolated(self):
         import dataclasses
@@ -321,8 +330,8 @@ class TestConvergence:
         tracks = one_point_tracks([(0.5, 0.5), (0.5, 0.5)])
         s0 = tracks[0].samples[0]
         tracks[0] = GazeTrack("v", 0, (s0._replace(provenance=PROV_INTERPOLATED),))
-        assert convergence_score(tracks, tick(0.0), cfg) is None
-        assert convergence_score(tracks, tick(0.0)) is not None
+        assert convergence_at(tracks, tick(0.0), cfg) is None
+        assert convergence_at(tracks, tick(0.0)) is not None
 
 
 def test_compute_features_shape():
@@ -337,22 +346,6 @@ def test_compute_features_shape():
     assert 0 in features[1].velocities
 
 
-def _reference_features(tracks, config):
-    """compute_features tick by tick, from the public per-tick functions."""
-    spanned = [tr for tr in tracks if tr.samples]
-    features = []
-    for k in range(min((tr.start for tr in spanned), default=0),
-                   max((tr.stop for tr in spanned), default=0)):
-        velocities = {}
-        for track in tracks:
-            v = gaze_velocity(track, k)
-            if v is not None:
-                velocities[track.person_id] = v
-        features.append(FrameFeatures(
-            k, velocities, *(convergence_score(tracks, k, config) or (None, None, ()))))
-    return features
-
-
 SAMPLE_EDITS = [dict(in_frame=False), dict(confidence=0.0), dict(face_center=None),
                 dict(gaze_point=None, provenance=PROV_MISSING)]
 
@@ -362,9 +355,9 @@ SAMPLE_EDITS = [dict(in_frame=False), dict(confidence=0.0), dict(face_center=Non
        measured_only=st.booleans(), alpha=st.floats(0.0, 50.0))
 def test_feature_sweep_matches_the_per_tick_reference(seed, persons, data, measured_only, alpha):
     """compute_features equals, bit for bit, the features built tick by tick
-    from gaze_velocity and convergence_score, also on ticks where no track
-    has a sample and on samples that are out of frame, of zero confidence or
-    without a face centre."""
+    by oracles.features_per_tick, also on ticks where no track has a sample
+    and on samples that are out of frame, of zero confidence or without a
+    face centre."""
     config = dataclasses.replace(DEFAULT_CONFIG, convergence_measured_only=measured_only,
                                  convergence_alpha=alpha)
     frames = make_video(seed, min_persons=persons, max_persons=persons, max_frames=40)
@@ -380,4 +373,4 @@ def test_feature_sweep_matches_the_per_tick_reference(seed, persons, data, measu
     if data.draw(st.booleans(), label="empty track"):
         tracks.append(GazeTrack("v", 99, ()))
     features = compute_features(tracks, config)
-    assert repr(features) == repr(_reference_features(tracks, config))
+    assert repr(features) == repr(features_per_tick(tracks, config))
