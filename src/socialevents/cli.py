@@ -29,9 +29,12 @@ reward formats each rewards.jsonl line as text (rewards_line), with the
 bytes ingest.dumps_canonical would write for the group's record. Trace
 records, rewards records and their rollouts are read through the TRACE,
 REWARDS and ROLLOUT tables below with ingest.read_record, as every other
-record is through its own table. With --tsv a query_id, qa_id or model
-holding a tab, LF or CR (which would split report.tsv's rows) or a lone
-surrogate (which has no UTF-8 bytes) is a schema error.
+record is through its own table; whether a rollout is valid does not depend
+on --tsv. analyze keeps one trace group per rewards line, in file order:
+report.json's block for each model is _block over that model's groups, and
+report.tsv's rows are written from the same groups. With --tsv a query_id,
+qa_id or model holding a tab, LF or CR (which would split report.tsv's rows)
+or a lone surrogate (which has no UTF-8 bytes) is a schema error.
 
 Each stage runs with the cyclic garbage collector off; main restores the
 caller's setting however the stage ends.
@@ -538,15 +541,15 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
 # the rollout index.
 TSV_FIELDS = ("r_acc", "r_fmt", "r_str", "r_gnd", "total", "advantage",
               "grounding_precision", "novel_participants", "think_tokens", "well_formed")
-# Each per-rollout field analyze reads, in the order they are checked; the
-# last four only with --tsv. r_acc, r_fmt and r_str are written as ints:
-# each value is kept as read, so report.tsv writes it as reward did.
-ROLLOUT_TSV = ingest.Schema(
+# Each per-rollout field analyze reads, in the order they are checked, with or
+# without --tsv; report.json uses the first eight. r_acc, r_fmt and r_str are
+# written as ints: each value is kept as read, so report.tsv writes it as
+# reward did.
+ROLLOUT = ingest.Schema(
     "rewards", ("r_acc", ingest.NUMBER), ("grounding_precision", ingest.Nullable(ingest.NUMBER)),
     ("n_pred", int), ("n_correct", int), ("novel_participants", int), ("think_tokens", int),
     ("well_formed", bool), ("total", ingest.NUMBER), ("r_fmt", ingest.NUMBER),
     ("r_str", ingest.NUMBER), ("r_gnd", ingest.NUMBER), ("advantage", ingest.NUMBER))
-ROLLOUT = ingest.Schema("rewards", *ROLLOUT_TSV.fields[:8])
 # A key character report.tsv cannot hold: a tab, LF or CR would split its
 # row, and a lone surrogate has no UTF-8 encoding.
 _TSV_BREAK = re.compile(r"[\t\n\r\ud800-\udfff]")
@@ -554,64 +557,61 @@ _TSV_BREAK = re.compile(r"[\t\n\r\ud800-\udfff]")
 
 def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
-    tsv = args.tsv
-    per_model: dict[str, tuple[list, list]] = {}  # model -> (query_ids, rollout values)
-    rows = []
+    groups = []  # one (query_id, qa_id, model, rollout values) per trace group, in file order
     for line_no, record in ingest.read_jsonl(args.input):
         *keys, per_rollout = ingest.read_record(record, REWARDS, line_no)
-        query_id, qa_id, model = keys
-        if tsv and _TSV_BREAK.search("".join(keys)):
+        if args.tsv and _TSV_BREAK.search("".join(keys)):
             name, value = next(item for item in zip(REWARDS.keys, keys)
                                if _TSV_BREAK.search(item[1]))
             what = "a tab, LF or CR" if _TSV_BREAK.search(value)[0] in "\t\n\r" \
                 else "a lone surrogate"
             raise ValidationError(f"bad rewards record: {name} must not hold {what} "
                                   f"in report.tsv, got {value!r}", line_no)
-        queries, rollouts = per_model.setdefault(model, ([], []))
-        queries.append(query_id)
-        prefix = f"{query_id}\t{qa_id}\t{model}\t"
-        for i, r in enumerate(per_rollout):
-            values = ingest.read_record(r, ROLLOUT_TSV if tsv else ROLLOUT, line_no)
-            rollouts.append(values)
-            if tsv:  # each value as read: 1, 0.0, None, True
-                (r_acc, precision, _, _, novel, tokens, well_formed, total,
-                 r_fmt, r_str, r_gnd, advantage) = values
-                rows.append(f"{prefix}{i}\t{r_acc}\t{r_fmt}\t{r_str}\t{r_gnd}\t{total}\t"
-                            f"{advantage}\t{precision}\t{novel}\t{tokens}\t{well_formed}\n")
+        groups.append((*keys, [ingest.read_record(r, ROLLOUT, line_no) for r in per_rollout]))
 
-    models = {}
-    for model, (queries, rollouts) in sorted(per_model.items()):
-        acc, precision, n_preds, n_correct, novel, length, well_formed, total = \
-            list(zip(*rollouts))[:8] if rollouts else [()] * 8
-        n_pred = sum(n_preds)
-        try:
-            micro = sum(n_correct) / n_pred if n_pred else None
-        except OverflowError:  # Python ints: the quotient can leave the float range
-            raise ContractError(
-                f"model {model!r}: grounding_precision_micro overflows the float range") from None
-        models[model] = {
-            "queries": len(queries),
-            "rollouts": len(rollouts),
-            "accuracy": _mean(acc, model, "accuracy"),
-            # null: nothing predicted, left out of the mean
-            "grounding_precision_macro": _mean([p for p in precision if p is not None], model,
-                                               "grounding_precision_macro"),
-            "grounding_precision_micro": micro,
-            "mean_novel_participants": _mean(novel, model, "mean_novel_participants"),
-            "mean_reasoning_length": _mean(length, model, "mean_reasoning_length"),
-            "median_reasoning_length": float(statistics.median(length)) if length else None,
-            "malformed_traces": well_formed.count(False),
-            "mean_total_reward": _mean(total, model, "mean_total_reward"),
-        }
-
+    by_model = itertools.groupby(sorted(groups, key=operator.itemgetter(2)), operator.itemgetter(2))
+    models = {model: _block(model, list(model_groups)) for model, model_groups in by_model}
     report = {"models": models, "cross_model": _cross_model(models)}
     _write_lines(out / "report.json", [json.dumps(report, indent=2, sort_keys=True)])
 
-    if tsv:
+    if args.tsv:
         with _artifact(out / "report.tsv") as fh:
-            fh.write("\t".join(("query_id", "qa_id", "model", "rollout", *TSV_FIELDS)) + "\n"
-                     + "".join(rows))
+            fh.write("\t".join(("query_id", "qa_id", "model", "rollout", *TSV_FIELDS)) + "\n")
+            for query_id, qa_id, model, rollouts in groups:
+                fh.writelines(  # each value as read: 1, 0.0, None, True
+                    f"{query_id}\t{qa_id}\t{model}\t{i}\t{r_acc}\t{r_fmt}\t{r_str}\t{r_gnd}\t"
+                    f"{total}\t{advantage}\t{precision}\t{novel}\t{tokens}\t{well_formed}\n"
+                    for i, (r_acc, precision, _, _, novel, tokens, well_formed, total,
+                            r_fmt, r_str, r_gnd, advantage) in enumerate(rollouts))
     return EXIT_OK
+
+
+def _block(model: str, groups: list) -> dict:
+    """report.json's block over trace groups ``(query_id, qa_id, model,
+    rollout values)``, as for one model; ``model`` names it in a message."""
+    rollouts = [values for *_, group_rollouts in groups for values in group_rollouts]
+    acc, precision, n_preds, n_correct, novel, length, well_formed, total = \
+        list(zip(*rollouts))[:8] if rollouts else [()] * 8
+    n_pred = sum(n_preds)
+    try:
+        micro = sum(n_correct) / n_pred if n_pred else None
+    except OverflowError:  # Python ints: the quotient can leave the float range
+        raise ContractError(
+            f"model {model!r}: grounding_precision_micro overflows the float range") from None
+    return {
+        "queries": len(groups),
+        "rollouts": len(rollouts),
+        "accuracy": _mean(acc, model, "accuracy"),
+        # null: nothing predicted, left out of the mean
+        "grounding_precision_macro": _mean([p for p in precision if p is not None], model,
+                                           "grounding_precision_macro"),
+        "grounding_precision_micro": micro,
+        "mean_novel_participants": _mean(novel, model, "mean_novel_participants"),
+        "mean_reasoning_length": _mean(length, model, "mean_reasoning_length"),
+        "median_reasoning_length": float(statistics.median(length)) if length else None,
+        "malformed_traces": well_formed.count(False),
+        "mean_total_reward": _mean(total, model, "mean_total_reward"),
+    }
 
 
 def _mean(values: tuple | list, model: str, aggregate: str) -> float | None:
@@ -654,8 +654,7 @@ def _cross_model(models: dict) -> dict:
 def _cmd_corrupt(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
     with _artifact(out / "qa.corrupted.jsonl") as fh:
-        for line_no, raw in ingest.read_jsonl(args.input):
-            item = qa.parse_qa_item(raw, line_no)
+        for line_no, item in qa.read_qa_items(args.input):
             try:
                 ids = sorted(analytics.item_person_ids(item))
             except ValidationError as exc:

@@ -632,12 +632,19 @@ def parse_qa_item(record: dict, line: int | None = None) -> QAItem:
     return item
 
 
-def load_qa_items(path) -> list[QAItem]:
-    """Each QA item of a qa.jsonl file in file order; a qa_id that comes
-    back is a ValidationError naming its line."""
-    items: dict[str, QAItem] = {}
+def read_qa_items(path):
+    """``(line, item)`` for each QA item of a qa.jsonl file, in file order,
+    as it is read; a qa_id that comes back is a ValidationError naming its
+    line."""
+    seen: set[str] = set()
     for line_no, record in read_jsonl(path):
         item = parse_qa_item(record, line_no)
-        if items.setdefault(item.qa_id, item) is not item:
+        if item.qa_id in seen:
             raise ValidationError(f"bad qa record: qa_id {item.qa_id!r} repeats", line_no)
-    return list(items.values())
+        seen.add(item.qa_id)
+        yield line_no, item
+
+
+def load_qa_items(path) -> list[QAItem]:
+    """Each QA item of a qa.jsonl file in file order (``read_qa_items``)."""
+    return [item for _, item in read_qa_items(path)]

@@ -222,11 +222,11 @@ def analyze(tmp_path, records) -> dict:
 
 
 def rollout(raw="<think>a</think><answer>A</answer>", **fields) -> dict:
-    """One per_rollout entry; think_tokens and well_formed come from raw as
-    the reward stage derives them."""
+    """One per_rollout entry with every field analyze reads; think_tokens
+    and well_formed come from raw as the reward stage derives them."""
     tokens, flagged = reasoning_length(parse_trace(raw))
-    entry = {"r_acc": 0, "total": 0.0, "n_pred": 0, "n_correct": 0,
-             "grounding_precision": None, "novel_participants": 0,
+    entry = {"r_acc": 0, "r_fmt": 1, "r_str": 0, "r_gnd": 0.0, "total": 0.0, "advantage": 0.0,
+             "n_pred": 0, "n_correct": 0, "grounding_precision": None, "novel_participants": 0,
              "think_tokens": tokens, "well_formed": not flagged}
     entry.update(fields)
     return entry
@@ -346,10 +346,8 @@ class TestAnalyzeRejects:
     """analyze reads every field it reports by key: a record that lacks one,
     or whose keys are not strings, exits 3 naming the line and the field."""
 
-    TSV_ONLY = {"r_fmt": 1, "r_str": 0, "r_gnd": 0.0, "advantage": 0.0}
-
     def run(self, tmp_path, bad, *flags) -> int:
-        good = group("m", rollout(**self.TSV_ONLY))
+        good = group("m", rollout())
         path = tmp_path / "rewards.jsonl"
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         return main(["analyze", "--input", str(path), "--out", str(tmp_path / "out"), *flags])
@@ -367,11 +365,13 @@ class TestAnalyzeRejects:
 
     @pytest.mark.parametrize("field", ["r_fmt", "r_str", "r_gnd", "advantage"])
     def test_missing_tsv_field(self, tmp_path, capsys, field):
-        entry = rollout(**self.TSV_ONLY)
+        """A field only report.tsv writes is read with or without --tsv."""
+        entry = rollout()
         del entry[field]
-        assert self.run(tmp_path, group("m", entry)) == 0
-        assert self.run(tmp_path, group("m", entry), "--tsv") == 3
-        assert capsys.readouterr().err == f"error: line 2: bad rewards record: '{field}'\n"
+        for flags in ((), ("--tsv",)):
+            assert self.run(tmp_path, group("m", entry), *flags) == 3
+            assert capsys.readouterr().err == f"error: line 2: bad rewards record: '{field}'\n"
+            assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("field", ["query_id", "qa_id", "per_rollout"])
     def test_missing_record_field(self, tmp_path, capsys, field):
@@ -397,7 +397,7 @@ class TestAnalyzeRejects:
         """A tab, LF or CR in a key would split its report.tsv rows: with
         --tsv the record exits 3 naming the line and the first such field,
         and no report is written. Without --tsv the keys are only names."""
-        record = {**group("m", rollout(**self.TSV_ONLY)), **keys}
+        record = {**group("m", rollout()), **keys}
         assert self.run(tmp_path, record) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert set(report["models"]) == {"m", keys.get("model", "m")}
@@ -419,7 +419,7 @@ class TestAnalyzeRejects:
         """A lone surrogate in a key has no UTF-8 bytes for report.tsv: with
         --tsv the record exits 3 naming the line and the first such field,
         and no report is written. Without --tsv report.json escapes it."""
-        record = {**group("m", rollout(**self.TSV_ONLY)), **keys}
+        record = {**group("m", rollout()), **keys}
         assert self.run(tmp_path, record) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert set(report["models"]) == {"m", keys.get("model", "m")}

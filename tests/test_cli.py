@@ -31,6 +31,7 @@ from helpers import event
 from oracles import rewards_record
 from synth import (
     make_gestures,
+    make_traces,
     make_video,
     serialize_frame,
     write_gestures,
@@ -618,7 +619,7 @@ def test_rewards_line_is_the_canonical_record(data):
     line = cli.rewards_line(*keys, scored, asked)
     assert line == dumps_canonical(rewards_record(*keys, scored, gt, asked)) + "\n"
     record = json.loads(line)
-    for schema, r in [(cli.REWARDS, record), *((cli.ROLLOUT_TSV, r) for r in record["per_rollout"])]:
+    for schema, r in [(cli.REWARDS, record), *((cli.ROLLOUT, r) for r in record["per_rollout"])]:
         assert tuple(map(type, schema.values(r))) in schema.shapes
 
 
@@ -1005,7 +1006,8 @@ def test_reward_names_the_first_faulty_line(valid_inputs, tmp_path, capsys):
     (("qagen", "--input", "{graph}"), "graph", "video_id"),
     (REWARD_ARGS, "graph", "video_id"),
     (REWARD_ARGS, "qa", "qa_id"),
-], ids=["qagen-graph", "reward-graphs", "reward-qa"])
+    (("corrupt", "--input", "{qa}"), "qa", "qa_id"),
+], ids=["qagen-graph", "reward-graphs", "reward-qa", "corrupt-qa"])
 def test_repeated_key_exit_3(valid_inputs, tmp_path, capsys, stage, key, field):
     """A graph.jsonl or qa.jsonl whose first record comes back at its end
     exits 3 naming that line; the last record does not silently win."""
@@ -1091,9 +1093,9 @@ def _analyze_gives_the_read(records, tsv):
     """analyze over rewards records, only the first of them edited: exit 3
     with the message read_record gives for the first rollout it rejects,
     else 0, or 3 naming an aggregate beyond the float range; each report.tsv
-    row is its values as read, joined by tabs."""
-    schema = cli.ROLLOUT_TSV if tsv else cli.ROLLOUT
-    expected = next((outcome for outcome in (_read_outcome(ingest.read_record, entry, schema)
+    row is its values as read, joined by tabs. One table reads the rollouts
+    with or without --tsv."""
+    expected = next((outcome for outcome in (_read_outcome(ingest.read_record, entry, cli.ROLLOUT)
                                              for entry in records[0]["per_rollout"])
                      if outcome.startswith("error: ")), None)
     with tempfile.TemporaryDirectory() as tmp:
@@ -1118,7 +1120,7 @@ def _analyze_gives_the_read(records, tsv):
 
 
 @pytest.mark.parametrize("tsv", [False, True], ids=["report", "tsv"])
-@pytest.mark.parametrize("key", sorted(cli.ROLLOUT_TSV.keys))
+@pytest.mark.parametrize("key", sorted(cli.ROLLOUT.keys))
 def test_rollout_field_edges_give_the_checked_read(valid_inputs, key, tsv):
     """Each edge value, or no value, in each per_rollout field: analyze
     exits 0 with the value as read in report.tsv, or 3 with read_record's
@@ -1156,6 +1158,44 @@ def test_any_per_rollout_value_exits_0_or_3(valid_inputs, data):
     _analyze_gives_the_read(records, data.draw(st.booleans(), label="tsv"))
 
 
+@pytest.fixture(scope="module")
+def synth_rewards(valid_inputs, tmp_path_factory):
+    """rewards.jsonl's lines for synth.make_traces over the valid QA items,
+    with analyze --tsv's report.json bytes, report.tsv header and each
+    line's report.tsv rows."""
+    tmp = tmp_path_factory.mktemp("synth_rewards")
+    paths = {**valid_inputs, "traces": tmp / "traces.jsonl"}
+    records = make_traces(7, load_qa_items(valid_inputs["qa"]), groups=12)
+    paths["traces"].write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run(*(arg.format(**paths) for arg in REWARD_ARGS), "--out", str(tmp)) == 0
+    assert run("analyze", "--input", str(tmp / "rewards.jsonl"), "--out", str(tmp), "--tsv") == 0
+    lines = (tmp / "rewards.jsonl").read_text().splitlines(keepends=True)
+    header, *rows = (tmp / "report.tsv").read_text().splitlines(keepends=True)
+    per_line = []
+    for line in lines:
+        n = len(json.loads(line)["per_rollout"])
+        per_line.append("".join(rows[:n]))
+        rows = rows[n:]
+    assert not rows and len(set(r["model"] for r in records)) == 3
+    return lines, (tmp / "report.json").read_bytes(), header, per_line
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_line_order_moves_only_report_tsv_rows(synth_rewards, data):
+    """Any reordering of rewards.jsonl's lines leaves report.json
+    byte-identical (fsum, integer sums, the median and the counts do not
+    depend on order), while report.tsv's rows follow the new file order."""
+    lines, report, header, rows = synth_rewards
+    order = data.draw(st.permutations(range(len(lines))), label="order")
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "rewards.jsonl"), Path(tmp, "out")
+        path.write_text("".join(lines[i] for i in order))
+        assert run("analyze", "--input", str(path), "--out", str(out), "--tsv") == 0
+        assert (out / "report.json").read_bytes() == report
+        assert (out / "report.tsv").read_text() == header + "".join(rows[i] for i in order)
+
+
 def _tables(valid_inputs):
     """Each record table of the package, by name, with a valid record of its
     kind."""
@@ -1163,6 +1203,9 @@ def _tables(valid_inputs):
     gesture = next(g for g in read_lines(valid_inputs["gestures"]) if g["target_type"] == "person")
     mcq = next(item for item in read_lines(valid_inputs["qa"]) if item["format"] == "mcq")
     rollout = first["rewards"]["per_rollout"][0]
+    # the rollout report.tsv's last row is written from: the last rewards
+    # line's last rollout, read through the same ROLLOUT table
+    last_rollout = read_lines(valid_inputs["rewards"])[-1]["per_rollout"][-1]
     return {
         "observation": (ingest.OBSERVATION, first["observations"]),
         "gesture": (ingest.GESTURE, gesture), "manifest": (ingest.MANIFEST, first["videos"]),
@@ -1171,7 +1214,7 @@ def _tables(valid_inputs):
         "graph": (graph_mod.GRAPH, first["graph"]), "qa": (qa.QA, mcq),
         "trace": (cli.TRACE, {**first["traces"], "model": "m"}),
         "rewards": (cli.REWARDS, first["rewards"]),
-        "rollout": (cli.ROLLOUT, rollout), "rollout_tsv": (cli.ROLLOUT_TSV, rollout),
+        "rollout": (cli.ROLLOUT, rollout), "rollout_tsv": (cli.ROLLOUT, last_rollout),
     }
 
 

@@ -16,7 +16,7 @@ The rest of the pipeline (graph, qagen, reward, analyze, corrupt) runs on one
 six-person video with gestures and seeded traces: three models, about one
 malformed trace in ten, rollouts that predict no one, and MCQ answers given
 as the option text. Its digests were computed before analyze became the
-only per-model aggregation.
+only per-model aggregation. report.json is pinned with and without --tsv.
 
 QA generation is pinned on its own across all sixteen categories: the
 full-taxonomy graph of test_qa plus eighty synthetic graphs, at twelve seeds
@@ -135,6 +135,11 @@ def test_pipeline_bytes_match_golden(tmp_path):
     assert main(["analyze", "--input", f"{o}/rewards.jsonl", "--out", o, "--tsv"]) == 0
     assert main(["corrupt", "--input", f"{o}/qa.jsonl", "--out", o, "--seed", "11"]) == 0
     assert {name: _digest(out / name) for name in PIPELINE_GOLDEN} == PIPELINE_GOLDEN
+    # Without --tsv: the same report.json, and no report.tsv.
+    plain = tmp_path / "plain"
+    assert main(["analyze", "--input", f"{o}/rewards.jsonl", "--out", str(plain)]) == 0
+    assert sorted(p.name for p in plain.iterdir()) == ["report.json"]
+    assert _digest(plain / "report.json") == PIPELINE_GOLDEN["report.json"]
 
 
 QA_GOLDEN = (27204, "1326fc9263b22bbb0be2027403b5793a56e105b6c6cd10428cc54abbaafcbf1b")

@@ -38,7 +38,7 @@ def test_field_list_is_the_table(label, schema):
 def test_written_lists_name_every_key_read():
     """rewards.jsonl's rollouts and videos.jsonl hold keys no stage reads."""
     rollout = re.search(r"per_rollout: \[(\{[^{}]*\})", span_after("`rewards.jsonl`:"))[1]
-    assert set(cli.ROLLOUT_TSV.keys) <= set(listed(rollout))
+    assert set(cli.ROLLOUT.keys) <= set(listed(rollout))
     assert set(ingest.MANIFEST.keys) <= set(listed(span_after("`videos.jsonl`:")))
 
 
@@ -50,7 +50,7 @@ def test_event_field_order_is_the_table():
 def test_analyze_reads_rollout_fields_in_table_order():
     sentence = re.search(r"From each\s+rollout it reads, in this order, (.*?)\. ", README, re.S)[1]
     assert [name for name in re.findall(r"`(\w+)`", sentence) if name != "null"] == \
-        cli.ROLLOUT_TSV.keys
+        cli.ROLLOUT.keys
 
 
 @pytest.mark.parametrize("label, schema", [
