@@ -15,22 +15,24 @@ STAGE_FIELDS); reward's weights and rollout count come from --weights and
 parameter set. The timeline is fixed at 2 fps (ingest.SAMPLE_PERIOD).
 
 --threads N (default 1) is the number of worker processes. Only detect uses
-it: with N > 1 it keys the input's lines by video and runs a pool of up to N
-forked workers (concurrent.futures.ProcessPoolExecutor; no more workers than
-videos or usable CPUs), each taking one whole video at a time, and writes
-their output in the order each video first appears. Every other stage runs
+it: with N > 1 it keys the input's lines by video (a line whose key it
+cannot read joins the video before it) and runs a pool of up to N forked
+workers (concurrent.futures.ProcessPoolExecutor; no more workers than videos
+or usable CPUs), each taking one whole video at a time, and writes their
+output in the order each video first appears. Every other stage runs
 serially in input order. The bytes, the exit code and the message are the
-same at any N: input the parent cannot key, or a fault in the pool, makes
-detect run serially from the start, which detects and writes each video as
-soon as its run of frames ends (a video that comes back, which is a fault in
-its worker, exits 3).
+same at any N: only the workers' readers judge the input, and a fault in the
+pool makes detect run serially from the start, which detects and writes
+each video as soon as its run of frames ends (a video that comes back, which
+is a fault in its worker, exits 3).
 
 reward formats each rewards.jsonl line as text (rewards_line), with the
 bytes ingest.dumps_canonical would write for the group's record. Trace
 records, rewards records and their rollouts are read through the TRACE,
 REWARDS and ROLLOUT tables below with ingest.read_record, as every other
 record is through its own table; whether a rollout is valid does not depend
-on --tsv. analyze keeps one trace group per rewards line, in file order:
+on --tsv, and a rollout must hold counts and a precision reward can write
+(_rollout). analyze keeps one trace group per rewards line, in file order:
 report.json's block for each model is _block over that model's groups, and
 report.tsv's rows are written from the same groups. With --tsv a query_id,
 qa_id or model holding a tab, LF or CR (which would split report.tsv's rows)
@@ -301,29 +303,26 @@ def _detect_sharded(args: argparse.Namespace,
     pool of up to ``args.threads`` forked workers, each taking one whole
     video at a time. None, with nothing written, where the serial path must
     run instead: fewer than two workers would run (one video, one usable
-    CPU), a line has no key, the input holds a byte that is not UTF-8, there
-    is no fork, another thread runs, or the pool met a fault of any kind (no
-    process, a worker that dies or raises, as on a video that comes back
-    after another, whose lines span the other's). The serial path then gives
-    the serial exit code and message. Results
-    are read in file order; at the first fault the videos still queued are
-    cancelled, so only those already handed to a worker still run.
+    CPU), there is no fork, another thread runs, or the pool met a fault of
+    any kind (no process, a worker that dies or raises). The serial path
+    then gives the serial exit code and message. Results are read in file
+    order; at the first fault the videos still queued are cancelled, so only
+    those already handed to a worker still run.
 
-    The parent splits the text into lines as ``ingest.read_jsonl`` does.
-    Workers get them by inheritance, nothing of the input is pickled, and
-    read them as ``load_observations`` does."""
-    try:
-        with open(args.input, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        return None
+    The parent reads the text as ``ingest.read_jsonl`` does and judges none
+    of it: a line whose key it cannot read joins the video before it, or the
+    first video. Workers get the lines by inheritance, nothing of the input
+    is pickled, and read them as ``load_observations`` does, so a faulty
+    line, or a video that comes back after another (whose lines then span
+    the other's), is raised in a worker."""
+    with ingest.open_jsonl(args.input) as fh:
+        lines = fh.readlines()
     bounds: dict[str, list[int]] = {}  # video -> [start, stop) of its lines, in file order
+    video = [0, 0]  # an unkeyed line joins the video before it, or the first
     for i, line in enumerate(lines):
-        if line.strip():
-            match = _VIDEO_KEY.search(line)
-            if match is None:
-                return None
-            bounds.setdefault(match[1], [i, 0])[1] = i + 1
+        if match := _VIDEO_KEY.search(line):
+            video = bounds.setdefault(match[1], [i if bounds else 0, 0])
+        video[1] = i + 1
     n = min(args.threads, len(bounds), _usable_cpus())
     if n < 2:
         return None
@@ -567,7 +566,7 @@ def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
                 else "a lone surrogate"
             raise ValidationError(f"bad rewards record: {name} must not hold {what} "
                                   f"in report.tsv, got {value!r}", line_no)
-        groups.append((*keys, [ingest.read_record(r, ROLLOUT, line_no) for r in per_rollout]))
+        groups.append((*keys, [_rollout(r, line_no) for r in per_rollout]))
 
     by_model = itertools.groupby(sorted(groups, key=operator.itemgetter(2)), operator.itemgetter(2))
     models = {model: _block(model, list(model_groups)) for model, model_groups in by_model}
@@ -586,6 +585,27 @@ def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
     return EXIT_OK
 
 
+def _rollout(record: dict, line: int) -> tuple:
+    """A per_rollout entry's ROLLOUT values, if its counts and precision are
+    ones reward writes: n_pred, n_correct, novel_participants and
+    think_tokens at least 0, n_correct at most n_pred, and
+    grounding_precision null exactly when n_pred is 0, else within [0, 1].
+    Else a ValidationError naming the line and the first rule broken, in
+    that order."""
+    values = ingest.read_record(record, ROLLOUT, line)
+    _, precision, n_pred, n_correct, novel, tokens = values[:6]
+    if 0 <= n_correct <= n_pred and novel >= 0 and tokens >= 0 and (
+            precision is None if n_pred == 0 else precision is not None and 0 <= precision <= 1):
+        return values
+    fault = next((f"{name} must be at least 0, got {count}" for name, count in zip(
+        ("n_pred", "n_correct", "novel_participants", "think_tokens"), values[2:6]) if count < 0),
+        f"n_correct must be at most n_pred {n_pred}, got {n_correct}" if n_correct > n_pred
+        else f"grounding_precision must be null when n_pred is 0, got {precision}" if n_pred == 0
+        else f"grounding_precision must not be null when n_pred is {n_pred}" if precision is None
+        else f"grounding_precision must be within [0, 1], got {precision}")
+    raise ValidationError(f"bad rewards record: {fault}", line)
+
+
 def _block(model: str, groups: list) -> dict:
     """report.json's block over trace groups ``(query_id, qa_id, model,
     rollout values)``, as for one model; ``model`` names it in a message."""
@@ -593,11 +613,6 @@ def _block(model: str, groups: list) -> dict:
     acc, precision, n_preds, n_correct, novel, length, well_formed, total = \
         list(zip(*rollouts))[:8] if rollouts else [()] * 8
     n_pred = sum(n_preds)
-    try:
-        micro = sum(n_correct) / n_pred if n_pred else None
-    except OverflowError:  # Python ints: the quotient can leave the float range
-        raise ContractError(
-            f"model {model!r}: grounding_precision_micro overflows the float range") from None
     return {
         "queries": len(groups),
         "rollouts": len(rollouts),
@@ -605,7 +620,8 @@ def _block(model: str, groups: list) -> dict:
         # null: nothing predicted, left out of the mean
         "grounding_precision_macro": _mean([p for p in precision if p is not None], model,
                                            "grounding_precision_macro"),
-        "grounding_precision_micro": micro,
+        # at most 1, as each n_correct is at most its n_pred
+        "grounding_precision_micro": sum(n_correct) / n_pred if n_pred else None,
         "mean_novel_participants": _mean(novel, model, "mean_novel_participants"),
         "mean_reasoning_length": _mean(length, model, "mean_reasoning_length"),
         "median_reasoning_length": float(statistics.median(length)) if length else None,

@@ -459,10 +459,11 @@ EVENT_LINE = Schema("event", ("video_id", str), *EVENT.fields)
 
 
 def parse_event(record: dict, line: int | None = None) -> SocialEvent:
-    """A checked event: typed fields, times below 2**52 in magnitude, a type
-    known for its source, at least one participant, two for mutual gaze, an
-    initiator on a gesture, and no NaN or infinity at any depth of its
-    attributes."""
+    """A checked event: typed fields, times below 2**52 in magnitude and an
+    end not before the start, a type known for its source, at least one
+    participant, two for mutual gaze, no negative participant, an initiator
+    on a gesture, every role one of the participants, and no NaN or infinity
+    at any depth of its attributes."""
     return _valid_event(read_record(record, EVENT, line), line)
 
 
@@ -493,6 +494,13 @@ def _valid_event(values, line: int | None) -> SocialEvent:
         fault = f"start_time must be below 2**52 in magnitude, got {event.start_time}"
     elif abs(event.end_time) >= TIME_LIMIT:
         fault = f"end_time must be below 2**52 in magnitude, got {event.end_time}"
+    elif event.end_time < event.start_time:
+        fault = f"end_time {event.end_time} must not be below start_time {event.start_time}"
+    elif min(event.participants) < 0:
+        fault = f"participants must be non-negative, got {sorted(event.participants)}"
+    elif not event.participants.issuperset(event.roles.values()):
+        key, pid = next(item for item in event.roles.items() if item[1] not in event.participants)
+        fault = f"roles[{key!r}] must be one of the participants, got {pid}"
     elif _non_finite(event.attributes) is None:
         return event
     else:  # a NaN or an infinity would be written as a bare NaN or Infinity, not JSON

@@ -13,12 +13,15 @@ gestures.jsonl
      "target_type": "person"|"object", "target_person_id": int | null,
      "start_time": float, "end_time": float, "confidence": float}
 
-Every JSONL file of the pipeline is read through ``read_jsonl``, and every
-record through ``read_record`` and the table (``Schema``) of its kind, which
-gives each field's key, kind and default once: a missing key or a value of
-the wrong JSON type is a ValidationError naming the line and the field.
-Only an observation's per-person and per-face fields are checked inline, on
-the parse hot path. Unknown fields are ignored for forward compatibility.
+Every JSONL file of the pipeline is opened by ``open_jsonl`` and its lines
+judged by ``read_lines`` alone, in file order, so the first faulty line is
+the one named, a byte that is not UTF-8 included. Every record is read
+through ``read_record`` and the table (``Schema``) of its kind, which gives
+each field's key, kind and default once: a missing key or a value of the
+wrong JSON type is a ValidationError naming the line and the field. Only an
+observation's per-person and per-face fields are checked inline, on the
+parse hot path, where a value of the wrong type is reported as out of range.
+Unknown fields are ignored for forward compatibility.
 
 Parse turns ``t`` into the grid tick ``k`` that frames, gaze samples and
 features carry (``t = k * SAMPLE_PERIOD``, read back as their ``t``); ``t``
@@ -40,12 +43,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from itertools import compress, product
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import OrderingError, ParseError, ValidationError
 
@@ -153,24 +157,36 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), check_circular=False)
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, record) for each non-blank line of a JSONL file.
+def open_jsonl(path: str | Path) -> TextIO:
+    """A JSONL input opened as text, the one way every reader opens one:
+    UTF-8 with universal newlines (a line ends at "\n", "\r\n" or a lone
+    "\r"), where each byte that is not UTF-8 is kept as the lone surrogate
+    U+DC80..U+DCFF (``surrogateescape``) for ``read_lines`` to name."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
 
-    A byte that is not UTF-8 is a ParseError naming its line. Text mode
-    decodes ahead in chunks, so the failing read can come several lines
-    before the bad one; the line is found again from the bytes.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            yield from read_lines(enumerate(fh, start=1))
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8: {exc.reason}", _undecodable_line(path)) from exc
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each non-blank line of a JSONL file
+    opened by ``open_jsonl``, checked by ``read_lines``."""
+    with open_jsonl(path) as fh:
+        yield from read_lines(enumerate(fh, start=1))
+
+
+# A character that stands for a byte that is not UTF-8 in open_jsonl's text.
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def read_lines(numbered: Iterable[tuple[int, str]]) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) for each non-blank (line number, text)
-    pair: the checks of ``read_jsonl`` on lines already decoded."""
+    pair of text read by ``open_jsonl``. Each line is judged in file order,
+    so the first faulty one is the ParseError named: a byte that is not
+    UTF-8, text that is not JSON, or a JSON value that is not an object."""
     for line_no, raw in numbered:
+        if not raw.isascii() and _UNDECODED.search(raw):
+            try:  # the line's bytes again, for the decoder's reason
+                raw.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8: {exc.reason}", line_no) from None
         if not raw.strip():
             continue
         try:
@@ -180,21 +196,6 @@ def read_lines(numbered: Iterable[tuple[int, str]]) -> Iterator[tuple[int, dict]
         if not isinstance(record, dict):
             raise ParseError("record must be a JSON object", line_no)
         yield line_no, record
-
-
-def _undecodable_line(path: str | Path) -> int | None:
-    """Number of the first line holding a byte that is not UTF-8, counted as
-    text mode counts lines (after "\n", "\r\n" or a lone "\r")."""
-    line = 1
-    with open(path, "rb") as fh:
-        for raw in fh:
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raw = raw[:exc.start]
-                return line + raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
-            line += raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -303,8 +303,10 @@ class TestCrossModel:
 
     @staticmethod
     def models(*rows):
-        """One group per (model, [(r_acc, precision, raw), ...])."""
-        return [group(model, *(rollout(raw, r_acc=acc, grounding_precision=p)
+        """One group per (model, [(r_acc, precision, raw), ...]), each
+        precision that of 4 predicted persons."""
+        return [group(model, *(rollout(raw, r_acc=acc, n_pred=4, n_correct=int(4 * p),
+                                       grounding_precision=p)
                                for acc, p, raw in rs))
                 for model, rs in rows]
 
@@ -344,7 +346,8 @@ class TestCrossModel:
 
 class TestAnalyzeRejects:
     """analyze reads every field it reports by key: a record that lacks one,
-    or whose keys are not strings, exits 3 naming the line and the field."""
+    whose keys are not strings, or whose rollouts hold a value reward never
+    writes, exits 3 naming the line and the field."""
 
     def run(self, tmp_path, bad, *flags) -> int:
         good = group("m", rollout())
@@ -372,6 +375,32 @@ class TestAnalyzeRejects:
             assert self.run(tmp_path, group("m", entry), *flags) == 3
             assert capsys.readouterr().err == f"error: line 2: bad rewards record: '{field}'\n"
             assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"n_pred": -1, "n_correct": 1, "grounding_precision": -1.0, "novel_participants": -4,
+          "think_tokens": -7}, "n_pred must be at least 0, got -1"),
+        ({"n_correct": -1}, "n_correct must be at least 0, got -1"),
+        ({"novel_participants": -4}, "novel_participants must be at least 0, got -4"),
+        ({"think_tokens": -7}, "think_tokens must be at least 0, got -7"),
+        ({"n_pred": 1, "n_correct": 2, "grounding_precision": 1.0},
+         "n_correct must be at most n_pred 1, got 2"),
+        ({"grounding_precision": 0.0}, "grounding_precision must be null when n_pred is 0, got 0.0"),
+        ({"n_pred": 2, "n_correct": 1}, "grounding_precision must not be null when n_pred is 2"),
+        ({"n_pred": 2, "n_correct": 1, "grounding_precision": -1.0},
+         "grounding_precision must be within [0, 1], got -1.0"),
+        ({"n_pred": 2, "n_correct": 2, "grounding_precision": 1.5},
+         "grounding_precision must be within [0, 1], got 1.5"),
+    ], ids=["all-negative", "n_correct-negative", "novel-negative", "tokens-negative",
+            "n_correct-above-n_pred", "precision-without-pred", "no-precision", "precision-below",
+            "precision-above"])
+    def test_rollout_value_reward_never_writes(self, tmp_path, capsys, fields, message):
+        """Counts below 0, more correct than predicted, or a precision that
+        is null when it should not be, or outside [0, 1], exit 3 with or
+        without --tsv, naming the first rule broken, and leave no report."""
+        for flags in ((), ("--tsv",)):
+            assert self.run(tmp_path, group("m", rollout(), rollout(**fields)), *flags) == 3
+            assert capsys.readouterr().err == f"error: line 2: bad rewards record: {message}\n"
+            assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("field", ["query_id", "qa_id", "per_rollout"])
     def test_missing_record_field(self, tmp_path, capsys, field):

@@ -6,6 +6,7 @@ import io
 import json
 import multiprocessing
 import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -323,7 +324,8 @@ class TestWeightsFlag:
 # Each fault, applied to line i (j is a later position), gives the file's
 # bytes. "blank lines" and "CRLF" are not faults to the serial path; the
 # duplicate and the escaped video_id are not faults to it either, but the
-# line scan keys those lines wrongly or not at all.
+# line scan keys those lines wrongly or not at all (an unkeyed line joins
+# the video before it).
 FAULTS = ("none", "bad JSON", "not an object", "schema error", "ordering error",
           "resumed video", "duplicate video_id key", "escaped video_id", "BOM", "CRLF",
           "CR inside a line", "blank lines", "not UTF-8")
@@ -406,12 +408,15 @@ needs_two_cpus = pytest.mark.skipif(cli._usable_cpus() < 2, reason="detect shard
 @needs_two_cpus
 @pytest.mark.parametrize("fault", FAULTS)
 def test_sharded_detect_runs_only_on_input_it_can_key(tmp_path, fault):
+    """Valid input shards, an unkeyed line included (line 6 joins the video
+    of line 5, its own); any faulty line reaches a worker's reader, and the
+    pool's fault leaves the input to the serial path."""
     obs = tmp_path / "obs.jsonl"
     obs.write_bytes(observation_bytes(_three_videos(), fault, i=5, j=30))
     args = argparse.Namespace(input=str(obs), threads=2, dump_features=True)
     sharded = cli._detect_sharded(args, EngineConfig())
     assert multiprocessing.active_children() == []
-    assert (sharded is not None) == (fault in ("none", "CRLF", "blank lines"))
+    assert (sharded is not None) == (fault in ("none", "CRLF", "blank lines", "escaped video_id"))
 
 
 @needs_two_cpus
@@ -484,6 +489,30 @@ def test_detect_shards_spaced_json(tmp_path, started, separators):
     assert len(started) == 2
     for artifact in ("events.jsonl", "videos.jsonl", "features.jsonl"):
         assert (tmp_path / "1" / artifact).read_bytes() == (tmp_path / "2" / artifact).read_bytes()
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("escaped", [0, 1, 2], ids=["first", "middle", "last"])
+def test_detect_shards_a_video_it_cannot_key(tmp_path, started, escaped):
+    """A video whose every line spells its id as "synth\\u002d...": the
+    parent keys no line of it and judges none, so two workers start; the
+    worker whose lines then hold two videos raises, and the serial rerun
+    gives the serial bytes."""
+    videos = [make_video(seed, min_frames=20, max_frames=30) for seed in (1, 2, 3)]
+    lines = [[serialize_frame(f).encode() for f in video] for video in videos]
+    lines[escaped] = [line.replace(b'"video_id":"synth-', b'"video_id":"synth\\u002d', 1)
+                      for line in lines[escaped]]
+    obs = tmp_path / "obs.jsonl"
+    obs.write_bytes(b"".join(line + b"\n" for video in lines for line in video))
+    for threads in ("1", "2"):
+        assert run("detect", "--input", str(obs), "--out", str(tmp_path / threads),
+                   "--threads", threads, "--dump-features") == 0
+    assert len(started) == 2
+    assert multiprocessing.active_children() == []
+    for artifact in ("events.jsonl", "videos.jsonl", "features.jsonl"):
+        assert (tmp_path / "1" / artifact).read_bytes() == (tmp_path / "2" / artifact).read_bytes()
+    assert [r["video_id"] for r in read_lines(tmp_path / "1" / "videos.jsonl")] == \
+        ["synth-1", "synth-2", "synth-3"]
 
 
 def _fork_fails(self):
@@ -843,14 +872,15 @@ def test_analyze_overflow_names_the_model_and_the_aggregate(valid_inputs, tmp_pa
         path.write_text(json.dumps(big) + "\n" + ("" if model else json.dumps(small) + "\n"))
         assert run("analyze", "--input", str(path), "--out", str(tmp_path / "out")) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
-    # n_correct and n_pred are Python ints: their quotient can leave the float range
+    # n_correct and n_pred are Python ints of any size, but each n_correct is
+    # at most its n_pred, so their pooled quotient is at most 1
     huge = {**record, "model": "m",
-            "per_rollout": [{**r, "n_correct": 10 ** 400, "n_pred": 1}
-                            for r in record["per_rollout"]]}
+            "per_rollout": [{**r, "n_correct": 10 ** 400, "n_pred": 10 ** 400,
+                             "grounding_precision": 1.0} for r in record["per_rollout"]]}
     path.write_text(json.dumps(huge) + "\n")
-    assert run("analyze", "--input", str(path), "--out", str(tmp_path / "out")) == 3
-    assert capsys.readouterr().err == \
-        "error: model 'm': grounding_precision_micro overflows the float range\n"
+    assert run("analyze", "--input", str(path), "--out", str(tmp_path / "out")) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["models"]["m"]["grounding_precision_micro"] == 1.0
 
 
 @pytest.fixture(scope="module")
@@ -1089,15 +1119,34 @@ def _read_outcome(read, record, schema):
         return f"error: {exc}\n"
 
 
+def _rule_outcome(entry) -> str:
+    """The message for the first rule of reward's rollouts that a well-typed
+    per_rollout entry breaks, or "" for none."""
+    counts = ("n_pred", "n_correct", "novel_participants", "think_tokens")
+    n_pred, n_correct, precision = entry["n_pred"], entry["n_correct"], entry["grounding_precision"]
+    faults = [f"{key} must be at least 0, got {entry[key]}" for key in counts if entry[key] < 0]
+    if n_correct > n_pred:
+        faults.append(f"n_correct must be at most n_pred {n_pred}, got {n_correct}")
+    if n_pred == 0 and precision is not None:
+        faults.append(f"grounding_precision must be null when n_pred is 0, got {precision}")
+    if n_pred != 0 and precision is None:
+        faults.append(f"grounding_precision must not be null when n_pred is {n_pred}")
+    if precision is not None and not 0 <= precision <= 1:
+        faults.append(f"grounding_precision must be within [0, 1], got {precision}")
+    return f"error: line 1: bad rewards record: {faults[0]}\n" if faults else ""
+
+
 def _analyze_gives_the_read(records, tsv):
     """analyze over rewards records, only the first of them edited: exit 3
-    with the message read_record gives for the first rollout it rejects,
-    else 0, or 3 naming an aggregate beyond the float range; each report.tsv
-    row is its values as read, joined by tabs. One table reads the rollouts
-    with or without --tsv."""
-    expected = next((outcome for outcome in (_read_outcome(ingest.read_record, entry, cli.ROLLOUT)
-                                             for entry in records[0]["per_rollout"])
-                     if outcome.startswith("error: ")), None)
+    with the message read_record gives for the first rollout it rejects, or
+    the first rule of reward's rollouts that one breaks, else 0, or 3 naming
+    an aggregate beyond the float range; each report.tsv row is its values
+    as read, joined by tabs. One table reads the rollouts with or without
+    --tsv."""
+    outcomes = (outcome if outcome.startswith("error: ") else _rule_outcome(entry)
+                for entry in records[0]["per_rollout"]
+                for outcome in [_read_outcome(ingest.read_record, entry, cli.ROLLOUT)])
+    expected = next(filter(None, outcomes), None)
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp, "rewards.jsonl"), Path(tmp, "out")
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -1415,6 +1464,11 @@ MISTYPED = [
      "event record: start_time must be below 2**52 in magnitude, got 1e+308"),
     ("events", ("end_time",), -2.0 ** 52,
      "event record: end_time must be below 2**52 in magnitude, got -4503599627370496.0"),
+    ("events", ("end_time",), 1.0, "event record: end_time 1.0 must not be below start_time 1.5"),
+    ("events", ("participants",), [-1, 2],
+     "event record: participants must be non-negative, got [-1, 2]"),
+    ("events", ("roles",), {"leader": 2, "follower": 5},
+     "event record: roles['follower'] must be one of the participants, got 5"),
     ("videos", ("video_id",), 7, "video manifest record: video_id must be a string, got 7"),
     ("videos", ("duration",), None,
      "video manifest record: duration must be a finite number, got None"),
@@ -1431,6 +1485,12 @@ MISTYPED = [
      "event record: start_time must be below 2**52 in magnitude, got -1e+308"),
     ("graph", ("events", 0, "attributes"), {"peak_velocity": float("inf")},
      "event record: attributes['peak_velocity'] must hold only finite numbers, got inf"),
+    ("graph", ("events", 0, "end_time"), 3.5,
+     "event record: end_time 3.5 must not be below start_time 4.0"),
+    ("graph", ("events", 0, "participants"), [1, 0, -1],
+     "event record: participants must be non-negative, got [-1, 0, 1]"),
+    ("graph", ("events", 0, "roles"), {"initiator": 0, "target": 7},
+     "event record: roles['target'] must be one of the participants, got 7"),
     ("graph", ("joint_pairs",), [[0, 1, True]],
      "graph record: joint_pairs[0][2] must be a finite number, got True"),
     ("graph", ("joint_pairs",), [[0, 1]],
@@ -1474,9 +1534,10 @@ def _mistyped_id(broken, path, value, command):
 ])
 def test_mistyped_record_exit_3(valid_inputs, tmp_path, capsys, broken, path, value, message,
                                 command, artifact):
-    """A missing key, null, the wrong JSON type, a bool for a number, NaN or
-    an event time of 2**52 or more in magnitude in any record exits 3 with
-    one line naming the line and the field, and writes no artifact."""
+    """A missing key, null, the wrong JSON type, a bool for a number, NaN,
+    an event time of 2**52 or more in magnitude, or an event that breaks a
+    rule its producers keep, in any record, exits 3 with one line naming the
+    line and the field, and writes no artifact."""
     lines = valid_inputs[broken].read_text().splitlines()
     record = json.loads(lines[1])
     *parents, last = path
@@ -1667,6 +1728,91 @@ def test_non_utf8_byte_names_its_line(valid_inputs, tmp_path, capsys, newline):
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {bad_at + 1}: not UTF-8: ") and err.count("\n") == 1
     assert not (out / "events.jsonl").exists()
+
+
+@pytest.mark.parametrize("early", [b"{", b"{}"], ids=["invalid", "schema"])
+@pytest.mark.parametrize("broken, command", [
+    pytest.param("events", GRAPH_ARGS, id="graph-events"),
+    pytest.param("traces", REWARD_ARGS, id="reward-traces"),
+])
+def test_first_faulty_line_is_named_before_a_later_byte(valid_inputs, tmp_path, capsys,
+                                                        broken, command, early):
+    """A faulty line 1 and a byte that is not UTF-8 on line 3, both within
+    text mode's first 8 KiB read: line 1 is named, with the message it
+    gives alone."""
+    lines = valid_inputs[broken].read_bytes().splitlines(keepends=True)[:3]
+    paths = {**valid_inputs, broken: tmp_path / f"{broken}.jsonl"}
+    outcomes = []
+    for later in (lines[2], lines[2].replace(b'"', b'"\xff', 1)):
+        paths[broken].write_bytes(early + b"\n" + lines[1] + later)
+        assert paths[broken].stat().st_size < 8192
+        assert run(*(arg.format(**paths) for arg in command), "--out", str(tmp_path / "out")) == 3
+        outcomes.append(capsys.readouterr().err)
+    assert outcomes[0].startswith("error: line 1: ")
+    assert outcomes[1] == outcomes[0]
+
+
+# One fault on line 41 of _three_videos()'s observations, past text mode's
+# first 8 KiB read: how it changes the line, and its message on a file whose
+# lines end in LF, CRLF or a lone CR, or that ends, unterminated, just after
+# that line ("eof").
+SINGLE_FAULTS = {
+    "start byte": (lambda line: line.replace(b'"persons"', b'"pers\xffons"', 1),
+                   "not UTF-8: invalid start byte"),
+    "cut sequence": (lambda line: line + b"\xe2\x82", "not UTF-8: invalid continuation byte"),
+    "bad JSON": (lambda line: line[:-1], "invalid JSON: Expecting ',' delimiter"),
+    "not an object": (lambda line: b"[" + line + b"]", "record must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("ending", ["lf", "crlf", "cr", "eof"])
+@pytest.mark.parametrize("fault", SINGLE_FAULTS)
+def test_single_fault_message_at_any_line_ending_and_thread_count(tmp_path, fault, ending):
+    edit, message = SINGLE_FAULTS[fault]
+    if (fault, ending) == ("cut sequence", "eof"):
+        message = "not UTF-8: unexpected end of data"
+    lines = [serialize_frame(f).encode() for f in _three_videos()]
+    lines[40] = edit(lines[40])
+    data = (b"\n".join(lines[:41]) if ending == "eof" else
+            b"".join(line + {"lf": b"\n", "crlf": b"\r\n", "cr": b"\r"}[ending] for line in lines))
+    for threads in (1, 2, 3):
+        assert detect_outcome(data, tmp_path / str(threads), threads, dump=False) == \
+            (3, f"error: line 41: {message}\n", {})
+
+
+def test_stages_warn_of_no_encoding_and_import_only_the_standard_library(valid_inputs, tmp_path):
+    """Every stage, detect at --threads 2 included, in a child process where
+    a text file opened without an encoding is an error (EncodingWarning),
+    imports nothing but the standard library: numpy being installed where
+    the suite runs must not hide a stray import."""
+    script = (
+        "import json, sys\n"
+        "at_start = {name.partition('.')[0] for name in sys.modules}\n"
+        "from socialevents.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "imported = {name.partition('.')[0] for name in sys.modules} - at_start\n"
+        # __mp_main__ is the name multiprocessing gives __main__ in sys.modules
+        "print(json.dumps(sorted(imported - sys.stdlib_module_names\n"
+        "                        - {'socialevents', '__mp_main__'})))\n")
+    out = str(tmp_path / "out")
+    paths = {**valid_inputs, "events": f"{out}/events.jsonl", "videos": f"{out}/videos.jsonl",
+             "graph": f"{out}/graph.jsonl", "qa": f"{out}/qa.jsonl",
+             "rewards": f"{out}/rewards.jsonl"}
+    stages = [("detect", "--input", "{observations}", "--threads", "2"), GRAPH_ARGS, QAGEN_ARGS,
+              REWARD_ARGS, ("analyze", "--input", "{rewards}", "--tsv"),
+              ("corrupt", "--input", "{qa}")]
+    argvs = [[arg.format(**paths) for arg in stage] + ["--out", out] for stage in stages]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get(
+        "PYTHONPATH"))))}
+    child = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", script, json.dumps(argvs)], capture_output=True, text=True, env=env, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == []
+    for name in ("events.jsonl", "graph.jsonl", "qa.jsonl", "rewards.jsonl"):
+        assert Path(out, name).read_bytes() == Path(valid_inputs["events"].parent, name).read_bytes()
 
 
 def _graph_record(events, pairs=((0, 3, 0.0),)):
