@@ -15,16 +15,18 @@ STAGE_FIELDS); reward's weights and rollout count come from --weights and
 parameter set. The timeline is fixed at 2 fps (ingest.SAMPLE_PERIOD).
 
 --threads N (default 1) is the number of worker processes. Only detect uses
-it: with N > 1 it keys the input's lines by video (a line whose key it
-cannot read joins the video before it) and runs a pool of up to N forked
-workers (concurrent.futures.ProcessPoolExecutor; no more workers than videos
-or usable CPUs), each taking one whole video at a time, and writes their
-output in the order each video first appears. Every other stage runs
-serially in input order. The bytes, the exit code and the message are the
-same at any N: only the workers' readers judge the input, and a fault in the
-pool makes detect run serially from the start, which detects and writes
-each video as soon as its run of frames ends (a video that comes back, which
-is a fault in its worker, exits 3).
+it: with N > 1 it cuts the input's lines into runs by the video key read
+from each line's text (a line whose key it cannot read joins the run before
+it) and runs a pool of up to N forked workers
+(concurrent.futures.ProcessPoolExecutor; no more workers than runs or usable
+CPUs), each detecting every video of one run at a time, and writes their
+output in run order. Every other stage runs serially in input order. The
+bytes, the exit code and the message are the same at any N: only the
+workers' readers judge the input, and a fault in the pool or a video
+detected twice (one that comes back after another, or whose lines a wrong
+key split) makes detect run serially from the start, which detects and
+writes each video as soon as its run of frames ends (a video that comes
+back exits 3).
 
 reward formats each rewards.jsonl line as text (rewards_line), with the
 bytes ingest.dumps_canonical would write for the group's record. Trace
@@ -291,39 +293,46 @@ def _detect_video(video_id: str, tracks: list[gaze.GazeTrack], stop: int,
     return events_text, video_line, features_text
 
 
-# A line's video, read from its text: the first "video_id":"..." (spaces or
+# A line's key, read from its text: the first "video_id":"..." (spaces or
 # tabs may stand around the colon) whose value holds no quote and no
-# backslash. A worker checks it against the parsed record.
+# backslash. It only cuts the input into runs; the parsed video_id decides.
 _VIDEO_KEY = re.compile(r'"video_id"[ \t]*:[ \t]*"([^"\\]*)"')
 
 
 def _detect_sharded(args: argparse.Namespace,
                     config: EngineConfig) -> list[tuple[str, str, str]] | None:
     """Each video's ``_detect_video`` output in file order, computed by a
-    pool of up to ``args.threads`` forked workers, each taking one whole
-    video at a time. None, with nothing written, where the serial path must
-    run instead: fewer than two workers would run (one video, one usable
-    CPU), there is no fork, another thread runs, or the pool met a fault of
-    any kind (no process, a worker that dies or raises). The serial path
-    then gives the serial exit code and message. Results are read in file
-    order; at the first fault the videos still queued are cancelled, so only
-    those already handed to a worker still run.
+    pool of up to ``args.threads`` forked workers, each taking one run of
+    lines at a time. None, with nothing written, where the serial path must
+    run instead: fewer than two workers would run (one run, one usable
+    CPU), there is no fork, another thread runs, the pool met a fault of
+    any kind (no process, a worker that dies or raises), or a video was
+    detected twice. The serial path then gives the serial exit code and
+    message. Results are read in run order; at the first fault the runs
+    still queued are cancelled, so only those already handed to a worker
+    still run.
 
     The parent reads the text as ``ingest.read_jsonl`` does and judges none
-    of it: a line whose key it cannot read joins the video before it, or the
-    first video. Workers get the lines by inheritance, nothing of the input
-    is pickled, and read them as ``load_observations`` does, so a faulty
-    line, or a video that comes back after another (whose lines then span
-    the other's), is raised in a worker."""
+    of it. It cuts the lines into runs that never overlap: a run starts at
+    the first line and at each line whose key differs from the run's, and a
+    line whose key it cannot read joins the run before it. Workers get the
+    lines by inheritance, nothing of the input is pickled, and detect every
+    video their run holds, read as ``load_observations`` does, so a faulty
+    line is raised in a worker. The one rule: a video detected twice sends
+    the file to the serial path. A video that resumes after another, a
+    mis-keyed line and a video split by a key it does not own each give
+    one; without one, each video's lines lie within one run, and its worker
+    reads them as the serial path does."""
     with ingest.open_jsonl(args.input) as fh:
         lines = fh.readlines()
-    bounds: dict[str, list[int]] = {}  # video -> [start, stop) of its lines, in file order
-    video = [0, 0]  # an unkeyed line joins the video before it, or the first
+    starts: list[int] = []  # the first line of each run
+    key = None
     for i, line in enumerate(lines):
-        if match := _VIDEO_KEY.search(line):
-            video = bounds.setdefault(match[1], [i if bounds else 0, 0])
-        video[1] = i + 1
-    n = min(args.threads, len(bounds), _usable_cpus())
+        match = _VIDEO_KEY.search(line)
+        if not starts or match and match[1] != key:
+            starts.append(i)
+            key = match[1] if match else None
+    n = min(args.threads, len(starts), _usable_cpus())
     if n < 2:
         return None
     import multiprocessing  # here, not at the top: they add ~20 ms to importing the CLI
@@ -339,7 +348,8 @@ def _detect_sharded(args: argparse.Namespace,
     try:
         with ProcessPoolExecutor(n, multiprocessing.get_context("fork"), initializer=_take_input,
                                  initargs=(lines, config, args.dump_features)) as pool:
-            return list(pool.map(_detect_lines, bounds, *zip(*bounds.values())))
+            outputs = [video for run in pool.map(_detect_lines, starts, [*starts[1:], len(lines)])
+                       for video in run]
     except Exception:  # the serial rerun reports it
         # A fork that fails after others succeeded leaves those workers
         # waiting for work; the pool neither feeds nor ends them.
@@ -347,6 +357,8 @@ def _detect_sharded(args: argparse.Namespace,
             worker.kill()
             worker.join()
         return None
+    videos = dict(outputs)
+    return list(videos.values()) if len(videos) == len(outputs) else None
 
 
 _input: tuple[list[str], EngineConfig, bool] | None = None  # a worker's, from _take_input
@@ -357,17 +369,13 @@ def _take_input(lines: list[str], config: EngineConfig, dump: bool) -> None:
     _input = lines, config, dump
 
 
-def _detect_lines(video_id: str, start: int, stop: int) -> tuple[str, str, str]:
-    """In a forked worker: ``_detect_video``'s output for the video keyed
-    to lines [start, stop) of the input. A line whose parsed video_id is not
-    its key is a fault."""
+def _detect_lines(start: int, stop: int) -> list[tuple[str, tuple[str, str, str]]]:
+    """In a forked worker: ``(video_id, _detect_video output)`` for every
+    video that lines [start, stop) of the input hold, in file order."""
     lines, config, dump = _input
     frames = ingest.parse_observations(
         ingest.read_lines(enumerate(lines[start:stop], start=start + 1)))
-    (video,) = _read_videos(frames)
-    if video[0] != video_id:
-        raise ValidationError(f"a line keyed {video_id!r} belongs to another video")
-    return _detect_video(*video, config, dump)
+    return [(video[0], _detect_video(*video, config, dump)) for video in _read_videos(frames)]
 
 
 def _usable_cpus() -> int:
@@ -588,21 +596,23 @@ def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
 def _rollout(record: dict, line: int) -> tuple:
     """A per_rollout entry's ROLLOUT values, if its counts and precision are
     ones reward writes: n_pred, n_correct, novel_participants and
-    think_tokens at least 0, n_correct at most n_pred, and
-    grounding_precision null exactly when n_pred is 0, else within [0, 1].
-    Else a ValidationError naming the line and the first rule broken, in
-    that order."""
+    think_tokens at least 0, n_correct and novel_participants at most
+    n_pred, and grounding_precision null exactly when n_pred is 0, else
+    n_correct / n_pred. Else a ValidationError naming the line and the
+    first rule broken, in that order."""
     values = ingest.read_record(record, ROLLOUT, line)
     _, precision, n_pred, n_correct, novel, tokens = values[:6]
-    if 0 <= n_correct <= n_pred and novel >= 0 and tokens >= 0 and (
-            precision is None if n_pred == 0 else precision is not None and 0 <= precision <= 1):
+    if 0 <= n_correct <= n_pred and 0 <= novel <= n_pred and tokens >= 0 and (
+            precision is None if n_pred == 0 else precision == n_correct / n_pred):
         return values
     fault = next((f"{name} must be at least 0, got {count}" for name, count in zip(
         ("n_pred", "n_correct", "novel_participants", "think_tokens"), values[2:6]) if count < 0),
         f"n_correct must be at most n_pred {n_pred}, got {n_correct}" if n_correct > n_pred
+        else f"novel_participants must be at most n_pred {n_pred}, got {novel}" if novel > n_pred
         else f"grounding_precision must be null when n_pred is 0, got {precision}" if n_pred == 0
         else f"grounding_precision must not be null when n_pred is {n_pred}" if precision is None
-        else f"grounding_precision must be within [0, 1], got {precision}")
+        else f"grounding_precision must be n_correct / n_pred {n_correct / n_pred}, "
+             f"got {precision}")
     raise ValidationError(f"bad rewards record: {fault}", line)
 
 

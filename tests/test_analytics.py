@@ -387,16 +387,24 @@ class TestAnalyzeRejects:
         ({"grounding_precision": 0.0}, "grounding_precision must be null when n_pred is 0, got 0.0"),
         ({"n_pred": 2, "n_correct": 1}, "grounding_precision must not be null when n_pred is 2"),
         ({"n_pred": 2, "n_correct": 1, "grounding_precision": -1.0},
-         "grounding_precision must be within [0, 1], got -1.0"),
+         "grounding_precision must be n_correct / n_pred 0.5, got -1.0"),
         ({"n_pred": 2, "n_correct": 2, "grounding_precision": 1.5},
-         "grounding_precision must be within [0, 1], got 1.5"),
+         "grounding_precision must be n_correct / n_pred 1.0, got 1.5"),
+        ({"n_pred": 2, "n_correct": 2, "grounding_precision": 0.5},
+         "grounding_precision must be n_correct / n_pred 1.0, got 0.5"),
+        ({"n_pred": 3, "n_correct": 1, "grounding_precision": 0.3333333333333333,
+          "novel_participants": 4}, "novel_participants must be at most n_pred 3, got 4"),
+        ({"n_pred": 2, "n_correct": 2, "grounding_precision": 0.5, "novel_participants": 9},
+         "novel_participants must be at most n_pred 2, got 9"),
     ], ids=["all-negative", "n_correct-negative", "novel-negative", "tokens-negative",
             "n_correct-above-n_pred", "precision-without-pred", "no-precision", "precision-below",
-            "precision-above"])
+            "precision-above", "precision-not-the-quotient", "novel-above-n_pred",
+            "precision-and-novel"])
     def test_rollout_value_reward_never_writes(self, tmp_path, capsys, fields, message):
-        """Counts below 0, more correct than predicted, or a precision that
-        is null when it should not be, or outside [0, 1], exit 3 with or
-        without --tsv, naming the first rule broken, and leave no report."""
+        """Counts below 0, more correct or novel than predicted, or a
+        precision that is null when it should not be, or is not n_correct /
+        n_pred, exit 3 with or without --tsv, naming the first rule broken,
+        and leave no report."""
         for flags in ((), ("--tsv",)):
             assert self.run(tmp_path, group("m", rollout(), rollout(**fields)), *flags) == 3
             assert capsys.readouterr().err == f"error: line 2: bad rewards record: {message}\n"

@@ -323,12 +323,20 @@ class TestWeightsFlag:
 
 # Each fault, applied to line i (j is a later position), gives the file's
 # bytes. "blank lines" and "CRLF" are not faults to the serial path; the
-# duplicate and the escaped video_id are not faults to it either, but the
-# line scan keys those lines wrongly or not at all (an unkeyed line joins
-# the video before it).
+# duplicate, the escaped video_id and the unkeyable video are not faults to
+# it either, but the line scan keys those lines wrongly or not at all (an
+# unkeyed line joins the run before it).
 FAULTS = ("none", "bad JSON", "not an object", "schema error", "ordering error",
-          "resumed video", "duplicate video_id key", "escaped video_id", "BOM", "CRLF",
-          "CR inside a line", "blank lines", "not UTF-8")
+          "resumed video", "duplicate video_id key", "escaped video_id", "unkeyable video",
+          "BOM", "CRLF", "CR inside a line", "blank lines", "not UTF-8")
+VALID = ("none", "duplicate video_id key", "escaped video_id", "unkeyable video", "CRLF",
+         "blank lines")
+
+
+def _unkeyable(line: bytes) -> bytes:
+    """The line with its video id spelled "synth\\u002d...", which the
+    key regex cannot read."""
+    return line.replace(b'"video_id":"synth-', b'"video_id":"synth\\u002d', 1)
 
 
 def observation_bytes(frames, fault="none", i=0, j=1) -> bytes:
@@ -349,7 +357,10 @@ def observation_bytes(frames, fault="none", i=0, j=1) -> bytes:
         other = next((f.video_id for f in frames if f.video_id != frames[i].video_id), "other")
         lines[i] = b'{"video_id":"' + other.encode() + b'",' + line[1:]
     elif fault == "escaped video_id":
-        lines[i] = line.replace(b'"video_id":"synth-', b'"video_id":"synth\\u002d', 1)
+        lines[i] = _unkeyable(line)
+    elif fault == "unkeyable video":  # every line of frame i's video
+        lines = [_unkeyable(line) if f.video_id == frames[i].video_id else line
+                 for f, line in zip(frames, lines)]
     elif fault == "BOM":
         lines[0] = "\ufeff".encode() + lines[0]
     elif fault == "CRLF":
@@ -394,8 +405,7 @@ def test_detect_gives_the_same_outcome_at_any_thread_count(data):
         serial = detect_outcome(observations, Path(tmp, "1"), 1, dump)
         for threads in (2, 3):
             assert detect_outcome(observations, Path(tmp, str(threads)), threads, dump) == serial
-    assert (serial[0] == 0) == (fault in ("none", "duplicate video_id key", "escaped video_id",
-                                          "CRLF", "blank lines"))
+    assert (serial[0] == 0) == (fault in VALID)
 
 
 def _three_videos():
@@ -408,15 +418,17 @@ needs_two_cpus = pytest.mark.skipif(cli._usable_cpus() < 2, reason="detect shard
 @needs_two_cpus
 @pytest.mark.parametrize("fault", FAULTS)
 def test_sharded_detect_runs_only_on_input_it_can_key(tmp_path, fault):
-    """Valid input shards, an unkeyed line included (line 6 joins the video
-    of line 5, its own); any faulty line reaches a worker's reader, and the
-    pool's fault leaves the input to the serial path."""
+    """Valid input shards, unkeyed lines included (line 6 joins the run of
+    line 5, its own video; a whole unkeyable first video is a run of its
+    own); any faulty line reaches a worker's reader, and the pool's fault
+    leaves the input to the serial path, as does a video detected twice (a
+    resumed video, a line keyed to another video)."""
     obs = tmp_path / "obs.jsonl"
     obs.write_bytes(observation_bytes(_three_videos(), fault, i=5, j=30))
     args = argparse.Namespace(input=str(obs), threads=2, dump_features=True)
     sharded = cli._detect_sharded(args, EngineConfig())
     assert multiprocessing.active_children() == []
-    assert (sharded is not None) == (fault in ("none", "CRLF", "blank lines", "escaped video_id"))
+    assert (sharded is not None) == (fault in VALID and fault != "duplicate video_id key")
 
 
 @needs_two_cpus
@@ -495,22 +507,23 @@ def test_detect_shards_spaced_json(tmp_path, started, separators):
 @pytest.mark.parametrize("escaped", [0, 1, 2], ids=["first", "middle", "last"])
 def test_detect_shards_a_video_it_cannot_key(tmp_path, started, escaped):
     """A video whose every line spells its id as "synth\\u002d...": the
-    parent keys no line of it and judges none, so two workers start; the
-    worker whose lines then hold two videos raises, and the serial rerun
-    gives the serial bytes."""
+    parent keys no line of it and judges none, so its lines join the run
+    before them (the first video's are a run of their own). The worker of
+    that run detects every video it holds, and _detect_sharded returns the
+    pool's output, the serial bytes."""
     videos = [make_video(seed, min_frames=20, max_frames=30) for seed in (1, 2, 3)]
     lines = [[serialize_frame(f).encode() for f in video] for video in videos]
-    lines[escaped] = [line.replace(b'"video_id":"synth-', b'"video_id":"synth\\u002d', 1)
-                      for line in lines[escaped]]
+    lines[escaped] = [_unkeyable(line) for line in lines[escaped]]
     obs = tmp_path / "obs.jsonl"
     obs.write_bytes(b"".join(line + b"\n" for video in lines for line in video))
-    for threads in ("1", "2"):
-        assert run("detect", "--input", str(obs), "--out", str(tmp_path / threads),
-                   "--threads", threads, "--dump-features") == 0
+    args = argparse.Namespace(input=str(obs), threads=2, dump_features=True)
+    sharded = cli._detect_sharded(args, EngineConfig())
+    assert sharded is not None
     assert len(started) == 2
     assert multiprocessing.active_children() == []
-    for artifact in ("events.jsonl", "videos.jsonl", "features.jsonl"):
-        assert (tmp_path / "1" / artifact).read_bytes() == (tmp_path / "2" / artifact).read_bytes()
+    assert run("detect", "--input", str(obs), "--out", str(tmp_path / "1"), "--dump-features") == 0
+    for artifact, texts in zip(("events.jsonl", "videos.jsonl", "features.jsonl"), zip(*sharded)):
+        assert (tmp_path / "1" / artifact).read_text() == "".join(texts)
     assert [r["video_id"] for r in read_lines(tmp_path / "1" / "videos.jsonl")] == \
         ["synth-1", "synth-2", "synth-3"]
 
@@ -632,8 +645,9 @@ def rollout_text(draw) -> str:
 @given(data=st.data())
 def test_rewards_line_is_the_canonical_record(data):
     """reward's line for a group is dumps_canonical of the oracle's record,
-    for any keys, weights within the bound, advantage mode and traces, and
-    analyze's tables take its record and each rollout on their fast path."""
+    for any keys, weights within the bound, advantage mode and traces;
+    analyze's tables take its record and each rollout on their fast path,
+    and analyze's rules for a rollout accept every one."""
     k = data.draw(st.integers(2, 4))
     config = EngineConfig(
         **dict(zip(("weight_acc", "weight_fmt", "weight_str", "weight_gnd"),
@@ -650,6 +664,8 @@ def test_rewards_line_is_the_canonical_record(data):
     record = json.loads(line)
     for schema, r in [(cli.REWARDS, record), *((cli.ROLLOUT, r) for r in record["per_rollout"])]:
         assert tuple(map(type, schema.values(r))) in schema.shapes
+    for r in record["per_rollout"]:
+        assert cli._rollout(r, 1) == cli.ROLLOUT.values(r)
 
 
 def test_weights_flag_rejects_bad_values(capsys):
@@ -1127,12 +1143,16 @@ def _rule_outcome(entry) -> str:
     faults = [f"{key} must be at least 0, got {entry[key]}" for key in counts if entry[key] < 0]
     if n_correct > n_pred:
         faults.append(f"n_correct must be at most n_pred {n_pred}, got {n_correct}")
+    if entry["novel_participants"] > n_pred:
+        faults.append(f"novel_participants must be at most n_pred {n_pred}, "
+                      f"got {entry['novel_participants']}")
     if n_pred == 0 and precision is not None:
         faults.append(f"grounding_precision must be null when n_pred is 0, got {precision}")
     if n_pred != 0 and precision is None:
         faults.append(f"grounding_precision must not be null when n_pred is {n_pred}")
-    if precision is not None and not 0 <= precision <= 1:
-        faults.append(f"grounding_precision must be within [0, 1], got {precision}")
+    if n_pred > 0 and precision is not None and precision != n_correct / n_pred:
+        faults.append(f"grounding_precision must be n_correct / n_pred {n_correct / n_pred}, "
+                      f"got {precision}")
     return f"error: line 1: bad rewards record: {faults[0]}\n" if faults else ""
 
 
