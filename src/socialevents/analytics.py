@@ -9,14 +9,12 @@ scored rollouts is the analyze stage in cli.py.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
-import random
 from dataclasses import dataclass
 
 from .errors import ContractError
 from .mentions import extract_person_ids, replace_person_ids
-from .qa import QAItem, item_person_ids
+from .qa import QAItem, item_person_ids, keyed_rng
 from .reward import ReasoningTrace
 
 
@@ -34,9 +32,6 @@ class IdRemap:
 
     def inverse(self) -> "IdRemap":
         return IdRemap({v: k for k, v in self.mapping.items()})
-
-    def is_identity(self) -> bool:
-        return all(k == v for k, v in self.mapping.items())
 
 
 def grounding_precision(pred: set[int], gt: set[int]) -> float | None:
@@ -83,10 +78,8 @@ def seeded_remap(ids: list[int], key: str) -> IdRemap:
     ids = sorted(ids)
     if len(ids) < 2:
         return IdRemap({pid: pid for pid in ids})
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
-    rng = random.Random(int.from_bytes(digest[:8], "big"))
     shuffled = ids[:]
-    rng.shuffle(shuffled)
+    keyed_rng(key).shuffle(shuffled)
     if shuffled == ids:
         shuffled = ids[1:] + ids[:1]
     return IdRemap(dict(zip(ids, shuffled)))

@@ -15,17 +15,17 @@ STAGE_FIELDS); reward's weights and rollout count come from --weights and
 parameter set. The timeline is fixed at 2 fps (ingest.SAMPLE_PERIOD).
 
 --threads N (default 1) is the number of worker processes. Only detect uses
-it: with N > 1 it cuts the input's lines into runs by the video key read
-from each line's text (a line whose key it cannot read joins the run before
-it) and runs a pool of up to N forked workers
-(concurrent.futures.ProcessPoolExecutor; no more workers than runs or usable
-CPUs), each detecting every video of one run at a time, and writes their
-output in run order. Every other stage runs serially in input order. The
-bytes, the exit code and the message are the same at any N: only the
-workers' readers judge the input, and a fault in the pool or a video
-detected twice (one that comes back after another, or whose lines a wrong
-key split) makes detect run serially from the start, which detects and
-writes each video as soon as its run of frames ends (a video that comes
+it: with N > 1 it cuts the input's lines into runs by each line's key, the
+value of its first "video_id" key read by the JSON decoder's own string
+scanner (a line without one joins the run before it), and runs a pool of up
+to N forked workers (concurrent.futures.ProcessPoolExecutor; no more workers
+than runs or usable CPUs), each detecting every video of one run at a time,
+and writes their output in run order. Every other stage runs serially in
+input order. The bytes, the exit code and the message are the same at any
+N: only the workers' readers judge the input, and a fault in the pool or a
+video detected twice (one that comes back after another, or whose lines a
+wrong key split) makes detect run serially from the start, which detects
+and writes each video as soon as its run of frames ends (a video that comes
 back exits 3).
 
 reward formats each rewards.jsonl line as text (rewards_line), with the
@@ -293,10 +293,22 @@ def _detect_video(video_id: str, tracks: list[gaze.GazeTrack], stop: int,
     return events_text, video_line, features_text
 
 
-# A line's key, read from its text: the first "video_id":"..." (spaces or
-# tabs may stand around the colon) whose value holds no quote and no
-# backslash. It only cuts the input into runs; the parsed video_id decides.
-_VIDEO_KEY = re.compile(r'"video_id"[ \t]*:[ \t]*"([^"\\]*)"')
+# A "video_id" key up to its value's opening quote; spaces or tabs may stand
+# around the colon. It holds no string body: _video_key reads the value.
+_VIDEO_KEY = re.compile(r'"video_id"[ \t]*:[ \t]*"')
+
+
+def _video_key(line: str) -> str | None:
+    """A line's key, which only cuts the input into runs: the string value
+    of its first ``_VIDEO_KEY``, read by ``json.decoder.scanstring``, the
+    strict scanner ``json.loads`` reads every string with, so escapes read
+    as the worker's reader reads them. None without a match or where the
+    scanner rejects the string."""
+    match = _VIDEO_KEY.search(line)
+    try:
+        return match and json.decoder.scanstring(line, match.end())[0]
+    except ValueError:  # a faulty line, which a worker's reader names
+        return None
 
 
 def _detect_sharded(args: argparse.Namespace,
@@ -314,24 +326,25 @@ def _detect_sharded(args: argparse.Namespace,
 
     The parent reads the text as ``ingest.read_jsonl`` does and judges none
     of it. It cuts the lines into runs that never overlap: a run starts at
-    the first line and at each line whose key differs from the run's, and a
-    line whose key it cannot read joins the run before it. Workers get the
-    lines by inheritance, nothing of the input is pickled, and detect every
-    video their run holds, read as ``load_observations`` does, so a faulty
-    line is raised in a worker. The one rule: a video detected twice sends
-    the file to the serial path. A video that resumes after another, a
-    mis-keyed line and a video split by a key it does not own each give
-    one; without one, each video's lines lie within one run, and its worker
-    reads them as the serial path does."""
+    the first line and at each line whose key (``_video_key``) differs from
+    the run's, and a line without a key joins the run before it. Workers
+    get the lines by inheritance, nothing of the input is pickled, and
+    detect every video their run holds, read as ``load_observations`` does,
+    so a faulty line is raised in a worker. The one rule: a video detected
+    twice sends the file to the serial path. A video that resumes after another, a line
+    holding another video's "video_id" key before its own and a video whose
+    first line spells the key name with an escape (its later, keyed lines
+    start a second run) each give one; without one, each video's lines lie
+    within one run, and its worker reads them as the serial path does."""
     with ingest.open_jsonl(args.input) as fh:
         lines = fh.readlines()
     starts: list[int] = []  # the first line of each run
     key = None
     for i, line in enumerate(lines):
-        match = _VIDEO_KEY.search(line)
-        if not starts or match and match[1] != key:
+        line_key = _video_key(line)
+        if not starts or line_key is not None and line_key != key:
             starts.append(i)
-            key = match[1] if match else None
+            key = line_key
     n = min(args.threads, len(starts), _usable_cpus())
     if n < 2:
         return None
@@ -567,13 +580,11 @@ def _cmd_analyze(args: argparse.Namespace, config: EngineConfig) -> int:
     groups = []  # one (query_id, qa_id, model, rollout values) per trace group, in file order
     for line_no, record in ingest.read_jsonl(args.input):
         *keys, per_rollout = ingest.read_record(record, REWARDS, line_no)
-        if args.tsv and _TSV_BREAK.search("".join(keys)):
-            name, value = next(item for item in zip(REWARDS.keys, keys)
-                               if _TSV_BREAK.search(item[1]))
-            what = "a tab, LF or CR" if _TSV_BREAK.search(value)[0] in "\t\n\r" \
-                else "a lone surrogate"
-            raise ValidationError(f"bad rewards record: {name} must not hold {what} "
-                                  f"in report.tsv, got {value!r}", line_no)
+        for name, value in zip(REWARDS.keys, keys) if args.tsv else ():
+            if found := _TSV_BREAK.search(value):
+                what = "a tab, LF or CR" if found[0] in "\t\n\r" else "a lone surrogate"
+                raise ValidationError(f"bad rewards record: {name} must not hold {what} "
+                                      f"in report.tsv, got {value!r}", line_no)
         groups.append((*keys, [_rollout(r, line_no) for r in per_rollout]))
 
     by_model = itertools.groupby(sorted(groups, key=operator.itemgetter(2)), operator.itemgetter(2))

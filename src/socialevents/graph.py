@@ -82,6 +82,11 @@ def snap_timestamps(event: SocialEvent, duration: float) -> SocialEvent | None:
     return event._replace(start_time=start, end_time=end)
 
 
+def _strength(e: SocialEvent) -> tuple:
+    """Strongest first: highest confidence, earliest start, lowest event_id."""
+    return (-e.confidence, e.start_time, e.event_id)
+
+
 def deduplicate(events: list[SocialEvent]) -> list[SocialEvent]:
     """Collapse same-type, same-participant events with overlapping windows,
     keeping the highest-confidence one per overlap component."""
@@ -97,19 +102,15 @@ def deduplicate(events: list[SocialEvent]) -> list[SocialEvent]:
         comp_end = -math.inf
         for event in group:
             if component and event.start_time >= comp_end - _EPS:
-                kept.append(_best(component))
+                kept.append(min(component, key=_strength))
                 component = []
                 comp_end = -math.inf
             component.append(event)
             comp_end = max(comp_end, event.end_time)
         if component:
-            kept.append(_best(component))
+            kept.append(min(component, key=_strength))
     kept.sort(key=lambda e: (event_sort_key(e), e.event_id))
     return kept
-
-
-def _best(component: list[SocialEvent]) -> SocialEvent:
-    return min(component, key=lambda e: (-e.confidence, e.start_time, e.event_id))
 
 
 def interval_distance(a: SocialEvent, b: SocialEvent) -> float:
@@ -165,8 +166,7 @@ def prune_graph(graph: SocialGraph, config: EngineConfig = DEFAULT_CONFIG) -> So
             kept_pairs.append(pair)
         pairs = sorted(kept_pairs)
     else:
-        ranked = sorted((e for e in events if e.event_id not in kept_ids),
-                        key=lambda e: (-e.confidence, e.start_time, e.event_id))
+        ranked = sorted((e for e in events if e.event_id not in kept_ids), key=_strength)
         # One diversity slot per event type, strongest types first, then the
         # strongest of the rest.
         best: dict[str, SocialEvent] = {}

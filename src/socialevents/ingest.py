@@ -15,13 +15,15 @@ gestures.jsonl
 
 Every JSONL file of the pipeline is opened by ``open_jsonl`` and its lines
 judged by ``read_lines`` alone, in file order, so the first faulty line is
-the one named, a byte that is not UTF-8 included. Every record is read
-through ``read_record`` and the table (``Schema``) of its kind, which gives
-each field's key, kind and default once: a missing key or a value of the
-wrong JSON type is a ValidationError naming the line and the field. Only an
-observation's per-person and per-face fields are checked inline, on the
-parse hot path, where a value of the wrong type is reported as out of range.
-Unknown fields are ignored for forward compatibility.
+the one named, a byte that is not UTF-8 included. A blank line, one holding
+only spaces and tabs besides its newline, is skipped; any other line, say
+one holding only a form feed or U+00A0, must be a JSON object. Every record
+is read through ``read_record`` and the table (``Schema``) of its kind,
+which gives each field's key, kind and default once: a missing key or a
+value of the wrong JSON type is a ValidationError naming the line and the
+field. Only an observation's per-person and per-face fields are checked
+inline, on the parse hot path, where a value of the wrong type is reported
+as out of range. Unknown fields are ignored for forward compatibility.
 
 Parse turns ``t`` into the grid tick ``k`` that frames, gaze samples and
 features carry (``t = k * SAMPLE_PERIOD``, read back as their ``t``); ``t``
@@ -94,9 +96,6 @@ class Box(NamedTuple):
     @property
     def center(self) -> tuple[float, float]:
         return ((self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0)
-
-    def as_list(self) -> list[float]:
-        return [self.x1, self.y1, self.x2, self.y2]
 
 
 class PersonBox(NamedTuple):
@@ -177,17 +176,18 @@ _UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def read_lines(numbered: Iterable[tuple[int, str]]) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, record) for each non-blank (line number, text)
-    pair of text read by ``open_jsonl``. Each line is judged in file order,
-    so the first faulty one is the ParseError named: a byte that is not
-    UTF-8, text that is not JSON, or a JSON value that is not an object."""
+    """Yield (line number, record) for each (line number, text) pair of text
+    read by ``open_jsonl``, skipping blank lines. Each line is judged in
+    file order, so the first faulty one is the ParseError named: a byte that
+    is not UTF-8, text that is not JSON, or a JSON value that is not an
+    object."""
     for line_no, raw in numbered:
         if not raw.isascii() and _UNDECODED.search(raw):
             try:  # the line's bytes again, for the decoder's reason
                 raw.encode("utf-8", "surrogateescape").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ParseError(f"not UTF-8: {exc.reason}", line_no) from None
-        if not raw.strip():
+        if not raw.strip(" \t\n"):  # text mode made each CR and CRLF an LF
             continue
         try:
             record = json.loads(raw)
@@ -287,17 +287,12 @@ def read_record(record: dict, schema: Schema, line: int | None) -> tuple:
 
 
 def _read_checked(record: dict, schema: Schema, line: int | None) -> tuple:
-    """``read_record`` without its fast path: each field read by
-    ``read_field`` in table order, so the first fault is the one named."""
-    return tuple(read_field(record, key, kind, schema.what, line, default)
+    """``read_record`` without its fast path: each field checked by
+    ``typed`` in table order, so the first fault is the one named. A
+    missing key gives its default, itself checked, or, with none, a
+    ValidationError naming the key."""
+    return tuple(typed(record.get(key, default), kind, key, schema.what, line)
                  for key, kind, default in schema.fields)
-
-
-def read_field(record: dict, key: str, kind, what: str, line: int | None,
-               default=_MISSING):
-    """``record[key]`` checked by ``typed``. A missing key gives ``default``,
-    itself checked, or, with none, a ValidationError naming the key."""
-    return typed(record.get(key, default), kind, key, what, line)
 
 
 def typed(value, kind, name: str, what: str, line: int | None):
@@ -448,7 +443,8 @@ def parse_gesture(record: dict, line: int | None = None) -> GestureAnnotation:
         raise ValidationError(f"target_type must be 'person' or 'object', got {target_type!r}", line)
     target_pid = None
     if target_type == "person":
-        target_pid = read_field(record, "target_person_id", int, "gesture", line)
+        target_pid = typed(record.get("target_person_id", _MISSING), int, "target_person_id",
+                           "gesture", line)
         if target_pid < 0:
             raise ValidationError("target_person_id must be non-negative", line)
     elif record.get("target_person_id") is not None:

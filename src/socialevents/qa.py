@@ -89,10 +89,9 @@ def _count_phrase(n: int) -> str:
     return "1 person" if n == 1 else f"{n} people"
 
 
-def _item_rng(seed: int, video_id: str, category: str, source_ids) -> random.Random:
-    key = f"{seed}:{video_id}:{category}:{','.join(str(i) for i in source_ids)}"
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+def keyed_rng(key: str) -> random.Random:
+    """A generator seeded by the first 8 bytes of the key's sha256, big-endian."""
+    return random.Random(int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big"))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +294,7 @@ def _build_item(
 ) -> QAItem | None:
     source_ids = tuple(e.event_id for e in sources)
     time_range = (min(e.start_time for e in sources), max(e.end_time for e in sources))
-    rng = _item_rng(seed, graph.video_id, category, source_ids)
+    rng = keyed_rng(f"{seed}:{graph.video_id}:{category}:{','.join(map(str, source_ids))}")
     question = phrasings[rng.randrange(len(phrasings))]
     if difficulty == "hard" and rng.random() < 0.5:
         fmt, options, answer = "open_ended", None, answer_text

@@ -255,10 +255,10 @@ def serialize_frame(frame: FrameObservation) -> str:
     record = {
         "video_id": frame.video_id,
         "t": frame.t,
-        "persons": [{"id": p.person_id, "box": p.box.as_list()} for p in frame.persons],
+        "persons": [{"id": p.person_id, "box": list(p.box)} for p in frame.persons],
         "faces": [
             {
-                "box": f.box.as_list(),
+                "box": list(f.box),
                 "det_conf": f.det_confidence,
                 "gaze": list(f.gaze_point) if f.gaze_point is not None else None,
                 "in_frame": f.gaze_in_frame,

@@ -116,7 +116,7 @@ class TestSeededRemap:
             a = seeded_remap(ids, "key")
             b = seeded_remap(ids, "key")
             assert a == b
-            assert not a.is_identity()
+            assert a.mapping != {pid: pid for pid in ids}
 
     def test_single_id_stays(self):
         assert seeded_remap([4], "k").mapping == {4: 4}

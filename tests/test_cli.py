@@ -325,17 +325,24 @@ class TestWeightsFlag:
 # bytes. "blank lines" and "CRLF" are not faults to the serial path; the
 # duplicate, the escaped video_id and the unkeyable video are not faults to
 # it either, but the line scan keys those lines wrongly or not at all (an
-# unkeyed line joins the run before it).
+# unkeyed line joins the run before it). A form feed is not JSON whitespace,
+# so a line holding only one is not blank.
 FAULTS = ("none", "bad JSON", "not an object", "schema error", "ordering error",
           "resumed video", "duplicate video_id key", "escaped video_id", "unkeyable video",
-          "BOM", "CRLF", "CR inside a line", "blank lines", "not UTF-8")
+          "BOM", "CRLF", "CR inside a line", "blank lines", "form feed line", "not UTF-8")
 VALID = ("none", "duplicate video_id key", "escaped video_id", "unkeyable video", "CRLF",
          "blank lines")
 
 
 def _unkeyable(line: bytes) -> bytes:
+    """The line with its key name spelled "video\\u005fid", which the
+    reader reads as video_id but the line scan cannot find."""
+    return line.replace(b'"video_id":', b'"video\\u005fid":', 1)
+
+
+def _escaped_id(line: bytes) -> bytes:
     """The line with its video id spelled "synth\\u002d...", which the
-    key regex cannot read."""
+    line scan reads as the reader does."""
     return line.replace(b'"video_id":"synth-', b'"video_id":"synth\\u002d', 1)
 
 
@@ -369,6 +376,8 @@ def observation_bytes(frames, fault="none", i=0, j=1) -> bytes:
         lines[i] = line.replace(b',"t":', b',\r"t":', 1)
     elif fault == "blank lines":
         lines[j:j] = [b"", b"  \t"]
+    elif fault == "form feed line":
+        lines.insert(j, b"\x0c")
     elif fault == "not UTF-8":
         lines[i] = line.replace(b'"video_id":"synth-', b'"video_id":"synth\xff-', 1)
     return b"".join(line + newline for line in lines)
@@ -504,16 +513,24 @@ def test_detect_shards_spaced_json(tmp_path, started, separators):
 
 
 @needs_two_cpus
-@pytest.mark.parametrize("escaped", [0, 1, 2], ids=["first", "middle", "last"])
-def test_detect_shards_a_video_it_cannot_key(tmp_path, started, escaped):
-    """A video whose every line spells its id as "synth\\u002d...": the
-    parent keys no line of it and judges none, so its lines join the run
-    before them (the first video's are a run of their own). The worker of
-    that run detects every video it holds, and _detect_sharded returns the
-    pool's output, the serial bytes."""
+@pytest.mark.parametrize("layout", ["first", "middle", "last", "id escaped on line 1",
+                                    "id escaped on synth-2's first line"])
+def test_detect_shards_a_video_it_cannot_key(tmp_path, started, layout):
+    """The first, middle or last video with every line's key name spelled
+    "video\\u005fid": the parent keys no line of it and judges none, so its
+    lines join the run before them (the first video's are a run of their
+    own), and the worker of that run detects every video it holds. A video
+    whose first line spells its id "synth\\u002d...": the parent reads that
+    key as the reader does, so the line starts its video's run. Either way
+    _detect_sharded returns the pool's output, the serial bytes."""
     videos = [make_video(seed, min_frames=20, max_frames=30) for seed in (1, 2, 3)]
     lines = [[serialize_frame(f).encode() for f in video] for video in videos]
-    lines[escaped] = [_unkeyable(line) for line in lines[escaped]]
+    if layout in ("first", "middle", "last"):
+        unkeyed = ("first", "middle", "last").index(layout)
+        lines[unkeyed] = [_unkeyable(line) for line in lines[unkeyed]]
+    else:
+        escaped = 0 if layout == "id escaped on line 1" else 1
+        lines[escaped][0] = _escaped_id(lines[escaped][0])
     obs = tmp_path / "obs.jsonl"
     obs.write_bytes(b"".join(line + b"\n" for video in lines for line in video))
     args = argparse.Namespace(input=str(obs), threads=2, dump_features=True)
@@ -526,6 +543,27 @@ def test_detect_shards_a_video_it_cannot_key(tmp_path, started, escaped):
         assert (tmp_path / "1" / artifact).read_text() == "".join(texts)
     assert [r["video_id"] for r in read_lines(tmp_path / "1" / "videos.jsonl")] == \
         ["synth-1", "synth-2", "synth-3"]
+
+
+# Any character, with the ones JSON escapes drawn often: quotes,
+# backslashes, control characters and lone surrogates.
+ID_CHARACTERS = st.one_of(st.sampled_from('"\\/'), st.characters(max_codepoint=0x1f),
+                          st.characters(categories=["Cs"]), st.characters(exclude_categories=()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(video_id=st.text(ID_CHARACTERS, min_size=1),
+       first=st.booleans(), ensure_ascii=st.booleans(),
+       separators=st.sampled_from([None, (",", ":")]))
+def test_a_line_is_keyed_by_the_video_id_it_parses_to(video_id, first, ensure_ascii, separators):
+    """Quotes, backslashes, control characters, non-ASCII text and lone
+    surrogates, however json.dumps writes them, key a line as its parsed
+    video_id (a surrogate pair escaped by ensure_ascii reads back as one
+    character, by the reader and the key alike)."""
+    fields = {"t": 0.0, "persons": [], "faces": []}
+    record = {"video_id": video_id, **fields} if first else {**fields, "video_id": video_id}
+    line = json.dumps(record, ensure_ascii=ensure_ascii, separators=separators) + "\n"
+    assert cli._video_key(line) == ingest.parse_frame(json.loads(line)).video_id
 
 
 def _fork_fails(self):
@@ -1782,6 +1820,7 @@ SINGLE_FAULTS = {
     "cut sequence": (lambda line: line + b"\xe2\x82", "not UTF-8: invalid continuation byte"),
     "bad JSON": (lambda line: line[:-1], "invalid JSON: Expecting ',' delimiter"),
     "not an object": (lambda line: b"[" + line + b"]", "record must be a JSON object"),
+    "form feed line": (lambda line: b"\x0c", "invalid JSON: Expecting value"),
 }
 
 

@@ -36,7 +36,7 @@ class TestHeadRegion:
 
     def test_general_box(self):
         region = head_region(Box(0.2, 0.4, 0.6, 0.8))
-        assert region.as_list() == pytest.approx([0.2, 0.4, 0.6, 0.6])
+        assert list(region) == pytest.approx([0.2, 0.4, 0.6, 0.6])
 
 
 class TestBoxOverlap:

@@ -225,7 +225,7 @@ def test_box_helpers():
     assert box.center == pytest.approx((0.4, 0.6))
     assert (box.width, box.height) == pytest.approx((0.4, 0.4))
     assert box.area == pytest.approx(0.16)
-    assert box.as_list() == [0.2, 0.4, 0.6, 0.8]
+    assert list(box) == [0.2, 0.4, 0.6, 0.8]
 
 
 def test_records_are_immutable_hashable_tuples():
@@ -335,9 +335,11 @@ def test_bad_gaze_error_text(value, message):
 
 def test_read_jsonl_skips_blank_lines_and_names_bad_ones(tmp_path):
     path = tmp_path / "records.jsonl"
-    path.write_text('{"a": 1}\n\n  \n{"b": 2}\n')
-    assert list(read_jsonl(path)) == [(1, {"a": 1}), (4, {"b": 2})]
-    for bad in ("[1, 2]", "{bad", '"text"', "3"):
-        path.write_text('{"a": 1}\n' + bad + "\n")
+    path.write_text('{"a": 1}\n\n  \n \t\r\n{"b": 2}\n')
+    assert list(read_jsonl(path)) == [(1, {"a": 1}), (5, {"b": 2})]
+    # A blank line holds only spaces and tabs: a form feed, U+00A0, U+0085
+    # or U+2028 is not JSON whitespace.
+    for bad in ("[1, 2]", "{bad", '"text"', "3", "\f", " \f\t", "\xa0", "\x85", "\u2028"):
+        path.write_text('{"a": 1}\n' + bad + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match="line 2"):
             list(read_jsonl(path))
