@@ -17,19 +17,21 @@ parameter set. The timeline is fixed at 2 fps (ingest.SAMPLE_PERIOD).
 --threads N (default 1) is the number of worker processes. Only detect uses
 it: with N > 1 it cuts the input's lines into runs by each line's key, the
 value of its first "video_id" key read by the JSON decoder's own string
-scanner (a line without one joins the run before it), and runs a pool of up
-to N forked workers (concurrent.futures.ProcessPoolExecutor; no more workers
-than runs or usable CPUs), each detecting every video of one run at a time,
-and writes their output in run order. Every other stage runs serially in
-input order. The bytes, the exit code and the message are the same at any
-N: only the workers' readers judge the input, and a fault in the pool or a
-video detected twice (one that comes back after another, or whose lines a
-wrong key split) makes detect run serially from the start, which detects
-and writes each video as soon as its run of frames ends (a video that comes
-back exits 3).
+scanner, or of the video_id json.loads reads from a line that spells the
+key name with an escape (a line without one joins the run before it), and
+runs a pool of up to N forked workers (concurrent.futures.ProcessPoolExecutor;
+no more workers than runs or usable CPUs), each detecting every video of one
+run at a time, and writes their output in run order. Every other stage
+runs serially in input order. The bytes, the exit code and the message are
+the same at any N: only the workers' readers judge the input, and a fault
+in the pool or a video detected twice (one that comes back after another,
+or whose lines a wrong key split) makes detect run serially from the start,
+which detects and writes each video as soon as its run of frames ends (a
+video that comes back exits 3).
 
 reward formats each rewards.jsonl line as text (rewards_line), with the
-bytes ingest.dumps_canonical would write for the group's record. Trace
+bytes ingest.dumps_canonical would write for the group's record, and
+formats the text of each distinct score once per run. Trace
 records, rewards records and their rollouts are read through the TRACE,
 REWARDS and ROLLOUT tables below with ingest.read_record, as every other
 record is through its own table; whether a rollout is valid does not depend
@@ -302,13 +304,22 @@ def _video_key(line: str) -> str | None:
     """A line's key, which only cuts the input into runs: the string value
     of its first ``_VIDEO_KEY``, read by ``json.decoder.scanstring``, the
     strict scanner ``json.loads`` reads every string with, so escapes read
-    as the worker's reader reads them. None without a match or where the
-    scanner rejects the string."""
+    as the worker's reader reads them. A line that ``_VIDEO_KEY`` misses but
+    that holds a backslash may spell the key name with an escape
+    (``"video\\u005fid"``): it is keyed by the top-level ``video_id`` that
+    ``json.loads`` reads from it. None where neither gives a string: no
+    key, a string the scanner rejects, or a line that does not decode."""
     match = _VIDEO_KEY.search(line)
     try:
-        return match and json.decoder.scanstring(line, match.end())[0]
-    except ValueError:  # a faulty line, which a worker's reader names
-        return None
+        if match:
+            return json.decoder.scanstring(line, match.end())[0]
+        if "\\" in line:
+            record = json.loads(line)
+            key = record.get("video_id") if isinstance(record, dict) else None
+            return key if isinstance(key, str) else None
+    except (ValueError, RecursionError):  # a faulty line, which a worker's reader names
+        pass
+    return None
 
 
 def _detect_sharded(args: argparse.Namespace,
@@ -331,11 +342,10 @@ def _detect_sharded(args: argparse.Namespace,
     get the lines by inheritance, nothing of the input is pickled, and
     detect every video their run holds, read as ``load_observations`` does,
     so a faulty line is raised in a worker. The one rule: a video detected
-    twice sends the file to the serial path. A video that resumes after another, a line
-    holding another video's "video_id" key before its own and a video whose
-    first line spells the key name with an escape (its later, keyed lines
-    start a second run) each give one; without one, each video's lines lie
-    within one run, and its worker reads them as the serial path does."""
+    twice sends the file to the serial path. A video that resumes after
+    another and a line holding another video's "video_id" key before its
+    own each give one; without one, each video's lines lie within one run,
+    and its worker reads them as the serial path does."""
     with ingest.open_jsonl(args.input) as fh:
         lines = fh.readlines()
     starts: list[int] = []  # the first line of each run
@@ -491,7 +501,7 @@ _json_string = json.encoder.encode_basestring_ascii
 
 
 def rewards_line(query_id: str, qa_id: str, model: str,
-                 scored: list[reward_mod.ScoredRollout], asked: set[int]) -> str:
+                 scored: list[reward_mod.ScoredRollout], asked: set[int], texts: dict) -> str:
     """One trace group's rewards.jsonl line, newline included: the text of
     ``ingest.dumps_canonical`` of its record, formatted per rollout with the
     keys as literal text in the record's order.
@@ -499,21 +509,46 @@ def rewards_line(query_id: str, qa_id: str, model: str,
     ``float.__repr__`` writes a float as json.dumps does only while it is
     finite, and every float here is: each weight is within [-1e100, 1e100]
     (EngineConfig) and r_gnd at most 2, so a total is finite, advantages are
-    clipped, and a precision is at most 1."""
+    clipped, and a precision is at most 1.
+
+    ``texts`` is the run's text cache (``_cmd_reward`` makes one per run):
+    it maps each distinct score to its text, so that each is formatted
+    once. A rollout's texts are the "r_acc" to "total" run, keyed by the
+    breakdown's first five fields; the "pred_participants" list, keyed by
+    the predicted-ID frozenset; and the "n_pred" to "grounding_precision"
+    run, keyed by (n_pred, n_correct). The advantage, novel_participants,
+    think_tokens and well_formed are written per rollout.
+
+    A key must fix its text, so equal keys must have equal reprs. Keys hold
+    ints, and floats that are never -0.0 (equal to 0.0, repr "-0.0") or NaN
+    (equal to nothing): r_gnd is a product of non-negative terms, at least
+    +0.0, and math.fsum never returns -0.0. No position mixes an int with a
+    float of equal value (1 == 1.0, reprs "1" and "1.0"): r_acc, r_fmt,
+    r_str and the counts are always ints, r_gnd and total always floats.
+    Keys of different kinds (5-tuples, 2-tuples, frozensets) never compare
+    equal."""
     rollouts = []
-    for s in scored:
-        b = s.breakdown
+    for trace, b, advantage in scored:
+        score = b[:5]
+        head = texts.get(score)
+        if head is None:
+            r_acc, r_fmt, r_str, r_gnd, total = score
+            head = texts[score] = (f'{{"r_acc":{r_acc},"r_fmt":{r_fmt},"r_str":{r_str},'
+                                   f'"r_gnd":{r_gnd!r},"total":{total!r},"advantage":')
         pred = b.pred_participants
-        n_pred = len(pred)
-        tokens, flagged = analytics.reasoning_length(s.trace)
-        rollouts.append(
-            f'{{"r_acc":{b.r_acc},"r_fmt":{b.r_fmt},"r_str":{b.r_str},"r_gnd":{b.r_gnd!r},'
-            f'"total":{b.total!r},"advantage":{s.advantage!r},'
-            f'"pred_participants":[{",".join(map(str, sorted(pred)))}],"n_pred":{n_pred},'
-            f'"n_correct":{b.n_correct},'
-            f'"grounding_precision":{repr(b.n_correct / n_pred) if n_pred else "null"},'
-            f'"novel_participants":{len(pred - asked)},"think_tokens":{tokens},'
-            f'"well_formed":{"false" if flagged else "true"}}}')
+        ids = texts.get(pred)
+        if ids is None:
+            ids = texts[pred] = f',"pred_participants":[{",".join(map(str, sorted(pred)))}],'
+        counts = len(pred), b.n_correct
+        tail = texts.get(counts)
+        if tail is None:
+            n_pred, n_correct = counts
+            tail = texts[counts] = (
+                f'"n_pred":{n_pred},"n_correct":{n_correct},"grounding_precision":'
+                f'{repr(n_correct / n_pred) if n_pred else "null"},"novel_participants":')
+        tokens, flagged = analytics.reasoning_length(trace)
+        rollouts.append(f'{head}{advantage!r}{ids}{tail}{len(pred - asked)},'
+                        f'"think_tokens":{tokens},"well_formed":{"false" if flagged else "true"}}}')
     return (f'{{"query_id":{_json_string(query_id)},"qa_id":{_json_string(qa_id)},'
             f'"model":{_json_string(model)},"per_rollout":[{",".join(rollouts)}]}}\n')
 
@@ -522,6 +557,7 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
     out = _out_dir(args)
     items = {item.qa_id: item for item in qa.load_qa_items(args.input)}
     graphs = {g.video_id: g for g in graph_mod.load_graphs(args.graphs)}
+    texts: dict = {}  # rewards_line's, for this run only
 
     with _artifact(out / "rewards.jsonl") as fh:
         for line_no, record in ingest.read_jsonl(args.traces):
@@ -549,7 +585,7 @@ def _cmd_reward(args: argparse.Namespace, config: EngineConfig) -> int:
                 scored = reward_mod.score_group(rollouts, item.answer, gt, aliases, config)
             except (ValidationError, ContractError) as exc:  # the rollout count is a ContractError
                 raise ValidationError(str(exc), line_no) from None
-            fh.write(rewards_line(query_id, qa_id, model, scored, asked))
+            fh.write(rewards_line(query_id, qa_id, model, scored, asked, texts))
     return EXIT_OK
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import io
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -26,6 +27,7 @@ from socialevents.errors import ContractError, ValidationError
 from socialevents.events import serialize_event
 from socialevents.gaze import GazeTrack
 from socialevents.ingest import dumps_canonical
+from socialevents.mentions import extract_person_ids
 from socialevents.qa import load_qa_items
 from socialevents.reward import score_group
 from helpers import event
@@ -324,19 +326,23 @@ class TestWeightsFlag:
 # Each fault, applied to line i (j is a later position), gives the file's
 # bytes. "blank lines" and "CRLF" are not faults to the serial path; the
 # duplicate, the escaped video_id and the unkeyable video are not faults to
-# it either, but the line scan keys those lines wrongly or not at all (an
-# unkeyed line joins the run before it). A form feed is not JSON whitespace,
-# so a line holding only one is not blank.
+# it either: the line scan keys the duplicate's line wrongly, and the
+# escaped key names only through json.loads. A line that does not decode
+# and whose key name is escaped ("unkeyed bad JSON") has no key, and joins
+# the run before it. A form feed is not JSON whitespace, so a line holding
+# only one is not blank.
 FAULTS = ("none", "bad JSON", "not an object", "schema error", "ordering error",
           "resumed video", "duplicate video_id key", "escaped video_id", "unkeyable video",
-          "BOM", "CRLF", "CR inside a line", "blank lines", "form feed line", "not UTF-8")
+          "unkeyed bad JSON", "BOM", "CRLF", "CR inside a line", "blank lines",
+          "form feed line", "not UTF-8")
 VALID = ("none", "duplicate video_id key", "escaped video_id", "unkeyable video", "CRLF",
          "blank lines")
 
 
 def _unkeyable(line: bytes) -> bytes:
     """The line with its key name spelled "video\\u005fid", which the
-    reader reads as video_id but the line scan cannot find."""
+    reader reads as video_id and the key pattern misses: the line scan
+    keys it by the video_id json.loads reads from it."""
     return line.replace(b'"video_id":', b'"video\\u005fid":', 1)
 
 
@@ -368,6 +374,8 @@ def observation_bytes(frames, fault="none", i=0, j=1) -> bytes:
     elif fault == "unkeyable video":  # every line of frame i's video
         lines = [_unkeyable(line) if f.video_id == frames[i].video_id else line
                  for f, line in zip(frames, lines)]
+    elif fault == "unkeyed bad JSON":
+        lines[i] = _unkeyable(line)[:-1]
     elif fault == "BOM":
         lines[0] = "\ufeff".encode() + lines[0]
     elif fault == "CRLF":
@@ -427,11 +435,11 @@ needs_two_cpus = pytest.mark.skipif(cli._usable_cpus() < 2, reason="detect shard
 @needs_two_cpus
 @pytest.mark.parametrize("fault", FAULTS)
 def test_sharded_detect_runs_only_on_input_it_can_key(tmp_path, fault):
-    """Valid input shards, unkeyed lines included (line 6 joins the run of
-    line 5, its own video; a whole unkeyable first video is a run of its
-    own); any faulty line reaches a worker's reader, and the pool's fault
-    leaves the input to the serial path, as does a video detected twice (a
-    resumed video, a line keyed to another video)."""
+    """Valid input shards, escaped key names included (each such line keys
+    itself by the video_id json.loads reads); any faulty line reaches a
+    worker's reader, an unkeyed one through the run before it, and the
+    pool's fault leaves the input to the serial path, as does a video
+    detected twice (a resumed video, a line keyed to another video)."""
     obs = tmp_path / "obs.jsonl"
     obs.write_bytes(observation_bytes(_three_videos(), fault, i=5, j=30))
     args = argparse.Namespace(input=str(obs), threads=2, dump_features=True)
@@ -514,23 +522,29 @@ def test_detect_shards_spaced_json(tmp_path, started, separators):
 
 @needs_two_cpus
 @pytest.mark.parametrize("layout", ["first", "middle", "last", "id escaped on line 1",
-                                    "id escaped on synth-2's first line"])
+                                    "id escaped on synth-2's first line",
+                                    "key name escaped on line 1",
+                                    "key name escaped on synth-2's first line"])
 def test_detect_shards_a_video_it_cannot_key(tmp_path, started, layout):
     """The first, middle or last video with every line's key name spelled
-    "video\\u005fid": the parent keys no line of it and judges none, so its
-    lines join the run before them (the first video's are a run of their
-    own), and the worker of that run detects every video it holds. A video
-    whose first line spells its id "synth\\u002d...": the parent reads that
-    key as the reader does, so the line starts its video's run. Either way
-    _detect_sharded returns the pool's output, the serial bytes."""
+    "video\\u005fid": the key pattern misses each line, so the parent keys
+    it by the video_id json.loads reads from it, and the video is one run.
+    A video whose first line alone spells its key name so: that line keys
+    itself the same way and starts its video's run, where it used to join
+    the run before it (or, on line 1, be a run alone) and leave the video
+    detected twice. A video whose first line spells its id "synth\\u002d...":
+    the parent reads that key as the reader does, so the line starts its
+    video's run. Each way _detect_sharded returns the pool's output, the
+    serial bytes."""
     videos = [make_video(seed, min_frames=20, max_frames=30) for seed in (1, 2, 3)]
     lines = [[serialize_frame(f).encode() for f in video] for video in videos]
     if layout in ("first", "middle", "last"):
         unkeyed = ("first", "middle", "last").index(layout)
         lines[unkeyed] = [_unkeyable(line) for line in lines[unkeyed]]
     else:
-        escaped = 0 if layout == "id escaped on line 1" else 1
-        lines[escaped][0] = _escaped_id(lines[escaped][0])
+        edit = _escaped_id if layout.startswith("id") else _unkeyable
+        first = 0 if layout.endswith("line 1") else 1
+        lines[first][0] = edit(lines[first][0])
     obs = tmp_path / "obs.jsonl"
     obs.write_bytes(b"".join(line + b"\n" for video in lines for line in video))
     args = argparse.Namespace(input=str(obs), threads=2, dump_features=True)
@@ -564,6 +578,17 @@ def test_a_line_is_keyed_by_the_video_id_it_parses_to(video_id, first, ensure_as
     record = {"video_id": video_id, **fields} if first else {**fields, "video_id": video_id}
     line = json.dumps(record, ensure_ascii=ensure_ascii, separators=separators) + "\n"
     assert cli._video_key(line) == ingest.parse_frame(json.loads(line)).video_id
+
+
+@pytest.mark.parametrize("line", [
+    '{"video\\u005fid":"synth-1","t":0.0', '{"video\\u005fid":7,"t":0.0}',
+    '["video\\u005fid","synth-1"]', '{"video\\u005fid":' + "[" * 100_000,
+    '{"video\\u005fid":"synth-\\ud800\\"}', '{"t":"\\n"}',
+], ids=["no JSON", "not a string", "not an object", "deep", "unterminated", "no key"])
+def test_a_line_without_a_string_video_id_stays_unkeyed(line):
+    """A line that does not decode, or decodes to no string video_id, has no
+    key, so the parent judges nothing: a worker's reader names the fault."""
+    assert cli._video_key(line + "\n") is None
 
 
 def _fork_fails(self):
@@ -679,11 +704,18 @@ def rollout_text(draw) -> str:
     return raw[:draw(st.integers(0, len(raw)))] if draw(st.booleans()) else raw
 
 
+@pytest.fixture(scope="module")
+def shared_texts():
+    """One rewards_line text cache for every example of a property."""
+    return {}
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_rewards_line_is_the_canonical_record(data):
+def test_rewards_line_is_the_canonical_record(shared_texts, data):
     """reward's line for a group is dumps_canonical of the oracle's record,
-    for any keys, weights within the bound, advantage mode and traces;
+    for any keys, weights within the bound, advantage mode and traces, with
+    one text cache shared by every example, as by every group of a run;
     analyze's tables take its record and each rollout on their fast path,
     and analyze's rules for a rollout accept every one."""
     k = data.draw(st.integers(2, 4))
@@ -697,7 +729,7 @@ def test_rewards_line_is_the_canonical_record(data):
     scored = score_group(data.draw(st.lists(rollout_text(), min_size=k, max_size=k)),
                          "B", gt, config=config)
     keys = data.draw(st.tuples(ANY_TEXT, ANY_TEXT, ANY_TEXT))
-    line = cli.rewards_line(*keys, scored, asked)
+    line = cli.rewards_line(*keys, scored, asked, shared_texts)
     assert line == dumps_canonical(rewards_record(*keys, scored, gt, asked)) + "\n"
     record = json.loads(line)
     for schema, r in [(cli.REWARDS, record), *((cli.ROLLOUT, r) for r in record["per_rollout"])]:
@@ -1285,6 +1317,155 @@ def synth_rewards(valid_inputs, tmp_path_factory):
         rows = rows[n:]
     assert not rows and len(set(r["model"] for r in records)) == 3
     return lines, (tmp / "report.json").read_bytes(), header, per_line
+
+
+def _oracle_rewards(valid_inputs, records, config=EngineConfig()) -> list[str]:
+    """rewards.jsonl's lines for trace records over the valid QA items: each
+    dumps_canonical of the oracle's record, with the participant set read
+    from the cited events of the item's graph."""
+    items = {item.qa_id: item for item in load_qa_items(valid_inputs["qa"])}
+    graphs = {g.video_id: g for g in graph_mod.load_graphs(valid_inputs["graph"])}
+    lines = []
+    for r in records:
+        item = items[r["qa_id"]]
+        gt = {pid for eid in item.source_event_ids
+              for pid in graphs[item.video_id].event_by_id(eid).participants}
+        aliases = (item.answer_text,) if item.format == "mcq" else ()
+        scored = score_group(r["rollouts"], item.answer, gt, aliases, config)
+        lines.append(dumps_canonical(rewards_record(
+            r["query_id"], r["qa_id"], r.get("model", "default"), scored, gt,
+            extract_person_ids(item.question))) + "\n")
+    return lines
+
+
+def _reward_lines(valid_inputs, records, out: Path) -> list[str]:
+    traces = out.parent / f"{out.name}.traces.jsonl"
+    traces.write_text("".join(json.dumps(r) + "\n" for r in records))
+    paths = {**valid_inputs, "traces": traces}
+    assert run(*(arg.format(**paths) for arg in REWARD_ARGS), "--out", str(out)) == 0
+    return (out / "rewards.jsonl").read_text().splitlines(keepends=True)
+
+
+def test_reward_lines_follow_the_trace_lines(valid_inputs, tmp_path):
+    """A run's text cache keeps only the text of equal scores: the same trace
+    groups in reverse order give the same lines in reverse order, each the
+    oracle's."""
+    records = make_traces(7, load_qa_items(valid_inputs["qa"]), groups=24)
+    forward = _reward_lines(valid_inputs, records, tmp_path / "forward")
+    assert forward == _oracle_rewards(valid_inputs, records)
+    assert _reward_lines(valid_inputs, records[::-1], tmp_path / "reversed") == forward[::-1]
+
+
+def test_mcq_answered_by_option_text_shares_the_cache(valid_inputs, tmp_path):
+    """An MCQ group answered with the correct option's text (the alias path)
+    between groups answered by letter, with the same mentions: each score
+    of the alias group is one a letter group formatted first, and every
+    line is the oracle's."""
+    item = next(i for i in load_qa_items(valid_inputs["qa"]) if i.format == "mcq")
+    wrong = next(letter for letter in "ABCD" if letter != item.answer)
+    mentions = ["", "Person 0", "P1 and P2", "Person 3", "P0 P1 P2 P3", "P4", "P5", "P9"]
+
+    def group(query_id, answers):
+        return {"query_id": query_id, "qa_id": item.qa_id, "model": "m", "rollouts": [
+            f"<think>so <gaze>{m}</gaze></think><answer>{a}</answer>"
+            for m, a in zip(mentions, answers)]}
+
+    letters = [item.answer, wrong] * 4
+    options = [item.answer_text, wrong] * 4
+    records = [group("by letter", letters), group("by text", options),
+               group("by letter again", letters)]
+    lines = _reward_lines(valid_inputs, records, tmp_path / "out")
+    assert lines == _oracle_rewards(valid_inputs, records)
+    by_letter, by_text, _ = (json.loads(line)["per_rollout"] for line in lines)
+    assert [r["r_acc"] for r in by_text] == [1, 0] * 4
+    assert by_text == by_letter
+
+
+# Flag values for reward: values each flag takes, or edges of its type and
+# of its config rule. A valid value is drawn about half the time.
+READABLE_WEIGHT = st.floats(-1e100, 1e100).map(repr)
+REWARD_FLAGS = {
+    "--weights": (st.lists(READABLE_WEIGHT, min_size=4, max_size=4) | st.lists(
+        READABLE_WEIGHT | st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "0", "5e-324",
+                                           "1.0000000000000002e100", "-1e101", "x", ""]),
+        min_size=3, max_size=5)).map(",".join),
+    "--k": st.just("8") | st.integers(-3, 9).map(str)
+    | st.sampled_from(["-0", "3.0", "x", "9" * 20, "1" + "0" * 5000]),
+    "--advantage-clip": st.floats(5e-324, 1e300).map(repr)
+    | st.sampled_from(["nan", "inf", "-inf", "1e400", "0", "-0", "-1", "x"]),
+    "--advantage-mode": st.sampled_from(["zscore", "mean_center"])
+    | st.sampled_from(["foo", "", "ZSCORE"]),
+}
+
+
+@pytest.fixture(scope="module")
+def small_traces(valid_inputs):
+    """Three trace groups of 8 rollouts over the valid QA items."""
+    return make_traces(5, load_qa_items(valid_inputs["qa"]), groups=3)
+
+
+def _flag_value(flag: str, text: str):
+    """The value reward reads from a flag's text, or None where argparse
+    cannot read it: --weights takes four finite numbers."""
+    try:
+        if flag == "--weights":
+            values = tuple(map(float, text.split(",")))
+            return values if len(values) == 4 and all(map(math.isfinite, values)) else None
+        return {"--k": int, "--advantage-clip": float, "--advantage-mode": str}[flag](text)
+    except ValueError:  # also an int of more digits than int() converts
+        return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_reward_flag_value_exits_0_2_or_3(valid_inputs, small_traces, tmp_path_factory,
+                                             data):
+    """reward under any value of --weights, --k, --advantage-clip and
+    --advantage-mode: the first value its flag cannot read exits 2 naming
+    the flag, a config that breaks a rule exits 3 naming the field (the
+    --weights fields are set last), a rollout count other than --k exits 3
+    naming line 1, and any other run writes the oracle's lines. Each
+    failure prints one error line, never a traceback."""
+    flags = {flag: data.draw(values, label=flag) for flag, values in REWARD_FLAGS.items()
+             if data.draw(st.booleans(), label=f"{flag} given")}
+    out = tmp_path_factory.mktemp("flags")
+    traces = out / "traces.jsonl"
+    traces.write_text("".join(json.dumps(r) + "\n" for r in small_traces))
+    argv = [arg.format(**{**valid_inputs, "traces": traces}) for arg in REWARD_ARGS]
+    # "--flag=value", so that argparse reads a value like "-1e100" as one
+    argv += ["--out", str(out / "out"), *(f"{flag}={text}" for flag, text in flags.items())]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = run(*argv)
+        except SystemExit as exc:
+            code = exc.code
+    message = err.getvalue()
+    assert "Traceback" not in message
+    values = {flag: _flag_value(flag, text) for flag, text in flags.items()}
+    unread = [flag for flag, value in values.items() if value is None]
+    if unread:
+        assert code == 2
+        (line,) = [line for line in message.splitlines() if "error:" in line]
+        assert f"error: argument {unread[0]}: " in line
+        return
+    try:
+        config = EngineConfig(rollouts_per_query=values.get("--k", 8),
+                              advantage_clip=values.get("--advantage-clip", 5.0),
+                              advantage_mode=values.get("--advantage-mode", "zscore"))
+        config = dataclasses.replace(config, **dict(zip(cli.WEIGHT_FIELDS,
+                                                        values.get("--weights", ()))))
+    except ContractError as exc:
+        assert str(exc).startswith("config field ")
+        assert (code, message) == (3, f"error: {exc}\n")
+        return
+    if config.rollouts_per_query != 8:
+        assert (code, message) == (
+            3, f"error: line 1: expected {config.rollouts_per_query} rollouts, got 8\n")
+        return
+    assert (code, message) == (0, "")
+    assert (out / "out" / "rewards.jsonl").read_text().splitlines(keepends=True) == \
+        _oracle_rewards(valid_inputs, small_traces, config)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
