@@ -15,19 +15,10 @@ STAGE_FIELDS); reward's weights and rollout count come from --weights and
 parameter set. The timeline is fixed at 2 fps (ingest.SAMPLE_PERIOD).
 
 --threads N (default 1) is the number of worker processes. Only detect uses
-it: with N > 1 it cuts the input's lines into runs by each line's key, the
-value of its first "video_id" key read by the JSON decoder's own string
-scanner, or of the video_id json.loads reads from a line that spells the
-key name with an escape (a line without one joins the run before it), and
-runs a pool of up to N forked workers (concurrent.futures.ProcessPoolExecutor;
-no more workers than runs or usable CPUs), each detecting every video of one
-run at a time, and writes their output in run order. Every other stage
-runs serially in input order. The bytes, the exit code and the message are
-the same at any N: only the workers' readers judge the input, and a fault
-in the pool or a video detected twice (one that comes back after another,
-or whose lines a wrong key split) makes detect run serially from the start,
-which detects and writes each video as soon as its run of frames ends (a
-video that comes back exits 3).
+it: with N > 1 it forks one worker per byte range of the file, which reads
+its range with the one reader and detects the runs of frames the range owns
+(_detect_sharded), with the same bytes, exit code and message at any N.
+Every other stage runs serially in input order.
 
 reward formats each rewards.jsonl line as text (rewards_line), with the
 bytes ingest.dumps_canonical would write for the group's record, and
@@ -58,15 +49,21 @@ import argparse
 import contextlib
 import dataclasses
 import gc
+import io
 import itertools
 import json
+import marshal
 import math
 import operator
 import os
 import re
+import signal
+import stat
 import statistics
 import sys
+import threading
 from pathlib import Path
+from typing import BinaryIO
 
 from . import analytics, events, gaze, graph as graph_mod, ingest, qa, reward as reward_mod
 from .config import EngineConfig, add_config_arguments, config_from_args
@@ -118,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_spaced_values(sys.argv[1:] if argv is None else argv))
     try:
         config = config_from_args(args)
         if getattr(args, "weights", None) is not None:
@@ -139,6 +136,22 @@ def _main(argv: list[str] | None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+
+
+# argparse takes an argument such as "-0.5,1,1,1" or "-1e100" for an option,
+# not for the value of the long option before it; as "--flag=value" it is a
+# value on every Python version.
+_NEGATIVE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+def _spaced_values(argv: list[str]) -> list[str]:
+    joined: list[str] = []
+    for arg in argv:
+        if joined and _NEGATIVE.match(arg) and re.fullmatch("--[^=]+", joined[-1]):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -295,110 +308,129 @@ def _detect_video(video_id: str, tracks: list[gaze.GazeTrack], stop: int,
     return events_text, video_line, features_text
 
 
-# A "video_id" key up to its value's opening quote; spaces or tabs may stand
-# around the colon. It holds no string body: _video_key reads the value.
-_VIDEO_KEY = re.compile(r'"video_id"[ \t]*:[ \t]*"')
-
-
-def _video_key(line: str) -> str | None:
-    """A line's key, which only cuts the input into runs: the string value
-    of its first ``_VIDEO_KEY``, read by ``json.decoder.scanstring``, the
-    strict scanner ``json.loads`` reads every string with, so escapes read
-    as the worker's reader reads them. A line that ``_VIDEO_KEY`` misses but
-    that holds a backslash may spell the key name with an escape
-    (``"video\\u005fid"``): it is keyed by the top-level ``video_id`` that
-    ``json.loads`` reads from it. None where neither gives a string: no
-    key, a string the scanner rejects, or a line that does not decode."""
-    match = _VIDEO_KEY.search(line)
-    try:
-        if match:
-            return json.decoder.scanstring(line, match.end())[0]
-        if "\\" in line:
-            record = json.loads(line)
-            key = record.get("video_id") if isinstance(record, dict) else None
-            return key if isinstance(key, str) else None
-    except (ValueError, RecursionError):  # a faulty line, which a worker's reader names
-        pass
-    return None
-
-
 def _detect_sharded(args: argparse.Namespace,
                     config: EngineConfig) -> list[tuple[str, str, str]] | None:
-    """Each video's ``_detect_video`` output in file order, computed by a
-    pool of up to ``args.threads`` forked workers, each taking one run of
-    lines at a time. None, with nothing written, where the serial path must
-    run instead: fewer than two workers would run (one run, one usable
-    CPU), there is no fork, another thread runs, the pool met a fault of
-    any kind (no process, a worker that dies or raises), or a video was
-    detected twice. The serial path then gives the serial exit code and
-    message. Results are read in run order; at the first fault the runs
-    still queued are cancelled, so only those already handed to a worker
-    still run.
-
-    The parent reads the text as ``ingest.read_jsonl`` does and judges none
-    of it. It cuts the lines into runs that never overlap: a run starts at
-    the first line and at each line whose key (``_video_key``) differs from
-    the run's, and a line without a key joins the run before it. Workers
-    get the lines by inheritance, nothing of the input is pickled, and
-    detect every video their run holds, read as ``load_observations`` does,
-    so a faulty line is raised in a worker. The one rule: a video detected
-    twice sends the file to the serial path. A video that resumes after
-    another and a line holding another video's "video_id" key before its
-    own each give one; without one, each video's lines lie within one run,
-    and its worker reads them as the serial path does."""
-    with ingest.open_jsonl(args.input) as fh:
-        lines = fh.readlines()
-    starts: list[int] = []  # the first line of each run
-    key = None
-    for i, line in enumerate(lines):
-        line_key = _video_key(line)
-        if not starts or line_key is not None and line_key != key:
-            starts.append(i)
-            key = line_key
-    n = min(args.threads, len(starts), _usable_cpus())
-    if n < 2:
-        return None
-    import multiprocessing  # here, not at the top: they add ~20 ms to importing the CLI
-    import threading
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Input reaches the workers by inheritance, so they must be forked, and
-    # forking is safe only in a process that runs no other thread. A pool
-    # with a "fork" context forks all its workers before it starts a thread.
-    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
-        return None
-    children = set(multiprocessing.active_children())
+    """Each video's ``_detect_video`` output in file order, from one forked
+    worker per byte range. The parent cuts the file at up to N =
+    ``args.threads`` (at most the usable CPUs) offsets ``size * w / N``, each
+    moved to just after the next "\n", reads the first frame at each cut
+    with the reader (``_frames``), and drops a cut whose frame's video is the
+    one at the cut kept before; each worker detects the runs its range owns
+    (``_detect_lines``). None, with nothing written, where the serial path
+    must run instead and give its exit code and message: fewer than two
+    ranges, an input that is not a regular file, a faulty first frame at a
+    cut, no fork, another thread running, a fork that fails, a worker that
+    dies or meets a fault, or a video detected twice (one that resumes after
+    another)."""
+    n = min(args.threads, _usable_cpus())
+    cuts: list[int] = []  # the first byte of each range
     try:
-        with ProcessPoolExecutor(n, multiprocessing.get_context("fork"), initializer=_take_input,
-                                 initargs=(lines, config, args.dump_features)) as pool:
-            outputs = [video for run in pool.map(_detect_lines, starts, [*starts[1:], len(lines)])
-                       for video in run]
-    except Exception:  # the serial rerun reports it
-        # A fork that fails after others succeeded leaves those workers
-        # waiting for work; the pool neither feeds nor ends them.
-        for worker in set(multiprocessing.active_children()) - children:
-            worker.kill()
-            worker.join()
+        status = os.stat(args.input)
+        if not stat.S_ISREG(status.st_mode):  # a pipe, say, which can be read only once
+            return None
+        size, video = status.st_size, None  # the video at the cut kept last
+        with open(args.input, "rb") as fh:
+            for w in range(n):
+                fh.seek(size * w // n)
+                if w:
+                    fh.readline()  # to just after the next "\n"
+                first = next(_frames(args.input, fh.tell(), fh.tell()), None)
+                if first is not None and first.video_id != video:
+                    cuts.append(fh.tell())
+                    video = first.video_id
+    except (OSError, EngineError):  # the serial path reports it
         return None
+    # A forked worker starts without importing anything again, and forking
+    # is safe only in a process that runs no other thread.
+    if len(cuts) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+    workers: list[tuple[int, BinaryIO]] = []  # (pid, the read end of its pipe), in range order
+    results = None
+    try:
+        for start, stop in zip(cuts, [*cuts[1:], size]):
+            workers.append(_fork_worker(args.input, start, stop, config, args.dump_features))
+        results = [pipe.read() for _, pipe in workers]
+    except OSError:  # a fork that fails
+        pass
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            if results is None:
+                os.kill(pid, signal.SIGKILL)
+            if os.waitpid(pid, 0)[1]:  # a worker that died or met a fault
+                results = None
+    outputs = [video for data in results or () for video in marshal.loads(data)]
     videos = dict(outputs)
-    return list(videos.values()) if len(videos) == len(outputs) else None
+    return list(videos.values()) if results and len(videos) == len(outputs) else None
 
 
-_input: tuple[list[str], EngineConfig, bool] | None = None  # a worker's, from _take_input
+def _fork_worker(path: str, start: int, stop: int, config: EngineConfig,
+                 dump: bool) -> tuple[int, BinaryIO]:
+    """A forked worker's pid and the pipe it writes the marshalled
+    ``_detect_lines`` of bytes [start, stop) to; it exits 0 once it has
+    written them, or 1 at any fault."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:  # the worker, which must never return into the code that forked it
+        code = 1
+        try:
+            with open(write, "wb") as fh:
+                fh.write(marshal.dumps(_detect_lines(path, start, stop, config, dump)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, open(read, "rb")
 
 
-def _take_input(lines: list[str], config: EngineConfig, dump: bool) -> None:
-    global _input
-    _input = lines, config, dump
-
-
-def _detect_lines(start: int, stop: int) -> list[tuple[str, tuple[str, str, str]]]:
-    """In a forked worker: ``(video_id, _detect_video output)`` for every
-    video that lines [start, stop) of the input hold, in file order."""
-    lines, config, dump = _input
-    frames = ingest.parse_observations(
-        ingest.read_lines(enumerate(lines[start:stop], start=start + 1)))
+def _detect_lines(path: str, start: int, stop: int, config: EngineConfig,
+                  dump: bool) -> list[tuple[str, tuple[str, str, str]]]:
+    """``(video_id, _detect_video output)`` for each run of frames that
+    bytes [start, stop) own, in file order: each run that starts there (but
+    the run of the first frame, unless start is 0) and the run that holds
+    the first frame at or past stop."""
+    frames = _frames(path, start, stop)
+    if start:  # the range before owns the run of the first frame
+        first = next(frames, None)
+        frames = itertools.dropwhile(lambda frame: frame.video_id == first.video_id, frames)
     return [(video[0], _detect_video(*video, config, dump)) for video in _read_videos(frames)]
+
+
+_BLOCK = 1 << 16  # the bytes _frames decodes at a time
+
+
+def _frames(path: str, start: int, stop: int):
+    """The frames from byte ``start`` on, read as ``load_observations`` reads
+    them, to the end of the run that holds the first frame at or past byte
+    ``stop``; start and stop each follow a "\n", or are 0 or the size. The
+    bytes are decoded by ``ingest.jsonl_text`` in blocks that end at stop or
+    just after a "\n", so each line reads as in the whole file."""
+    past = False  # whether the block read last starts at or past stop
+
+    def lines():
+        nonlocal past
+        at = start
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            while block := fh.read(min(_BLOCK, stop - at) if at < stop else _BLOCK):
+                if at + len(block) != stop:
+                    block += fh.readline()
+                past, at = at >= stop, at + len(block)
+                yield from ingest.jsonl_text(io.BytesIO(block))
+
+    tail = None  # the video of the first frame at or past stop
+    for frame in ingest.parse_observations(ingest.read_lines(enumerate(lines(), start=1))):
+        if past:
+            if tail is None:
+                tail = frame.video_id
+            elif frame.video_id != tail:
+                return
+        yield frame
 
 
 def _usable_cpus() -> int:

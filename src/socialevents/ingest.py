@@ -13,11 +13,12 @@ gestures.jsonl
      "target_type": "person"|"object", "target_person_id": int | null,
      "start_time": float, "end_time": float, "confidence": float}
 
-Every JSONL file of the pipeline is opened by ``open_jsonl`` and its lines
-judged by ``read_lines`` alone, in file order, so the first faulty line is
-the one named, a byte that is not UTF-8 included. A blank line, one holding
-only spaces and tabs besides its newline, is skipped; any other line, say
-one holding only a form feed or U+00A0, must be a JSON object. Every record
+Every JSONL file of the pipeline is read as text by ``jsonl_text`` (which
+``open_jsonl`` opens it with) and its lines judged by ``read_lines`` alone,
+in file order, so the first faulty line is the one named, a byte that is
+not UTF-8 included. A blank line, one holding only spaces and tabs besides
+its newline, is skipped; any other line, say one holding only a form feed
+or U+00A0, must be a JSON object. Every record
 is read through ``read_record`` and the table (``Schema``) of its kind,
 which gives each field's key, kind and default once: a missing key or a
 value of the wrong JSON type is a ValidationError naming the line and the
@@ -43,6 +44,7 @@ took ~18 us.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 from itertools import compress, product
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import OrderingError, ParseError, ValidationError
 
@@ -157,11 +159,16 @@ def dumps_canonical(obj) -> str:
 
 
 def open_jsonl(path: str | Path) -> TextIO:
-    """A JSONL input opened as text, the one way every reader opens one:
-    UTF-8 with universal newlines (a line ends at "\n", "\r\n" or a lone
-    "\r"), where each byte that is not UTF-8 is kept as the lone surrogate
-    U+DC80..U+DCFF (``surrogateescape``) for ``read_lines`` to name."""
-    return open(path, encoding="utf-8", errors="surrogateescape")
+    """A JSONL input opened as text, the one way every reader opens one."""
+    return jsonl_text(open(path, "rb"))
+
+
+def jsonl_text(binary: BinaryIO) -> TextIO:
+    """JSONL bytes as text: UTF-8 with universal newlines (a line ends at
+    "\n", "\r\n" or a lone "\r"), where each byte that is not UTF-8 is kept
+    as the lone surrogate U+DC80..U+DCFF (``surrogateescape``) for
+    ``read_lines`` to name. After a "\n" the decoder holds no state."""
+    return io.TextIOWrapper(binary, encoding="utf-8", errors="surrogateescape")
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:

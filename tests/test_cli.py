@@ -3,9 +3,9 @@ import contextlib
 import dataclasses
 import gc
 import io
+import itertools
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -22,6 +22,7 @@ from socialevents import cli, ingest, qa
 from socialevents import events as events_mod
 from socialevents import graph as graph_mod
 from socialevents.cli import main
+from socialevents import config as config_mod
 from socialevents.config import EngineConfig
 from socialevents.errors import ContractError, ValidationError
 from socialevents.events import serialize_event
@@ -324,13 +325,13 @@ class TestWeightsFlag:
 # detect --threads N: the same outcome at any N
 
 # Each fault, applied to line i (j is a later position), gives the file's
-# bytes. "blank lines" and "CRLF" are not faults to the serial path; the
-# duplicate, the escaped video_id and the unkeyable video are not faults to
-# it either: the line scan keys the duplicate's line wrongly, and the
-# escaped key names only through json.loads. A line that does not decode
-# and whose key name is escaped ("unkeyed bad JSON") has no key, and joins
-# the run before it. A form feed is not JSON whitespace, so a line holding
-# only one is not blank.
+# bytes. "blank lines" and "CRLF" are not faults; nor are a line that names
+# another video in an earlier duplicate "video_id" key (the reader keeps the
+# last), a key name spelled with an escape ("escaped video_id", "unkeyable
+# video"), or an escaped id: the reader reads each as the serial path does,
+# in a worker and at a cut alike. A line that does not decode ("unkeyed bad
+# JSON") is a fault wherever it lies. A form feed is not JSON whitespace, so
+# a line holding only one is not blank.
 FAULTS = ("none", "bad JSON", "not an object", "schema error", "ordering error",
           "resumed video", "duplicate video_id key", "escaped video_id", "unkeyable video",
           "unkeyed bad JSON", "BOM", "CRLF", "CR inside a line", "blank lines",
@@ -341,14 +342,13 @@ VALID = ("none", "duplicate video_id key", "escaped video_id", "unkeyable video"
 
 def _unkeyable(line: bytes) -> bytes:
     """The line with its key name spelled "video\\u005fid", which the
-    reader reads as video_id and the key pattern misses: the line scan
-    keys it by the video_id json.loads reads from it."""
+    reader reads as video_id."""
     return line.replace(b'"video_id":', b'"video\\u005fid":', 1)
 
 
 def _escaped_id(line: bytes) -> bytes:
     """The line with its video id spelled "synth\\u002d...", which the
-    line scan reads as the reader does."""
+    reader reads as "synth-..."."""
     return line.replace(b'"video_id":"synth-', b'"video_id":"synth\\u002d', 1)
 
 
@@ -391,6 +391,15 @@ def observation_bytes(frames, fault="none", i=0, j=1) -> bytes:
     return b"".join(line + newline for line in lines)
 
 
+def no_child() -> bool:
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def detect_outcome(data: bytes, directory: Path, threads: int, dump: bool):
     """Exit code, stderr and artifact bytes of detect over these bytes."""
     directory.mkdir()
@@ -400,7 +409,7 @@ def detect_outcome(data: bytes, directory: Path, threads: int, dump: bool):
     with contextlib.redirect_stderr(err):
         code = run("detect", "--input", str(directory / "obs.jsonl"), "--out", str(out),
                    "--threads", str(threads), *(["--dump-features"] if dump else []))
-    assert multiprocessing.active_children() == []
+    assert no_child()
     artifacts = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
     if code != 0:
         assert artifacts == {}, "a faulty run leaves no artifact behind"
@@ -435,17 +444,33 @@ needs_two_cpus = pytest.mark.skipif(cli._usable_cpus() < 2, reason="detect shard
 @needs_two_cpus
 @pytest.mark.parametrize("fault", FAULTS)
 def test_sharded_detect_runs_only_on_input_it_can_key(tmp_path, fault):
-    """Valid input shards, escaped key names included (each such line keys
-    itself by the video_id json.loads reads); any faulty line reaches a
-    worker's reader, an unkeyed one through the run before it, and the
-    pool's fault leaves the input to the serial path, as does a video
-    detected twice (a resumed video, a line keyed to another video)."""
+    """Valid input shards, whatever the spelling of its video_id keys and
+    ids, as the reader alone reads a line's video; any faulty line reaches
+    the reader at a cut or in a worker, and the fault, like a video detected
+    twice (a resumed video), leaves the input to the serial path."""
     obs = tmp_path / "obs.jsonl"
     obs.write_bytes(observation_bytes(_three_videos(), fault, i=5, j=30))
     args = argparse.Namespace(input=str(obs), threads=2, dump_features=True)
     sharded = cli._detect_sharded(args, EngineConfig())
-    assert multiprocessing.active_children() == []
-    assert (sharded is not None) == (fault in VALID and fault != "duplicate video_id key")
+    assert no_child()
+    assert (sharded is not None) == (fault in VALID)
+
+
+@needs_two_cpus
+def test_the_parent_reads_only_the_first_frame_at_each_cut(tmp_path, monkeypatch):
+    """At --threads 2 the parent parses two frames, the first at each cut;
+    the workers parse the rest."""
+    obs = tmp_path / "obs.jsonl"
+    obs.write_bytes(observation_bytes(_three_videos()))
+    parsed = []
+    parse_frame = ingest.parse_frame
+    monkeypatch.setattr(ingest, "parse_frame",
+                        lambda record, line=None: (parsed.append(record["t"]),
+                                                   parse_frame(record, line))[1])
+    args = argparse.Namespace(input=str(obs), threads=2, dump_features=False)
+    sharded = cli._detect_sharded(args, EngineConfig())
+    assert len(sharded) == 3
+    assert len(parsed) == 2 and parsed[0] == 0.0
 
 
 @needs_two_cpus
@@ -483,12 +508,18 @@ def test_sharded_detect_leaves_no_thread_and_no_warning(tmp_path):
 
 @pytest.fixture
 def started(monkeypatch):
-    """The processes started while the test runs."""
-    processes = []
-    start = multiprocessing.process.BaseProcess.start
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
-                        lambda self: (processes.append(self), start(self))[1])
-    return processes
+    """The pids of the processes forked while the test runs."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
 
 
 @needs_two_cpus
@@ -498,8 +529,8 @@ def test_detect_starts_no_more_workers_than_videos_or_cpus(tmp_path, started):
     for threads in ("1", "1000000"):
         assert run("detect", "--input", str(obs), "--out", str(tmp_path / threads),
                    "--threads", threads) == 0
-    assert len(started) == min(3, cli._usable_cpus())
-    assert multiprocessing.active_children() == []
+    assert 2 <= len(started) <= min(3, cli._usable_cpus())  # byte cuts may merge
+    assert no_child()
     assert (tmp_path / "1" / "events.jsonl").read_bytes() == \
         (tmp_path / "1000000" / "events.jsonl").read_bytes()
 
@@ -527,15 +558,10 @@ def test_detect_shards_spaced_json(tmp_path, started, separators):
                                     "key name escaped on synth-2's first line"])
 def test_detect_shards_a_video_it_cannot_key(tmp_path, started, layout):
     """The first, middle or last video with every line's key name spelled
-    "video\\u005fid": the key pattern misses each line, so the parent keys
-    it by the video_id json.loads reads from it, and the video is one run.
-    A video whose first line alone spells its key name so: that line keys
-    itself the same way and starts its video's run, where it used to join
-    the run before it (or, on line 1, be a run alone) and leave the video
-    detected twice. A video whose first line spells its id "synth\\u002d...":
-    the parent reads that key as the reader does, so the line starts its
-    video's run. Each way _detect_sharded returns the pool's output, the
-    serial bytes."""
+    "video\\u005fid", or a video whose first line alone spells its key name
+    so or its id "synth\\u002d...": the reader reads each line's video at a
+    cut and in a worker as the serial path does, so _detect_sharded returns
+    the pool's output, the serial bytes."""
     videos = [make_video(seed, min_frames=20, max_frames=30) for seed in (1, 2, 3)]
     lines = [[serialize_frame(f).encode() for f in video] for video in videos]
     if layout in ("first", "middle", "last"):
@@ -551,7 +577,7 @@ def test_detect_shards_a_video_it_cannot_key(tmp_path, started, layout):
     sharded = cli._detect_sharded(args, EngineConfig())
     assert sharded is not None
     assert len(started) == 2
-    assert multiprocessing.active_children() == []
+    assert no_child()
     assert run("detect", "--input", str(obs), "--out", str(tmp_path / "1"), "--dump-features") == 0
     for artifact, texts in zip(("events.jsonl", "videos.jsonl", "features.jsonl"), zip(*sharded)):
         assert (tmp_path / "1" / artifact).read_text() == "".join(texts)
@@ -559,49 +585,93 @@ def test_detect_shards_a_video_it_cannot_key(tmp_path, started, layout):
         ["synth-1", "synth-2", "synth-3"]
 
 
-# Any character, with the ones JSON escapes drawn often: quotes,
-# backslashes, control characters and lone surrogates.
-ID_CHARACTERS = st.one_of(st.sampled_from('"\\/'), st.characters(max_codepoint=0x1f),
-                          st.characters(categories=["Cs"]), st.characters(exclude_categories=()))
+@needs_two_cpus
+@pytest.mark.parametrize("layout, processes", [
+    ("cut on blank lines", 2), ("cut on the CR of a CRLF", 2), ("cut on the LF of a CRLF", 2),
+    ("lone CRs only", 0), ("faulty line at the cut", 0), ("one video", 0),
+])
+def test_detect_cuts_the_file_by_bytes(tmp_path, started, layout, processes):
+    """At --threads 2 the parent cuts the file at half its size, moved to
+    just after the next "\n". Line 0 is padded with spaces so that the cut
+    lands where the layout says. A cut in a run of blank lines, or on either
+    byte of a CRLF, gives the serial bytes from two workers. A file without
+    a "\n" (lone CRs end its lines) has no cut, a faulty line just after the
+    cut is read by the parent, and a one-video file has one video at each
+    cut: each runs serially, with the serial exit code and message, and
+    starts no process."""
+    newline = b"\r\n" if "CRLF" in layout else b"\r" if "CR" in layout else b"\n"
+    videos = [[serialize_frame(f).encode() + newline
+               for f in make_video(seed, min_frames=20, max_frames=30)] for seed in (1, 2, 3)]
+    lines = [line for video in videos for line in video]
+    second = len(videos[0])  # the first line of synth-2
+    if layout == "cut on blank lines":
+        lines[second:second] = [b"\n", b" \t\n"] * 20
+    elif layout == "faulty line at the cut":
+        lines[second + 1] = lines[second + 1][:-3] + newline
+    elif layout == "one video":
+        lines = lines[:second]
+    ends = list(itertools.accumulate(map(len, lines)))  # the byte after each line
+    at = (ends[second - 1] + 30 if layout == "cut on blank lines"
+          else ends[second] - 2 if "CR of" in layout
+          else ends[second] - 1 if "LF of" in layout or "faulty" in layout
+          else ends[-1] // 2)
+    pad = ends[-1] - 2 * at
+    lines[0] = lines[0][:-len(newline)] + b" " * pad + newline
+    data = b"".join(lines)
+    if at != ends[-1] // 2:  # the byte at half the size is the one the layout names
+        assert data[len(data) // 2:][:1] in (b" \t\n" if "blank" in layout
+                                             else b"\r" if "CR of" in layout else b"\n")
+    serial = detect_outcome(data, tmp_path / "1", 1, True)
+    assert detect_outcome(data, tmp_path / "2", 2, True) == serial
+    assert serial[0] == (3 if layout == "faulty line at the cut" else 0)
+    assert len(started) == processes
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(video_id=st.text(ID_CHARACTERS, min_size=1),
-       first=st.booleans(), ensure_ascii=st.booleans(),
-       separators=st.sampled_from([None, (",", ":")]))
-def test_a_line_is_keyed_by_the_video_id_it_parses_to(video_id, first, ensure_ascii, separators):
-    """Quotes, backslashes, control characters, non-ASCII text and lone
-    surrogates, however json.dumps writes them, key a line as its parsed
-    video_id (a surrogate pair escaped by ensure_ascii reads back as one
-    character, by the reader and the key alike)."""
-    fields = {"t": 0.0, "persons": [], "faces": []}
-    record = {"video_id": video_id, **fields} if first else {**fields, "video_id": video_id}
-    line = json.dumps(record, ensure_ascii=ensure_ascii, separators=separators) + "\n"
-    assert cli._video_key(line) == ingest.parse_frame(json.loads(line)).video_id
+def test_detect_on_one_usable_cpu_starts_no_process(tmp_path, monkeypatch, started):
+    """Where one CPU is usable, --threads 2 runs serially: no process
+    starts, and the bytes are the serial ones."""
+    data = observation_bytes(_three_videos())
+    serial = detect_outcome(data, tmp_path / "1", 1, True)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert detect_outcome(data, tmp_path / "2", 2, True) == serial
+    assert serial[0] == 0 and started == []
 
 
-@pytest.mark.parametrize("line", [
-    '{"video\\u005fid":"synth-1","t":0.0', '{"video\\u005fid":7,"t":0.0}',
-    '["video\\u005fid","synth-1"]', '{"video\\u005fid":' + "[" * 100_000,
-    '{"video\\u005fid":"synth-\\ud800\\"}', '{"t":"\\n"}',
-], ids=["no JSON", "not a string", "not an object", "deep", "unterminated", "no key"])
-def test_a_line_without_a_string_video_id_stays_unkeyed(line):
-    """A line that does not decode, or decodes to no string video_id, has no
-    key, so the parent judges nothing: a worker's reader names the fault."""
-    assert cli._video_key(line + "\n") is None
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_detect_reads_a_pipe_once_and_serially(tmp_path, started):
+    """An input that is not a regular file has no size to cut and may be
+    read only once: --threads 2 reads it serially, with the serial bytes."""
+    data = observation_bytes(_three_videos())
+    serial = detect_outcome(data, tmp_path / "1", 1, dump=False)
+    (tmp_path / "obs.jsonl").write_bytes(data)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', tmp_path / "obs.jsonl", fifo])
+    try:
+        assert run("detect", "--input", str(fifo), "--out", str(tmp_path / "2"),
+                   "--threads", "2") == 0
+    finally:
+        assert writer.wait(timeout=60) == 0
+    assert {path.name: path.read_bytes() for path in (tmp_path / "2").iterdir()} == serial[2]
+    assert started == []
 
 
-def _fork_fails(self):
+def _fork_fails():
     raise BlockingIOError(11, "Resource temporarily unavailable")
 
 
-_start = multiprocessing.process.BaseProcess.start
+def _later_fork_fails():
+    """An os.fork whose forks after the first fail."""
+    forked = []
+    fork = os.fork
 
+    def fails_after_one():
+        if forked:
+            _fork_fails()
+        forked.append(fork())
+        return forked[-1]
 
-def _later_fork_fails(self):
-    if multiprocessing.active_children():  # a worker already runs
-        _fork_fails(self)
-    _start(self)
+    return fails_after_one
 
 
 def _worker_dies(*args):
@@ -614,18 +684,21 @@ def _worker_raises(*args):
 
 @needs_two_cpus
 @pytest.mark.parametrize("target, name, value", [
-    (multiprocessing.process.BaseProcess, "start", _fork_fails),
-    (multiprocessing.process.BaseProcess, "start", _later_fork_fails),
-    (cli, "_detect_lines", _worker_dies),
-    (cli, "_detect_lines", _worker_raises),
+    (os, "fork", lambda: _fork_fails),
+    (os, "fork", _later_fork_fails),
+    (cli, "_detect_lines", lambda: _worker_dies),
+    (cli, "_detect_lines", lambda: _worker_raises),
 ], ids=["no process", "a later fork fails", "a worker dies", "a worker raises"])
 def test_detect_runs_serially_when_the_workers_fail(tmp_path, monkeypatch, target, name, value):
     obs = tmp_path / "obs.jsonl"
     obs.write_bytes(observation_bytes(_three_videos()))
     assert run("detect", "--input", str(obs), "--out", str(tmp_path / "1")) == 0
-    monkeypatch.setattr(target, name, value)
-    assert run("detect", "--input", str(obs), "--out", str(tmp_path / "2"), "--threads", "2") == 0
-    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(target, name, value())
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run("detect", "--input", str(obs), "--out", str(tmp_path / "2"),
+                   "--threads", "2") == 0
+    assert err.getvalue() == "" and no_child()
     for artifact in ("events.jsonl", "videos.jsonl"):
         assert (tmp_path / "1" / artifact).read_bytes() == (tmp_path / "2" / artifact).read_bytes()
 
@@ -1416,6 +1489,23 @@ def _flag_value(flag: str, text: str):
         return None
 
 
+def _run_with_flags(argv: list[str], flags: dict, spaced: bool) -> tuple[int, str]:
+    """Exit code and stderr of the CLI on argv plus each flag's text, as
+    "--flag value" or as "--flag=value": either form reads a value that
+    starts with "-", such as "-1e100", as the flag's. A usage error is
+    exit 2, and no run prints a traceback."""
+    argv = argv + [arg for flag, text in flags.items()
+                   for arg in ([flag, text] if spaced else [f"{flag}={text}"])]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = run(*argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_any_reward_flag_value_exits_0_2_or_3(valid_inputs, small_traces, tmp_path_factory,
@@ -1432,16 +1522,8 @@ def test_any_reward_flag_value_exits_0_2_or_3(valid_inputs, small_traces, tmp_pa
     traces = out / "traces.jsonl"
     traces.write_text("".join(json.dumps(r) + "\n" for r in small_traces))
     argv = [arg.format(**{**valid_inputs, "traces": traces}) for arg in REWARD_ARGS]
-    # "--flag=value", so that argparse reads a value like "-1e100" as one
-    argv += ["--out", str(out / "out"), *(f"{flag}={text}" for flag, text in flags.items())]
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        try:
-            code = run(*argv)
-        except SystemExit as exc:
-            code = exc.code
-    message = err.getvalue()
-    assert "Traceback" not in message
+    code, message = _run_with_flags(argv + ["--out", str(out / "out")], flags,
+                                    data.draw(st.booleans(), label="spaced"))
     values = {flag: _flag_value(flag, text) for flag, text in flags.items()}
     unread = [flag for flag, value in values.items() if value is None]
     if unread:
@@ -1466,6 +1548,84 @@ def test_any_reward_flag_value_exits_0_2_or_3(valid_inputs, small_traces, tmp_pa
     assert (code, message) == (0, "")
     assert (out / "out" / "rewards.jsonl").read_text().splitlines(keepends=True) == \
         _oracle_rewards(valid_inputs, small_traces, config)
+
+
+STAGE_ARGS = {"detect": ("detect", "--input", "{observations}"), "graph": GRAPH_ARGS,
+              "qagen": QAGEN_ARGS}
+
+
+@pytest.mark.parametrize("argv, value, outcome", [
+    (REWARD_ARGS, ("--weights", "-0.5,1,1,1"), (0, "")),
+    (REWARD_ARGS, ("--advantage-clip", "-1e100"),
+     (3, "error: config field advantage_clip = -1e+100 must be > 0\n")),
+    (STAGE_ARGS["detect"], ("--sudden-velocity", "-1e5"),
+     (3, "error: config field sudden_velocity = -100000.0 must be >= 0\n")),
+    (STAGE_ARGS["detect"], ("--sudden-velocity", "-inf"),
+     (3, "error: config field sudden_velocity = -inf must be finite\n")),
+], ids=["weights", "advantage-clip", "sudden-velocity", "-inf"])
+def test_a_spaced_negative_value_reaches_its_check(valid_inputs, tmp_path, argv, value, outcome):
+    """A value that starts with "-" after its flag, as "--flag value", is
+    the flag's value: it gives the outcome its check gives, not a usage
+    error."""
+    argv = [arg.format(**valid_inputs) for arg in argv] + ["--out", str(tmp_path / "out")]
+    assert _run_with_flags(argv, dict([value]), spaced=True) == outcome
+
+
+def _field_texts(name: str):
+    """Flag text for a config field: values of its type, edges of its
+    rules, and text its flag cannot read."""
+    default = getattr(EngineConfig(), name)
+    if isinstance(default, bool):
+        return st.sampled_from(["true", "false", "1", "0", "Yes", " off ", "maybe", "", "-1"])
+    if isinstance(default, int):
+        return st.just(str(default)) | st.integers(-3, 40).map(str) | st.sampled_from(
+            ["-0", "3.0", "x", "", "9" * 20, "1" + "0" * 400, "1" + "0" * 5000])
+    return st.just(repr(default)) | st.floats(-3, 40).map(repr) | st.floats().map(repr) \
+        | st.sampled_from(["-0", "0.5", "1", "2", "1e400", "-inf", "nan", "x", ""])
+
+
+def _read_flag(name: str, text: str):
+    """The value a config field's flag reads from text, or None where it
+    cannot."""
+    default = getattr(EngineConfig(), name)
+    try:
+        if isinstance(default, bool):
+            return config_mod._parse_bool(text)
+        return (int if isinstance(default, int) else float)(text)
+    except (ValueError, argparse.ArgumentTypeError):  # also an int of too many digits
+        return None
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_stage_field_value_exits_0_2_or_3(valid_inputs, tmp_path_factory, data):
+    """detect, graph and qagen under any value of any of their config
+    fields, as "--flag value" or "--flag=value": the first value its flag
+    cannot read exits 2 naming the flag, a config that breaks a rule exits 3
+    naming the field, and any other run exits 0. Each failure prints one
+    error line, never a traceback."""
+    stage = data.draw(st.sampled_from(sorted(STAGE_ARGS)), label="stage")
+    fields = data.draw(st.lists(st.sampled_from(cli.STAGE_FIELDS[stage]), max_size=4, unique=True),
+                       label="fields")
+    texts = {name: data.draw(_field_texts(name), label=name) for name in fields}
+    argv = [arg.format(**valid_inputs) for arg in STAGE_ARGS[stage]]
+    argv += ["--out", str(tmp_path_factory.mktemp("fields") / "out")]
+    flags = {"--" + name.replace("_", "-"): text for name, text in texts.items()}
+    code, message = _run_with_flags(argv, flags, data.draw(st.booleans(), label="spaced"))
+    values = {name: _read_flag(name, text) for name, text in texts.items()}
+    unread = [name for name, value in values.items() if value is None]
+    if unread:
+        assert code == 2
+        (line,) = [line for line in message.splitlines() if "error:" in line]
+        assert f"error: argument --{unread[0].replace('_', '-')}: " in line
+        return
+    try:
+        EngineConfig(**values)
+    except ContractError as exc:
+        assert str(exc).startswith("config field ")
+        assert (code, message) == (3, f"error: {exc}\n")
+        return
+    assert (code, message) == (0, "")
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -2032,9 +2192,7 @@ def test_stages_warn_of_no_encoding_and_import_only_the_standard_library(valid_i
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert main(argv) == 0, argv\n"
         "imported = {name.partition('.')[0] for name in sys.modules} - at_start\n"
-        # __mp_main__ is the name multiprocessing gives __main__ in sys.modules
-        "print(json.dumps(sorted(imported - sys.stdlib_module_names\n"
-        "                        - {'socialevents', '__mp_main__'})))\n")
+        "print(json.dumps(sorted(imported - sys.stdlib_module_names - {'socialevents'})))\n")
     out = str(tmp_path / "out")
     paths = {**valid_inputs, "events": f"{out}/events.jsonl", "videos": f"{out}/videos.jsonl",
              "graph": f"{out}/graph.jsonl", "qa": f"{out}/qa.jsonl",
