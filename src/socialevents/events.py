@@ -4,7 +4,8 @@ Five detectors, each a pure function of its inputs:
 
     sudden_gaze_shift   per-person velocity above 0.7, clustered, 0.5-1.5 s
     joint_attention     convergence >= 0.6, contributor-set chaining at 70%
-                        overlap, peripheral contributors dropped, >= 0.5 s
+                        overlap, peripheral contributors dropped by the
+                        distances the frame features carry, >= 0.5 s
     gaze_following      follower hits a leader's measured gaze point within
                         0.03 at a lag of 1.0-2.0 s
     attention_capture   >= 3 persons above velocity 0.4 inside one window
@@ -50,7 +51,7 @@ from typing import Iterable, NamedTuple
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import ValidationError
 from .gaze import PROV_MEASURED, FrameFeatures, GazeSample, GazeTrack, Point
-from .ingest import (GESTURE_TYPES, SAMPLE_PERIOD, TIME_LIMIT, Schema, dumps_canonical,
+from .ingest import (GESTURE_TYPES, SAMPLE_PERIOD, TIME_LIMIT, Schema, _new, dumps_canonical,
                      read_record, to_tick)
 
 SOURCE_GAZE = "gaze"
@@ -64,11 +65,6 @@ GAZE_EVENT_TYPES = (
     "mutual_gaze",
 )
 _TYPES_BY_SOURCE = {SOURCE_GAZE: GAZE_EVENT_TYPES, SOURCE_GESTURE: GESTURE_TYPES}
-
-# Builds a NamedTuple from its fields without the class's Python-level
-# __new__, as ingest's parse does.
-_new = tuple.__new__
-
 
 class _EventFields(NamedTuple):
     event_id: int
@@ -172,7 +168,7 @@ def detect_joint_attention(
     for f in features:
         if f.convergence is None or f.convergence < config.ja_convergence:
             continue
-        retained = _retain_central(f, by_id, config)
+        retained = _retain_central(f, config)
         if len(retained) < 2:
             continue
         if run and not (f.k == run[-1][0] + 1
@@ -185,18 +181,10 @@ def detect_joint_attention(
     return events
 
 
-def _retain_central(
-    f: FrameFeatures, by_id: dict[int, GazeTrack], config: EngineConfig
-) -> frozenset[int]:
+def _retain_central(f: FrameFeatures, config: EngineConfig) -> frozenset[int]:
     """Drop contributors farther than mult x median distance from the centroid."""
-    dists = {}
-    for pid in f.contributors:
-        sample = by_id[pid].sample_at(f.k)
-        dists[pid] = math.hypot(
-            sample.gaze_point[0] - f.centroid[0], sample.gaze_point[1] - f.centroid[1]
-        )
-    cutoff = config.ja_peripheral_mult * statistics.median(dists.values())
-    return frozenset(pid for pid, d in dists.items() if d <= cutoff)
+    cutoff = config.ja_peripheral_mult * statistics.median(f.distances)
+    return frozenset(pid for pid, d in zip(f.contributors, f.distances) if d <= cutoff)
 
 
 def _finish_ja(
@@ -352,10 +340,9 @@ def detect_attention_capture(
         support: list[GazeSample] = []
         seen: set[GazeSample] = set()  # equal samples count once, as in a list test
         peak = 0.0
-        # the hull holds the flags from tick first on that window last reaches
+        # the hull holds the flags from tick first on that window last reaches,
+        # each in one of the group's windows, so each of one of its persons
         for k, pid, v in flags[bisect_left(ticks, first):bisect_right(enter, last)]:
-            if pid not in persons:
-                continue
             peak = max(peak, v)
             for at in (k - 1, k):
                 sample = by_id[pid].sample_at(at)

@@ -18,7 +18,9 @@ makes one sweep per track, which fills its row of velocities and of
 convergence points over the video's ticks; each tick then reads its column,
 O(F x P) for F ticks and P persons. On 14 persons (x86-64, Python 3.11,
 best of 30) a tick takes ~12.7 us. The centroid is a left-to-right fold,
-not ``sum()``, whose float rounding differs from Python 3.12 on.
+not ``sum()``, whose float rounding differs from Python 3.12 on. A tick's
+``FrameFeatures`` end with its contributors' distances to the centroid,
+which joint attention reads to drop peripheral contributors.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Iterable, NamedTuple
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import DataError
 from .identity import match_faces_to_persons
-from .ingest import SAMPLE_PERIOD, Box, FrameObservation
+from .ingest import SAMPLE_PERIOD, Box, FrameObservation, _new
 
 PROV_MEASURED = "measured"
 PROV_INTERPOLATED = "interpolated"
@@ -88,15 +90,11 @@ class FrameFeatures(NamedTuple):
     convergence: float | None
     centroid: Point | None
     contributors: tuple[int, ...]
+    distances: tuple[float, ...]  # each contributor's distance to the centroid
 
     @property
     def t(self) -> float:
         return self.k * SAMPLE_PERIOD
-
-
-# Builds a NamedTuple from its fields without the class's Python-level
-# __new__, as ingest's parse does.
-_new = tuple.__new__
 
 
 def _missing(k: int) -> GazeSample:
@@ -178,18 +176,18 @@ def interpolate_track(track: GazeTrack, config: EngineConfig = DEFAULT_CONFIG) -
 
 def _convergence(
     points: list[tuple[int, Point]], alpha: float
-) -> tuple[float, Point, tuple[int, ...]]:
-    """Score, centroid and sorted person IDs of two or more gaze points. The
-    score is exp(-alpha * median distance to the centroid): 1 if they agree."""
+) -> tuple[float, Point, tuple[int, ...], tuple[float, ...]]:
+    """Score, centroid, sorted person IDs and their distances to the
+    centroid, of two or more gaze points. The score is exp(-alpha * median
+    distance): 1 if they agree."""
     cx = cy = 0.0  # left-to-right folds: sum() of floats rounds otherwise from 3.12 on
     for _, (x, y) in points:
         cx += x
         cy += y
     cx /= len(points)
     cy /= len(points)
-    dists = [math.hypot(x - cx, y - cy) for _, (x, y) in points]
-    score = math.exp(-alpha * statistics.median(dists))
-    return score, (cx, cy), tuple(sorted(pid for pid, _ in points))
+    contributors, dists = zip(*sorted((pid, math.hypot(x - cx, y - cy)) for pid, (x, y) in points))
+    return math.exp(-alpha * statistics.median(dists)), (cx, cy), contributors, dists
 
 
 def compute_features(
@@ -204,7 +202,8 @@ def compute_features(
     (gaze point minus face centre) since the tick before, where both samples
     hold both points. A tick's contributors are its samples with a gaze
     point, in frame, of confidence above 0 and, with
-    ``convergence_measured_only``, measured; two or more give ``_convergence``.
+    ``convergence_measured_only``, measured; two or more give ``_convergence``'s
+    four fields, fewer give None, None, () and ().
     """
     tracks = [tr for tr in tracks if tr.samples]
     if not tracks:
@@ -243,7 +242,7 @@ def compute_features(
         points = [p for p in points if p is not None]
         features.append(_new(FrameFeatures, (
             k, {pid: v for pid, v in zip(pids, velocities) if v is not None},
-            *(_convergence(points, alpha) if len(points) > 1 else (None, None, ())))))
+            *(_convergence(points, alpha) if len(points) > 1 else (None, None, (), ())))))
     return features
 
 

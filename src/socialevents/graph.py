@@ -10,6 +10,7 @@ linked pairs, then event-type diversity, then raw confidence.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_CONFIG, EngineConfig
@@ -121,14 +122,28 @@ def interval_distance(a: SocialEvent, b: SocialEvent) -> float:
 def link_joint_pairs(
     events: list[SocialEvent], config: EngineConfig = DEFAULT_CONFIG
 ) -> list[tuple[int, int, float]]:
-    """All (gaze event, gesture event) pairs within the proximity bound."""
+    """All (gaze event, gesture event) pairs within the proximity bound.
+
+    Each gaze event tests only the gestures, sorted by start, that start
+    within the bound plus the longest gesture before it or within the bound
+    after it. A gesture outside that window is farther than the bound: the
+    distance is at least its start minus the gaze end, or the gaze start
+    minus its end, and rounding is monotone. The margin, 2**-40 of the
+    magnitudes involved, covers the rounding of the window's own edges.
+    """
     gaze = [e for e in events if e.source != SOURCE_GESTURE]
-    gestures = [e for e in events if e.source == SOURCE_GESTURE]
+    gestures = sorted((e for e in events if e.source == SOURCE_GESTURE),
+                      key=lambda e: e.start_time)
+    starts = [e.start_time for e in gestures]
+    longest = max((e.end_time - e.start_time for e in gestures), default=0.0)
+    bound = config.pair_max_distance + _EPS
     pairs = []
     for g in gaze:
-        for ges in gestures:
+        margin = (abs(g.start_time) + abs(g.end_time) + bound + longest) * 2.0 ** -40
+        for ges in gestures[bisect_left(starts, g.start_time - bound - longest - margin):
+                            bisect_right(starts, g.end_time + bound + margin)]:
             distance = interval_distance(g, ges)
-            if distance <= config.pair_max_distance + _EPS:
+            if distance <= bound:
                 pairs.append((g.event_id, ges.event_id, distance))
     pairs.sort(key=lambda p: (p[0], p[1]))
     return pairs

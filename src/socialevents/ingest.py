@@ -13,18 +13,18 @@ gestures.jsonl
      "target_type": "person"|"object", "target_person_id": int | null,
      "start_time": float, "end_time": float, "confidence": float}
 
-Every JSONL file of the pipeline is read as text by ``jsonl_text`` (which
-``open_jsonl`` opens it with) and its lines judged by ``read_lines`` alone,
-in file order, so the first faulty line is the one named, a byte that is
-not UTF-8 included. A blank line, one holding only spaces and tabs besides
-its newline, is skipped; any other line, say one holding only a form feed
-or U+00A0, must be a JSON object. Every record
-is read through ``read_record`` and the table (``Schema``) of its kind,
-which gives each field's key, kind and default once: a missing key or a
-value of the wrong JSON type is a ValidationError naming the line and the
-field. Only an observation's per-person and per-face fields are checked
-inline, on the parse hot path, where a value of the wrong type is reported
-as out of range. Unknown fields are ignored for forward compatibility.
+Every JSONL file of the pipeline is read as text by ``jsonl_text`` and its
+lines judged by ``read_lines`` alone, in file order, so the first faulty
+line is the one named, a byte that is not UTF-8 included. A blank line, one
+holding only spaces and tabs besides its newline, is skipped; any other
+line, say one holding only a form feed or U+00A0, must be a JSON object.
+Every record is read through ``read_record`` and the table (``Schema``) of
+its kind, which gives each field's key, kind and default once: a missing
+key or a value of the wrong JSON type is a ValidationError naming the line
+and the field. Only an observation's per-person and per-face fields are
+checked inline, on the parse hot path, where a value of the wrong type is
+reported as out of range. Unknown fields are ignored for forward
+compatibility.
 
 Parse turns ``t`` into the grid tick ``k`` that frames, gaze samples and
 features carry (``t = k * SAMPLE_PERIOD``, read back as their ``t``); ``t``
@@ -158,11 +158,6 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), check_circular=False)
 
 
-def open_jsonl(path: str | Path) -> TextIO:
-    """A JSONL input opened as text, the one way every reader opens one."""
-    return jsonl_text(open(path, "rb"))
-
-
 def jsonl_text(binary: BinaryIO) -> TextIO:
     """JSONL bytes as text: UTF-8 with universal newlines (a line ends at
     "\n", "\r\n" or a lone "\r"), where each byte that is not UTF-8 is kept
@@ -173,18 +168,18 @@ def jsonl_text(binary: BinaryIO) -> TextIO:
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) for each non-blank line of a JSONL file
-    opened by ``open_jsonl``, checked by ``read_lines``."""
-    with open_jsonl(path) as fh:
+    read as text by ``jsonl_text``, checked by ``read_lines``."""
+    with jsonl_text(open(path, "rb")) as fh:
         yield from read_lines(enumerate(fh, start=1))
 
 
-# A character that stands for a byte that is not UTF-8 in open_jsonl's text.
+# A character that stands for a byte that is not UTF-8 in jsonl_text's text.
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def read_lines(numbered: Iterable[tuple[int, str]]) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) for each (line number, text) pair of text
-    read by ``open_jsonl``, skipping blank lines. Each line is judged in
+    read by ``jsonl_text``, skipping blank lines. Each line is judged in
     file order, so the first faulty one is the ParseError named: a byte that
     is not UTF-8, text that is not JSON, or a JSON value that is not an
     object."""
@@ -346,7 +341,7 @@ def typed(value, kind, name: str, what: str, line: int | None):
 
 # Builds a NamedTuple from a sequence of its fields without the Python-level
 # __new__ of the class, at about half the cost; the parse hot path uses it
-# once each field is checked.
+# once each field is checked, and the other modules' hot paths import it.
 _new = tuple.__new__
 
 
@@ -463,11 +458,8 @@ def parse_gesture(record: dict, line: int | None = None) -> GestureAnnotation:
         raise ValidationError(f"end_time {end} must exceed start_time {start}", line)
     if end >= TIME_LIMIT:
         raise ValidationError(f"end_time must be below 2**52, got {end}", line)
-    if not 0.0 <= conf <= 1.0:
-        raise ValidationError(f"confidence out of range [0,1]: {conf}", line)
-
-    return GestureAnnotation(
-        video_id, gesture_type, initiator, target_type, target_pid, start, end, conf)
+    return GestureAnnotation(video_id, gesture_type, initiator, target_type, target_pid,
+                             start, end, _unit(conf, "confidence", line))
 
 
 def load_gestures(path: str | Path) -> tuple[list[GestureAnnotation], list[GestureRejection]]:
@@ -498,10 +490,7 @@ def _box(value, what: str, i: int, line) -> Box:
     label = f"{what}[{i}].box"
     if not (isinstance(value, list) and len(value) == 4):
         raise ValidationError(f"{label} must be [x1, y1, x2, y2]", line)
-    for j, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
-            raise ValidationError(f"{label}[{j}] out of range [0,1]: {v!r}", line)
-    x1, y1, x2, y2 = (float(v) for v in value)
+    x1, y1, x2, y2 = [_unit(v, f"{label}[{j}]", line) for j, v in enumerate(value)]
     if x1 >= x2 or y1 >= y2:
         raise ValidationError(f"{label} is degenerate: {value}", line)
     return Box(x1, y1, x2, y2)
@@ -511,9 +500,7 @@ def _det_conf(value, i: int, line) -> float:
     # Fast path as in _box: a float in range.
     if type(value) is float and 0.0 <= value <= 1.0:
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
-        raise ValidationError(f"faces[{i}].det_conf out of range [0,1]: {value!r}", line)
-    return float(value)
+    return _unit(value, f"faces[{i}].det_conf", line)
 
 
 def _gaze(value, i: int, line) -> tuple[float, float] | None:
@@ -526,7 +513,13 @@ def _gaze(value, i: int, line) -> tuple[float, float] | None:
         return None
     if not (isinstance(value, list) and len(value) == 2):
         raise ValidationError(f"faces[{i}].gaze must be [x, y] or null", line)
-    for axis, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0:
-            raise ValidationError(f"faces[{i}].gaze[{axis}] out of range [0,1]: {v!r}", line)
-    return (float(value[0]), float(value[1]))
+    return (_unit(value[0], f"faces[{i}].gaze[0]", line),
+            _unit(value[1], f"faces[{i}].gaze[1]", line))
+
+
+def _unit(value, name: str, line) -> float:
+    """``value`` as a float if it is a number in [0, 1], else a
+    ValidationError naming ``name``; a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+        raise ValidationError(f"{name} out of range [0,1]: {value!r}", line)
+    return float(value)

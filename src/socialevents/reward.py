@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import ContractError, ValidationError
+from .ingest import _new
 from .mentions import extract_person_ids
 
 # Text holding no template tag.
@@ -78,10 +79,6 @@ class ScoredRollout(NamedTuple):
     breakdown: RewardBreakdown
     advantage: float
 
-
-# Builds a NamedTuple from its fields without the class's Python-level
-# __new__, as ingest's parse does.
-_new = tuple.__new__
 
 # Each tag's open and close text.
 _TAGS = {tag: (f"<{tag}>", f"</{tag}>") for tag in ("think", "gaze", "gesture", "answer")}

@@ -13,7 +13,7 @@ from itertools import permutations
 
 from socialevents.config import DEFAULT_CONFIG, EngineConfig
 from socialevents.events import SocialEvent, event_sort_key
-from socialevents.gaze import PROV_MEASURED, FrameFeatures, _convergence
+from socialevents.gaze import PROV_MEASURED, FrameFeatures
 from socialevents.graph import SocialGraph
 from socialevents.ingest import Box
 from helpers import tick
@@ -110,8 +110,9 @@ def _velocity(track, t) -> float | None:
 
 def features_per_tick(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[FrameFeatures]:
     """gaze.compute_features tick by tick: each track's _velocity, and the
-    convergence of the tick's contributors through gaze._convergence, whose
-    left-to-right centroid folds are the detect bytes' rounding."""
+    convergence of the tick's contributors, re-derived here: a centroid by
+    left-to-right folds (the detect bytes' rounding), each contributor's
+    distance to it in person-ID order, and exp(-alpha * their median)."""
     spanned = [tr for tr in tracks if tr.samples]
     features = []
     for k in range(min((tr.start for tr in spanned), default=0),
@@ -128,9 +129,19 @@ def features_per_tick(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[Fra
             if config.convergence_measured_only and s.provenance != PROV_MEASURED:
                 continue
             points.append((tr.person_id, s.gaze_point))
-        convergence = _convergence(points, config.convergence_alpha) if len(points) >= 2 \
-            else (None, None, ())
-        features.append(FrameFeatures(k, velocities, *convergence))
+        if len(points) < 2:
+            features.append(FrameFeatures(k, velocities, None, None, (), ()))
+            continue
+        cx = cy = 0.0
+        for _, (x, y) in points:
+            cx += x
+            cy += y
+        cx, cy = cx / len(points), cy / len(points)
+        points.sort(key=lambda point: point[0])
+        dists = tuple(math.hypot(x - cx, y - cy) for _, (x, y) in points)
+        score = math.exp(-config.convergence_alpha * statistics.median(dists))
+        features.append(FrameFeatures(k, velocities, score, (cx, cy),
+                                      tuple(pid for pid, _ in points), dists))
     return features
 
 
@@ -426,6 +437,23 @@ def recover_answer(category: str, events: list) -> str:
         (common,) = gaze.participants & gesture.participants
         return f"Person {common}"
     raise AssertionError(f"unknown category {category}")
+
+
+def oracle_joint_pairs(events, bound: float) -> list[tuple]:
+    """graph.link_joint_pairs by testing every gaze event against every
+    gesture: the gap between their nearest endpoints, 0 where they overlap,
+    at most the bound plus 1e-9, ordered by the two event IDs."""
+    pairs = []
+    for g in events:
+        if g.source == "gesture":
+            continue
+        for h in events:
+            if h.source != "gesture":
+                continue
+            gap = max(0.0, max(g.start_time, h.start_time) - min(g.end_time, h.end_time))
+            if gap <= bound + 1e-9:
+                pairs.append((g.event_id, h.event_id, gap))
+    return sorted(pairs, key=lambda p: p[:2])
 
 
 def oracle_prune(graph: SocialGraph, config: EngineConfig = DEFAULT_CONFIG) -> SocialGraph:

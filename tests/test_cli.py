@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socialevents import cli, ingest, qa
+from socialevents import cli, gaze, ingest, qa
 from socialevents import events as events_mod
 from socialevents import graph as graph_mod
 from socialevents.cli import main
@@ -729,6 +729,47 @@ def test_detect_empty_observations(tmp_path):
     assert (out / "events.jsonl").read_text() == ""
 
 
+@pytest.mark.parametrize("key", ["persons", "faces"])
+@pytest.mark.parametrize("entry", [7, "box", [0.1, 0.2, 0.3, 0.4], None])
+def test_detect_names_an_entry_that_is_not_an_object(valid_inputs, tmp_path, capsys, key, entry):
+    lines = valid_inputs["observations"].read_text().splitlines()
+    record = json.loads(lines[1])
+    record[key] = [entry, *record[key]]
+    lines[1] = json.dumps(record)
+    obs = tmp_path / "obs.jsonl"
+    obs.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run("detect", "--input", str(obs), "--out", str(out)) == 3
+    assert capsys.readouterr().err == f"error: line 2: {key}[0] must be an object\n"
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_detect_convergence_measured_only_flag(tmp_path):
+    """``--convergence-measured-only true`` writes the events the library
+    gives with convergence_measured_only=True. On this video some
+    convergence contributors are interpolated, so they differ from the
+    default's, and so do the features."""
+    frames = make_video(2, "v", 3, 6, 40, 120)
+    obs = tmp_path / "obs.jsonl"
+    write_observations(frames, obs)
+    config = EngineConfig(convergence_measured_only=True)
+    tracks = [gaze.interpolate_track(t, config) for t in gaze.build_tracks(frames)]
+    features = gaze.compute_features(tracks, config)
+    library = "".join(serialize_event(e, "v") + "\n"
+                      for e in events_mod.detect_all(tracks, features, config))
+    by_id = {t.person_id: t for t in tracks}
+    assert any(by_id[pid].sample_at(f.k).provenance == gaze.PROV_INTERPOLATED
+               for f in gaze.compute_features(tracks) for pid in f.contributors)
+    outs = {}
+    for flag in ("true", None):
+        out = tmp_path / str(flag)
+        argv = ["detect", "--input", str(obs), "--out", str(out), "--dump-features"]
+        assert run(*argv, *(["--convergence-measured-only", flag] if flag else [])) == 0
+        outs[flag] = [(out / name).read_text() for name in ("events.jsonl", "features.jsonl")]
+    assert outs["true"][0] == library
+    assert outs["true"][0] != outs[None][0] and outs["true"][1] != outs[None][1]
+
+
 def test_analyze_malformed_rewards_exit_3(tmp_path):
     bad = tmp_path / "rewards.jsonl"
     bad.write_text('{"query_id": "q", "per_rollout": [{"r_acc": 1}]}\n')
@@ -1166,6 +1207,26 @@ def test_mistyped_trace_record_exit_3(valid_inputs, tmp_path, capsys, trace, mes
     err = capsys.readouterr().err
     assert err == f"error: line 2: bad trace record: {message}\n"
     assert not (out / "rewards.jsonl").exists()
+
+
+@pytest.mark.parametrize("qa_id, message", [
+    ("nope", "unknown qa_id 'nope'"),
+    ("orphan", "no graph for video 'elsewhere'"),
+], ids=["unknown-qa_id", "video-without-graph"])
+def test_trace_that_joins_no_graph_exit_3(valid_inputs, tmp_path, capsys, qa_id, message):
+    """A trace whose qa_id names no QA item, or names one whose video has no
+    graph, exits 3 naming its line and writes nothing."""
+    qa_lines = valid_inputs["qa"].read_text().splitlines()
+    orphan = {**json.loads(qa_lines[0]), "qa_id": "orphan", "video_id": "elsewhere"}
+    good = json.loads(valid_inputs["traces"].read_text().splitlines()[0])
+    paths = {**valid_inputs, "qa": tmp_path / "qa.jsonl", "traces": tmp_path / "traces.jsonl"}
+    paths["qa"].write_text("\n".join([*qa_lines, json.dumps(orphan)]) + "\n")
+    paths["traces"].write_text(json.dumps(good) + "\n" + json.dumps({**good, "qa_id": qa_id})
+                               + "\n")
+    out = tmp_path / "out"
+    assert run(*(arg.format(**paths) for arg in REWARD_ARGS), "--out", str(out)) == 3
+    assert capsys.readouterr().err == f"error: line 2: {message}\n"
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_reward_names_the_first_faulty_line(valid_inputs, tmp_path, capsys):
@@ -2276,6 +2337,36 @@ def test_gesture_warning_names_its_line_once(valid_inputs, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "warning: gesture rejected: line 2: unknown gesture_type 'waving'; "
         "expected one of ('pointing', 'showing', 'giving', 'reaching')\n")
+
+
+@pytest.mark.parametrize("fields, reason", [
+    ({"video_id": ""}, "video_id must be non-empty"),
+    ({"initiator_id": -1}, "initiator_id must be non-negative"),
+    ({"target_type": "place"}, "target_type must be 'person' or 'object', got 'place'"),
+    ({"target_type": "person", "target_person_id": -2}, "target_person_id must be non-negative"),
+    ({"start_time": -0.5}, "start_time must be non-negative"),
+    ({"confidence": 1.5}, "confidence out of range [0,1]: 1.5"),
+    ({"confidence": -0.25}, "confidence out of range [0,1]: -0.25"),
+], ids=["video_id", "initiator_id", "target_type", "target_person_id", "start_time",
+        "confidence-high", "confidence-low"])
+def test_each_gesture_rejection_warns_and_leaves_the_gesture_out(valid_inputs, tmp_path, capsys,
+                                                                 fields, reason):
+    """A rejected gesture gives one warning line naming its line and its
+    reason, and graph writes what it writes without that gesture, whose
+    valid self is in the graph."""
+    lines = valid_inputs["gestures"].read_text().splitlines()
+    paths = {**valid_inputs, "gestures": tmp_path / "gestures.jsonl"}
+    paths["gestures"].write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+    without = tmp_path / "without"
+    assert run(*(arg.format(**paths) for arg in GRAPH_ARGS), "--out", str(without)) == 0
+    assert (without / "graph.jsonl").read_bytes() != valid_inputs["graph"].read_bytes()
+    lines[2] = json.dumps({**json.loads(lines[2]), **fields})
+    paths["gestures"].write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(*(arg.format(**paths) for arg in GRAPH_ARGS), "--out", str(tmp_path / "out")) == 0
+    assert capsys.readouterr().err == f"warning: gesture rejected: line 3: {reason}\n"
+    assert (tmp_path / "out" / "graph.jsonl").read_bytes() == \
+        (without / "graph.jsonl").read_bytes()
 
 
 def test_failed_write_keeps_previous_artifact(valid_inputs, tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ in tier-1.
 Standard library only; the counter is test code, not a program module.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -14,7 +15,8 @@ import pytest
 
 import socialevents
 from socialevents import cli, identity
-from synth import make_video, write_observations
+from socialevents.qa import load_qa_items
+from synth import make_gestures, make_traces, make_video, write_gestures, write_observations
 
 PACKAGE = str(Path(socialevents.__file__).parent)
 
@@ -50,6 +52,69 @@ def test_detect_lines_per_frame_do_not_grow_with_video_length(tmp_path):
         argv = ["detect", "--input", str(obs), "--out", str(tmp_path / f"out{n}")]
         per_frame.append(executed_lines(cli.main, argv) / n)
     assert per_frame[1] <= per_frame[0] * 1.03 and per_frame[0] <= per_frame[1] * 1.03, per_frame
+
+
+def _no_growth(per_unit: list[float]) -> bool:
+    """Whether lines per unit at 2N are at most 3% above those at N. A
+    stage's one-off cost (loading its inputs, say) makes them fall."""
+    return per_unit[1] <= per_unit[0] * 1.03
+
+
+@pytest.fixture(scope="module")
+def pipelines(tmp_path_factory) -> dict:
+    """For one 6-person video of N frames with N // 50 gestures, at N = 1200
+    and 2400: the output directory of detect, graph and qagen, graph's lines
+    per input event (gaze event or gesture) and qagen's lines per graph."""
+    runs = {}
+    for n in (1200, 2400):
+        out = tmp_path_factory.mktemp(f"video{n}")
+        o = str(out)
+        write_observations(make_video(7, "v", 6, 6, n, n), out / "obs.jsonl")
+        write_gestures(make_gestures(3, "v", range(6), n / 2, n // 50), out / "gestures.jsonl")
+        assert cli.main(["detect", "--input", f"{o}/obs.jsonl", "--out", o]) == 0
+        graph = executed_lines(cli.main, [
+            "graph", "--input", f"{o}/events.jsonl", "--gestures", f"{o}/gestures.jsonl",
+            "--videos", f"{o}/videos.jsonl", "--out", o])
+        qagen = executed_lines(cli.main, ["qagen", "--input", f"{o}/graph.jsonl", "--out", o])
+        events = len((out / "events.jsonl").read_text().splitlines()) + n // 50
+        graphs = len((out / "graph.jsonl").read_text().splitlines())
+        runs[n] = out, graph / events, qagen / graphs
+    return runs
+
+
+def test_graph_lines_per_event_do_not_grow_with_video_length(pipelines):
+    """About 95.6 and 89.8 lines per event at 1200 and 2400 frames. Pair
+    linking that tests every gaze event against every gesture ran 112.0 and
+    117.8."""
+    per_event = [pipelines[n][1] for n in (1200, 2400)]
+    assert _no_growth(per_event), per_event
+
+
+def test_qagen_lines_per_graph_do_not_grow_with_video_length(pipelines):
+    """A graph holds at most 25 events, whatever the video's length: about
+    10,854 and 10,113 lines per graph at 1200 and 2400 frames."""
+    per_graph = [pipelines[n][2] for n in (1200, 2400)]
+    assert _no_growth(per_graph), per_graph
+
+
+def test_reward_and_analyze_lines_per_rollout_do_not_grow_with_the_traces(pipelines, tmp_path):
+    """Over synth.make_traces of 200 and 400 groups of 8 rollouts on the
+    1200-frame video's QA items: about 94.6 and 93.8 lines per rollout in
+    reward, 20.0 and 19.6 in analyze."""
+    out = pipelines[1200][0]
+    items = load_qa_items(out / "qa.jsonl")
+    per_rollout: dict[str, list[float]] = {"reward": [], "analyze": []}
+    for groups in (200, 400):
+        traces, run = tmp_path / f"traces{groups}.jsonl", tmp_path / str(groups)
+        traces.write_text("".join(json.dumps(r) + "\n" for r in make_traces(7, items, groups)))
+        reward = executed_lines(cli.main, [
+            "reward", "--input", str(out / "qa.jsonl"), "--traces", str(traces),
+            "--graphs", str(out / "graph.jsonl"), "--out", str(run)])
+        analyze = executed_lines(cli.main, [
+            "analyze", "--input", str(run / "rewards.jsonl"), "--out", str(run)])
+        per_rollout["reward"].append(reward / (groups * 8))
+        per_rollout["analyze"].append(analyze / (groups * 8))
+    assert all(map(_no_growth, per_rollout.values())), per_rollout
 
 
 def _association_lines_per_frame(persons: int) -> float:

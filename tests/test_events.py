@@ -239,6 +239,23 @@ class TestAttentionCapture:
         tracks = self.capture_tracks(3, 0.15)  # v = 0.3
         assert detect_attention_capture(tracks, features_of(tracks)) == []
 
+    def test_a_flag_between_a_groups_flags_starts_its_own_group(self):
+        """Persons 0-2 flag at 1.0 and 3.0 s (v = 0.6), person 3 at 2.0 s
+        (v = 0.9). In 2 s windows, every window that holds person 3's flag
+        holds person 3, so {0, 1, 2} forms two groups around the {0, 1, 2, 3}
+        one, and neither takes person 3's flag or its peak."""
+        steps = {pid: [0.05, 0.3, 0.05, 0.05, 0.05, 0.3, 0.05, 0.05] for pid in range(3)}
+        steps[3] = [0.05, 0.05, 0.05, 0.45, 0.05, 0.05, 0.05, 0.05]
+        tracks = [velocity_track(pid, deltas, center=(0.1 + 0.05 * pid, 0.4))
+                  for pid, deltas in steps.items()]
+        config = dataclasses.replace(DEFAULT_CONFIG, capture_window=2.0)
+        found = detect_attention_capture(tracks, features_of(tracks), config)
+        assert detector_view(found) == oracle_capture(tracks, config)
+        assert sorted((e.start_time, e.end_time, sorted(e.participants),
+                       round(e.attributes["peak_velocity"], 9)) for e in found) == [
+            (1.0, 1.0, [0, 1, 2], 0.6), (1.0, 3.0, [0, 1, 2, 3], 0.9),
+            (3.0, 3.0, [0, 1, 2], 0.6)]
+
 
 def facing_tracks(n_hits, margin_miss=False, one_way=False):
     """Two persons whose gaze lands in each other's face boxes for n frames."""

@@ -1,6 +1,11 @@
+import dataclasses
 import json
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from socialevents.config import DEFAULT_CONFIG
 from socialevents.events import SOURCE_GESTURE
 from socialevents.graph import (
     SocialGraph,
@@ -17,7 +22,7 @@ from socialevents.graph import (
 )
 from socialevents.ingest import GestureAnnotation
 from helpers import event
-from oracles import oracle_prune
+from oracles import oracle_joint_pairs, oracle_prune
 
 GAZE_TYPES = ("mutual_gaze", "joint_attention", "gaze_following",
               "attention_capture", "sudden_gaze_shift")
@@ -141,6 +146,31 @@ class TestJointPairs:
         a = event(0, start=1.0, end=2.0)
         b = event(1, start=4.5, end=6.0)
         assert interval_distance(a, b) == interval_distance(b, a) == 2.5
+
+
+@st.composite
+def linkable_events(draw):
+    """Gaze events and gestures near 0, 2**40 or +-2**51 s, where floats
+    are spaced up to 0.5 s apart: on the grid or not, up to 1e5 s long."""
+    base = draw(st.sampled_from((0.0, 2.0 ** 40, 2.0 ** 51, -2.0 ** 51)))
+    offsets = st.integers(-60, 60).map(lambda i: i * 0.5) | st.floats(-30.0, 30.0)
+    lengths = st.integers(0, 12).map(lambda i: i * 0.5) | st.floats(0.0, 1e5)
+    drawn = draw(st.lists(st.tuples(st.booleans(), offsets, lengths), max_size=24))
+    return [event(i, "pointing" if gesture else "mutual_gaze", start=base + offset,
+                  end=base + offset + length)
+            for i, (gesture, offset, length) in enumerate(drawn)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(events=linkable_events(), bound=st.sampled_from((0.0, 0.5, 3.0, 1000.0)))
+@example(events=[event(0, "pointing", start=1e-9, end=2 / 3), event(1, start=-1.0, end=-0.1)],
+         bound=0.1).via("-0.1 + (0.1 + 1e-9) rounds below the gesture's start 1e-9")
+def test_pair_linking_matches_the_nested_loop(events, bound):
+    """Each gaze event tests only the gestures in its window of starts and
+    finds the pairs that testing every gesture finds; the window's margin
+    keeps a gesture on its rounded edge."""
+    config = dataclasses.replace(DEFAULT_CONFIG, pair_max_distance=bound)
+    assert link_joint_pairs(events, config) == oracle_joint_pairs(events, bound)
 
 
 def graph_of(events, pairs=None, duration=100.0):
