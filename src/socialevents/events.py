@@ -17,11 +17,18 @@ a video's length roughly doubles its detection time:
 
     sudden_gaze_shift   O(F) per person, O(F x P) over all persons
     joint_attention     O(F x P)
-    gaze_following      O(F x P x lags) lookups plus one x-offset test per
-                        measured leader: each follower sample visits only
-                        the leaders measured at t - lag, and only a leader
-                        within the distance on x costs a hypot; lags stop at
-                        the video's span
+    gaze_following      O(F x (P + N) log N) for the N = lags x L leader
+                        points measured at a tick's lags (L <= P per tick),
+                        plus the leaders within the distance on x: each
+                        tick sorts its N points by x once, and each
+                        follower sample finds its window by bisection; only
+                        a leader in it costs the exact tests and a hypot.
+                        Testing every leader at every lag was
+                        O(F x P x lags x L), quadratic in the persons. Lags
+                        stop at the video's span. On the crowd benchmark
+                        (14 persons; x86-64, Python 3.11, best of 7) it
+                        takes ~17 ms, ~26 ms the other way; on long (6
+                        persons) ~62 ms, ~82 ms
     attention_capture   O(n log n) for n <= F x P velocity flags, whatever
                         the width: only windows where the held flags change
     mutual_gaze         O(F x P^2): every pair
@@ -50,7 +57,7 @@ from typing import Iterable, NamedTuple
 
 from .config import DEFAULT_CONFIG, EngineConfig
 from .errors import ValidationError
-from .gaze import PROV_MEASURED, FrameFeatures, GazeSample, GazeTrack, Point
+from .gaze import PROV_MEASURED, FrameFeatures, GazeSample, GazeTrack
 from .ingest import (GESTURE_TYPES, SAMPLE_PERIOD, TIME_LIMIT, Schema, _new, dumps_canonical,
                      read_record, to_tick)
 
@@ -212,50 +219,82 @@ def _finish_ja(
 def detect_gaze_following(
     tracks: list[GazeTrack], config: EngineConfig = DEFAULT_CONFIG
 ) -> list[SocialEvent]:
+    """A follower's gaze at tick k within the distance of another person's
+    measured gaze at k - lag, for each lag of the range; per follower sample
+    and leader only the smallest such lag counts. Events come follower by
+    follower in track order, then by tick, lag and leader in track order.
+    The tracks are of distinct persons, as build_tracks gives them.
+
+    Ticks go in order. A tick's leaders at every lag are one list sorted by
+    x, and each follower sample visits only the window of it within the
+    distance on x, where the exact tests decide."""
     # EngineConfig keeps both lags on the grid. A lag longer than the tracks'
     # span never reaches a leader sample.
-    span = max((tr.stop for tr in tracks), default=0) - min((tr.start for tr in tracks), default=0)
-    lags = range(to_tick(config.follow_lag_min), min(to_tick(config.follow_lag_max), span) + 1)
+    start = min((tr.start for tr in tracks), default=0)
+    stop = max((tr.stop for tr in tracks), default=0)
+    lags = range(to_tick(config.follow_lag_min), min(to_tick(config.follow_lag_max), stop - start) + 1)
     distance = config.follow_distance
-    # tick -> {leader id: gaze point} for every measured gaze point; a
-    # leader's whole sample is looked up only for an event.
-    measured_at: dict[int, dict[int, Point]] = {}
-    track_of = {}
-    for tr in tracks:
+    # tick -> (x, tick, track index, person, y) of every measured gaze point
+    measured_at: dict[int, list[tuple[float, int, int, int, float]]] = {}
+    for index, tr in enumerate(tracks):
         leader_id = tr.person_id
-        track_of[leader_id] = tr
         for s in tr.samples:
             if s.provenance == PROV_MEASURED and s.gaze_point is not None:
-                measured_at.setdefault(s.k, {})[leader_id] = s.gaze_point
-    events = []
-    for follower in tracks:
-        follower_id = follower.person_id
-        for cur in follower.samples:
+                px, py = s.gaze_point
+                measured_at.setdefault(s.k, []).append((px, s.k, index, leader_id, py))
+    for leaders in measured_at.values():
+        leaders.sort()
+    # Gaze points lie in [0, 1], where cx - px rounds by under 2**-52: the
+    # window [cx - reach, cx + reach] holds every leader that the exact x
+    # test can pass, and a reach of 2 holds every leader.
+    reach = min(distance, 2.0) + 2.0 ** -40
+    found: list[list[SocialEvent]] = [[] for _ in tracks]
+    followers = [(index, tr.start, tr.samples, tr.person_id) for index, tr in enumerate(tracks)]
+    for k in range(start + lags.start, stop):
+        near: list[tuple[float, int, int, int, float]] = []
+        for lag in lags:
+            near += measured_at.get(k - lag, ())
+        if not near:
+            continue
+        near.sort()
+        xs = [px for px, _, _, _, _ in near]
+        for index, first, samples, follower_id in followers:
+            if not 0 <= k - first < len(samples):
+                continue
+            cur = samples[k - first]
             if cur.gaze_point is None:
                 continue
-            k = cur.k
             cx, cy = cur.gaze_point
-            done: tuple[int, ...] = ()  # leaders that qualified at an earlier lag
-            for lag in lags:
-                for leader_id, (px, py) in measured_at.get(k - lag, {}).items():
-                    dx = cx - px
-                    # hypot(dx, dy) >= |dx|: a leader this far apart on x
-                    # cannot be within the distance
-                    if dx >= distance or dx <= -distance:
-                        continue
-                    if leader_id == follower_id or leader_id in done:
-                        continue
-                    d = math.hypot(dx, cy - py)
-                    if d < distance:
-                        done += (leader_id,)
-                        events.append(_event(
-                            "gaze_following",
-                            {leader_id, follower_id},
-                            k - lag, k, [track_of[leader_id].sample_at(k - lag), cur],
-                            roles={"leader": leader_id, "follower": follower_id},
-                            attributes={"lag": lag * SAMPLE_PERIOD, "distance": d},
-                        ))
-    return events
+            lo = bisect_left(xs, cx - reach)
+            hi = bisect_right(xs, cx + reach, lo)
+            if lo == hi:
+                continue
+            hits = []
+            for px, t, leader_index, leader_id, py in near[lo:hi]:
+                dx = cx - px
+                # hypot(dx, dy) >= |dx|: a leader this far apart on x
+                # cannot be within the distance
+                if dx >= distance or dx <= -distance or leader_id == follower_id:
+                    continue
+                d = math.hypot(dx, cy - py)
+                if d < distance:
+                    hits.append((k - t, leader_index, leader_id, d))
+            if not hits:
+                continue
+            hits.sort()  # by lag, then leader
+            done: tuple[int, ...] = ()  # leaders that qualified at a smaller lag
+            for lag, leader_index, leader_id, d in hits:
+                if leader_id in done:
+                    continue
+                done += (leader_id,)
+                found[index].append(_event(
+                    "gaze_following",
+                    {leader_id, follower_id},
+                    k - lag, k, [tracks[leader_index].sample_at(k - lag), cur],
+                    roles={"leader": leader_id, "follower": follower_id},
+                    attributes={"lag": lag * SAMPLE_PERIOD, "distance": d},
+                ))
+    return [event for events in found for event in events]
 
 
 def detect_attention_capture(

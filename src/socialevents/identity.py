@@ -9,28 +9,29 @@ of input face order.
 
 Cost per frame, for n persons and m faces:
 
-- Every frame first builds the n x m overlap matrix and tries the
-  conflict-free fast path, O(n*m): when no person and no face has two
-  positive-overlap candidates, the positive edges are the answer. The
-  matrix comes from unpacked coordinates, with n + m areas (each face's and
-  each head region's once) and n*m intersections. On the long benchmark
-  (6 persons, ~4.6 faces per frame; x86-64, Python 3.11) association takes
-  ~21 us per frame, ~0.8 us per person-face pair; through head_region,
-  box_overlap and frozen-dataclass boxes it took ~67 us.
-- A contested frame is split into the connected components of its
-  positive-overlap bipartite graph by a union-find over persons and faces,
-  O(n*m). The optimum is additive across components, and the lexicographic
-  reconstruction only ever picks positive-overlap faces, which lie in the
-  row's own component, so solving each component alone gives the same pairs
-  as solving the whole matrix.
-- Each component, whatever its size, goes to one exact solver: the
-  Hungarian method gives the optimal total in O(r^2 * (r + k)) for r
-  persons and k faces, and the lexicographic reconstruction re-solves once
-  per positive-overlap pair it tries, O((e + 1) * r^2 * (r + k)) for e
-  positive edges. Dense random components (x86-64, Python 3.11) take
-  ~0.04 ms at 2 x 3, ~9 ms at 14 x 14 and ~190 ms at 30 x 30; every
-  contested frame of the crowd benchmark splits into components of at
-  most 2 persons x 3 faces.
+- Every frame computes the overlap of each person's head region and each
+  face, O(n*m), from unpacked coordinates, with n + m areas (each face's and
+  each head region's once), and keeps only the positive ones as edges: no
+  n x m matrix is built.
+- The optimum is additive across the connected components of the edges,
+  and the lexicographic reconstruction only ever picks edges, which lie in
+  the row's own component, so solving each component alone gives the same
+  pairs as solving the whole frame. A lone edge (its person and its face
+  have no other) is the optimum of its component and takes no solve, so a
+  frame without contest costs no more than its overlaps.
+- A larger component, found by a search over the persons that share a
+  face, goes to one exact solver on its dense sub-matrix: the Hungarian
+  method gives the optimal total in O(r^2 * (r + k)) for r persons and k
+  faces, and the lexicographic reconstruction re-solves once per edge it
+  tries, O((e + 1) * r^2 * (r + k)) for e edges. Dense random components
+  (x86-64, Python 3.11) take ~0.04 ms at 2 x 3, ~9 ms at 14 x 14 and ~190 ms
+  at 30 x 30; every contested frame of the crowd benchmark splits into lone
+  edges and components of at most 2 persons x 3 faces.
+- In-process, best of 9 on x86-64 with Python 3.11: the crowd benchmark's
+  600 frames (14 persons, 128 contested) take ~22 ms, ~35 ms with the dense
+  matrix and every component solved; its 1046 lone edges then took 2092
+  of the solver's 2533 calls. The long benchmark's 4800 frames (6 persons,
+  ~4.6 faces) take ~56 ms, ~12 us per frame, against ~63 ms.
 """
 
 from __future__ import annotations
@@ -73,88 +74,83 @@ def match_faces_to_persons(frame: FrameObservation) -> Association:
     # box_overlap(head_region(p.box), f.box) from unpacked coordinates, with
     # each area computed once; every float operation is box_overlap's, in the
     # same order, and the conditionals keep min's and max's choice on ties.
+    # Only positive overlaps are kept, as edges. An intersection whose
+    # product underflows to 0.0 is no edge and is not divided: where both
+    # boxes' areas underflow too, the union is 0.0.
     faces = [(x1, y1, x2, y2, (x2 - x1) * (y2 - y1)) for x1, y1, x2, y2 in
              (f.box for f in frame.faces)]
-    weights = []
+    edges: list[list[tuple[int, float]]] = []  # per person: (face index, overlap)
+    face_edges = [0] * m
     for p in persons:
         hx1, hy1, hx2, py2 = p.box
         hy2 = (hy1 + py2) / 2.0
         head_area = (hx2 - hx1) * (hy2 - hy1)
         row = []
-        for fx1, fy1, fx2, fy2, face_area in faces:
+        for j, (fx1, fy1, fx2, fy2, face_area) in enumerate(faces):
             iw = (fx2 if fx2 < hx2 else hx2) - (fx1 if fx1 > hx1 else hx1)
-            ih = (fy2 if fy2 < hy2 else hy2) - (fy1 if fy1 > hy1 else hy1)
-            if iw <= 0.0 or ih <= 0.0:
-                row.append(0.0)
-            else:
+            if iw > 0.0:
+                ih = (fy2 if fy2 < hy2 else hy2) - (fy1 if fy1 > hy1 else hy1)
                 inter = iw * ih
-                row.append(inter / (head_area + face_area - inter))
-        weights.append(row)
+                if inter > 0.0:  # so ih > 0.0, and the union is at least inter
+                    w = inter / (head_area + face_area - inter)
+                    if w > 0.0:
+                        row.append((j, w))
+                        face_edges[j] += 1
+        edges.append(row)
 
-    chosen = _assign_conflict_free(weights)
-    if chosen is None:
-        chosen = _assign_components(weights)
+    # A lone edge (its person and its face have no other) is its own
+    # component, whose optimum is the edge itself.
+    chosen: list[tuple[int, int, float]] = []  # (person index, face index, overlap)
+    contested: list[int] = []  # persons of the other components
+    for i, row in enumerate(edges):
+        if len(row) == 1 and face_edges[row[0][0]] == 1:
+            chosen.append((i, *row[0]))
+        elif row:
+            contested.append(i)
+    if contested:
+        chosen.extend(_assign_components(edges, contested))
+        chosen.sort()
 
-    pairs = tuple(
-        (persons[i].person_id, j, weights[i][j]) for i, j in sorted(chosen)
-    )
-    matched_faces = {j for _, j in chosen}
+    pairs = tuple((persons[i].person_id, j, w) for i, j, w in chosen)
+    matched_faces = {j for _, j, _ in chosen}
     unmatched = tuple(j for j in range(m) if j not in matched_faces)
     return Association(pairs, unmatched)
 
 
-def _assign_conflict_free(weights: list[list[float]]) -> list[tuple[int, int]] | None:
-    """Fast path: when no face or person has two positive-overlap candidates,
-    the positive edges themselves are the unique optimal matching."""
-    n, m = len(weights), len(weights[0])
-    col_hits = [0] * m
-    edges: list[tuple[int, int]] = []
-    for i in range(n):
-        row = weights[i]
-        hit = -1
-        for j in range(m):
-            if row[j] > 0.0:
-                if hit >= 0:
-                    return None  # person with two candidate faces
-                hit = j
-        if hit >= 0:
-            col_hits[hit] += 1
-            if col_hits[hit] > 1:
-                return None  # face contested by two persons
-            edges.append((i, hit))
-    return edges
-
-
-def _assign_components(weights: list[list[float]]) -> list[tuple[int, int]]:
-    """Solve each connected component of the positive-overlap graph on its
-    own sub-matrix; rows and columns keep their order, so each component's
-    lexicographically smallest optimum maps back unchanged."""
-    n, m = len(weights), len(weights[0])
-    parent = list(range(n + m))  # rows 0..n-1, then columns n..n+m-1
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, row in enumerate(weights):
-        for j, w in enumerate(row):
-            if w > 0.0:
-                parent[find(i)] = find(n + j)
-
-    components: dict[int, tuple[list[int], list[int]]] = {}
-    for i in range(n):
-        components.setdefault(find(i), ([], []))[0].append(i)
-    for j in range(m):
-        components.setdefault(find(n + j), ([], []))[1].append(j)
-
-    chosen: list[tuple[int, int]] = []
-    for rows, cols in components.values():
-        if not rows or not cols:
-            continue  # a person or face with no positive overlap
-        sub = [[weights[i][j] for j in cols] for i in rows]
-        chosen.extend((rows[a], cols[b]) for a, b in _assign_lexicographic(sub))
+def _assign_components(edges: list[list[tuple[int, float]]],
+                       contested: list[int]) -> list[tuple[int, int, float]]:
+    """Solve each connected component of the edges that holds the persons
+    ``contested`` on its own dense sub-matrix, zero off the edges; rows and
+    columns keep their order, so each component's lexicographically smallest
+    optimum maps back unchanged."""
+    persons_of: dict[int, list[int]] = {}  # face -> persons with an edge to it
+    for i in contested:
+        for j, _ in edges[i]:
+            persons_of.setdefault(j, []).append(i)
+    seen = [False] * len(edges)
+    chosen: list[tuple[int, int, float]] = []
+    for start in contested:
+        if seen[start]:
+            continue
+        seen[start] = True
+        rows, cols, stack = [start], set(), [start]
+        while stack:  # a search over persons that share a face
+            for j, _ in edges[stack.pop()]:
+                if j not in cols:
+                    cols.add(j)
+                    for i in persons_of[j]:
+                        if not seen[i]:
+                            seen[i] = True
+                            rows.append(i)
+                            stack.append(i)
+        rows.sort()
+        cols = sorted(cols)
+        col_of = {j: b for b, j in enumerate(cols)}
+        sub = [[0.0] * len(cols) for _ in rows]
+        for a, i in enumerate(rows):
+            for j, w in edges[i]:
+                sub[a][col_of[j]] = w
+        chosen.extend((rows[a], cols[b], sub[a][b]) for a, b in _assign_lexicographic(sub))
     return chosen
 
 

@@ -2,6 +2,12 @@
 graph's event cap, the trace template, QA answers and the rewards record.
 These enumerate candidates literally and re-derive intermediate quantities
 from the tracks themselves rather than reusing detector internals.
+
+Two are byte-level references instead: ``dense_association`` and
+``following_nested`` keep the dense overlap matrix and the every-leader scan
+that face association and gaze following replaced, and build their outputs
+with the package's own solver and event builder, so that a property can
+compare the outputs whole, floats and order included.
 """
 
 from __future__ import annotations
@@ -12,10 +18,11 @@ import statistics
 from itertools import permutations
 
 from socialevents.config import DEFAULT_CONFIG, EngineConfig
-from socialevents.events import SocialEvent, event_sort_key
-from socialevents.gaze import PROV_MEASURED, FrameFeatures
+from socialevents.events import SocialEvent, _event, event_sort_key
+from socialevents.gaze import PROV_MEASURED, FrameFeatures, Point
 from socialevents.graph import SocialGraph
-from socialevents.ingest import Box
+from socialevents.identity import Association, _assign_lexicographic
+from socialevents.ingest import SAMPLE_PERIOD, Box, FrameObservation, to_tick
 from helpers import tick
 
 
@@ -78,6 +85,101 @@ def assign_dp(weights: list[list[float]]) -> list[tuple[int, int]]:
                     mask ^= bit
                     break
     return chosen
+
+
+def dense_weights(frame: FrameObservation) -> list[list[float]]:
+    """The full persons x faces overlap matrix, persons by ID, each entry
+    box_overlap(head_region(person box), face box) as identity computed it
+    from unpacked coordinates before it kept only positive overlaps."""
+    faces = [(x1, y1, x2, y2, (x2 - x1) * (y2 - y1)) for x1, y1, x2, y2 in
+             (f.box for f in frame.faces)]
+    weights = []
+    for p in sorted(frame.persons, key=lambda p: p.person_id):
+        hx1, hy1, hx2, py2 = p.box
+        hy2 = (hy1 + py2) / 2.0
+        head_area = (hx2 - hx1) * (hy2 - hy1)
+        row = []
+        for fx1, fy1, fx2, fy2, face_area in faces:
+            iw = (fx2 if fx2 < hx2 else hx2) - (fx1 if fx1 > hx1 else hx1)
+            ih = (fy2 if fy2 < hy2 else hy2) - (fy1 if fy1 > hy1 else hy1)
+            if iw <= 0.0 or ih <= 0.0:
+                row.append(0.0)
+            else:
+                inter = iw * ih
+                row.append(inter / (head_area + face_area - inter))
+        weights.append(row)
+    return weights
+
+
+def assign_conflict_free(weights: list[list[float]]) -> list[tuple[int, int]] | None:
+    """The positive edges when no face or person has two positive-overlap
+    candidates (then they are the unique optimal matching), else None."""
+    n, m = len(weights), len(weights[0])
+    col_hits = [0] * m
+    edges: list[tuple[int, int]] = []
+    for i in range(n):
+        row = weights[i]
+        hit = -1
+        for j in range(m):
+            if row[j] > 0.0:
+                if hit >= 0:
+                    return None  # person with two candidate faces
+                hit = j
+        if hit >= 0:
+            col_hits[hit] += 1
+            if col_hits[hit] > 1:
+                return None  # face contested by two persons
+            edges.append((i, hit))
+    return edges
+
+
+def assign_components(weights: list[list[float]]) -> list[tuple[int, int]]:
+    """Each connected component of the positive-overlap graph, found by a
+    union-find over the whole matrix, solved by the package's
+    _assign_lexicographic on its dense sub-matrix, lone edges included."""
+    n, m = len(weights), len(weights[0])
+    parent = list(range(n + m))  # rows 0..n-1, then columns n..n+m-1
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, row in enumerate(weights):
+        for j, w in enumerate(row):
+            if w > 0.0:
+                parent[find(i)] = find(n + j)
+
+    components: dict[int, tuple[list[int], list[int]]] = {}
+    for i in range(n):
+        components.setdefault(find(i), ([], []))[0].append(i)
+    for j in range(m):
+        components.setdefault(find(n + j), ([], []))[1].append(j)
+
+    chosen: list[tuple[int, int]] = []
+    for rows, cols in components.values():
+        if not rows or not cols:
+            continue  # a person or face with no positive overlap
+        sub = [[weights[i][j] for j in cols] for i in rows]
+        chosen.extend((rows[a], cols[b]) for a, b in _assign_lexicographic(sub))
+    return chosen
+
+
+def dense_association(frame: FrameObservation) -> Association:
+    """identity.match_faces_to_persons as it was with the dense matrix: the
+    frame-level conflict-free test, else every component solved."""
+    persons = sorted(frame.persons, key=lambda p: p.person_id)
+    m = len(frame.faces)
+    if not persons or m == 0:
+        return Association((), tuple(range(m)))
+    weights = dense_weights(frame)
+    chosen = assign_conflict_free(weights)
+    if chosen is None:
+        chosen = assign_components(weights)
+    pairs = tuple((persons[i].person_id, j, weights[i][j]) for i, j in sorted(chosen))
+    matched = {j for _, j in chosen}
+    return Association(pairs, tuple(j for j in range(m) if j not in matched))
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +351,49 @@ def oracle_follow(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[tuple]:
         ("gaze_following", tuple(sorted((leader, follower))), t - lag, t)
         for (leader, follower, t), lag in earliest.items()
     )
+
+
+def following_nested(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[SocialEvent]:
+    """events.detect_gaze_following as it was before its x-sorted window: every
+    follower sample tests every leader measured at each lag's tick, and emits
+    the same events, with the same bytes, in the same order."""
+    span = max((tr.stop for tr in tracks), default=0) - min((tr.start for tr in tracks), default=0)
+    lags = range(to_tick(config.follow_lag_min), min(to_tick(config.follow_lag_max), span) + 1)
+    distance = config.follow_distance
+    measured_at: dict[int, dict[int, Point]] = {}
+    track_of = {}
+    for tr in tracks:
+        track_of[tr.person_id] = tr
+        for s in tr.samples:
+            if s.provenance == PROV_MEASURED and s.gaze_point is not None:
+                measured_at.setdefault(s.k, {})[tr.person_id] = s.gaze_point
+    events = []
+    for follower in tracks:
+        follower_id = follower.person_id
+        for cur in follower.samples:
+            if cur.gaze_point is None:
+                continue
+            k = cur.k
+            cx, cy = cur.gaze_point
+            done: tuple[int, ...] = ()
+            for lag in lags:
+                for leader_id, (px, py) in measured_at.get(k - lag, {}).items():
+                    dx = cx - px
+                    if dx >= distance or dx <= -distance:
+                        continue
+                    if leader_id == follower_id or leader_id in done:
+                        continue
+                    d = math.hypot(dx, cy - py)
+                    if d < distance:
+                        done += (leader_id,)
+                        events.append(_event(
+                            "gaze_following",
+                            {leader_id, follower_id},
+                            k - lag, k, [track_of[leader_id].sample_at(k - lag), cur],
+                            roles={"leader": leader_id, "follower": follower_id},
+                            attributes={"lag": lag * SAMPLE_PERIOD, "distance": d},
+                        ))
+    return events
 
 
 def oracle_capture(tracks, config: EngineConfig = DEFAULT_CONFIG) -> list[tuple]:

@@ -9,7 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from socialevents.config import DEFAULT_CONFIG
@@ -40,6 +40,7 @@ from oracles import (
     detector_view,
     expand,
     follow_hits,
+    following_nested,
     oracle_all,
     oracle_capture,
     oracle_joint_attention,
@@ -215,6 +216,36 @@ class TestGazeFollowing:
         config = dataclasses.replace(DEFAULT_CONFIG, follow_lag_max=1e17)
         (ev,) = detect_gaze_following(tracks, config)
         assert ev.attributes["lag"] == 4.0
+
+
+# Distances at and around the edges: none, the smallest float, the default,
+# wide, two that hold every gaze point (one near the top of the float
+# range), and an int beyond the float range.
+_FOLLOW_DISTANCES = (0, 5e-324, 0.03, 0.7, 2.0, 1e300, 10**400)
+
+
+# No shrinking: a falsifying example is a handful of integers already, and
+# shrinking re-runs whole videos of up to 30 persons for minutes.
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(seed=st.integers(0, 10_000), persons=st.integers(1, 30), frames=st.integers(1, 40),
+       distance=st.sampled_from(_FOLLOW_DISTANCES), lag_min=st.integers(1, 8),
+       lag_extra=st.sampled_from((0, 1, 2, 6, 90)))
+@example(seed=5, persons=30, frames=40, distance=0.03, lag_min=2, lag_extra=2).via("crowded")
+@example(seed=1, persons=12, frames=30, distance=10**400, lag_min=1, lag_extra=90).via(
+    "every leader, lags beyond the video")
+def test_following_matches_the_nested_scan(seed, persons, frames, distance, lag_min, lag_extra):
+    """The x-sorted window gives the every-leader scan's events, floats and
+    order included, at any distance and any lag range on the grid."""
+    video = make_video(seed, "v", persons, persons, frames, frames)
+    tracks = [interpolate_track(t) for t in build_tracks(video)]
+    config = dataclasses.replace(DEFAULT_CONFIG, follow_distance=distance,
+                                 follow_lag_min=lag_min * 0.5,
+                                 follow_lag_max=(lag_min + lag_extra) * 0.5)
+    # event by event, so that a failure reports the first difference
+    # instead of diffing two long strings
+    assert list(map(repr, detect_gaze_following(tracks, config))) == \
+        list(map(repr, following_nested(tracks, config)))
 
 
 class TestAttentionCapture:

@@ -9,6 +9,11 @@ a rewrite of a detector or of track building that changes any output byte
 fails here. The 1200-frame video builds multi-window capture merges and long
 velocity runs that the short videos never reach. The expected digests were
 computed with the detectors as they stood before their linear-time rewrite.
+The three crowded videos (14, 24 and 30 persons side by side) pin contested
+face association and following among many leaders; every frame of the last
+two is contested, and they hold 239 and 3419 following events. Their digests
+were computed with the dense overlap matrix and the nested-loop following
+scan, before either became sparse.
 The four-video digests were computed while detect still held every video's
 events and features until the input was done.
 
@@ -56,6 +61,21 @@ GOLDEN = {
         dict(seed=11, min_persons=6, max_persons=6, min_frames=1200, max_frames=1200),
         "318d4c5a53a8375b24af2c4b8ba81d1be475624ea79e09525f18be1d92492c1d",
         "82ee75e1cc2b8a407b3b19b971a47bda9c47176badf413b63193af0caa40562e",
+    ),
+    "seed5_14p_200f": (
+        dict(seed=5, min_persons=14, max_persons=14, min_frames=200, max_frames=200),
+        "56a7edc1a26c0f959fbda2edee3d3afd0e187454092a9bcc5530dd820e7fba57",
+        "f6b6ef8612731447c164b28528eb2cdae8ff9f974d8427973998abdcc74ad0d6",
+    ),
+    "seed9_24p_120f": (
+        dict(seed=9, min_persons=24, max_persons=24, min_frames=120, max_frames=120),
+        "fde6bc197f0e3fe66fd2d14ce01357988390038004828d59f97a5f029942ce53",
+        "6abdb84711f92ecbcbc95181ff9ddb3d0145f51a11443abb81edbf3874ecd0d5",
+    ),
+    "seed13_30p_60f": (
+        dict(seed=13, min_persons=30, max_persons=30, min_frames=60, max_frames=60),
+        "8b7d7dd5c60d1ed8a2d460de295ef52c8a758a668a60e5c707e26e71c244f843",
+        "cb0530d4d45f68b605b3158f07cc37855c090e845b3c6216ed456cedef22366f",
     ),
 }
 

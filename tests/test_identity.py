@@ -6,11 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 import socialevents
+from socialevents.cli import main
 from socialevents.identity import (
-    _assign_components,
-    _assign_conflict_free,
     _assign_lexicographic,
     box_overlap,
     head_region,
@@ -18,7 +19,8 @@ from socialevents.identity import (
 )
 from socialevents.ingest import Box, FaceMeasurement, FrameObservation, PersonBox
 from helpers import tick
-from oracles import assign_dp, best_assignment_total
+from oracles import (assign_components, assign_conflict_free, assign_dp, best_assignment_total,
+                     dense_association)
 from synth import make_video, write_observations
 
 
@@ -168,7 +170,7 @@ class TestMatchingProperties:
             expected = _brute_lex_smallest(weights)
             assert assign_dp(weights) == expected
             assert _assign_lexicographic(weights) == expected
-            assert sorted(_assign_components(weights)) == expected
+            assert sorted(assign_components(weights)) == expected
 
 
 def _brute_lex_smallest(weights):
@@ -276,7 +278,7 @@ def test_contested_association_bytes_match_digest():
     while contested < 300:
         fr = contested_frame(rng, 14, 8, 14, t * 0.5)
         t += 1
-        if _assign_conflict_free(_weights(fr)) is not None:
+        if assign_conflict_free(_weights(fr)) is not None:
             continue
         contested += 1
         assoc = match_faces_to_persons(fr)
@@ -309,10 +311,84 @@ def test_large_component_matches_brute_force():
     fr = _large_component_frame()
     assoc = match_faces_to_persons(fr)
     weights = _weights(fr)
-    assert _assign_conflict_free(weights) is None
+    assert assign_conflict_free(weights) is None
     assert sum(w for _, _, w in assoc.pairs) == pytest.approx(
         _best_total_small_rows(weights), abs=1e-9)
     assert [(i, j) for i, j, _ in assoc.pairs] == _brute_lex_smallest(weights)
+
+
+_GRID = 40  # box edges on a 1/40 grid, so that boxes touch exactly and overlaps tie
+_TINY = 1e-170  # _TINY * _TINY underflows to 0.0
+
+
+@st.composite
+def crowded_frames(draw):
+    """Up to 30 persons x 30 faces. Persons are lanes of the grid, some
+    overlapping, some at the origin, or copies of an earlier person's box.
+    Faces sit in a head region, touch one exactly, copy an earlier face or
+    lie at the origin: a sliver, or a speck whose intersection with a head
+    region underflows."""
+    persons = []
+    n = draw(st.integers(0, 30))
+    ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
+    for pid in ids:
+        kind = draw(st.integers(0, 9))
+        if persons and kind == 0:
+            box = persons[draw(st.integers(0, len(persons) - 1))].box
+        else:
+            x1 = 0 if kind == 1 else draw(st.integers(0, _GRID - 1))  # 1: at the origin
+            x2 = min(_GRID, x1 + draw(st.integers(1, 4)))
+            y1 = 0 if kind == 1 else draw(st.sampled_from((0, 4, 10)))
+            box = Box(x1 / _GRID, y1 / _GRID, x2 / _GRID, (y1 + draw(st.sampled_from((20, 24)))) / _GRID)
+        persons.append(PersonBox(pid, box))
+    faces = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.integers(0, 9))
+        if faces and kind == 0:
+            faces.append(faces[draw(st.integers(0, len(faces) - 1))])
+            continue
+        if kind == 1 or not persons:
+            box = Box(0.0, 0.0, _TINY, draw(st.sampled_from((_TINY, 0.05))))
+        else:
+            head = head_region(persons[draw(st.integers(0, len(persons) - 1))].box)
+            if kind == 2 and head.x2 < 1.0:  # touches the head region's right edge
+                box = Box(head.x2, head.y1, min(1.0, head.x2 + 0.05), head.y1 + 0.05)
+            else:
+                x1 = min(1.0 - 1 / (2 * _GRID),
+                         max(0.0, head.x1 + draw(st.integers(-2, 4)) / (2 * _GRID)))
+                y1 = max(0.0, head.y1 + draw(st.integers(-2, 4)) / (2 * _GRID))
+                box = Box(x1, y1, min(1.0, x1 + draw(st.integers(1, 3)) / (2 * _GRID)),
+                          y1 + draw(st.integers(1, 3)) / (2 * _GRID))
+        faces.append(face(box))
+    return frame(persons, faces)
+
+
+# No shrinking: a frame of many draws shrinks for Hypothesis's full five
+# minutes, while the falsifying frame itself is printed at once.
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(fr=crowded_frames())
+@example(fr=frame([PersonBox(0, Box(0.0, 0.0, 0.1, 0.6)), PersonBox(1, Box(0.1, 0.0, 0.2, 0.6)),
+                   PersonBox(2, Box(0.5, 0.0, 0.6, 0.6))],
+                  [face(Box(0.0, 0.0, _TINY, _TINY)), face(Box(0.09, 0.1, 0.11, 0.12)),
+                   face(Box(0.1, 0.1, 0.12, 0.12)), face(Box(0.52, 0.1, 0.54, 0.12))])).via(
+    "an underflowing speck, a contested component and a lone edge")
+@example(fr=frame([PersonBox(3, Box(0.0, 0.0, 0.1, 0.6))], [face(Box(0.0, 0.0, _TINY, _TINY))])).via(
+    "an underflowing speck alone in a head region")
+def test_association_matches_the_dense_matrix(fr):
+    """Edges and components give the dense matrix's association: the same
+    pairs, overlap floats and unmatched faces."""
+    assert repr(match_faces_to_persons(fr)) == repr(dense_association(fr))
+
+
+def test_boxes_whose_areas_underflow_associate_nothing(tmp_path):
+    """A head region and a face that overlap at the origin, each of an area
+    that underflows to 0.0, would have an overlap of 0.0 / 0.0: they make no
+    edge, and detect writes its artifacts."""
+    fr = frame([PersonBox(0, Box(0.0, 0.0, _TINY, _TINY))], [face(Box(0.0, 0.0, _TINY, _TINY))])
+    assert match_faces_to_persons(fr) == ((), (0,))
+    write_observations([fr], tmp_path / "obs.jsonl")
+    assert main(["detect", "--input", str(tmp_path / "obs.jsonl"), "--out", str(tmp_path)]) == 0
 
 
 def test_association_and_detect_import_no_numpy_or_scipy(tmp_path):
