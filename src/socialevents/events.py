@@ -53,6 +53,7 @@ from __future__ import annotations
 import math
 import statistics
 from bisect import bisect_left, bisect_right
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 from .config import DEFAULT_CONFIG, EngineConfig
@@ -72,6 +73,10 @@ GAZE_EVENT_TYPES = (
     "mutual_gaze",
 )
 _TYPES_BY_SOURCE = {SOURCE_GAZE: GAZE_EVENT_TYPES, SOURCE_GESTURE: GESTURE_TYPES}
+# Levels of lists and objects an event's attributes may nest, attributes
+# itself the first: far inside the decoder's limit, and writing a graph line,
+# which nests them three levels deeper, stays far inside the recursion limit.
+ATTRIBUTES_DEPTH = 100
 
 class _EventFields(NamedTuple):
     event_id: int
@@ -488,8 +493,8 @@ def parse_event(record: dict, line: int | None = None) -> SocialEvent:
     """A checked event: typed fields, times below 2**52 in magnitude and an
     end not before the start, a type known for its source, at least one
     participant, two for mutual gaze, no negative participant, an initiator
-    on a gesture, every role one of the participants, and no NaN or infinity
-    at any depth of its attributes."""
+    on a gesture, every role one of the participants, and attributes that
+    nest at most ATTRIBUTES_DEPTH levels with no NaN or infinity at any."""
     return _valid_event(read_record(record, EVENT, line), line)
 
 
@@ -527,28 +532,31 @@ def _valid_event(values, line: int | None) -> SocialEvent:
     elif not event.participants.issuperset(event.roles.values()):
         key, pid = next(item for item in event.roles.items() if item[1] not in event.participants)
         fault = f"roles[{key!r}] must be one of the participants, got {pid}"
-    elif _non_finite(event.attributes) is None:
+    elif _attribute_fault(event.attributes, 0) is None:
         return event
-    else:  # a NaN or an infinity would be written as a bare NaN or Infinity, not JSON
-        key, number = next((k, n) for k, v in event.attributes.items()
-                           if (n := _non_finite(v)) is not None)
-        fault = f"attributes[{key!r}] must hold only finite numbers, got {number}"
+    else:
+        key, fault = next((k, f) for k, v in event.attributes.items()
+                          if (f := _attribute_fault(v, 1)) is not None)
+        fault = f"attributes[{key!r}] {fault}"
     raise ValidationError(f"bad event record: {fault}", line)
 
 
-def _non_finite(value) -> float | None:
-    """The first NaN or infinity at any depth of a JSON value, or None.
-    Iterative: a parsed value nests as deep as the decoder allows."""
-    stack = [value]
+def _attribute_fault(value, above: int) -> str | None:
+    """Why a JSON value inside ``above`` lists and objects of an event's
+    attributes cannot be kept, or None: its first NaN or infinity, which
+    would be written as a bare NaN or Infinity, not JSON, or a list or
+    object past level ATTRIBUTES_DEPTH, which writing it could not recurse
+    into. Iterative: a parsed value nests as deep as the decoder allows."""
+    stack = [(value, above)]
     while stack:
-        value = stack.pop()
+        value, above = stack.pop()
         if type(value) is float:
             if not math.isfinite(value):
-                return value
-        elif type(value) is dict:
-            stack.extend(value.values())
-        elif type(value) is list:
-            stack.extend(value)
+                return f"must hold only finite numbers, got {value}"
+        elif type(value) is dict or type(value) is list:
+            if above >= ATTRIBUTES_DEPTH:
+                return f"must not nest lists and objects deeper than {ATTRIBUTES_DEPTH} levels"
+            stack.extend(zip(value.values() if type(value) is dict else value, repeat(above + 1)))
     return None
 
 

@@ -11,19 +11,20 @@ Cost per frame, for n persons and m faces:
 
 - Every frame computes the overlap of each person's head region and each
   face, O(n*m), from unpacked coordinates, with n + m areas (each face's and
-  each head region's once), and keeps only the positive ones as edges: no
-  n x m matrix is built.
+  each head region's once), and keeps only the positive ones as edges, in
+  one index: each person's list of (face, overlap) and each face's list of
+  persons. No n x m matrix is built.
 - The optimum is additive across the connected components of the edges,
   and the lexicographic reconstruction only ever picks edges, which lie in
   the row's own component, so solving each component alone gives the same
-  pairs as solving the whole frame. A lone edge (its person and its face
-  have no other) is the optimum of its component and takes no solve, so a
-  frame without contest costs no more than its overlaps.
-- A larger component, found by a search over the persons that share a
-  face, goes to one exact solver on its dense sub-matrix: the Hungarian
-  method gives the optimal total in O(r^2 * (r + k)) for r persons and k
-  faces, and the lexicographic reconstruction re-solves once per edge it
-  tries, O((e + 1) * r^2 * (r + k)) for e edges. Dense random components
+  pairs as solving the whole frame. A lone edge (its person's list and its
+  face's list each hold only the other) is the optimum of its component and
+  takes no solve, so a frame without contest costs no more than its overlaps.
+- A larger component, found by a search over the same lists, goes to one
+  exact solver on its dense sub-matrix: the Hungarian method gives the
+  optimal total in O(r^2 * (r + k)) for r persons and k faces, and the
+  lexicographic reconstruction re-solves once per edge it tries,
+  O((e + 1) * r^2 * (r + k)) for e edges. Dense random components
   (x86-64, Python 3.11) take ~0.04 ms at 2 x 3, ~9 ms at 14 x 14 and ~190 ms
   at 30 x 30; every contested frame of the crowd benchmark splits into lone
   edges and components of at most 2 persons x 3 faces.
@@ -54,19 +55,19 @@ def head_region(person_box: Box) -> Box:
 
 
 def box_overlap(a: Box, b: Box) -> float:
-    """Intersection over union of two rectangles."""
+    """Intersection over union of two rectangles, 0.0 where they do not
+    overlap or their intersection underflows to 0.0."""
     iw = min(a.x2, b.x2) - max(a.x1, b.x1)
     ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
     inter = iw * ih
-    union = a.area + b.area - inter
-    return inter / union
+    if iw <= 0.0 or ih <= 0.0 or inter == 0.0:  # the union may then be 0.0 too
+        return 0.0
+    return inter / (a.area + b.area - inter)
 
 
 def match_faces_to_persons(frame: FrameObservation) -> Association:
     """Maximum-total-IoU one-to-one assignment of faces to head regions."""
-    persons = sorted(frame.persons, key=lambda p: p.person_id)
+    persons = sorted(frame.persons)  # by person_id: a parsed frame's ids are unique
     n, m = len(persons), len(frame.faces)
     if n == 0 or m == 0:
         return Association((), tuple(range(m)))
@@ -80,9 +81,8 @@ def match_faces_to_persons(frame: FrameObservation) -> Association:
     faces = [(x1, y1, x2, y2, (x2 - x1) * (y2 - y1)) for x1, y1, x2, y2 in
              (f.box for f in frame.faces)]
     edges: list[list[tuple[int, float]]] = []  # per person: (face index, overlap)
-    face_edges = [0] * m
-    for p in persons:
-        hx1, hy1, hx2, py2 = p.box
+    persons_of: list[list[int]] = [[] for _ in faces]  # per face: persons with an edge
+    for i, (_, (hx1, hy1, hx2, py2)) in enumerate(persons):
         hy2 = (hy1 + py2) / 2.0
         head_area = (hx2 - hx1) * (hy2 - hy1)
         row = []
@@ -95,42 +95,20 @@ def match_faces_to_persons(frame: FrameObservation) -> Association:
                     w = inter / (head_area + face_area - inter)
                     if w > 0.0:
                         row.append((j, w))
-                        face_edges[j] += 1
+                        persons_of[j].append(i)
         edges.append(row)
 
-    # A lone edge (its person and its face have no other) is its own
-    # component, whose optimum is the edge itself.
-    chosen: list[tuple[int, int, float]] = []  # (person index, face index, overlap)
-    contested: list[int] = []  # persons of the other components
-    for i, row in enumerate(edges):
-        if len(row) == 1 and face_edges[row[0][0]] == 1:
-            chosen.append((i, *row[0]))
-        elif row:
-            contested.append(i)
-    if contested:
-        chosen.extend(_assign_components(edges, contested))
-        chosen.sort()
-
-    pairs = tuple((persons[i].person_id, j, w) for i, j, w in chosen)
-    matched_faces = {j for _, j, _ in chosen}
-    unmatched = tuple(j for j in range(m) if j not in matched_faces)
-    return Association(pairs, unmatched)
-
-
-def _assign_components(edges: list[list[tuple[int, float]]],
-                       contested: list[int]) -> list[tuple[int, int, float]]:
-    """Solve each connected component of the edges that holds the persons
-    ``contested`` on its own dense sub-matrix, zero off the edges; rows and
-    columns keep their order, so each component's lexicographically smallest
-    optimum maps back unchanged."""
-    persons_of: dict[int, list[int]] = {}  # face -> persons with an edge to it
-    for i in contested:
-        for j, _ in edges[i]:
-            persons_of.setdefault(j, []).append(i)
-    seen = [False] * len(edges)
-    chosen: list[tuple[int, int, float]] = []
-    for start in contested:
-        if seen[start]:
+    # A lone edge is its own component's optimum. Any other component is
+    # solved on its dense sub-matrix, zero off the edges; rows and columns
+    # keep their order, so its lexicographically smallest optimum maps back.
+    pairs: list[tuple[int, int, float]] = []  # (person_id, face index, overlap)
+    seen = [False] * n
+    solved = False
+    for start, row in enumerate(edges):
+        if len(row) == 1 and len(persons_of[row[0][0]]) == 1:
+            pairs.append((persons[start].person_id, *row[0]))
+            continue
+        if not row or seen[start]:
             continue
         seen[start] = True
         rows, cols, stack = [start], set(), [start]
@@ -150,8 +128,15 @@ def _assign_components(edges: list[list[tuple[int, float]]],
         for a, i in enumerate(rows):
             for j, w in edges[i]:
                 sub[a][col_of[j]] = w
-        chosen.extend((rows[a], cols[b], sub[a][b]) for a, b in _assign_lexicographic(sub))
-    return chosen
+        pairs.extend((persons[rows[a]].person_id, cols[b], sub[a][b])
+                     for a, b in _assign_lexicographic(sub))
+        solved = True
+    if solved:  # a component's later rows came before persons still to visit
+        pairs.sort()
+
+    matched_faces = {j for _, j, _ in pairs}
+    unmatched = tuple(j for j in range(m) if j not in matched_faces)
+    return Association(tuple(pairs), unmatched)
 
 
 def _assign_lexicographic(weights: list[list[float]]) -> list[tuple[int, int]]:

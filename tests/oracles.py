@@ -453,6 +453,8 @@ def oracle_joint_attention(tracks, config: EngineConfig = DEFAULT_CONFIG) -> lis
             s = _at(tr, t)
             if s is None or s.gaze_point is None or not s.in_frame or s.confidence <= 0.0:
                 continue
+            if config.convergence_measured_only and s.provenance != PROV_MEASURED:
+                continue
             pts.append((tr.person_id, s.gaze_point))
         if len(pts) < 2:
             continue

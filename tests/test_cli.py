@@ -12,6 +12,7 @@ import sys
 import tempfile
 import threading
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from socialevents.config import EngineConfig
 from socialevents.errors import ContractError, ValidationError
 from socialevents.events import serialize_event
 from socialevents.gaze import GazeTrack
-from socialevents.ingest import dumps_canonical
+from socialevents.ingest import Box, FaceMeasurement, FrameObservation, dumps_canonical
 from socialevents.mentions import extract_person_ids
 from socialevents.qa import load_qa_items
 from socialevents.reward import score_group
@@ -1893,6 +1894,54 @@ def test_any_event_field_gives_the_checked_parse_outcome(valid_inputs, data):
     _graph_gives_the_parse(valid_inputs, record)
 
 
+def _deep_events(valid_inputs, levels):
+    """The events.jsonl lines, each with attributes {"deep": [[...]]}
+    nesting lists and objects ``levels`` levels deep, attributes itself the
+    first; written as text, as json.dumps would recurse once per level."""
+    deep = '{"deep": ' + "[" * (levels - 1) + "]" * (levels - 1) + "}"
+    return "".join(json.dumps({**record, "attributes": "DEEP"}).replace('"DEEP"', deep) + "\n"
+                   for record in read_lines(valid_inputs["events"]))
+
+
+@pytest.mark.parametrize("levels", [
+    events_mod.ATTRIBUTES_DEPTH + 1, 500, 950, 980, 985, 990, 1490, 1495, 9990, 10_000])
+def test_attributes_deeper_than_the_bound_exit_3(valid_inputs, tmp_path, capsys, levels):
+    """Attributes nested past ATTRIBUTES_DEPTH exit 3 naming the line and
+    the key, or, past the decoder's own limit, naming the line; never a
+    RecursionError while graph writes them (found at 980-985 levels on 3.10
+    and 3.11, 1490 on 3.12, 9990 on 3.13)."""
+    paths = {**valid_inputs, "events": tmp_path / "events.jsonl"}
+    paths["events"].write_text(_deep_events(valid_inputs, levels))
+    assert run(*(arg.format(**paths) for arg in GRAPH_ARGS), "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    bound = (f"error: line 1: bad event record: attributes['deep'] must not nest lists and "
+             f"objects deeper than {events_mod.ATTRIBUTES_DEPTH} levels\n")
+    if levels == events_mod.ATTRIBUTES_DEPTH + 1:
+        assert err == bound
+    else:
+        assert err == bound or err.startswith("error: line 1: invalid JSON"), err
+    assert not (tmp_path / "out" / "graph.jsonl").exists()
+
+
+def test_attributes_at_the_bound_run_through_graph_and_qagen(valid_inputs, tmp_path, capsys):
+    """Events whose attributes nest exactly ATTRIBUTES_DEPTH levels are
+    kept: graph writes them and qagen, which reads them back through
+    parse_event, runs. One level more in graph.jsonl exits 3 in qagen."""
+    paths = {**valid_inputs, "events": tmp_path / "events.jsonl"}
+    paths["events"].write_text(_deep_events(valid_inputs, events_mod.ATTRIBUTES_DEPTH))
+    out = tmp_path / "out"
+    assert run(*(arg.format(**paths) for arg in GRAPH_ARGS), "--out", str(out)) == 0
+    lists = events_mod.ATTRIBUTES_DEPTH - 1
+    graph = (out / "graph.jsonl").read_text()
+    assert "[" * lists in graph
+    assert run("qagen", "--input", str(out / "graph.jsonl"), "--out", str(out)) == 0
+    deeper = tmp_path / "deeper.jsonl"
+    deeper.write_text(graph.replace("[" * lists, "[" * (lists + 1))
+                      .replace("]" * lists, "]" * (lists + 1)))
+    assert run("qagen", "--input", str(deeper), "--out", str(tmp_path / "deeper")) == 3
+    assert "line 1: bad event record: attributes['deep'] must not nest" in capsys.readouterr().err
+
+
 NAN = float("nan")
 # Each input file, the stages that read it and the artifact each would write.
 READERS = {
@@ -2326,6 +2375,39 @@ def test_graph_breaking_the_contract_exit_3(tmp_path, capsys, graph, message):
     assert run("qagen", "--input", str(path), "--out", str(out)) == 3
     assert capsys.readouterr().err == f"error: line 2: bad {message}\n"
     assert not (out / "qa.jsonl").exists()
+
+
+def test_gaze_following_without_roles_asks_no_leader_or_follower(tmp_path):
+    """A gaze_following event without roles gives qagen no T4 or T5 item
+    (whose answers are its follower and its leader); with its roles it
+    gives both."""
+    counts = {}
+    for roles in ({}, {"leader": 0, "follower": 3}):  # person 3 makes four options
+        following = _event_record(4, "gaze", "gaze_following", [0, 3], roles)
+        path = tmp_path / "graph.jsonl"
+        path.write_text(json.dumps(_graph_record([*GRAPH_EVENTS, following])) + "\n")
+        out = tmp_path / f"out{len(roles)}"
+        assert run("qagen", "--input", str(path), "--out", str(out), "--budget", "100",
+                   "--qa-hard-min-events", "5") == 0
+        counts[len(roles)] = Counter(item.category for item in load_qa_items(out / "qa.jsonl"))
+    assert counts[0]["T4"] == counts[0]["T5"] == 0
+    assert counts[2]["T4"] > 0 and counts[2]["T5"] > 0
+
+
+def test_detect_on_frames_without_persons_writes_empty_events(tmp_path):
+    """Frames with no person (a face among them) give no track: detect
+    exits 0 with empty events.jsonl and features.jsonl, and a manifest line
+    with no person_ids."""
+    faces = (FaceMeasurement(Box(0.4, 0.3, 0.45, 0.38), 0.9, (0.5, 0.5), True),)
+    frames = [FrameObservation("empty", k, (), faces if k == 1 else ()) for k in range(3)]
+    obs = tmp_path / "observations.jsonl"
+    write_observations(frames, obs)
+    out = tmp_path / "out"
+    assert run("detect", "--input", str(obs), "--out", str(out), "--dump-features") == 0
+    assert (out / "events.jsonl").read_text() == ""
+    assert (out / "features.jsonl").read_text() == ""
+    assert (out / "videos.jsonl").read_text() == \
+        '{"video_id":"empty","duration":1.5,"person_ids":[]}\n'
 
 
 def test_gesture_warning_names_its_line_once(valid_inputs, tmp_path, capsys):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from socialevents import cli
 from socialevents.config import DEFAULT_CONFIG
 from socialevents.errors import ValidationError
 from socialevents.events import (
@@ -437,6 +438,58 @@ def test_long_videos_match_oracle_off_defaults(sweep_videos, overrides, event_ty
     assert seen, f"no {event_type} events, so {overrides} was not exercised"
     if event_type == "gaze_following" and config.follow_lag_max > config.follow_lag_min:
         assert multi_lag, f"no leader qualifies at two lags under {overrides}"
+
+
+@st.composite
+def detect_config_fields(draw):
+    """A valid value of every detect config field, each drawn over a range
+    that reaches the detectors' edges on small synth videos."""
+    fraction = st.floats(0.0, 1.0)
+    linear_max_gap = draw(st.integers(0, 5))
+    sudden_min = draw(st.floats(0.0, 2.0))
+    lag_min = draw(st.integers(1, 4)) * 0.5
+    return {
+        "linear_max_gap": linear_max_gap,
+        "carry_max_gap": draw(st.integers(0, 12)),
+        "linear_conf_slope": draw(fraction) / max(linear_max_gap, 1),
+        "carry_conf_base": draw(fraction),
+        "carry_conf_decay": draw(fraction),
+        "block_temporal_gap": draw(st.floats(0.0, 5.0)),
+        "block_face_displacement": draw(st.floats(0.0, 1.0)),
+        "convergence_alpha": draw(st.floats(0.0, 10.0)),
+        "convergence_measured_only": draw(st.booleans()),
+        "sudden_velocity": draw(st.floats(0.0, 2.0)),
+        "sudden_cluster_gap": draw(st.floats(0.0, 2.0, exclude_min=True)),
+        "sudden_min_duration": sudden_min,
+        "sudden_max_duration": sudden_min + draw(st.floats(0.0, 3.0)),
+        "ja_convergence": draw(st.floats(0.0, 1.0, exclude_min=True)),
+        "ja_min_duration": draw(st.floats(0.0, 3.0)),
+        "ja_set_overlap": draw(fraction),
+        # below 1 the cutoff can drop a tick's whole contributor set
+        "ja_peripheral_mult": draw(st.floats(0.0, 1.0, exclude_min=True)
+                                   | st.floats(1.0, 3.0)),
+        "follow_distance": draw(st.floats(0.0, 0.2)),
+        "follow_lag_min": lag_min,
+        "follow_lag_max": lag_min + draw(st.integers(0, 6)) * 0.5,
+        "capture_velocity": draw(st.floats(0.0, 2.0)),
+        "capture_min_persons": draw(st.integers(1, 5)),
+        "capture_window": draw(st.floats(0.0, 3.0, exclude_min=True)),
+        "mutual_margin": draw(st.floats(0.0, 0.2)),
+        "mutual_min_duration": draw(st.floats(0.0, 3.0)),
+    }
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(fields=detect_config_fields(), seed=st.integers(0, 10_000))
+def test_detectors_match_the_oracles_at_any_valid_config(fields, seed):
+    """Every detect config field drawn at once: all five detectors match
+    their oracles on a small synth video, gap repair and features included."""
+    assert set(fields) == set(cli.STAGE_FIELDS["detect"])
+    config = dataclasses.replace(DEFAULT_CONFIG, **fields)
+    frames = make_video(seed, max_frames=40)
+    tracks = [interpolate_track(t, config) for t in build_tracks(frames)]
+    detected = detect_all(tracks, compute_features(tracks, config), config)
+    assert detector_view(detected) == oracle_all(tracks, config)
 
 
 def test_joint_attention_matches_oracle_below_the_median_cutoff():

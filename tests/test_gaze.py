@@ -64,6 +64,12 @@ class TestBuildTracks:
     def test_empty_video(self):
         assert build_tracks([]) == []
 
+    def test_frames_of_two_videos_are_a_data_error(self):
+        frames = [person_frame(0.0, [0], {0: (0.5, 0.5)}, video="a"),
+                  person_frame(0.5, [0], {0: (0.5, 0.5)}, video="b")]
+        with pytest.raises(DataError, match="mixed videos in one track build: 'a', 'b'"):
+            build_tracks(frames)
+
     def test_face_without_gaze_is_missing_with_center(self):
         frames = [person_frame(0.0, [0], {0: None})]
         (track,) = build_tracks(frames)

@@ -391,6 +391,16 @@ def test_boxes_whose_areas_underflow_associate_nothing(tmp_path):
     assert main(["detect", "--input", str(tmp_path / "obs.jsonl"), "--out", str(tmp_path)]) == 0
 
 
+def test_box_overlap_of_an_intersection_that_underflows_is_zero():
+    """box_overlap keeps match_faces_to_persons' rule: an intersection whose
+    product underflows to 0.0 is no overlap, and where both areas underflow
+    too it is not divided as 0.0 / 0.0."""
+    speck = Box(0.0, 0.0, _TINY, _TINY)
+    assert box_overlap(speck, speck) == 0.0
+    assert box_overlap(speck, Box(0.0, 0.0, 0.5, 0.5)) == 0.0
+    assert box_overlap(Box(0.0, 0.0, 2 * _TINY, 0.5), Box(_TINY, 0.0, 0.5, _TINY)) == 0.0
+
+
 def test_association_and_detect_import_no_numpy_or_scipy(tmp_path):
     # a fresh interpreter, so that no other test's imports are counted
     obs = tmp_path / "obs.jsonl"

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 from socialevents.graph import SocialGraph, link_joint_pairs
@@ -207,6 +208,37 @@ class TestValidator:
         long_option = " ".join(["word"] * 16)
         item = self.base_item(options=("Person 1", long_option, "Person 2", "Person 3"))
         assert "15 words" in validate_qa(item, self.graph())
+
+    def with_gesture(self, pairs=()):
+        """The graph and a pointing gesture (event 2) over event 0's span."""
+        events = [*self.graph().events,
+                  event(2, "pointing", parts=(0, 1), start=1.0, end=3.0, conf=0.95)]
+        return graph_of(events, pairs)
+
+    def test_each_item_fault_gives_its_reason(self):
+        joint = dict(category="J2", difficulty="medium", source_event_ids=(0, 2))
+        cases = [
+            (dict(category="X9"), self.graph(), "unknown category 'X9'"),
+            (dict(difficulty="hard"), self.graph(),
+             "difficulty 'hard' does not match category T1"),
+            (dict(options=("", "Person 0", "Person 2", "Person 3"), answer_text=""),
+             self.graph(), "empty answer_text"),
+            (dict(source_event_ids=()), self.graph(), "no source events"),
+            (dict(time_range=(3.0, 1.0)), self.graph(), "invalid time_range (3.0, 1.0)"),
+            (dict(time_range=(math.nan, 3.0)), self.graph(), "invalid time_range (nan, 3.0)"),
+            (dict(source_event_ids=(0, 2)), self.with_gesture(),
+             "gaze category citing gesture events"),
+            (dict(joint, source_event_ids=(0,)), self.with_gesture(),
+             "joint category must cite gaze and gesture events"),
+            (dict(joint, source_event_ids=(2,)), self.with_gesture(),
+             "joint category must cite gaze and gesture events"),
+            (joint, self.with_gesture(), "joint category sources are not a linked pair"),
+            (joint, self.with_gesture(pairs=[(1, 2, 0.0)]),
+             "joint category sources are not a linked pair"),
+            (joint, self.with_gesture(pairs=[(0, 2, 0.0)]), None),
+        ]
+        for overrides, graph, reason in cases:
+            assert validate_qa(self.base_item(**overrides), graph) == reason, overrides
 
 
 class TestClosure:
