@@ -90,8 +90,12 @@ def _count_phrase(n: int) -> str:
 
 
 def keyed_rng(key: str) -> random.Random:
-    """A generator seeded by the first 8 bytes of the key's sha256, big-endian."""
-    return random.Random(int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big"))
+    """A generator seeded by the first 8 bytes of the sha256 of the key's
+    UTF-8 bytes, big-endian. A lone surrogate, which a JSON escape such as
+    "\\udc80" can put in an ID, is encoded as its own three bytes
+    ("surrogatepass"), so any str has a key."""
+    data = key.encode("utf-8", "surrogatepass")
+    return random.Random(int.from_bytes(hashlib.sha256(data).digest()[:8], "big"))
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@ graph's event cap, the trace template, QA answers and the rewards record.
 These enumerate candidates literally and re-derive intermediate quantities
 from the tracks themselves rather than reusing detector internals.
 
-Two are byte-level references instead: ``dense_association`` and
+Three are byte-level references instead: ``dense_association`` and
 ``following_nested`` keep the dense overlap matrix and the every-leader scan
 that face association and gaze following replaced, and build their outputs
-with the package's own solver and event builder, so that a property can
-compare the outputs whole, floats and order included.
+with the package's own solver and event builder, and ``regex_parse_trace``
+keeps the template regex that the reward's tag split replaced, with the
+package's own block search, so that a property can compare the outputs
+whole, floats and order included.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from socialevents.gaze import PROV_MEASURED, FrameFeatures, Point
 from socialevents.graph import SocialGraph
 from socialevents.identity import Association, _assign_lexicographic
 from socialevents.ingest import SAMPLE_PERIOD, Box, FrameObservation, to_tick
+from socialevents.reward import ReasoningTrace, _blocks
 from helpers import tick
 
 
@@ -708,6 +711,30 @@ def check_template(raw: str) -> bool:
             return False
         cursor = match.end()
     return state == "done" and not raw[cursor:].strip()
+
+
+# Text holding no template tag, unrolled so that each character can be
+# matched only one way: a failing match backtracks in linear time.
+_TEXT = r"[^<]*(?:<(?!/?(?:think|gaze|gesture|answer)>)[^<]*)*"
+# The template grammar; group 1 is the think block, group 2 the answer block.
+_TEMPLATE_RE = re.compile(
+    rf"\s*<think>({_TEXT}(?:<gaze>{_TEXT}</gaze>{_TEXT}|<gesture>{_TEXT}</gesture>{_TEXT})*)"
+    rf"</think>\s*<answer>({_TEXT})</answer>\s*")
+
+
+def regex_parse_trace(raw: str) -> ReasoningTrace:
+    """The trace parse as one grammar match: a well-formed trace's think and
+    answer blocks are its capture groups, and str.find scans (reward._blocks)
+    give every other block."""
+    match = _TEMPLATE_RE.fullmatch(raw)
+    if match is not None:
+        think_block, answer_block = match.groups()
+    else:
+        think_block = (_blocks(raw, "think") or (None,))[0]
+        answer_block = (_blocks(raw, "answer") or (None,))[0]
+    scope = think_block if think_block is not None else raw
+    return ReasoningTrace(raw, think_block, _blocks(scope, "gaze"), _blocks(scope, "gesture"),
+                          answer_block, match is not None)
 
 
 _THINK_RE = re.compile(r"<think>(.*?)</think>", re.DOTALL)

@@ -1894,6 +1894,78 @@ def test_any_event_field_gives_the_checked_parse_outcome(valid_inputs, data):
     _graph_gives_the_parse(valid_inputs, record)
 
 
+# Text that is valid JSON but has no UTF-8 bytes (lone surrogates) or
+# splits a line or a TSV row.
+TEXT_EDGES = st.sampled_from(["", "\ud800", "cam\udc80", "\udfff\ud800", "a\tb", "a\nb", "\u2028"])
+
+
+def _at(record, path):
+    for step in path:
+        record = record.get(step, MISSING) if isinstance(record, dict) else record[step]
+    return record
+
+
+def _like(value):
+    """The value itself, or a value of its shape: text of any kind for a
+    string, any number of its type, and lists and objects of such values."""
+    if isinstance(value, bool) or value is None or value is MISSING:
+        like = st.sampled_from([True, False, None])
+    elif isinstance(value, str):
+        like = ANY_TEXT | TEXT_EDGES
+    elif isinstance(value, int):
+        like = st.integers(-1, 2 * value + 2)
+    elif isinstance(value, float):
+        like = st.floats(-1.0, 2 * value + 2)
+    elif isinstance(value, list):
+        like = st.lists(_like(value[0]) if value else JSON_VALUES, max_size=len(value) + 1)
+    else:
+        like = st.fixed_dictionaries({k: _like(v) for k, v in value.items()})
+    return st.just(value) | like
+
+
+@pytest.mark.parametrize("key, id_field, stage, artifact", [
+    ("graph", "video_id", QAGEN_ARGS, "qa.jsonl"),
+    ("qa", "qa_id", ("corrupt", "--input", "{qa}"), "qa.corrupted.jsonl"),
+], ids=["qagen", "corrupt"])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_record_value_in_qagen_and_corrupt_exits_0_or_3(valid_inputs, key, id_field, stage,
+                                                             artifact, data):
+    """A valid graph record that qagen reads, or QA item that corrupt reads,
+    with its ID, which keys the stage's generator, drawn as any text (lone
+    surrogates included), and any JSON value, or none, in up to two more
+    fields (its first event's included): the stage exits 0 and writes its
+    artifact in ASCII, or exits 3 and leaves none."""
+    schema, good = _tables(valid_inputs)[key]
+    paths = [(field,) for field in schema.keys]
+    if key == "graph":
+        paths += [("events", 0, field) for field in EVENT_FIELDS]
+    drawn = [(id_field,)] + data.draw(st.lists(st.sampled_from(paths), max_size=2, unique=True),
+                                      label="fields")
+    record = json.loads(json.dumps(good))
+    # an event's fields first, while the record still holds its events
+    for path in sorted(drawn, key=len, reverse=True):
+        value = data.draw(_like(_at(good, path)) | FIELD_VALUES, label=".".join(map(str, path)))
+        target = _at(record, path[:-1])
+        if value is MISSING:
+            target.pop(path[-1], None)
+        else:
+            target[path[-1]] = value
+    lines = [json.dumps(record if line == good else line) + "\n"
+             for line in read_lines(valid_inputs[key])]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {**valid_inputs, key: Path(tmp, f"{key}.jsonl")}
+        paths[key].write_text("".join(lines))
+        out = Path(tmp, "out")
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = run(*(arg.format(**paths) for arg in stage), "--out", str(out))
+        assert code in (0, 3)
+        if code == 0:
+            assert (out / artifact).read_bytes().isascii()
+        else:
+            assert not (out / artifact).exists()
+
+
 def _deep_events(valid_inputs, levels):
     """The events.jsonl lines, each with attributes {"deep": [[...]]}
     nesting lists and objects ``levels`` levels deep, attributes itself the
@@ -2189,6 +2261,30 @@ def test_over_long_person_id_in_corrupt_names_its_line(valid_inputs, tmp_path, c
     assert capsys.readouterr().err == (
         f"error: line 3: qa {record['qa_id']}: person id of 5000 digits is too long\n")
     assert not (out / "qa.corrupted.jsonl").exists()
+
+
+@pytest.mark.parametrize("key, field, value, stage, artifact", [
+    ("graph", "video_id", "cam\udc80", QAGEN_ARGS, "qa.jsonl"),
+    ("qa", "qa_id", "q\ud800", ("corrupt", "--input", "{qa}"), "qa.corrupted.jsonl"),
+], ids=["qagen-video_id", "corrupt-qa_id"])
+def test_lone_surrogate_in_an_id_is_written_escaped(valid_inputs, tmp_path, capsys,
+                                                     key, field, value, stage, artifact):
+    """A JSON escape can put a lone surrogate in an ID, which no UTF-8 text
+    holds: the stage seeds its generator from the ID all the same, exits 0
+    and writes the ID escaped, in ASCII."""
+    lines = valid_inputs[key].read_text().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    record[field] = value
+    lines[0] = json.dumps(record) + "\n"
+    assert "\\u" + f"{ord(value[-1]):04x}" in lines[0]
+    paths = {**valid_inputs, key: tmp_path / f"{key}.jsonl"}
+    paths[key].write_text("".join(lines))
+    out = tmp_path / "out"
+    assert run(*(arg.format(**paths) for arg in stage), "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    written = (out / artifact).read_bytes()
+    assert written.isascii()
+    assert value in [r[field] for r in read_lines(out / artifact)]
 
 
 def test_graph_rejects_repeated_event_id(valid_inputs, tmp_path, capsys):

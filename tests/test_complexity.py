@@ -81,7 +81,8 @@ BUDGETS = {
     "detect per frame, 24 persons, 120 frames": 14534.2,  # 14626.0, 14626.0, 14451.8, 14442.3
     "graph per input event, 1200 frames": 94.2,  # 95.6, 95.6, 92.8, 92.8
     "qagen per graph, 1200 frames": 10721.0,  # 10832, 10854, 10919, 10523
-    "reward per rollout, 200 groups": 95.4,  # 97.3, 97.3, 93.6, 93.5
+    # 97.3, 97.3, 93.6, 93.5 before parse_trace's tag split; 93.7 on 3.11 after it
+    "reward per rollout, 200 groups": 95.4,
     "analyze per rollout, 200 groups": 19.25,  # 20.0, 20.0, 18.5, 18.5
 }
 
@@ -151,8 +152,8 @@ def per_rollout(pipelines, tmp_path_factory) -> dict[str, list[float]]:
 
 
 def test_reward_and_analyze_lines_per_rollout_do_not_grow_with_the_traces(per_rollout):
-    """About 97.3 and 96.1 lines per rollout in reward, 20.0 and 19.6 in
-    analyze, at 200 and 400 groups."""
+    """About 93.7 and 92.6 lines per rollout in reward, 20.0 and 19.6 in
+    analyze, at 200 and 400 groups (Python 3.11)."""
     assert all(map(_no_growth, per_rollout.values())), per_rollout
 
 

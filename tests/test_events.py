@@ -34,7 +34,9 @@ from socialevents.gaze import (
     compute_features,
     interpolate_track,
 )
-from socialevents.ingest import Box
+from socialevents.graph import build_graph, parse_graph, serialize_graph
+from socialevents.ingest import SAMPLE_PERIOD, Box
+from socialevents.qa import generate_qa, parse_qa_item, serialize_qa_item, validate_qa
 from helpers import event, grid_track, sample, tick
 from oracles import (
     contains,
@@ -46,7 +48,8 @@ from oracles import (
     oracle_capture,
     oracle_joint_attention,
 )
-from synth import make_video
+from synth import make_gestures, make_video
+from test_graph import check_graph_invariants
 
 
 def features_of(tracks):
@@ -490,6 +493,49 @@ def test_detectors_match_the_oracles_at_any_valid_config(fields, seed):
     tracks = [interpolate_track(t, config) for t in build_tracks(frames)]
     detected = detect_all(tracks, compute_features(tracks, config), config)
     assert detector_view(detected) == oracle_all(tracks, config)
+
+
+@st.composite
+def graph_qagen_config_fields(draw):
+    """A valid value of every graph and qagen config field."""
+    medium = draw(st.integers(0, 12))
+    return {
+        "gaze_conf_min": draw(st.floats(0.0, 1.0)),
+        "gesture_conf_min": draw(st.floats(0.0, 1.0)),
+        "pair_max_distance": draw(st.floats(0.0, 20.0)),
+        "max_graph_events": draw(st.integers(1, 30)),
+        "qa_medium_min_events": medium,
+        "qa_hard_min_events": medium + draw(st.integers(0, 12)),
+    }
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(fields=detect_config_fields(), graph_fields=graph_qagen_config_fields(),
+       seed=st.integers(0, 10_000))
+def test_graph_invariants_and_qa_closure_at_any_valid_config(fields, graph_fields, seed):
+    """Every detect, graph and qagen config field drawn at once, on a small
+    synth video with gestures: the graph of the detected events keeps its
+    invariants under the drawn cap and pair distance, and every QA item,
+    read back as qagen writes it, validates against the graph read back, at
+    a difficulty the graph's event count allows."""
+    assert set(graph_fields) == set(cli.STAGE_FIELDS["graph"] + cli.STAGE_FIELDS["qagen"])
+    config = dataclasses.replace(DEFAULT_CONFIG, **fields, **graph_fields)
+    frames = make_video(seed, max_frames=40)
+    tracks = [interpolate_track(t, config) for t in build_tracks(frames)]
+    detected = detect_all(tracks, compute_features(tracks, config), config)
+    duration = frames[-1].t + SAMPLE_PERIOD
+    gestures = make_gestures(seed, frames[0].video_id, [t.person_id for t in tracks], duration)
+    graph = build_graph(frames[0].video_id, duration, detected, gestures, config)
+    check_graph_invariants(graph, cap=config.max_graph_events,
+                           pair_max_distance=config.pair_max_distance)
+    graph = parse_graph(json.loads(serialize_graph(graph)))
+    allowed = {difficulty for difficulty, least in (
+        ("easy", 0), ("medium", config.qa_medium_min_events), ("hard", config.qa_hard_min_events))
+        if len(graph.events) >= least}
+    for item in generate_qa(graph, budget=25, seed=seed, config=config):
+        item = parse_qa_item(json.loads(serialize_qa_item(item)))
+        assert validate_qa(item, graph) is None, item
+        assert item.difficulty in allowed
 
 
 def test_joint_attention_matches_oracle_below_the_median_cutoff():

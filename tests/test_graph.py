@@ -362,7 +362,7 @@ class TestBuildGraph:
         assert serialize_graph(parse_graph(json.loads(line))) == line
 
 
-def check_graph_invariants(g: SocialGraph, cap=25):
+def check_graph_invariants(g: SocialGraph, cap=25, pair_max_distance=3.0):
     assert len(g.events) <= cap
     ids = {e.event_id for e in g.events}
     assert len(ids) == len(g.events)
@@ -370,7 +370,7 @@ def check_graph_invariants(g: SocialGraph, cap=25):
     assert starts == sorted(starts)
     for gid, gesid, dist in g.joint_pairs:
         assert gid in ids and gesid in ids
-        assert dist <= 3.0 + 1e-9
+        assert dist <= pair_max_distance + 1e-9
     seen = []
     for e in g.events:
         assert e.start_time * 2 == round(e.start_time * 2)

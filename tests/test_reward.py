@@ -1,19 +1,26 @@
+import itertools
 import math
 import random
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from oracles import check_template, regex_blocks, regex_person_ids, regex_replace_person_ids
+from oracles import (
+    check_template,
+    regex_blocks,
+    regex_parse_trace,
+    regex_person_ids,
+    regex_replace_person_ids,
+)
 from socialevents import reward
 from socialevents.config import EngineConfig
 from socialevents.errors import ContractError, ValidationError
 from socialevents.mentions import extract_person_ids, replace_person_ids
 from socialevents.reward import (
-    _TEMPLATE_RE,
     extract_participants,
     group_advantages,
     normalize_answer,
@@ -21,6 +28,7 @@ from socialevents.reward import (
     reward_components,
     score_group,
 )
+from synth import make_traces
 
 GOOD = "<think><gaze>Person 0 looks at Person 2</gaze><gesture>none</gesture></think><answer>B</answer>"
 
@@ -380,18 +388,38 @@ def grammar_corpus():
         yield tag_soup(rng) if n % 2 else near_valid(rng)
 
 
+# QA items as make_traces reads them: MCQ and open, with answer texts that
+# mention persons.
+TRACE_ITEMS = [
+    SimpleNamespace(qa_id="mcq", format="mcq", answer="B", answer_text="Person 2 looks at P0"),
+    SimpleNamespace(qa_id="open", format="open_ended", answer="Person 3",
+                    answer_text="Person 3"),
+]
+
+
 class TestTemplateGrammar:
-    """The compiled template grammar against the state machine, and the
-    blocks and mentions parse_trace finds against the regexes in
-    tests/oracles.py."""
+    """The tag split's template check against the state machine, its whole
+    parse against the template regex it replaced, and the blocks and
+    mentions parse_trace finds against the regexes in tests/oracles.py."""
 
     def test_agrees_with_state_machine(self):
         outcomes = {True: 0, False: 0}
         for raw in grammar_corpus():
             expected = check_template(raw)
-            assert (_TEMPLATE_RE.fullmatch(raw) is not None) == expected, raw
+            assert parse_trace(raw).well_formed == expected, raw
             outcomes[expected] += 1
         assert min(outcomes.values()) > 10_000, outcomes
+
+    def test_whole_trace_agrees_with_the_template_regex(self):
+        synth = [raw for record in make_traces(3, TRACE_ITEMS, 2000)
+                 for raw in record["rollouts"]]
+        outcomes = {True: 0, False: 0}
+        for raw in itertools.chain(grammar_corpus(), synth):
+            trace = parse_trace(raw)
+            assert trace == regex_parse_trace(raw), raw
+            outcomes[trace.well_formed] += 1
+        assert sum(not parse_trace(raw).well_formed for raw in synth) > 1_000
+        assert min(outcomes.values()) > 20_000, outcomes
 
     def test_blocks_and_mentions_agree_with_regexes(self):
         with_blocks = with_ids = 0
